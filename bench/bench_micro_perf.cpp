@@ -13,7 +13,6 @@
 #include "bench_main.hpp"
 #include "core/fastack/agent.hpp"
 #include "core/turboca/plan_context.hpp"
-#include "exec/task_pool.hpp"
 #include "core/turboca/reference.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/network.hpp"
@@ -94,38 +93,6 @@ void BM_NboSweep(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_NboSweep)->Arg(40)->Arg(200)->Arg(600)->Complexity();
-
-// The 600-AP sweep at explicit worker counts: the scaling curve of the
-// speculative NBO executor (DESIGN.md §10). Wall-clock (UseRealTime)
-// because the work fans out across pool threads; the plan is bit-identical
-// at every Arg by construction (tests/test_planner_golden). On a 1-core
-// container the counts >1 measure overhead only — the speedup column is
-// meaningful on real multi-core hardware (e.g. 4-core CI runners).
-void BM_NboSweepThreads(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  const turboca::Params params;
-  exec::TaskPool pool(workers);
-  const flowsim::ScanIndex index(campus_scans(600),
-                                 params.neighbor_rssi_floor, &pool);
-  turboca::TurboCA tca(params, Rng(2));
-  tca.set_pool(&pool);
-  ChannelPlan plan;
-  for (const auto& s : index.scans()) plan[s.id] = s.current;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tca.nbo(index, plan, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * 600);
-  const turboca::TurboCA::SweepStats& st = tca.sweep_stats();
-  state.counters["spec_batches"] =
-      benchmark::Counter(static_cast<double>(st.batches));
-  state.counters["mean_batch"] =
-      st.batches ? static_cast<double>(st.picks) /
-                       static_cast<double>(st.batches)
-                 : 0.0;
-  state.counters["max_batch"] =
-      benchmark::Counter(static_cast<double>(st.max_batch));
-}
-BENCHMARK(BM_NboSweepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // The same sweep on the preserved reference evaluator — the before/after
 // pair behind the speedup claim in DESIGN.md §9.

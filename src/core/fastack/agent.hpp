@@ -139,7 +139,7 @@ class FastAckAgent : public TcpInterceptor {
   void trace(FlowId flow, TraceEvent event, std::uint64_t seq,
              std::uint64_t extra = 0) {
     if (cfg_.trace_enabled)
-      trace_.record(TraceRecord{sim_.now(), flow, event, seq, extra});
+      trace_.push(TraceRecord{sim_.now(), flow, event, seq, extra});
   }
 
   Simulator& sim_;

@@ -12,9 +12,10 @@ std::string TraceRecord::to_string() const {
   return os.str();
 }
 
-void TraceRing::dump(std::ostream& os) const {
-  for (const TraceRecord& r : snapshot()) os << r.to_string() << "\n";
-  if (dropped_ > 0) os << "(" << dropped_ << " older records evicted)\n";
+void dump(const TraceRing& ring, std::ostream& os) {
+  for (const TraceRecord& r : ring) os << r.to_string() << "\n";
+  if (ring.dropped() > 0)
+    os << "(" << ring.dropped() << " older records evicted)\n";
 }
 
 }  // namespace w11::fastack

@@ -6,12 +6,11 @@
 // runtime; tests assert on event sequences and operators debug live flows
 // by dumping the ring.
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/ids.hpp"
 #include "common/time.hpp"
 
@@ -68,47 +67,11 @@ struct TraceRecord {
   [[nodiscard]] std::string to_string() const;
 };
 
-// Fixed-capacity ring buffer of trace records. Oldest entries are evicted
-// once capacity is reached; `dropped()` reports how many.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity = 4096) : capacity_(capacity) {}
+// Bounded per-agent ring of trace records (common::BoundedRing): oldest
+// entries are evicted once capacity is reached; `dropped()` reports how many.
+using TraceRing = common::BoundedRing<TraceRecord>;
 
-  void record(TraceRecord r) {
-    if (records_.size() < capacity_) {
-      records_.push_back(r);
-    } else {
-      records_[head_] = r;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
-  }
-
-  // Records in chronological order.
-  [[nodiscard]] std::vector<TraceRecord> snapshot() const {
-    std::vector<TraceRecord> out;
-    out.reserve(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-      out.push_back(records_[(head_ + i) % records_.size()]);
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear() {
-    records_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
-  void dump(std::ostream& os) const;
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceRecord> records_;
-  std::size_t head_ = 0;
-  std::uint64_t dropped_ = 0;
-};
+// Records oldest first, then a line counting evictions if there were any.
+void dump(const TraceRing& ring, std::ostream& os);
 
 }  // namespace w11::fastack

@@ -97,7 +97,7 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   // firings.
   const flowsim::ScanIndex index(std::move(scans),
                                  engine_.params().neighbor_rssi_floor,
-                                 /*pool=*/nullptr, &stats_cache_);
+                                 engine_.pool(), &stats_cache_);
   ChannelPlan plan = hooks_.current_plan();
   bool improved = false;
   double netp = 0.0;
@@ -152,7 +152,7 @@ bool ReservedCaService::run_now() {
   }
   const flowsim::ScanIndex index(std::move(scans),
                                  engine_.params().neighbor_rssi_floor,
-                                 /*pool=*/nullptr, &stats_cache_);
+                                 engine_.pool(), &stats_cache_);
   PlanContext ctx(index, engine_.params(), hooks_.current_plan());
 
   // Sequential sweep: each AP takes its isolated best channel given

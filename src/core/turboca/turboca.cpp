@@ -135,9 +135,8 @@ void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
 
 void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
   // Algorithm 1, applied to `ctx` in place: fix the drain schedule first
-  // (all of the sweep's RNG), then execute the ACC decisions — serially, or
-  // speculatively batched across the pool. Both executions are bit-for-bit
-  // identical to the reference sweep.
+  // (all of the sweep's RNG), then execute the ACC decisions in drain
+  // order — bit-for-bit identical to the reference sweep.
   const flowsim::ScanIndex& index = ctx.index();
   const std::size_t n = index.size();
   if (n == 0) return;
@@ -146,88 +145,22 @@ void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
   std::vector<std::uint32_t> group_end;
   plan_sweep(index, hop_limit, order, group_end);
 
-  exec::TaskPool& tp = pool();
-  if (tp.workers() == 1 || exec::TaskPool::in_task() || n < 8) {
-    // Serial execution. ψ (the still-undrained members of the current
-    // group) starts as the whole group and shrinks by one erase per pick.
-    PsiSet psi(n);
-    std::size_t group_until = 0;
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      if (t == group_until) {
-        psi.clear();
-        group_until = group_end[t];
-        for (std::size_t u = t; u < group_until; ++u) psi.insert(order[u]);
-      }
-      psi.erase(order[t]);
-      const Channel from = ctx.channel_of(order[t]);
-      const Channel to = acc(ctx, order[t], psi);
-      ctx.set(order[t], to);
-      note_pick(ctx, order[t], t, from, to);
-    }
-    sweep_stats_.picks += order.size();
-    sweep_stats_.batches += order.size();
-    sweep_stats_.max_batch = std::max<std::uint64_t>(sweep_stats_.max_batch,
-                                                     order.empty() ? 0 : 1);
-    ++sweep_stats_.serial_sweeps;
-    return;
-  }
-
-  // Speculative batched execution. A pick's ACC reads plan entries only
-  // within two forward hops of its AP: its own term reads its contender
-  // neighbors' channels, and each affected neighbor's term reads that
-  // neighbor's contenders. So consecutive picks whose two-hop read sets
-  // avoid every earlier in-batch mover see exactly the pre-batch plan the
-  // serial execution would show them — score them concurrently, commit in
-  // drain order, and the result is identical at any worker count.
-  std::vector<char> write_mark(n, 0);
-  auto reads_a_mover = [&](std::uint32_t ap) {
-    if (write_mark[ap]) return true;
-    for (const flowsim::ScanIndex::Neighbor& nb1 : index.neighbors(ap)) {
-      if (write_mark[nb1.index]) return true;
-      for (const flowsim::ScanIndex::Neighbor& nb2 :
-           index.neighbors(nb1.index))
-        if (write_mark[nb2.index]) return true;
-    }
-    return false;
-  };
-
-  // Per-lane ψ scratch: lane indices are unique within one parallel_for,
-  // and this scratch never outlives the sweep.
-  std::vector<PsiSet> psi_scratch;
-  psi_scratch.reserve(static_cast<std::size_t>(tp.workers()));
-  for (int l = 0; l < tp.workers(); ++l) psi_scratch.emplace_back(n);
-
-  std::vector<Channel> results(n);
-  std::size_t t = 0;
-  while (t < order.size()) {
-    std::size_t bend = t;
-    do {
-      write_mark[order[bend]] = 1;
-      ++bend;
-    } while (bend < order.size() && !reads_a_mover(order[bend]));
-
-    tp.parallel_for(bend - t, [&](std::size_t k, int lane) {
-      const std::size_t p = t + k;
-      PsiSet& psi = psi_scratch[static_cast<std::size_t>(lane)];
+  // ψ (the still-undrained members of the current group) starts as the
+  // whole group and shrinks by one erase per pick.
+  PsiSet psi(n);
+  std::size_t group_until = 0;
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    if (t == group_until) {
       psi.clear();
-      for (std::size_t u = p + 1; u < group_end[p]; ++u) psi.insert(order[u]);
-      results[p] = acc(ctx, order[p], psi);
-    });
-
-    for (std::size_t p = t; p < bend; ++p) {
-      const Channel from = ctx.channel_of(order[p]);
-      ctx.set(order[p], results[p]);
-      note_pick(ctx, order[p], p, from, results[p]);
-      write_mark[order[p]] = 0;
+      group_until = group_end[t];
+      for (std::size_t u = t; u < group_until; ++u) psi.insert(order[u]);
     }
-    W11_TRACE_EVENT(::w11::obs::TraceKind::kNboBatch, sweep_stats_.batches,
-                    bend - t, 0);
-    ++sweep_stats_.batches;
-    sweep_stats_.max_batch =
-        std::max<std::uint64_t>(sweep_stats_.max_batch, bend - t);
-    t = bend;
+    psi.erase(order[t]);
+    const Channel from = ctx.channel_of(order[t]);
+    const Channel to = acc(ctx, order[t], psi);
+    ctx.set(order[t], to);
+    note_pick(ctx, order[t], t, from, to);
   }
-  sweep_stats_.picks += order.size();
 }
 
 void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
@@ -236,14 +169,13 @@ void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
   const bool switched = !(from == to);
   ++round_picks_;
   if (switched) ++round_switches_;
-  // Ordinal: cumulative pick count (sweep_stats_.picks is bumped after the
-  // sweep, so adding the in-sweep position keeps it strictly increasing).
-  W11_TRACE_EVENT(::w11::obs::TraceKind::kNboPick,
-                  sweep_stats_.picks + pick_pos, ap, switched ? 1 : 0);
+  // Ordinal: cumulative pick count across every sweep, strictly increasing.
+  W11_TRACE_EVENT(::w11::obs::TraceKind::kNboPick, picks_, ap,
+                  switched ? 1 : 0);
+  ++picks_;
   if (audit_ == nullptr) return;
-  // Read-only re-evaluation at the serial commit point: both executors
-  // reach here with the identical post-commit context, so the recorded
-  // numbers are the same at any worker count.
+  // Read-only re-evaluation of the committed decision: draws no RNG and
+  // mutates nothing, so plans are identical with or without the audit.
   obs::PickRecord r;
   r.round = audit_round_;
   r.pick = static_cast<std::uint32_t>(pick_pos);
@@ -332,14 +264,14 @@ double TurboCA::node_p_log(const ApScan& a, const Channel& c,
 
 double TurboCA::net_p_log(const std::vector<ApScan>& scans,
                           const ChannelPlan& plan) const {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor);
+  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
   PlanContext ctx(index, params_, plan);
   return ctx.net_p_log();
 }
 
 Channel TurboCA::acc(const ApScan& target, const std::vector<ApScan>& scans,
                      const ChannelPlan& plan, const std::set<ApId>& psi) const {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor);
+  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
   const auto ti = index.find(target.id);
   W11_CHECK(ti.has_value());
   const PlanContext ctx(index, params_, plan);
@@ -353,13 +285,13 @@ Channel TurboCA::acc(const ApScan& target, const std::vector<ApScan>& scans,
 
 ChannelPlan TurboCA::nbo(const std::vector<ApScan>& scans,
                          const ChannelPlan& current, int hop_limit) {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor);
+  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
   return nbo(index, current, hop_limit);
 }
 
 TurboCA::RunResult TurboCA::run(const std::vector<ApScan>& scans,
                                 const ChannelPlan& current, int hop_limit) {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor);
+  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
   return run(index, current, hop_limit);
 }
 

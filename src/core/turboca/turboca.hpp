@@ -83,21 +83,13 @@ class TurboCA {
     bool improved = false;
   };
 
-  // Observability for the speculative NBO executor (DESIGN.md §10): how
-  // much interleaving-safe parallelism the sweeps found. Cumulative; a
-  // serial sweep counts as one single-pick batch per AP.
-  struct SweepStats {
-    std::uint64_t picks = 0;    // ACC decisions executed
-    std::uint64_t batches = 0;  // speculative score-then-commit groups
-    std::uint64_t max_batch = 0;
-    std::uint64_t serial_sweeps = 0;  // sweeps that took the serial path
-  };
-
-  // Pool the planner fans work out on: ACC candidate trials, speculative
-  // NBO proposal scoring. nullptr (default) = exec::TaskPool::global().
-  // Plans are bit-for-bit identical at every worker count.
+  // Pool for the ScanIndex fill of every index built on this engine's
+  // behalf: by the scan-vector overloads below and by the services that
+  // own it (service.hpp). nullptr (default) = exec::TaskPool::global().
+  // The NBO sweep itself is serial; indices, and so plans, are bit-for-bit
+  // identical at every worker count.
   void set_pool(exec::TaskPool* pool) { pool_ = pool; }
-  [[nodiscard]] const SweepStats& sweep_stats() const { return sweep_stats_; }
+  [[nodiscard]] exec::TaskPool* pool() const { return pool_; }
 
   // Decision audit sink (DESIGN.md §12): when attached, every committed ACC
   // pick records its NodeP term breakdown (chosen vs. incumbent channel) and
@@ -161,8 +153,8 @@ class TurboCA {
   void nbo_sweep(PlanContext& ctx, int hop_limit);
 
   // Per-commit bookkeeping (trace event, switch counting, audit record).
-  // Called at the serial commit point of both sweep executors, after
-  // ctx.set(); `from` is the channel the AP held before the pick.
+  // Called after ctx.set(); `from` is the channel the AP held before the
+  // pick.
   void note_pick(const PlanContext& ctx, std::uint32_t ap,
                  std::size_t pick_pos, const Channel& from, const Channel& to);
 
@@ -175,14 +167,10 @@ class TurboCA {
                   std::vector<std::uint32_t>& order,
                   std::vector<std::uint32_t>& group_end);
 
-  [[nodiscard]] exec::TaskPool& pool() const {
-    return pool_ ? *pool_ : exec::TaskPool::global();
-  }
-
   Params params_;
   mutable Rng rng_;
   exec::TaskPool* pool_ = nullptr;
-  SweepStats sweep_stats_;
+  std::uint64_t picks_ = 0;  // committed picks, all sweeps (kNboPick ord)
   obs::PlanAudit* audit_ = nullptr;
   std::uint32_t audit_round_ = 0;   // NBO round within the current run()
   std::uint32_t round_picks_ = 0;   // picks committed in the current round

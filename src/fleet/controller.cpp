@@ -338,7 +338,6 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
   }
 
   turboca::TurboCA engine(cfg_.planner, shard_.rng_for(stream));
-  engine.set_pool(cfg_.pool);
   // One index per firing, shared across the tier's hop levels; the stats
   // cache makes unchanged spectrum rows a copy instead of a recompute.
   flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/check.hpp"
 #include "common/json_writer.hpp"
 
 namespace w11::obs {
@@ -23,7 +24,11 @@ const char* to_string(Trigger t) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(Config cfg) : cfg_(cfg) {}
+FlightRecorder::FlightRecorder(Config cfg)
+    : cfg_(cfg), ring_(cfg.ring_capacity), bundles_(cfg.max_bundles) {
+  // trigger() hands back the bundle it just retained.
+  W11_CHECK(cfg.max_bundles >= 1);
+}
 
 void FlightRecorder::attach_metrics(const MetricsRegistry* m,
                                     std::vector<std::string> catalog) {
@@ -33,18 +38,6 @@ void FlightRecorder::attach_metrics(const MetricsRegistry* m,
 
 void FlightRecorder::attach_source(std::string name, Source src) {
   sources_.emplace_back(std::move(name), std::move(src));
-}
-
-void FlightRecorder::push(Entry e) {
-  if (cfg_.ring_capacity == 0) {
-    ++dropped_;
-    return;
-  }
-  if (ring_.size() == cfg_.ring_capacity) {
-    ring_.pop_front();
-    ++dropped_;
-  }
-  ring_.push_back(std::move(e));
 }
 
 void FlightRecorder::capture(Time at) {
@@ -70,7 +63,7 @@ void FlightRecorder::capture(Time at) {
       e.samples.push_back({name, it == by_name.end() ? 0.0 : it->second});
     }
   }
-  push(std::move(e));
+  ring_.push(std::move(e));
 }
 
 void FlightRecorder::note(Time at, std::string_view tag, double value) {
@@ -78,7 +71,7 @@ void FlightRecorder::note(Time at, std::string_view tag, double value) {
   e.at = at;
   e.tag = std::string(tag);
   e.value = value;
-  push(std::move(e));
+  ring_.push(std::move(e));
 }
 
 const std::string& FlightRecorder::trigger(Trigger t, Time at,
@@ -99,7 +92,7 @@ const std::string& FlightRecorder::trigger(Trigger t, Time at,
         .field("from_ns", from.ns())
         .field("detail", detail)
         .field("ring_entries", static_cast<std::uint64_t>(ring_.size()))
-        .field("ring_dropped", dropped_)
+        .field("ring_dropped", ring_.dropped())
         .end_object();
     os << '\n';
   }
@@ -161,11 +154,7 @@ const std::string& FlightRecorder::trigger(Trigger t, Time at,
     os << '\n';
   }
 
-  if (bundles_.size() == cfg_.max_bundles && cfg_.max_bundles > 0) {
-    bundles_.erase(bundles_.begin());
-    ++bundles_dropped_;
-  }
-  bundles_.push_back(os.str());
+  bundles_.push(os.str());
   return bundles_.back();
 }
 

@@ -20,12 +20,12 @@
 #if W11_OBS
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -47,7 +47,7 @@ class FlightRecorder {
   struct Config {
     std::size_t ring_capacity = 256;  // flight-ring entries (snapshots+notes)
     Time window = time::minutes(5);   // bundle lookback: [at - window, at]
-    std::size_t max_bundles = 4;      // retained postmortems (oldest evicted)
+    std::size_t max_bundles = 4;      // kept postmortems (>= 1; oldest evicted)
   };
 
   explicit FlightRecorder(Config cfg);
@@ -75,13 +75,16 @@ class FlightRecorder {
   // Also records a kPostmortem trace event (ord = trigger sequence).
   const std::string& trigger(Trigger t, Time at, std::string_view detail);
 
-  [[nodiscard]] const std::vector<std::string>& bundles() const {
+  // Retained bundles, oldest first.
+  [[nodiscard]] const common::BoundedRing<std::string>& bundles() const {
     return bundles_;
   }
   [[nodiscard]] std::uint64_t triggers_fired() const { return triggers_; }
-  [[nodiscard]] std::uint64_t entries_dropped() const { return dropped_; }
+  [[nodiscard]] std::uint64_t entries_dropped() const {
+    return ring_.dropped();
+  }
   [[nodiscard]] std::uint64_t bundles_dropped() const {
-    return bundles_dropped_;
+    return bundles_.dropped();
   }
   [[nodiscard]] std::size_t ring_size() const { return ring_.size(); }
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -95,18 +98,14 @@ class FlightRecorder {
     std::vector<MetricsRegistry::Sample> samples;  // snapshot only
   };
 
-  void push(Entry e);
-
   Config cfg_;
   const TraceRecorder* tracer_ = nullptr;
   const MetricsRegistry* metrics_ = nullptr;
   std::vector<std::string> catalog_;
   std::vector<std::pair<std::string, Source>> sources_;
-  std::deque<Entry> ring_;
-  std::vector<std::string> bundles_;
+  common::BoundedRing<Entry> ring_;
+  common::BoundedRing<std::string> bundles_;
   std::uint64_t triggers_ = 0;
-  std::uint64_t dropped_ = 0;         // ring entries evicted by overflow
-  std::uint64_t bundles_dropped_ = 0; // bundles evicted by max_bundles
 };
 
 }  // namespace w11::obs

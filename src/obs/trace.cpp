@@ -41,10 +41,7 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
   std::size_t total = 0;
   for (const auto& r : rings_) total += r->size();
   out.reserve(total);
-  for (const auto& r : rings_) {
-    const auto snap = r->snapshot();
-    out.insert(out.end(), snap.begin(), snap.end());
-  }
+  for (const auto& r : rings_) out.insert(out.end(), r->begin(), r->end());
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
                      return std::tie(x.ts_ns, x.ord, x.kind, x.a, x.b) <

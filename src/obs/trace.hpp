@@ -17,14 +17,16 @@
 //     lock-free by their owner), so recording from TaskPool tasks is safe;
 //     ring identity deliberately does not appear in the sort key.
 //
-// Rings are bounded: overflow evicts the oldest event in that ring and
-// counts it (dropped()), never blocks, never allocates past capacity.
+// Rings are bounded (common::BoundedRing): overflow evicts the oldest event
+// in that ring and counts it (dropped()), never blocks, never allocates past
+// capacity.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/time.hpp"
 
 namespace w11::obs {
@@ -46,7 +48,6 @@ enum class TraceKind : std::uint16_t {
   kFastAckBypass,      // flow dropped to bypass
   // planner
   kNboRound,        // one NBO round; ord = round, a = picks, b = accepted
-  kNboBatch,        // one speculative commit batch; a = batch size
   kNboPick,         // one committed ACC decision; a = AP index, b = switched
   // telemetry
   kCollectorPoll,   // one collector polling interval; a = rows, b = dropped
@@ -73,7 +74,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceKind::kFastAckHoleDupAck: return "fastack.hole_dupack";
     case TraceKind::kFastAckBypass: return "fastack.bypass";
     case TraceKind::kNboRound: return "planner.nbo_round";
-    case TraceKind::kNboBatch: return "planner.nbo_batch";
     case TraceKind::kNboPick: return "planner.nbo_pick";
     case TraceKind::kCollectorPoll: return "telemetry.poll";
     case TraceKind::kRolloutApply: return "ctrl.rollout_apply";
@@ -97,7 +97,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceKind::kFastAckHoleDupAck:
     case TraceKind::kFastAckBypass: return TraceCategory::kFastAck;
     case TraceKind::kNboRound:
-    case TraceKind::kNboBatch:
     case TraceKind::kNboPick: return TraceCategory::kPlanner;
     case TraceKind::kCollectorPoll: return TraceCategory::kTelemetry;
     case TraceKind::kRolloutApply:
@@ -139,48 +138,9 @@ struct TraceEvent {
   friend constexpr bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-// One lane's bounded ring. Single-writer (the owning thread); snapshot is
-// taken at quiescent points only.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {}
-
-  void push(const TraceEvent& e) {
-    if (events_.size() < capacity_) {
-      events_.push_back(e);
-    } else if (capacity_ > 0) {
-      events_[head_] = e;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    } else {
-      ++dropped_;
-    }
-  }
-
-  // Events in record order (oldest first).
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const {
-    std::vector<TraceEvent> out;
-    out.reserve(events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i)
-      out.push_back(events_[(head_ + i) % events_.size()]);
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void clear() {
-    events_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceEvent> events_;
-  std::size_t head_ = 0;
-  std::uint64_t dropped_ = 0;
-};
+// One lane's bounded ring (common::BoundedRing). Single-writer (the owning
+// thread); traversed at quiescent points only.
+using TraceRing = common::BoundedRing<TraceEvent>;
 
 class ScopedSpan;
 

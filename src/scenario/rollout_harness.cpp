@@ -99,11 +99,12 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   if (cfg.health) {
     // A health run owns the process-global tracer/metrics registries:
     // reset both so bundle bytes depend only on this scenario, bind the
-    // tracer clock to sim time, and mask the two schedule-dependent
-    // categories — the kSim firehose (per-lane ring overflow varies with
-    // the schedule) and kPlanner (its batch events encode how scoring work
-    // was sharded across workers). Planner *decisions* still reach the
-    // postmortem worker-invariantly through the plan_audit section below.
+    // tracer clock to sim time, and mask two categories. kSim is
+    // schedule-dependent (per-lane ring overflow varies with the schedule).
+    // kPlanner's round/pick events are worker-invariant, but unmasking them
+    // would change every bundle's bytes, so it stays masked until bundle
+    // contents are revisited; planner *decisions* reach the postmortem
+    // through the plan_audit section below.
     obs::tracer().clear();
     obs::tracer().set_enabled(true);
     obs::tracer().set_category_mask(
@@ -336,7 +337,8 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   out.rollout_health = coord.health();
 #if W11_OBS
   if (health != nullptr) {
-    out.postmortems = recorder->bundles();
+    out.postmortems.assign(recorder->bundles().begin(),
+                           recorder->bundles().end());
     out.health_events_jsonl = health->events_jsonl();
     out.health_breaches = health->breaches();
     out.health_recoveries = health->recoveries();

@@ -66,7 +66,7 @@ struct RolloutScenarioConfig {
   bool health = false;
   Time health_window = time::minutes(5);  // postmortem lookback
   std::size_t recorder_capacity = 256;    // flight-ring entries
-  std::size_t max_postmortems = 4;        // retained bundles (oldest evicted)
+  std::size_t max_postmortems = 4;        // retained bundles (>= 1)
   // Also dump a bundle on every injected radar fault (not just ones that
   // land mid-rollout and pin). Off by default to keep bundle volume at one
   // per anomaly, not one per chaos event.

@@ -1,11 +1,13 @@
-// Unit tests for common/: strong types, statistics, RNG.
+// Unit tests for common/: strong types, statistics, RNG, BoundedRing.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/check.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -449,6 +451,67 @@ TEST(TablePrinter, AlignsAndPrintsRows) {
   EXPECT_NE(out.find("1.500"), std::string::npos);
   EXPECT_NE(out.find("xyz"), std::string::npos);
   EXPECT_NE(out.find("name"), std::string::npos);
+}
+
+
+// --------------------------------------------------------- BoundedRing --
+
+TEST(BoundedRing, KeepsChronologicalOrder) {
+  common::BoundedRing<int> ring(8);
+  for (int i = 0; i < 5; ++i) ring.push(i);
+  ASSERT_EQ(ring.size(), 5u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i], static_cast<int>(i));
+  EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(BoundedRing, OverflowEvictsOldest) {
+  // Ten pushes into four slots wrap the storage more than once.
+  common::BoundedRing<int> ring(4);
+  for (int i = 0; i < 10; ++i) ring.push(i);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.dropped(), 6u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i], static_cast<int>(i) + 6)
+        << "survivors must be the newest, in order";
+}
+
+TEST(BoundedRing, ZeroCapacityCountsEverythingAsDropped) {
+  common::BoundedRing<int> ring(0);
+  for (int i = 0; i < 3; ++i) ring.push(i);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.begin(), ring.end());
+  EXPECT_EQ(ring.dropped(), 3u);
+}
+
+TEST(BoundedRing, ClearResets) {
+  common::BoundedRing<int> ring(4);
+  for (int i = 0; i < 10; ++i) ring.push(i);
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  // A cleared ring fills from its first slot again.
+  for (int i = 20; i < 23; ++i) ring.push(i);
+  EXPECT_EQ(ring[0], 20);
+  EXPECT_EQ(ring.back(), 22);
+  EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(BoundedRing, TraversalAndBackFollowTheNewestEntry) {
+  common::BoundedRing<std::string> ring(3);
+  for (int i = 0; i < 7; ++i) {
+    ring.push(std::to_string(i));
+    EXPECT_EQ(ring.back(), std::to_string(i));
+    // Range-for walks the live entries oldest first, like operator[].
+    std::size_t k = 0;
+    for (const std::string& s : ring) EXPECT_EQ(s, ring[k++]);
+    EXPECT_EQ(k, ring.size());
+  }
+  const std::vector<std::string> copy(ring.begin(), ring.end());
+  EXPECT_EQ(copy, (std::vector<std::string>{"4", "5", "6"}));
+  EXPECT_EQ(ring.begin()->size(), 1u);
 }
 
 }  // namespace

@@ -502,6 +502,22 @@ TEST_F(FastAckRig, IdleFlowsCollectedBeforeCapacityEviction) {
 
 // ----------------------------------------------------------- invariants --
 
+// trace_capacity = 0 with tracing on keeps no record but counts every
+// event it would have kept.
+TEST_F(FastAckRig, ZeroTraceCapacityCountsEveryEventAsDropped) {
+  FastAckAgent::Config cfg;
+  cfg.trace_enabled = true;
+  cfg.trace_capacity = 0;
+  init(cfg);
+  for (int i = 0; i < 3; ++i) {
+    TcpSegment seg = data(1460u * static_cast<std::uint64_t>(i));
+    agent_->on_downlink_data(seg);
+  }
+  air_ack(0);
+  EXPECT_EQ(agent_->trace_ring().size(), 0u);
+  EXPECT_GT(agent_->trace_ring().dropped(), 0u);
+}
+
 TEST_F(FastAckRig, InvariantSeqFackNeverExceedsSeqExp) {
   Rng rng(99);
   std::uint64_t next = 0;

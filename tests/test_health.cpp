@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,14 @@ TEST(FlightRecorder, MaxBundlesEvictsOldestPostmortem) {
   EXPECT_EQ(fr.triggers_fired(), 3u);
   EXPECT_NE(fr.bundles()[0].find("\"detail\":\"second\""), std::string::npos);
   EXPECT_NE(fr.bundles()[1].find("\"detail\":\"third\""), std::string::npos);
+}
+
+TEST(FlightRecorder, RequiresAtLeastOneRetainedBundle) {
+  // trigger() returns a reference to the bundle it just kept, so there must
+  // always be room for one.
+  FlightRecorder::Config fc = small_ring(8);
+  fc.max_bundles = 0;
+  EXPECT_THROW(FlightRecorder{fc}, std::logic_error);
 }
 
 // -------------------------------------------- chaos-soak scenario rig --

@@ -45,18 +45,9 @@ TEST(TraceRing, OverflowEvictsOldest) {
                          TraceKind::kSimEvent});
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.dropped(), 3u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (std::size_t i = 0; i < snap.size(); ++i)
-    EXPECT_EQ(snap[i].ord, i + 3) << "survivors must be the newest, in order";
-}
-
-TEST(TraceRing, ZeroCapacityCountsEverythingAsDropped) {
-  TraceRing ring(0);
-  for (std::uint64_t i = 0; i < 3; ++i)
-    ring.push(TraceEvent{0, 0, i, 0, 0, TraceKind::kSimEvent});
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 3u);
+  ASSERT_EQ(ring.size(), 4u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i].ord, i + 3) << "survivors must be the newest, in order";
 }
 
 // ------------------------------------------------------------ TraceRecorder
@@ -511,6 +502,8 @@ TEST(PlanAuditTest, AuditRecordsAreWorkerCountInvariant) {
   p.runs_min = 1;
   p.runs_max = 2;
 
+  // The scan-vector run() builds its ScanIndex on the engine's pool, so
+  // the 4-worker run fans the index fill out across lanes.
   auto jsonl_at = [&](int workers) {
     exec::TaskPool pool(workers);
     turboca::TurboCA tca(p, Rng(13));

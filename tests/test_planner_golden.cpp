@@ -89,11 +89,10 @@ TEST(PlannerGolden, SingleSweepMatchesReference) {
   }
 }
 
-// The parallel executor (speculative NBO batches + ACC candidate fan-out)
-// must emit byte-identical plans at every worker count — and all of them
-// must equal the reference evaluator's plan. This is the tentpole guarantee
-// of DESIGN.md §10: worker count is a throughput knob, never a semantics
-// knob.
+// Plans built on a pool-filled ScanIndex must be byte-identical at every
+// worker count — and all of them must equal the reference evaluator's plan.
+// This is the guarantee of DESIGN.md §10: worker count is a throughput
+// knob, never a semantics knob.
 TEST(PlannerGolden, WorkerCountNeverChangesThePlan) {
   const int n_aps = 150;
   const std::uint64_t seed = 77;
@@ -118,15 +117,6 @@ TEST(PlannerGolden, WorkerCountNeverChangesThePlan) {
           << "workers=" << workers << " hop=" << hop;
       EXPECT_NEAR(got.netp_log, want.netp_log, 1e-9)
           << "workers=" << workers << " hop=" << hop;
-
-      const TurboCA::SweepStats& st = indexed.sweep_stats();
-      EXPECT_GT(st.picks, 0u);
-      EXPECT_GE(st.picks, st.batches);
-      if (workers > 1) {
-        // The speculative executor must actually engage off the serial path.
-        EXPECT_EQ(st.serial_sweeps, 0u) << "workers=" << workers;
-        EXPECT_GT(st.max_batch, 1u) << "workers=" << workers;
-      }
     }
   }
 }

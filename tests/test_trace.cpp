@@ -16,38 +16,6 @@ using fastack::TraceEvent;
 using fastack::TraceRecord;
 using fastack::TraceRing;
 
-TEST(TraceRing, KeepsChronologicalOrder) {
-  TraceRing ring(8);
-  for (int i = 0; i < 5; ++i)
-    ring.record({time::millis(i), FlowId{1}, TraceEvent::kFastAck,
-                 static_cast<std::uint64_t>(i), 0});
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(snap[i].seq, static_cast<std::uint64_t>(i));
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(TraceRing, EvictsOldestWhenFull) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i)
-    ring.record({time::millis(i), FlowId{1}, TraceEvent::kAirAck,
-                 static_cast<std::uint64_t>(i), 0});
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto snap = ring.snapshot();
-  EXPECT_EQ(snap.front().seq, 6u);
-  EXPECT_EQ(snap.back().seq, 9u);
-}
-
-TEST(TraceRing, ClearResets) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i)
-    ring.record({Time{}, FlowId{1}, TraceEvent::kAirAck, 0, 0});
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
 TEST(TraceRecord, RendersHumanReadable) {
   const TraceRecord r{time::millis(3), FlowId{7}, TraceEvent::kLocalRetransmit,
                       1460, 1460};
@@ -57,12 +25,23 @@ TEST(TraceRecord, RendersHumanReadable) {
   EXPECT_NE(s.find("seq=1460"), std::string::npos);
 }
 
+TEST(TraceRing, EvictsOldestWhenFull) {
+  TraceRing ring(4);
+  for (int i = 0; i < 10; ++i)
+    ring.push({time::millis(i), FlowId{1}, TraceEvent::kAirAck,
+               static_cast<std::uint64_t>(i), 0});
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(), 6u);
+  EXPECT_EQ(ring[0].seq, 6u);
+  EXPECT_EQ(ring.back().seq, 9u);
+}
+
 TEST(TraceRing, DumpMentionsEvictions) {
   TraceRing ring(2);
   for (int i = 0; i < 5; ++i)
-    ring.record({Time{}, FlowId{1}, TraceEvent::kFastAck, 0, 0});
+    ring.push({Time{}, FlowId{1}, TraceEvent::kFastAck, 0, 0});
   std::ostringstream os;
-  ring.dump(os);
+  dump(ring, os);
   EXPECT_NE(os.str().find("3 older records evicted"), std::string::npos);
 }
 
@@ -97,12 +76,12 @@ TEST(AgentTracing, RecordsTheExpectedEventSequence) {
   scenario::Testbed tb(cfg);
   tb.run();
 
-  const auto snap = tb.agent(0)->trace_ring().snapshot();
-  ASSERT_GT(snap.size(), 100u);
+  const TraceRing& trace = tb.agent(0)->trace_ring();
+  ASSERT_GT(trace.size(), 100u);
 
   // Every event class of the steady state shows up.
   std::map<TraceEvent, int> counts;
-  for (const auto& r : snap) ++counts[r.event];
+  for (const auto& r : trace) ++counts[r.event];
   EXPECT_EQ(counts[TraceEvent::kFlowCreated], 2);
   EXPECT_GT(counts[TraceEvent::kDataInOrder], 50);
   EXPECT_GT(counts[TraceEvent::kAirAck], 50);
@@ -110,11 +89,11 @@ TEST(AgentTracing, RecordsTheExpectedEventSequence) {
   EXPECT_GT(counts[TraceEvent::kClientAckSuppressed], 10);
 
   // The very first event of a flow is its creation.
-  EXPECT_EQ(snap.front().event, TraceEvent::kFlowCreated);
+  EXPECT_EQ(trace[0].event, TraceEvent::kFlowCreated);
 
   // Timestamps are non-decreasing.
-  for (std::size_t i = 1; i < snap.size(); ++i)
-    EXPECT_GE(snap[i].at, snap[i - 1].at);
+  for (std::size_t i = 1; i < trace.size(); ++i)
+    EXPECT_GE(trace[i].at, trace[i - 1].at);
 }
 
 TEST(AgentTracing, CapturesLossRecoveryStory) {
@@ -131,12 +110,12 @@ TEST(AgentTracing, CapturesLossRecoveryStory) {
   scenario::Testbed tb(cfg);
   tb.run();
 
-  const auto snap = tb.agent(0)->trace_ring().snapshot();
+  const TraceRing& trace = tb.agent(0)->trace_ring();
   bool saw_dupack_then_retx = false;
-  for (std::size_t i = 0; i + 1 < snap.size() && !saw_dupack_then_retx; ++i) {
-    if (snap[i].event == TraceEvent::kClientDupAck) {
-      for (std::size_t j = i + 1; j < std::min(snap.size(), i + 8); ++j) {
-        if (snap[j].event == TraceEvent::kLocalRetransmit) {
+  for (std::size_t i = 0; i + 1 < trace.size() && !saw_dupack_then_retx; ++i) {
+    if (trace[i].event == TraceEvent::kClientDupAck) {
+      for (std::size_t j = i + 1; j < std::min(trace.size(), i + 8); ++j) {
+        if (trace[j].event == TraceEvent::kLocalRetransmit) {
           saw_dupack_then_retx = true;
           break;
         }
