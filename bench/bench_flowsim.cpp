@@ -2,11 +2,12 @@
 // before/after pairs (DESIGN.md §11). Every hot structure the overhaul
 // touched is measured against its preserved predecessor:
 //
-//   * event queue schedule/run and steady-state churn — arena engine vs the
-//     kReference (pre-overhaul priority_queue/shared_ptr) engine
+//   * event queue schedule/run, steady-state churn and cancellation — the
+//     arena Simulator vs oracle::ReferenceSimulator (the pre-overhaul
+//     priority_queue/shared_ptr engine, kept in the test-only oracle/)
 //   * TcpReceiver out-of-order reassembly (flat interval vector)
 //   * FastACK table ops (flat retx cache / pending-ack queue)
-//   * an end-to-end FastACK testbed run on both engines
+//   * an end-to-end FastACK testbed run
 //
 // Results are written to BENCH_flowsim.json unless the caller passes its
 // own --benchmark_out. EXPERIMENTS.md records the measured numbers.
@@ -22,6 +23,7 @@
 
 #include "core/fastack/agent.hpp"
 #include "net/tcp_receiver.hpp"
+#include "oracle/reference_simulator.hpp"
 #include "scenario/testbed.hpp"
 #include "sim/simulator.hpp"
 
@@ -30,11 +32,13 @@ namespace {
 
 // --- event queue: schedule + drain (BM_EventQueueScheduleRun successor) ----
 // Same shape as the old micro-bench: 1000 one-shot events scheduled then
-// drained, fresh simulator per iteration.
+// drained, fresh simulator per iteration. `Sim` is Simulator or
+// oracle::ReferenceSimulator throughout.
 
-void schedule_run_1000(Simulator::Engine engine, benchmark::State& state) {
+template <class Sim>
+void schedule_run_1000(benchmark::State& state) {
   for (auto _ : state) {
-    Simulator sim(engine);
+    Sim sim;
     for (int i = 0; i < 1000; ++i)
       sim.schedule_at(time::micros(i), [] {});
     sim.run();
@@ -43,24 +47,19 @@ void schedule_run_1000(Simulator::Engine engine, benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 
-void BM_EventQueueScheduleRunArena(benchmark::State& state) {
-  schedule_run_1000(Simulator::Engine::kArena, state);
-}
-BENCHMARK(BM_EventQueueScheduleRunArena);
-
-void BM_EventQueueScheduleRunReference(benchmark::State& state) {
-  schedule_run_1000(Simulator::Engine::kReference, state);
-}
-BENCHMARK(BM_EventQueueScheduleRunReference);
+BENCHMARK(schedule_run_1000<Simulator>)->Name("BM_EventQueueScheduleRunArena");
+BENCHMARK(schedule_run_1000<oracle::ReferenceSimulator>)
+    ->Name("BM_EventQueueScheduleRunReference");
 
 // --- event queue: steady-state timer churn ---------------------------------
 // The simulator's real workload: a bounded population of self-rescheduling
 // timers (MAC backoff, delayed ACKs, wire arrivals). Slot recycling and SBO
 // callbacks make this allocation-free on the arena engine.
 
-void steady_churn(Simulator::Engine engine, benchmark::State& state) {
+template <class Sim>
+void steady_churn(benchmark::State& state) {
   const int kTimers = 64;
-  Simulator sim(engine);
+  Sim sim;
   std::uint64_t fired = 0;
   std::function<void()> tick = [&] {
     ++fired;
@@ -75,24 +74,19 @@ void steady_churn(Simulator::Engine engine, benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 
-void BM_EventQueueSteadyChurnArena(benchmark::State& state) {
-  steady_churn(Simulator::Engine::kArena, state);
-}
-BENCHMARK(BM_EventQueueSteadyChurnArena);
-
-void BM_EventQueueSteadyChurnReference(benchmark::State& state) {
-  steady_churn(Simulator::Engine::kReference, state);
-}
-BENCHMARK(BM_EventQueueSteadyChurnReference);
+BENCHMARK(steady_churn<Simulator>)->Name("BM_EventQueueSteadyChurnArena");
+BENCHMARK(steady_churn<oracle::ReferenceSimulator>)
+    ->Name("BM_EventQueueSteadyChurnReference");
 
 // --- event queue: cancellation-heavy (retired timers) ----------------------
 // Timers are mostly cancelled, not fired (every ACK retires a retransmit
 // timer). O(1) generation-checked cancel vs shared_ptr flag allocation.
 
-void cancel_heavy(Simulator::Engine engine, benchmark::State& state) {
+template <class Sim>
+void cancel_heavy(benchmark::State& state) {
   for (auto _ : state) {
-    Simulator sim(engine);
-    std::vector<EventHandle> handles;
+    Sim sim;
+    std::vector<decltype(sim.schedule_at(Time{}, [] {}))> handles;
     handles.reserve(1000);
     for (int i = 0; i < 1000; ++i)
       handles.push_back(sim.schedule_at(time::micros(i), [] {}));
@@ -103,15 +97,9 @@ void cancel_heavy(Simulator::Engine engine, benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 
-void BM_EventQueueCancelHeavyArena(benchmark::State& state) {
-  cancel_heavy(Simulator::Engine::kArena, state);
-}
-BENCHMARK(BM_EventQueueCancelHeavyArena);
-
-void BM_EventQueueCancelHeavyReference(benchmark::State& state) {
-  cancel_heavy(Simulator::Engine::kReference, state);
-}
-BENCHMARK(BM_EventQueueCancelHeavyReference);
+BENCHMARK(cancel_heavy<Simulator>)->Name("BM_EventQueueCancelHeavyArena");
+BENCHMARK(cancel_heavy<oracle::ReferenceSimulator>)
+    ->Name("BM_EventQueueCancelHeavyReference");
 
 // --- TcpReceiver: out-of-order reassembly (flat interval vector) -----------
 // Segments arrive pairwise swapped, so every second segment opens a hole
@@ -188,16 +176,15 @@ void BM_FastAckTableOps(benchmark::State& state) {
 }
 BENCHMARK(BM_FastAckTableOps);
 
-// --- end-to-end: FastACK testbed run, arena vs reference engine ------------
-// The headline A/B: a full contended-cell FastACK scenario. Items = events
-// executed, so items/sec is end-to-end engine throughput.
+// --- end-to-end: FastACK testbed run ---------------------------------------
+// A full contended-cell FastACK scenario. Items = events executed, so
+// items/sec is end-to-end engine throughput.
 
-void testbed_fastack(Simulator::Engine engine, benchmark::State& state) {
+void BM_TestbedFastAckArena(benchmark::State& state) {
   double thpt = 0.0;
   std::uint64_t events = 0;
   for (auto _ : state) {
     scenario::TestbedConfig cfg;
-    cfg.engine = engine;
     cfg.seed = 1;
     cfg.n_clients_per_ap = 8;
     cfg.fastack = {true};
@@ -212,16 +199,7 @@ void testbed_fastack(Simulator::Engine engine, benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["throughput_mbps"] = thpt;
 }
-
-void BM_TestbedFastAckArena(benchmark::State& state) {
-  testbed_fastack(Simulator::Engine::kArena, state);
-}
 BENCHMARK(BM_TestbedFastAckArena)->Unit(benchmark::kMillisecond);
-
-void BM_TestbedFastAckReference(benchmark::State& state) {
-  testbed_fastack(Simulator::Engine::kReference, state);
-}
-BENCHMARK(BM_TestbedFastAckReference)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace w11

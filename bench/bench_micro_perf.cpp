@@ -13,10 +13,10 @@
 #include "bench_main.hpp"
 #include "core/fastack/agent.hpp"
 #include "core/turboca/plan_context.hpp"
-#include "core/turboca/reference.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/network.hpp"
 #include "flowsim/scan_index.hpp"
+#include "oracle/reference_planner.hpp"
 #include "phy/mcs.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/littletable.hpp"
@@ -64,15 +64,18 @@ std::vector<ApScan> campus_scans(int n_aps) {
   return net->scan();
 }
 
+// One scalar NodeP on the oracle's reference formula (linear neighbor
+// lookup, catalog walk per sub-channel).
 void BM_NodePEvaluation(benchmark::State& state) {
   const auto scans = campus_scans(40);
-  turboca::TurboCA tca({}, Rng(1));
+  const turboca::Params params;
   ChannelPlan plan;
   for (const auto& s : scans) plan[s.id] = s.current;
   std::size_t i = 0;
   for (auto _ : state) {
     const ApScan& s = scans[i++ % scans.size()];
-    benchmark::DoNotOptimize(tca.node_p_log(s, s.current, scans, plan, {}));
+    benchmark::DoNotOptimize(
+        oracle::node_p_log(params, s, s.current, scans, plan, {}));
   }
 }
 BENCHMARK(BM_NodePEvaluation);
@@ -94,12 +97,12 @@ void BM_NboSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_NboSweep)->Arg(40)->Arg(200)->Arg(600)->Complexity();
 
-// The same sweep on the preserved reference evaluator — the before/after
+// The same sweep on the oracle's reference evaluator — the before/after
 // pair behind the speedup claim in DESIGN.md §9.
 void BM_NboSweepReference(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto scans = campus_scans(n);
-  turboca::ReferenceEvaluator ref({}, Rng(2));
+  oracle::ReferenceEvaluator ref({}, Rng(2));
   ChannelPlan plan;
   for (const auto& s : scans) plan[s.id] = s.current;
   for (auto _ : state) {

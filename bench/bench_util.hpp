@@ -15,9 +15,8 @@ namespace w11::bench {
 
 inline int g_checks_failed = 0;
 
-// Record a qualitative shape check: prints PASS/FAIL and tracks failures
-// (the bench still exits 0 — absolute numbers are substrate-dependent, and
-// a FAIL is a flag for investigation, not a build breaker).
+// Record a qualitative shape check: prints PASS/FAIL and tracks failures;
+// finish() turns any failure into a non-zero exit status.
 inline void shape_check(const std::string& claim, bool ok) {
   std::cout << (ok ? "  [shape PASS] " : "  [shape FAIL] ") << claim << "\n";
   if (!ok) ++g_checks_failed;
@@ -37,14 +36,16 @@ inline void print_cdf(const std::string& label, const Samples& s,
   std::cout << "\n";
 }
 
+// Prints the summary and returns the process exit status: 1 when any
+// shape check failed, so CI fails the run.
 inline int finish() {
   if (g_checks_failed > 0) {
     std::cout << "\n" << g_checks_failed
               << " shape check(s) FAILED — see lines above.\n";
-  } else {
-    std::cout << "\nAll shape checks passed.\n";
+    return 1;
   }
-  return 0;  // never fail the bench run over calibration drift
+  std::cout << "\nAll shape checks passed.\n";
+  return 0;
 }
 
 }  // namespace w11::bench

@@ -4,13 +4,10 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <span>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "core/turboca/plan_context.hpp"
-#include "core/turboca/reference.hpp"
 #include "obs/audit.hpp"
 #include "obs/gate.hpp"
 
@@ -249,71 +246,6 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
   }
   if (result.improved) result.plan = ctx.snapshot();
   return result;
-}
-
-// ---- scan-vector compatibility layer --------------------------------------
-
-double TurboCA::node_p_log(const ApScan& a, const Channel& c,
-                           const std::vector<ApScan>& scans,
-                           const ChannelPlan& plan,
-                           const std::set<ApId>& ignore) const {
-  // `a` need not be (or match) any scan in `scans`, so this cannot go
-  // through an index; the reference formula handles the general case.
-  return reference::node_p_log(params_, a, c, scans, plan, ignore);
-}
-
-double TurboCA::net_p_log(const std::vector<ApScan>& scans,
-                          const ChannelPlan& plan) const {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
-  PlanContext ctx(index, params_, plan);
-  return ctx.net_p_log();
-}
-
-Channel TurboCA::acc(const ApScan& target, const std::vector<ApScan>& scans,
-                     const ChannelPlan& plan, const std::set<ApId>& psi) const {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
-  const auto ti = index.find(target.id);
-  W11_CHECK(ti.has_value());
-  const PlanContext ctx(index, params_, plan);
-  PsiSet pset(index.size());
-  for (ApId id : psi) {
-    // ψ ids absent from the epoch can never be contenders anyway.
-    if (const auto i = index.find(id)) pset.insert(*i);
-  }
-  return acc(ctx, *ti, pset);
-}
-
-ChannelPlan TurboCA::nbo(const std::vector<ApScan>& scans,
-                         const ChannelPlan& current, int hop_limit) {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
-  return nbo(index, current, hop_limit);
-}
-
-TurboCA::RunResult TurboCA::run(const std::vector<ApScan>& scans,
-                                const ChannelPlan& current, int hop_limit) {
-  const flowsim::ScanIndex index(scans, params_.neighbor_rssi_floor, pool_);
-  return run(index, current, hop_limit);
-}
-
-std::set<ApId> hop_neighborhood(const std::vector<ApScan>& scans, ApId from,
-                                int hops) {
-  std::unordered_map<ApId, const ApScan*> by_id;
-  for (const auto& s : scans) by_id[s.id] = &s;
-
-  std::set<ApId> seen{from};
-  std::queue<std::pair<ApId, int>> frontier;
-  frontier.push({from, 0});
-  while (!frontier.empty()) {
-    const auto [id, depth] = frontier.front();
-    frontier.pop();
-    if (depth >= hops) continue;
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) continue;
-    for (const NeighborReport& nb : it->second->neighbors) {
-      if (seen.insert(nb.id).second) frontier.push({nb.id, depth + 1});
-    }
-  }
-  return seen;
 }
 
 }  // namespace w11::turboca

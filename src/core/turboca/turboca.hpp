@@ -24,12 +24,11 @@
 //
 // Evaluation runs on the PlanContext layer (plan_context.hpp): the caller
 // builds one flowsim::ScanIndex per scan epoch and every ACC/NBO/run call
-// evaluates NodeP terms incrementally against it. The pre-index path is
-// preserved in reference.hpp (ReferenceEvaluator) as the behavioural
-// oracle; the two are bit-for-bit equivalent (tests/test_planner_golden).
+// evaluates NodeP terms incrementally against it. The pre-index planner
+// lives on as the reference evaluator of the test-only oracle/ library;
+// the two are bit-for-bit equivalent (tests/test_planner_golden).
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,8 +46,8 @@ namespace w11::turboca {
 class PlanContext;
 class PsiSet;
 
-// log of an effectively-zero metric (shared by the indexed and reference
-// evaluation paths — the two must stay bit-identical).
+// log of an effectively-zero metric (shared with the oracle's reference
+// evaluator — the two must stay bit-identical).
 inline constexpr double kNodePLogFloor = -40.0;
 
 struct Params {
@@ -83,11 +82,10 @@ class TurboCA {
     bool improved = false;
   };
 
-  // Pool for the ScanIndex fill of every index built on this engine's
-  // behalf: by the scan-vector overloads below and by the services that
-  // own it (service.hpp). nullptr (default) = exec::TaskPool::global().
-  // The NBO sweep itself is serial; indices, and so plans, are bit-for-bit
-  // identical at every worker count.
+  // Pool for the ScanIndex fill of every index the owning service
+  // (service.hpp) builds on this engine's behalf. nullptr (default) =
+  // exec::TaskPool::global(). The NBO sweep itself is serial; indices, and
+  // so plans, are bit-for-bit identical at every worker count.
   void set_pool(exec::TaskPool* pool) { pool_ = pool; }
   [[nodiscard]] exec::TaskPool* pool() const { return pool_; }
 
@@ -99,7 +97,6 @@ class TurboCA {
   void set_audit(obs::PlanAudit* audit) { audit_ = audit; }
   [[nodiscard]] obs::PlanAudit* audit() const { return audit_; }
 
-  // ---- indexed API (the production path) --------------------------------
   // Callers build one flowsim::ScanIndex per scan epoch (with this
   // engine's neighbor_rssi_floor) and share it across calls.
 
@@ -118,32 +115,6 @@ class TurboCA {
   // if it beats `current`, else `current` (§4.4.4). Non-improving rounds
   // are rolled back in place — only touched NodeP terms are rescored.
   [[nodiscard]] RunResult run(const flowsim::ScanIndex& index,
-                              const ChannelPlan& current, int hop_limit);
-
-  // ---- scan-vector API --------------------------------------------------
-  // Compatibility overloads for callers holding raw scans; each call
-  // builds a throwaway index (acc/nbo/run) or evaluates the reference
-  // formula directly (node_p_log, which must accept an `a` that is not —
-  // or differs from — any indexed scan).
-
-  [[nodiscard]] double node_p_log(const ApScan& a, const Channel& c,
-                                  const std::vector<ApScan>& scans,
-                                  const ChannelPlan& plan,
-                                  const std::set<ApId>& ignore) const;
-
-  [[nodiscard]] double net_p_log(const std::vector<ApScan>& scans,
-                                 const ChannelPlan& plan) const;
-
-  // `target` must be an element of `scans` (matched by id).
-  [[nodiscard]] Channel acc(const ApScan& target,
-                            const std::vector<ApScan>& scans,
-                            const ChannelPlan& plan,
-                            const std::set<ApId>& psi) const;
-
-  [[nodiscard]] ChannelPlan nbo(const std::vector<ApScan>& scans,
-                                const ChannelPlan& current, int hop_limit);
-
-  [[nodiscard]] RunResult run(const std::vector<ApScan>& scans,
                               const ChannelPlan& current, int hop_limit);
 
   [[nodiscard]] const Params& params() const { return params_; }
@@ -168,7 +139,7 @@ class TurboCA {
                   std::vector<std::uint32_t>& group_end);
 
   Params params_;
-  mutable Rng rng_;
+  Rng rng_;
   exec::TaskPool* pool_ = nullptr;
   std::uint64_t picks_ = 0;  // committed picks, all sweeps (kNboPick ord)
   obs::PlanAudit* audit_ = nullptr;
@@ -176,10 +147,5 @@ class TurboCA {
   std::uint32_t round_picks_ = 0;   // picks committed in the current round
   std::uint32_t round_switches_ = 0;
 };
-
-// Hop-limited neighborhood over the scan graph: ids within `hops` of `from`
-// (BFS on neighbor reports), including `from` itself.
-[[nodiscard]] std::set<ApId> hop_neighborhood(const std::vector<ApScan>& scans,
-                                              ApId from, int hops);
 
 }  // namespace w11::turboca

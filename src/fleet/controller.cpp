@@ -2,29 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <set>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 #include "obs/gate.hpp"
 
 namespace w11::fleet {
 
 namespace {
-
-void fnv_mix(std::uint64_t& h, const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-}
-
-template <class T>
-void fnv_mix_value(std::uint64_t& h, T v) {
-  fnv_mix(h, &v, sizeof(v));
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -478,20 +465,17 @@ void FleetController::drain_outputs() {
 }
 
 void FleetController::fold_digest(const CampusPlanOutput& out) {
-  fnv_mix_value(digest_, out.campus_key);
-  fnv_mix_value(digest_, static_cast<std::uint8_t>(out.tier));
-  fnv_mix_value(digest_, out.planned_at.ns());
-  fnv_mix_value(digest_, out.n_aps);
+  fnv::mix_value(digest_, out.campus_key);
+  fnv::mix_value(digest_, static_cast<std::uint8_t>(out.tier));
+  fnv::mix_value(digest_, out.planned_at.ns());
+  fnv::mix_value(digest_, out.n_aps);
   for (const auto& [id, ch] : out.plan) {
-    fnv_mix_value(digest_, id.value());
-    fnv_mix_value(digest_, static_cast<std::uint8_t>(ch.band));
-    fnv_mix_value(digest_, static_cast<std::int32_t>(ch.number));
-    fnv_mix_value(digest_, static_cast<std::uint8_t>(ch.width));
+    fnv::mix_value(digest_, id.value());
+    fnv::mix_value(digest_, static_cast<std::uint8_t>(ch.band));
+    fnv::mix_value(digest_, static_cast<std::int32_t>(ch.number));
+    fnv::mix_value(digest_, static_cast<std::uint8_t>(ch.width));
   }
-  std::uint64_t netp_bits = 0;
-  static_assert(sizeof(netp_bits) == sizeof(out.netp_log));
-  std::memcpy(&netp_bits, &out.netp_log, sizeof(netp_bits));
-  fnv_mix_value(digest_, netp_bits);
+  fnv::mix_value(digest_, out.netp_log);
 }
 
 }  // namespace w11::fleet

@@ -49,6 +49,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/time.hpp"
 #include "core/turboca/turboca.hpp"
 #include "exec/shard_rng.hpp"
@@ -293,7 +294,7 @@ class FleetController {
   std::size_t fleet_aps_ = 0;
   Time last_epoch_at_ = time::nanos(-1);  // newest adopted taken_at
   PlanSink sink_;
-  std::uint64_t digest_ = 1469598103934665603ULL;  // FNV-1a offset basis
+  std::uint64_t digest_ = fnv::kTruncatedOffsetBasis;
   std::atomic<std::uint64_t> offer_drops_{0};  // producer-side, tick-synced
   Stats stats_;
 };

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "common/fnv.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/gate.hpp"
 
@@ -20,20 +21,12 @@ namespace w11::flowsim {
 // std::map iteration is key-ordered, so equal content hashes equally
 // regardless of insertion history.
 std::uint64_t ScanStatsCache::content_hash(const ApScan& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  auto mix_map = [&](const std::map<int, double>& m) {
-    const std::size_t n = m.size();
-    mix(&n, sizeof(n));
+  std::uint64_t h = fnv::kTruncatedOffsetBasis;
+  auto mix_map = [&h](const std::map<int, double>& m) {
+    fnv::mix_value(h, m.size());
     for (const auto& [k, v] : m) {
-      mix(&k, sizeof(k));
-      mix(&v, sizeof(v));
+      fnv::mix_value(h, k);
+      fnv::mix_value(h, v);
     }
   };
   mix_map(s.external_util);

@@ -17,7 +17,7 @@ constexpr double kPi = 3.14159265358979323846;
 }
 
 Testbed::Testbed(TestbedConfig cfg)
-    : cfg_(cfg), sim_(cfg.engine), rng_(cfg.seed) {
+    : cfg_(cfg), rng_(cfg.seed) {
   W11_CHECK(cfg_.n_aps >= 1);
   W11_CHECK(cfg_.n_clients_per_ap >= 1);
   medium_ = std::make_unique<mac::Medium>(sim_, cfg_.medium, rng_.fork());

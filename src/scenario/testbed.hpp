@@ -41,9 +41,6 @@ struct TestbedConfig {
   snoop::SnoopAgent::Config snoop_cfg;
 
   std::uint64_t seed = 1;
-  // Event-engine selection; kReference exists for golden A/B comparisons
-  // against the pre-overhaul engine (DESIGN.md §11).
-  Simulator::Engine engine = Simulator::Engine::kArena;
   Time duration = time::seconds(10);
   // Measurement starts after warmup (slow start, queue fill).
   Time warmup = time::seconds(2);

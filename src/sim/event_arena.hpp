@@ -7,7 +7,7 @@
 // never moved while pending. Each slot carries a generation counter that is
 // bumped on release — an EventHandle captures (slot, generation) and a
 // stale pair simply fails the check, which makes O(1) cancellation safe
-// without a per-event shared_ptr control block.
+// without a per-event heap-allocated cancel flag.
 //
 // TimerHeap is a 4-ary implicit min-heap over compact 24-byte keys
 // (time, seq, slot). The comparator is the exact strict total order the old

@@ -4,37 +4,27 @@
 
 namespace w11 {
 
-Simulator::Simulator(Engine engine) : engine_(engine) {
-  if (engine_ == Engine::kArena) {
-    arena_ = std::make_unique<sim_detail::EventArena>();
-    tag_ = new sim_detail::ArenaTag{arena_.get(), 1};
-  }
-}
+Simulator::Simulator()
+    : arena_(std::make_unique<sim_detail::EventArena>()),
+      tag_(new sim_detail::ArenaTag{arena_.get(), 1}) {}
 
 Simulator::~Simulator() {
 #if W11_OBS
   // Unbind the recorder's clock; it points at this simulator's now_.
   if (tracer_ != nullptr) tracer_->bind_clock(nullptr);
 #endif
-  // Retire still-queued reference-engine events so outstanding handles
-  // report not-pending after the simulator dies — the same answer arena
-  // handles get once the tag's arena pointer is nulled below.
-  while (!ref_queue_.empty()) {
-    *ref_queue_.top().cancelled = true;
-    ref_queue_.pop();
-  }
-  if (tag_ != nullptr) {
-    tag_->arena = nullptr;
-    if (--tag_->refs == 0) delete tag_;
-  }
+  tag_->arena = nullptr;
+  if (--tag_->refs == 0) delete tag_;
 }
+
+void EventHandle::free_tag(sim_detail::ArenaTag* tag) noexcept { delete tag; }
 
 void Simulator::enable_event_trace(std::size_t capacity) {
   trace_on_ = true;
   trace_capacity_ = capacity;
   trace_.clear();
   trace_.reserve(std::min<std::size_t>(capacity, 4096));
-  digest_ = 14695981039346656037ull;
+  digest_ = fnv::kOffsetBasis;
 }
 
 }  // namespace w11

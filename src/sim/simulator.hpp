@@ -6,32 +6,26 @@
 // sequence number breaks ties deterministically). Handles returned by
 // schedule() can cancel pending events, which is how timers are retired.
 //
-// Two interchangeable engines implement that contract (DESIGN.md §11):
+// Storage is slab-allocated event records recycled through a free list,
+// small-buffer-optimized callbacks (sim::SmallFn) so per-packet lambdas do
+// not heap-allocate, a 4-ary indexed heap over compact (time, seq, slot)
+// keys, and generation-counted handles for O(1) cancellation. Steady-state
+// scheduling is allocation-free (DESIGN.md §11).
 //
-//   kArena (default) — slab-allocated event records recycled through a free
-//     list, small-buffer-optimized callbacks (sim::SmallFn) so per-packet
-//     lambdas do not heap-allocate, a 4-ary indexed heap over compact
-//     (time, seq, slot) keys, and generation-counted handles for O(1)
-//     cancellation. Steady-state scheduling is allocation-free.
-//
-//   kReference — the pre-overhaul engine, preserved verbatim: a
-//     std::priority_queue of fat event records, one shared_ptr<bool> cancel
-//     flag allocated per event. Exists so golden tests and benches can
-//     prove, per run, that the arena engine executes the exact same event
-//     sequence and is only faster.
-//
-// Both engines produce bit-for-bit identical execution orders because the
-// (time, seq) order is a strict total order (seq is unique): any correct
-// implementation pops the same sequence.
+// The pre-overhaul engine (a std::priority_queue of fat records and one
+// heap-allocated cancel flag per event) lives on as
+// oracle::ReferenceSimulator in the test-only oracle/ library. EngineGolden
+// proves the two pop the identical (time, seq) stream, which any correct
+// engine must since seq is unique.
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 #include "common/time.hpp"
 #include "obs/gate.hpp"
 #include "sim/event_arena.hpp"
@@ -49,15 +43,12 @@ class Simulator {
  public:
   using Callback = sim::SmallFn;
 
-  enum class Engine { kArena, kReference };
-
-  explicit Simulator(Engine engine = Engine::kArena);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] Engine engine() const { return engine_; }
 
   // Schedule `cb` at absolute time `at` (must be >= now). Returns a handle
   // that can cancel the event while it is still pending. Templated so the
@@ -114,49 +105,25 @@ class Simulator {
 #endif
 
  private:
-  struct RefEvent {
-    Time at;
-    std::uint64_t seq;
-    Callback cb;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct RefLater {
-    bool operator()(const RefEvent& a, const RefEvent& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void pop_and_run_arena();
-  void pop_and_run_ref();
+  void pop_and_run();
 
   void note_processed(Time at, std::uint64_t seq) {
     if (!trace_on_) return;
-    // FNV-1a over the (at, seq) stream.
-    auto mix = [this](std::uint64_t v) {
-      digest_ ^= v;
-      digest_ *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(at.ns()));
-    mix(seq);
+    fnv::mix_word(digest_, static_cast<std::uint64_t>(at.ns()));
+    fnv::mix_word(digest_, seq);
     if (trace_.size() < trace_capacity_) trace_.push_back({at, seq});
   }
 
-  Engine engine_;
   Time now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t live_events_ = 0;
 
-  // kArena engine state. The tag is heap-allocated so outstanding handles
-  // can outlive the Simulator; ~Simulator nulls tag_->arena and drops its
-  // reference.
+  // The tag is heap-allocated so outstanding handles can outlive the
+  // Simulator; ~Simulator nulls tag_->arena and drops its reference.
   std::unique_ptr<sim_detail::EventArena> arena_;
   sim_detail::ArenaTag* tag_ = nullptr;
   sim_detail::TimerHeap heap_;
-
-  // kReference engine state.
-  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref_queue_;
 
 #if W11_OBS
   obs::TraceRecorder* tracer_ = nullptr;
@@ -164,7 +131,7 @@ class Simulator {
 
   bool trace_on_ = false;
   std::size_t trace_capacity_ = 0;
-  std::uint64_t digest_ = 14695981039346656037ull;  // FNV offset basis
+  std::uint64_t digest_ = fnv::kOffsetBasis;
   std::vector<ProcessedEvent> trace_;
 
   friend class EventHandle;
@@ -182,17 +149,16 @@ class EventHandle {
   EventHandle() = default;
 
   EventHandle(const EventHandle& o)
-      : flag_(o.flag_), tag_(o.tag_), slot_(o.slot_), gen_(o.gen_) {
+      : tag_(o.tag_), slot_(o.slot_), gen_(o.gen_) {
     if (tag_ != nullptr) ++tag_->refs;
   }
   EventHandle(EventHandle&& o) noexcept
-      : flag_(std::move(o.flag_)), tag_(o.tag_), slot_(o.slot_), gen_(o.gen_) {
+      : tag_(o.tag_), slot_(o.slot_), gen_(o.gen_) {
     o.tag_ = nullptr;
   }
   EventHandle& operator=(const EventHandle& o) {
     if (this != &o) {
       release_tag();
-      flag_ = o.flag_;
       tag_ = o.tag_;
       slot_ = o.slot_;
       gen_ = o.gen_;
@@ -203,7 +169,6 @@ class EventHandle {
   EventHandle& operator=(EventHandle&& o) noexcept {
     if (this != &o) {
       release_tag();
-      flag_ = std::move(o.flag_);
       tag_ = o.tag_;
       o.tag_ = nullptr;
       slot_ = o.slot_;
@@ -214,17 +179,12 @@ class EventHandle {
   ~EventHandle() { release_tag(); }
 
   void cancel() {
-    if (flag_) {  // reference engine
-      if (!*flag_) *flag_ = true;
-      return;
-    }
     if (tag_ != nullptr && tag_->arena != nullptr &&
         tag_->arena->live(slot_, gen_))
       tag_->arena->slot(slot_).cancelled = true;
   }
 
   [[nodiscard]] bool pending() const {
-    if (flag_) return !*flag_;
     return tag_ != nullptr && tag_->arena != nullptr &&
            tag_->arena->live(slot_, gen_) &&
            !tag_->arena->slot(slot_).cancelled;
@@ -235,14 +195,16 @@ class EventHandle {
       : tag_(tag), slot_(slot), gen_(gen) {
     ++tag_->refs;
   }
-  explicit EventHandle(std::shared_ptr<bool> flag) : flag_(std::move(flag)) {}
 
   void release_tag() noexcept {
-    if (tag_ != nullptr && --tag_->refs == 0) delete tag_;
+    if (tag_ != nullptr && --tag_->refs == 0) free_tag(tag_);
     tag_ = nullptr;
   }
+  // Out of line: the last reference drops once per Simulator, and an
+  // inlined delete makes GCC's -Wuse-after-free misread a copied handle's
+  // destructor sequence.
+  static void free_tag(sim_detail::ArenaTag* tag) noexcept;
 
-  std::shared_ptr<bool> flag_;
   sim_detail::ArenaTag* tag_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
@@ -259,20 +221,15 @@ inline EventHandle Simulator::schedule_at(Time at, F&& cb) {
   W11_CHECK_MSG(at >= now_, "cannot schedule into the past");
   const std::uint64_t seq = next_seq_++;
   ++live_events_;
-  if (engine_ == Engine::kArena) {
-    const std::uint32_t idx = arena_->acquire();
-    sim_detail::EventSlot& s = arena_->slot(idx);
-    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
-      s.cb = std::forward<F>(cb);
-    } else {
-      s.cb.emplace(std::forward<F>(cb));
-    }
-    heap_.push({at, seq, idx});
-    return EventHandle{tag_, idx, s.gen};
+  const std::uint32_t idx = arena_->acquire();
+  sim_detail::EventSlot& s = arena_->slot(idx);
+  if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
+    s.cb = std::forward<F>(cb);
+  } else {
+    s.cb.emplace(std::forward<F>(cb));
   }
-  auto flag = std::make_shared<bool>(false);
-  ref_queue_.push(RefEvent{at, seq, Callback(std::forward<F>(cb)), flag});
-  return EventHandle{std::move(flag)};
+  heap_.push({at, seq, idx});
+  return EventHandle{tag_, idx, s.gen};
 }
 
 template <typename F>
@@ -280,7 +237,7 @@ inline EventHandle Simulator::schedule_after(Time delay, F&& cb) {
   return schedule_at(now_ + delay, std::forward<F>(cb));
 }
 
-inline void Simulator::pop_and_run_arena() {
+inline void Simulator::pop_and_run() {
   const sim_detail::TimerHeap::Entry entry = heap_.top();
   heap_.pop();
   --live_events_;
@@ -306,50 +263,18 @@ inline void Simulator::pop_and_run_arena() {
   arena_->release(entry.slot);
 }
 
-inline void Simulator::pop_and_run_ref() {
-  RefEvent ev = std::move(const_cast<RefEvent&>(ref_queue_.top()));
-  ref_queue_.pop();
-  --live_events_;
-  now_ = ev.at;
-  if (*ev.cancelled) return;
-  // Retire before running so the event's own handle is inert during its
-  // callback — the same contract the arena engine's generation bump gives.
-  *ev.cancelled = true;
-  ++processed_;
-  note_processed(ev.at, ev.seq);
-#if W11_OBS
-  if (tracer_ != nullptr)
-    tracer_->record_at(ev.at, obs::TraceKind::kSimEvent, ev.seq);
-#endif
-  ev.cb();
-}
-
 inline void Simulator::run_until(Time until) {
-  if (engine_ == Engine::kArena) {
-    while (!heap_.empty() && heap_.top().at <= until) pop_and_run_arena();
-  } else {
-    while (!ref_queue_.empty() && ref_queue_.top().at <= until)
-      pop_and_run_ref();
-  }
+  while (!heap_.empty() && heap_.top().at <= until) pop_and_run();
   if (now_ < until) now_ = until;
 }
 
 inline void Simulator::run() {
-  if (engine_ == Engine::kArena) {
-    while (!heap_.empty()) pop_and_run_arena();
-  } else {
-    while (!ref_queue_.empty()) pop_and_run_ref();
-  }
+  while (!heap_.empty()) pop_and_run();
 }
 
 inline bool Simulator::step() {
-  if (engine_ == Engine::kArena) {
-    if (heap_.empty()) return false;
-    pop_and_run_arena();
-  } else {
-    if (ref_queue_.empty()) return false;
-    pop_and_run_ref();
-  }
+  if (heap_.empty()) return false;
+  pop_and_run();
   return true;
 }
 

@@ -1,0 +1,44 @@
+#pragma once
+// Test helper for the indexed planner API: one scan epoch (a ScanIndex with
+// the planner's contender RSSI floor, as the services build it) and one
+// PlanContext over it, addressed by ApId.
+
+#include <utility>
+#include <vector>
+
+#include "common/check.hpp"
+#include "core/turboca/plan_context.hpp"
+#include "core/turboca/turboca.hpp"
+#include "flowsim/scan_index.hpp"
+
+namespace w11 {
+
+struct PlanEpoch {
+  PlanEpoch(std::vector<ApScan> scans, const ChannelPlan& plan,
+            const turboca::Params& params = {},
+            exec::TaskPool* pool = nullptr)
+      : index(std::move(scans), params.neighbor_rssi_floor, pool),
+        ctx(index, params, plan) {}
+  PlanEpoch(const PlanEpoch&) = delete;
+  PlanEpoch& operator=(const PlanEpoch&) = delete;
+
+  [[nodiscard]] std::size_t at(ApId id) const {
+    const auto i = index.find(id);
+    W11_CHECK(i.has_value());
+    return *i;
+  }
+  [[nodiscard]] double node_p_log(ApId id, const Channel& c) const {
+    return ctx.node_p_log(at(id), c);
+  }
+  [[nodiscard]] Channel acc(const turboca::TurboCA& tca, ApId id,
+                            const std::vector<ApId>& psi = {}) const {
+    turboca::PsiSet set(index.size());
+    for (ApId p : psi) set.insert(at(p));
+    return tca.acc(ctx, at(id), set);
+  }
+
+  flowsim::ScanIndex index;
+  turboca::PlanContext ctx;
+};
+
+}  // namespace w11

@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
+#include "plan_epoch.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/littletable.hpp"
 #include "workload/topology.hpp"
@@ -452,13 +453,15 @@ TEST(PlanAuditTest, AttachingAuditDoesNotPerturbThePlan) {
   p.runs_min = 1;
   p.runs_max = 3;
 
+  const PlanEpoch epoch(scans, plan, p);
+
   turboca::TurboCA bare(p, Rng(5));
-  const auto without = bare.run(scans, plan, 1);
+  const auto without = bare.run(epoch.index, plan, 1);
 
   turboca::TurboCA audited(p, Rng(5));
   PlanAudit audit;
   audited.set_audit(&audit);
-  const auto with = audited.run(scans, plan, 1);
+  const auto with = audited.run(epoch.index, plan, 1);
 
   EXPECT_TRUE(without.plan == with.plan);
   EXPECT_EQ(without.improved, with.improved);
@@ -502,15 +505,15 @@ TEST(PlanAuditTest, AuditRecordsAreWorkerCountInvariant) {
   p.runs_min = 1;
   p.runs_max = 2;
 
-  // The scan-vector run() builds its ScanIndex on the engine's pool, so
-  // the 4-worker run fans the index fill out across lanes.
+  // The ScanIndex fill runs on the pool, so the 4-worker run fans it out
+  // across lanes.
   auto jsonl_at = [&](int workers) {
     exec::TaskPool pool(workers);
+    const PlanEpoch epoch(scans, plan, p, &pool);
     turboca::TurboCA tca(p, Rng(13));
-    tca.set_pool(&pool);
     PlanAudit audit;
     tca.set_audit(&audit);
-    (void)tca.run(scans, plan, 0);
+    (void)tca.run(epoch.index, plan, 0);
     std::ostringstream os;
     audit.write_jsonl(os);
     return os.str();

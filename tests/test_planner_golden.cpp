@@ -1,26 +1,27 @@
 // Golden determinism: the PlanContext/ScanIndex planner must reproduce the
-// reference (pre-index) evaluator bit-for-bit — identical plans from
-// identical seeds across campus sizes and hop limits — and its incremental
-// ΔNetP bookkeeping must always agree with a from-scratch rescore.
+// oracle's reference (pre-index) evaluator bit-for-bit — identical plans
+// from identical seeds across campus sizes and hop limits — and its
+// incremental ΔNetP bookkeeping must always agree with a from-scratch
+// rescore.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/turboca/plan_context.hpp"
-#include "core/turboca/reference.hpp"
 #include "core/turboca/turboca.hpp"
 #include "exec/task_pool.hpp"
 #include "flowsim/scan_index.hpp"
+#include "oracle/reference_planner.hpp"
+#include "plan_epoch.hpp"
 #include "workload/topology.hpp"
 
 namespace w11 {
 namespace {
 
+using oracle::ReferenceEvaluator;
 using turboca::Params;
 using turboca::PlanContext;
-using turboca::PsiSet;
-using turboca::ReferenceEvaluator;
 using turboca::TurboCA;
 
 std::vector<ApScan> campus_scans(int n_aps, std::uint64_t seed) {
@@ -55,12 +56,13 @@ void expect_golden(int n_aps, std::uint64_t seed) {
   const std::vector<ApScan> scans = campus_scans(n_aps, seed);
   const ChannelPlan plan = current_plan(scans);
   const Params p = golden_params(n_aps);
+  const PlanEpoch epoch(scans, plan, p);
 
   for (int hop = 0; hop <= 2; ++hop) {
     TurboCA indexed(p, Rng(seed + 100 * hop));
     ReferenceEvaluator reference(p, Rng(seed + 100 * hop));
 
-    const TurboCA::RunResult fast = indexed.run(scans, plan, hop);
+    const TurboCA::RunResult fast = indexed.run(epoch.index, plan, hop);
     const TurboCA::RunResult slow = reference.run(scans, plan, hop);
 
     EXPECT_TRUE(fast.plan == slow.plan)
@@ -80,10 +82,11 @@ TEST(PlannerGolden, Campus300MatchesReference) { expect_golden(300, 37); }
 TEST(PlannerGolden, SingleSweepMatchesReference) {
   const std::vector<ApScan> scans = campus_scans(60, 5);
   const ChannelPlan plan = current_plan(scans);
+  const PlanEpoch epoch(scans, plan);
   for (int hop = 0; hop <= 2; ++hop) {
     TurboCA indexed({}, Rng(42 + hop));
     ReferenceEvaluator reference({}, Rng(42 + hop));
-    EXPECT_TRUE(indexed.nbo(scans, plan, hop) ==
+    EXPECT_TRUE(indexed.nbo(epoch.index, plan, hop) ==
                 reference.nbo(scans, plan, hop))
         << "hop=" << hop;
   }
@@ -130,7 +133,7 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
   Rng rng(99);
 
   ASSERT_NEAR(ctx.net_p_log(),
-              turboca::reference::net_p_log(p, index.scans(), ctx.snapshot()),
+              oracle::net_p_log(p, index.scans(), ctx.snapshot()),
               1e-9);
 
   for (int move = 0; move < 120; ++move) {
@@ -139,7 +142,7 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
     ctx.set(i, cands[rng.index(cands.size())]);
     const double incremental = ctx.net_p_log();
     const double full =
-        turboca::reference::net_p_log(p, index.scans(), ctx.snapshot());
+        oracle::net_p_log(p, index.scans(), ctx.snapshot());
     ASSERT_NEAR(incremental, full, 1e-9) << "move " << move << " ap " << i;
   }
 }
@@ -163,6 +166,24 @@ TEST(PlannerGolden, RollbackRestoresPlanAndNetP) {
 
   EXPECT_TRUE(ctx.snapshot() == before_plan);
   EXPECT_EQ(ctx.net_p_log(), before_netp);
+}
+
+// The oracle's hop-limited BFS, which drives the reference NBO's groups.
+TEST(HopNeighborhood, BfsDepthIsRespected) {
+  // Chain 0-1-2-3.
+  std::vector<ApScan> scans;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    ApScan s;
+    s.id = ApId{i};
+    if (i > 0) s.neighbors.push_back({ApId{i - 1}, -60.0});
+    if (i < 3) s.neighbors.push_back({ApId{i + 1}, -60.0});
+    scans.push_back(std::move(s));
+  }
+  EXPECT_EQ(oracle::hop_neighborhood(scans, ApId{0}, 0).size(), 1u);
+  EXPECT_EQ(oracle::hop_neighborhood(scans, ApId{0}, 1).size(), 2u);
+  EXPECT_EQ(oracle::hop_neighborhood(scans, ApId{0}, 2).size(), 3u);
+  EXPECT_EQ(oracle::hop_neighborhood(scans, ApId{0}, 3).size(), 4u);
+  EXPECT_EQ(oracle::hop_neighborhood(scans, ApId{1}, 1).size(), 3u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "net/tcp_receiver.hpp"
 #include "net/tcp_sender.hpp"
 #include "phy/channel.hpp"
+#include "plan_epoch.hpp"
 #include "scenario/testbed.hpp"
 #include "telemetry/littletable.hpp"
 
@@ -258,7 +259,6 @@ class NodePMonotone : public ::testing::TestWithParam<int> {};
 
 TEST_P(NodePMonotone, ExternalUtilizationNeverHelps) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
-  turboca::TurboCA tca({}, Rng(1));
 
   ApScan s;
   s.id = ApId{0};
@@ -274,13 +274,13 @@ TEST_P(NodePMonotone, ExternalUtilizationNeverHelps) {
   const Channel c = cands[rng.index(cands.size())];
   const ChannelPlan plan{{s.id, s.current}};
 
-  double prev = tca.node_p_log(s, c, {s}, plan, {});
+  double prev = PlanEpoch({s}, plan).node_p_log(s.id, c);
   for (double u = 0.1; u <= 0.9; u += 0.1) {
     for (int comp : c.components()) {
       s.external_util[comp] = u;
       s.quality[comp] = 1.0 - 0.6 * u;
     }
-    const double now = tca.node_p_log(s, c, {s}, plan, {});
+    const double now = PlanEpoch({s}, plan).node_p_log(s.id, c);
     EXPECT_LE(now, prev + 1e-9) << "util " << u << " on " << c.to_string();
     prev = now;
   }

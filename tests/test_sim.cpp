@@ -4,8 +4,10 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "oracle/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 
 namespace w11 {
@@ -169,98 +171,133 @@ TEST(PeriodicTimer, ZeroPeriodRejected) {
 
 // --- EventHandle lifetime hazards ------------------------------------------
 // A handle may legally outlive everything it refers to: the event (already
-// run), the slot (recycled for a newer event), or the whole Simulator. All
-// of those must be safe no-ops, on both engines.
+// run), the slot (recycled for a newer event), or the whole simulator. All
+// of those must be safe no-ops, on the arena Simulator and on the oracle
+// engine it is checked against.
 
-class EventHandleLifetime
-    : public ::testing::TestWithParam<Simulator::Engine> {};
+// Slab index, generation and the shared ArenaTag pointer: no per-event
+// control block.
+static_assert(sizeof(EventHandle) == 16);
+
+enum class EngineImpl { kArena, kReference };
+
+template <class Sim>
+using HandleOf = decltype(std::declval<Sim&>().schedule_at(Time{}, [] {}));
+
+class EventHandleLifetime : public ::testing::TestWithParam<EngineImpl> {
+ protected:
+  // Runs `body.operator()<Sim>()` with Sim = the parameter's engine type.
+  template <class Body>
+  void on_engine(Body body) {
+    if (GetParam() == EngineImpl::kArena) {
+      body.template operator()<Simulator>();
+    } else {
+      body.template operator()<oracle::ReferenceSimulator>();
+    }
+  }
+};
 
 TEST_P(EventHandleLifetime, CancelAfterSimulatorDestroyedIsSafe) {
-  auto sim = std::make_unique<Simulator>(GetParam());
-  EventHandle pending = sim->schedule_at(time::millis(5), [] {});
-  EventHandle ran = sim->schedule_at(time::millis(1), [] {});
-  sim->run_until(time::millis(2));
-  sim.reset();  // arena and queue die with the simulator
-  EXPECT_FALSE(pending.pending());
-  EXPECT_FALSE(ran.pending());
-  pending.cancel();  // must not touch freed memory
-  ran.cancel();
+  on_engine([]<class Sim>() {
+    auto sim = std::make_unique<Sim>();
+    HandleOf<Sim> pending = sim->schedule_at(time::millis(5), [] {});
+    HandleOf<Sim> ran = sim->schedule_at(time::millis(1), [] {});
+    sim->run_until(time::millis(2));
+    sim.reset();  // arena and queue die with the simulator
+    EXPECT_FALSE(pending.pending());
+    EXPECT_FALSE(ran.pending());
+    pending.cancel();  // must not touch freed memory
+    ran.cancel();
+  });
 }
 
 TEST_P(EventHandleLifetime, CancelAfterExecutionIsInert) {
-  Simulator sim(GetParam());
-  int runs = 0;
-  EventHandle h = sim.schedule_at(time::millis(1), [&] { ++runs; });
-  sim.run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(h.pending());
-  h.cancel();
-  // Cancelling a completed event must not disturb later scheduling.
-  sim.schedule_after(time::millis(1), [&] { ++runs; });
-  sim.run();
-  EXPECT_EQ(runs, 2);
+  on_engine([]<class Sim>() {
+    Sim sim;
+    int runs = 0;
+    HandleOf<Sim> h = sim.schedule_at(time::millis(1), [&] { ++runs; });
+    sim.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+    // Cancelling a completed event must not disturb later scheduling.
+    sim.schedule_after(time::millis(1), [&] { ++runs; });
+    sim.run();
+    EXPECT_EQ(runs, 2);
+  });
 }
 
 TEST_P(EventHandleLifetime, StaleHandleCannotCancelSlotReuse) {
-  Simulator sim(GetParam());
-  EventHandle old = sim.schedule_at(time::millis(1), [] {});
-  sim.run();  // old's storage is recycled
-  // The next event takes over the freed storage (slot 0 in the arena); a
-  // stale handle's cancel must not leak through to it.
-  bool ran = false;
-  EventHandle fresh = sim.schedule_after(time::millis(1), [&] { ran = true; });
-  old.cancel();
-  EXPECT_TRUE(fresh.pending());
-  sim.run();
-  EXPECT_TRUE(ran);
+  on_engine([]<class Sim>() {
+    Sim sim;
+    HandleOf<Sim> old = sim.schedule_at(time::millis(1), [] {});
+    sim.run();  // old's storage is recycled
+    // The next event takes over the freed storage (slot 0 in the arena); a
+    // stale handle's cancel must not leak through to it.
+    bool ran = false;
+    HandleOf<Sim> fresh =
+        sim.schedule_after(time::millis(1), [&] { ran = true; });
+    old.cancel();
+    EXPECT_TRUE(fresh.pending());
+    sim.run();
+    EXPECT_TRUE(ran);
+  });
 }
 
 TEST_P(EventHandleLifetime, CancelledSlotReuseIsIsolated) {
-  Simulator sim(GetParam());
-  EventHandle a = sim.schedule_at(time::millis(1), [] {});
-  a.cancel();
-  sim.run();  // pops and recycles the cancelled record
-  bool ran = false;
-  sim.schedule_after(time::millis(1), [&] { ran = true; });
-  a.cancel();  // stale again — different generation now
-  sim.run();
-  EXPECT_TRUE(ran);
+  on_engine([]<class Sim>() {
+    Sim sim;
+    HandleOf<Sim> a = sim.schedule_at(time::millis(1), [] {});
+    a.cancel();
+    sim.run();  // pops and recycles the cancelled record
+    bool ran = false;
+    sim.schedule_after(time::millis(1), [&] { ran = true; });
+    a.cancel();  // stale again — different generation now
+    sim.run();
+    EXPECT_TRUE(ran);
+  });
 }
 
 TEST_P(EventHandleLifetime, DefaultConstructedHandleIsInert) {
-  EventHandle h;
-  EXPECT_FALSE(h.pending());
-  h.cancel();
+  on_engine([]<class Sim>() {
+    HandleOf<Sim> h;
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+  });
 }
 
 TEST_P(EventHandleLifetime, CopiedHandleCancelsSameEvent) {
-  Simulator sim(GetParam());
-  bool ran = false;
-  EventHandle h = sim.schedule_at(time::millis(1), [&] { ran = true; });
-  EventHandle copy = h;
-  copy.cancel();
-  EXPECT_FALSE(h.pending());
-  sim.run();
-  EXPECT_FALSE(ran);
+  on_engine([]<class Sim>() {
+    Sim sim;
+    bool ran = false;
+    HandleOf<Sim> h = sim.schedule_at(time::millis(1), [&] { ran = true; });
+    HandleOf<Sim> copy = h;
+    copy.cancel();
+    EXPECT_FALSE(h.pending());
+    sim.run();
+    EXPECT_FALSE(ran);
+  });
 }
 
 TEST_P(EventHandleLifetime, SelfCancelDuringExecutionIsSafe) {
-  Simulator sim(GetParam());
-  EventHandle h;
-  int runs = 0;
-  h = sim.schedule_at(time::millis(1), [&] {
-    ++runs;
-    h.cancel();  // cancelling the event currently running: no-op
+  on_engine([]<class Sim>() {
+    Sim sim;
+    HandleOf<Sim> h;
+    int runs = 0;
+    h = sim.schedule_at(time::millis(1), [&] {
+      ++runs;
+      h.cancel();  // cancelling the event currently running: no-op
+    });
+    sim.run();
+    EXPECT_EQ(runs, 1);
   });
-  sim.run();
-  EXPECT_EQ(runs, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EventHandleLifetime,
-                         ::testing::Values(Simulator::Engine::kArena,
-                                           Simulator::Engine::kReference),
+                         ::testing::Values(EngineImpl::kArena,
+                                           EngineImpl::kReference),
                          [](const auto& param_info) {
-                           return param_info.param == Simulator::Engine::kArena
+                           return param_info.param == EngineImpl::kArena
                                       ? "Arena"
                                       : "Reference";
                          });

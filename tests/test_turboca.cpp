@@ -5,6 +5,7 @@
 #include "core/turboca/service.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/network.hpp"
+#include "plan_epoch.hpp"
 #include "workload/topology.hpp"
 
 namespace w11 {
@@ -35,39 +36,37 @@ ApScan make_scan(std::uint32_t id, Channel current,
 }
 
 TEST(NodeP, HeavyExternalUtilizationCollapsesMetric) {
-  TurboCA tca({}, Rng(1));
   ApScan s = make_scan(0, ch36_20);
-  const double clean =
-      tca.node_p_log(s, ch36_20, {s}, {{s.id, ch36_20}}, {});
+  const ChannelPlan plan{{s.id, ch36_20}};
+  const double clean = PlanEpoch({s}, plan).node_p_log(s.id, ch36_20);
   s.external_util[36] = 0.98;  // channel 36 nearly saturated by others
-  const double busy =
-      tca.node_p_log(s, ch36_20, {s}, {{s.id, ch36_20}}, {});
+  const double busy = PlanEpoch({s}, plan).node_p_log(s.id, ch36_20);
   EXPECT_LT(busy, clean - 1.0);
 }
 
 TEST(NodeP, CochannelNeighborsReduceMetric) {
-  TurboCA tca({}, Rng(1));
   ApScan a = make_scan(0, ch36_20, {{ApId{1}, -60.0}});
   ApScan b = make_scan(1, ch36_20, {{ApId{0}, -60.0}});
   const std::vector<ApScan> scans{a, b};
   const double contended =
-      tca.node_p_log(a, ch36_20, scans, {{a.id, ch36_20}, {b.id, ch36_20}}, {});
+      PlanEpoch(scans, {{a.id, ch36_20}, {b.id, ch36_20}})
+          .node_p_log(a.id, ch36_20);
   const double isolated =
-      tca.node_p_log(a, ch36_20, scans, {{a.id, ch36_20}, {b.id, ch149_20}}, {});
+      PlanEpoch(scans, {{a.id, ch36_20}, {b.id, ch149_20}})
+          .node_p_log(a.id, ch36_20);
   EXPECT_GT(isolated, contended);
 }
 
 TEST(NodeP, WideChannelIgnoredWhenClientsAreNarrow) {
   // Paper property (ii): if clients don't support wider widths, NodeP does
   // not increase for wider channels.
-  TurboCA tca({}, Rng(1));
   ApScan s = make_scan(0, ch36_20, {}, 0.0);
   s.has_clients = true;
   s.load_by_width[ChannelWidth::MHz20] = 3.0;  // 20 MHz-only clients
-  const ChannelPlan plan{{s.id, s.current}};
-  const double at20 = tca.node_p_log(s, ch36_20, {s}, plan, {});
+  const PlanEpoch epoch({s}, {{s.id, s.current}});
+  const double at20 = epoch.node_p_log(s.id, ch36_20);
   Channel wide = ch42_80;  // same primary 20 (36), wider bond
-  const double at80 = tca.node_p_log(s, wide, {s}, plan, {});
+  const double at80 = epoch.node_p_log(s.id, wide);
   // Width layers above 20 MHz carry zero load -> no gain (equal up to the
   // switch penalty at the 20 MHz layer, which applies to both equally here
   // because both candidates differ from current? ch36_20 == current).
@@ -75,24 +74,22 @@ TEST(NodeP, WideChannelIgnoredWhenClientsAreNarrow) {
 }
 
 TEST(NodeP, WideClientsRewardWideChannels) {
-  TurboCA tca({}, Rng(1));
   ApScan s = make_scan(0, ch42_80, {}, 3.0);  // 80 MHz-class load
-  const ChannelPlan plan{{s.id, s.current}};
-  const double at80 = tca.node_p_log(s, ch42_80, {s}, plan, {});
-  const double at20 = tca.node_p_log(s, ch36_20, {s}, plan, {});
+  const PlanEpoch epoch({s}, {{s.id, s.current}});
+  const double at80 = epoch.node_p_log(s.id, ch42_80);
+  const double at20 = epoch.node_p_log(s.id, ch36_20);
   EXPECT_GT(at80, at20);
 }
 
 TEST(NodeP, SwitchPenaltyOnlyWhenChannelChanges) {
   Params p;
   p.switch_penalty = 0.2;
-  TurboCA tca(p, Rng(1));
   ApScan s = make_scan(0, ch36_20, {}, 0.0);
   s.has_clients = true;
   s.load_by_width[ChannelWidth::MHz20] = 2.0;
-  const ChannelPlan plan{{s.id, s.current}};
-  const double stay = tca.node_p_log(s, ch36_20, {s}, plan, {});
-  const double move = tca.node_p_log(s, ch149_20, {s}, plan, {});
+  const PlanEpoch epoch({s}, {{s.id, s.current}}, p);
+  const double stay = epoch.node_p_log(s.id, ch36_20);
+  const double move = epoch.node_p_log(s.id, ch149_20);
   // Otherwise-identical clean channels: staying avoids the penalty.
   EXPECT_GT(stay, move);
 }
@@ -100,23 +97,20 @@ TEST(NodeP, SwitchPenaltyOnlyWhenChannelChanges) {
 TEST(NodeP, NoSwitchPenaltyForEmptyAps) {
   Params p;
   p.switch_penalty = 0.2;
-  TurboCA tca(p, Rng(1));
   ApScan s = make_scan(0, ch36_20, {}, 0.0);  // no clients
-  const ChannelPlan plan{{s.id, s.current}};
-  const double stay = tca.node_p_log(s, ch36_20, {s}, plan, {});
-  const double move = tca.node_p_log(s, ch149_20, {s}, plan, {});
+  const PlanEpoch epoch({s}, {{s.id, s.current}}, p);
+  const double stay = epoch.node_p_log(s.id, ch36_20);
+  const double move = epoch.node_p_log(s.id, ch149_20);
   EXPECT_NEAR(stay, move, 1e-9);
 }
 
 TEST(NetP, SumsOverAllAps) {
-  TurboCA tca({}, Rng(1));
   ApScan a = make_scan(0, ch36_20);
   ApScan b = make_scan(1, ch149_20);
-  const std::vector<ApScan> scans{a, b};
-  const ChannelPlan plan{{a.id, ch36_20}, {b.id, ch149_20}};
-  const double total = tca.net_p_log(scans, plan);
-  const double pa = tca.node_p_log(a, ch36_20, scans, plan, {});
-  const double pb = tca.node_p_log(b, ch149_20, scans, plan, {});
+  PlanEpoch epoch({a, b}, {{a.id, ch36_20}, {b.id, ch149_20}});
+  const double total = epoch.ctx.net_p_log();
+  const double pa = epoch.node_p_log(a.id, ch36_20);
+  const double pb = epoch.node_p_log(b.id, ch149_20);
   EXPECT_NEAR(total, pa + pb, 1e-9);
 }
 
@@ -126,9 +120,8 @@ TEST(Acc, SeparatesTwoNeighborsOntoDifferentChannels) {
   TurboCA tca({}, Rng(1));
   ApScan a = make_scan(0, ch36_20, {{ApId{1}, -55.0}});
   ApScan b = make_scan(1, ch36_20, {{ApId{0}, -55.0}});
-  const std::vector<ApScan> scans{a, b};
-  ChannelPlan plan{{a.id, ch36_20}, {b.id, ch36_20}};
-  const Channel pick = tca.acc(b, scans, plan, {});
+  const PlanEpoch epoch({a, b}, {{a.id, ch36_20}, {b.id, ch36_20}});
+  const Channel pick = epoch.acc(tca, b.id);
   EXPECT_FALSE(pick.overlaps(ch36_20)) << "picked " << pick;
 }
 
@@ -145,9 +138,8 @@ TEST(Acc, PsiHidesNeighborChannels) {
       a.quality[c.number] = 0.05;
     }
   }
-  const std::vector<ApScan> scans{a, b};
-  ChannelPlan plan{{a.id, ch149_20}, {b.id, ch36_20}};
-  const Channel with_psi = tca.acc(a, scans, plan, {ApId{1}});
+  const PlanEpoch epoch({a, b}, {{a.id, ch149_20}, {b.id, ch36_20}});
+  const Channel with_psi = epoch.acc(tca, a.id, {ApId{1}});
   EXPECT_EQ(with_psi.primary20().number, 36);
 }
 
@@ -181,13 +173,15 @@ TEST(Nbo, EscapesLocalOptimumWithHopLimit) {
   TurboCA tca(params, Rng(3));
   // The globally optimal plan (A on 149, B on 36) must score higher.
   const ChannelPlan global{{ApId{0}, ch149_20}, {ApId{1}, ch36_20}};
-  EXPECT_GT(tca.net_p_log(scans, global), tca.net_p_log(scans, current));
+  EXPECT_GT(PlanEpoch(scans, global, params).ctx.net_p_log(),
+            PlanEpoch(scans, current, params).ctx.net_p_log());
 
   // NBO with i >= 1 finds it (several attempts are allowed: the sweep is
   // randomized).
+  const PlanEpoch epoch(scans, current, params);
   bool found = false;
   for (int attempt = 0; attempt < 10 && !found; ++attempt) {
-    const ChannelPlan plan = tca.nbo(scans, current, /*hop_limit=*/1);
+    const ChannelPlan plan = tca.nbo(epoch.index, current, /*hop_limit=*/1);
     found = plan.at(ApId{0}).primary20().number == 149 &&
             plan.at(ApId{1}).primary20().number == 36;
   }
@@ -202,7 +196,8 @@ TEST(Nbo, AssignsEveryAp) {
     scans.push_back(make_scan(i, ch36_20));
   ChannelPlan current;
   for (const auto& s : scans) current[s.id] = s.current;
-  const ChannelPlan plan = tca.nbo(scans, current, 0);
+  const PlanEpoch epoch(scans, current, params);
+  const ChannelPlan plan = tca.nbo(epoch.index, current, 0);
   EXPECT_EQ(plan.size(), scans.size());
 }
 
@@ -217,28 +212,13 @@ TEST(Run, NeverReturnsWorsePlan) {
   }
   ChannelPlan current;
   for (const auto& s : scans) current[s.id] = s.current;
-  const double before = tca.net_p_log(scans, current);
-  const auto result = tca.run(scans, current, 0);
+  PlanEpoch epoch(scans, current);
+  const double before = epoch.ctx.net_p_log();
+  const auto result = tca.run(epoch.index, current, 0);
   EXPECT_GE(result.netp_log, before);
   // Everyone on channel 36 is clearly improvable.
   EXPECT_TRUE(result.improved);
   EXPECT_GT(result.netp_log, before);
-}
-
-TEST(HopNeighborhood, BfsDepthIsRespected) {
-  // Chain 0-1-2-3.
-  std::vector<ApScan> scans;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    std::vector<NeighborReport> nbrs;
-    if (i > 0) nbrs.push_back({ApId{i - 1}, -60.0});
-    if (i < 3) nbrs.push_back({ApId{i + 1}, -60.0});
-    scans.push_back(make_scan(i, ch36_20, std::move(nbrs)));
-  }
-  EXPECT_EQ(turboca::hop_neighborhood(scans, ApId{0}, 0).size(), 1u);
-  EXPECT_EQ(turboca::hop_neighborhood(scans, ApId{0}, 1).size(), 2u);
-  EXPECT_EQ(turboca::hop_neighborhood(scans, ApId{0}, 2).size(), 3u);
-  EXPECT_EQ(turboca::hop_neighborhood(scans, ApId{0}, 3).size(), 4u);
-  EXPECT_EQ(turboca::hop_neighborhood(scans, ApId{1}, 1).size(), 3u);
 }
 
 // ---------------------------------------------------------- DFS rules --
@@ -253,8 +233,7 @@ TEST(Dfs, ApWithActiveClientsNeverMovesToDfs) {
       s.quality[c.number] = 0.3;
     }
   }
-  const ChannelPlan plan{{s.id, s.current}};
-  const Channel pick = tca.acc(s, {s}, plan, {});
+  const Channel pick = PlanEpoch({s}, {{s.id, s.current}}).acc(tca, s.id);
   EXPECT_FALSE(pick.is_dfs());
 }
 
@@ -267,8 +246,7 @@ TEST(Dfs, IdleApMayUseDfs) {
       s.quality[c.number] = 0.1;
     }
   }
-  const ChannelPlan plan{{s.id, s.current}};
-  const Channel pick = tca.acc(s, {s}, plan, {});
+  const Channel pick = PlanEpoch({s}, {{s.id, s.current}}).acc(tca, s.id);
   EXPECT_TRUE(pick.is_dfs());
 }
 
@@ -279,8 +257,7 @@ TEST(Dfs, NonCertifiedHardwareNeverPicksDfs) {
   for (const Channel& c : channels::us_catalog(Band::G5, ChannelWidth::MHz20)) {
     if (!channels::is_dfs_20mhz(c.number)) s.external_util[c.number] = 0.95;
   }
-  const ChannelPlan plan{{s.id, s.current}};
-  EXPECT_FALSE(tca.acc(s, {s}, plan, {}).is_dfs());
+  EXPECT_FALSE(PlanEpoch({s}, {{s.id, s.current}}).acc(tca, s.id).is_dfs());
 }
 
 // ----------------------------------------------------------- Services --
