@@ -4,8 +4,9 @@
 // std::priority_queue of fat (time, seq) records, one shared_ptr<bool>
 // cancel flag per event, retire-before-run dispatch. The golden suites
 // require the identical processed-event trace and digest from both
-// engines; bench_flowsim measures the arena engine against it. Test and
-// bench code only. Do not optimize it.
+// engines (the arena engine's comes from the kSimEvent records of an
+// attached obs::TraceRecorder); bench_flowsim measures the arena engine
+// against it. Test and bench code only. Do not optimize it.
 
 #include <algorithm>
 #include <cstdint>
@@ -25,7 +26,16 @@ namespace w11::oracle {
 class ReferenceSimulator {
  public:
   using Callback = sim::SmallFn;
-  using ProcessedEvent = Simulator::ProcessedEvent;
+
+  // One dispatched event. The digest is a word-wise FNV-1a fold over the
+  // full (at.ns, seq) stream; the trace vector keeps the first `capacity`
+  // entries so mismatches are debuggable without unbounded memory.
+  struct ProcessedEvent {
+    Time at;
+    std::uint64_t seq;
+    friend constexpr bool operator==(const ProcessedEvent&,
+                                     const ProcessedEvent&) = default;
+  };
 
   // The event's flag is set when it runs, is cancelled, or is still queued
   // when the simulator dies; pending() is false in all three cases.
@@ -78,7 +88,6 @@ class ReferenceSimulator {
     return true;
   }
 
-  // Same trace/digest contract as Simulator::enable_event_trace.
   void enable_event_trace(std::size_t capacity = 1u << 20) {
     trace_on_ = true;
     trace_capacity_ = capacity;

@@ -1,7 +1,8 @@
 #pragma once
-// FNV-1a, the one hash behind the simulator's event digest, the
-// ScanStatsCache row keys and the fleet plan-stream digest. Golden tests
-// and committed bench witnesses pin all three: no output here may change.
+// FNV-1a, the one hash behind the golden event digest (folded over a
+// simulator's traced dispatch stream), the ScanStatsCache row keys and the
+// fleet plan-stream digest. Golden tests and committed bench witnesses pin
+// all three: no output here may change.
 
 #include <cstddef>
 #include <cstdint>
@@ -27,7 +28,7 @@ inline void mix_value(std::uint64_t& h, const T& v) {
 }
 
 // Word-wise fold, one xor-multiply per 64-bit word: what the event digest
-// is defined over, since it runs once per dispatched event.
+// is defined over, since it folds once per dispatched event.
 inline void mix_word(std::uint64_t& h, std::uint64_t w) {
   h ^= w;
   h *= kPrime;

@@ -8,7 +8,7 @@
 namespace w11::fastack {
 
 FastAckAgent::FastAckAgent(Simulator& sim, AccessPoint& ap, Config cfg)
-    : sim_(sim), ap_(ap), cfg_(cfg), trace_(cfg.trace_capacity) {}
+    : sim_(sim), ap_(ap), cfg_(cfg) {}
 
 FlowState& FastAckAgent::state_for(const TcpSegment& seg) {
   auto it = flows_.find(seg.flow);
@@ -26,7 +26,7 @@ FlowState& FastAckAgent::state_for(const TcpSegment& seg) {
     s.seq_exp = s.seq_fack = s.seq_tcp = s.last_client_ack = seg.seq;
     s.seq_high = seg.seq;
     s.client_rwnd = cfg_.initial_client_rwnd;
-    trace(seg.flow, TraceEvent::kFlowCreated, seg.seq);
+    trace(obs::TraceKind::kFastAckFlowCreated, seg.flow, seg.seq);
   }
   s.last_activity = sim_.now();
   return s;
@@ -41,9 +41,7 @@ void FastAckAgent::activate_bypass(FlowId flow, FlowState& s) {
   s.q_seq.clear();
   s.holes_vec.clear();
   ++stats_.bypass_activations;
-  trace(flow, TraceEvent::kBypassActivated, s.seq_fack, s.seq_exp);
-  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckBypass,
-                     sim_.processed_events(), s.seq_fack, s.seq_exp);
+  trace(obs::TraceKind::kFastAckBypass, flow, s.seq_fack, s.seq_exp);
   W11_COUNT("fastack.bypass_activations");
 }
 
@@ -79,7 +77,7 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   // data we already acknowledged on its behalf. Spurious; drop.
   if (end <= s.seq_fack) {
     ++stats_.spurious_retx_dropped;
-    trace(seg.flow, TraceEvent::kDataSpurious, seq_in, seg.payload);
+    trace(obs::TraceKind::kFastAckDataSpurious, seg.flow, seq_in, seg.payload);
     return DataAction::kDrop;
   }
 
@@ -93,7 +91,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
     std::erase_if(s.holes_vec,
                   [&](const Hole& h) { return h.start >= seq_in && h.end <= end; });
     ++stats_.e2e_retx_prioritized;
-    trace(seg.flow, TraceEvent::kDataRetransmit, seq_in, seg.payload);
+    trace(obs::TraceKind::kFastAckDataRetransmit, seg.flow, seq_in,
+          seg.payload);
     // An end-to-end retransmission means the sender timed out — its clock
     // stopped because the client fell behind the fast-ACK point (bytes the
     // cache alone can supply, §5.5.1). Heal from the client's real ACK
@@ -109,7 +108,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   if (seq_in > s.seq_exp) {
     s.holes_vec.push_back(Hole{s.seq_exp, seq_in});
     ++stats_.holes_detected;
-    trace(seg.flow, TraceEvent::kHoleDetected, s.seq_exp, seq_in - s.seq_exp);
+    trace(obs::TraceKind::kFastAckHoleDetected, seg.flow, s.seq_exp,
+          seq_in - s.seq_exp);
     if (cfg_.emulate_hole_dupacks) {
       for (int i = 0; i < 3; ++i) {
         TcpSegment dup;
@@ -121,10 +121,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
         dup.sacks.push_back(SackBlock{seq_in, end});
         dup.sent_at = sim_.now();
         ++stats_.hole_dupacks_sent;
-        trace(seg.flow, TraceEvent::kHoleDupAck, s.seq_fack);
-        W11_TRACE_EVENT_AT(sim_.now(),
-                           ::w11::obs::TraceKind::kFastAckHoleDupAck,
-                           sim_.processed_events(), s.seq_fack, seq_in);
+        trace(obs::TraceKind::kFastAckHoleDupAck, seg.flow, dup.ack,
+              dup.rwnd);
         W11_COUNT("fastack.hole_dupacks");
         ap_.send_to_wire(std::move(dup));
       }
@@ -139,7 +137,7 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   }
   s.seq_exp = end;
   s.seq_high = std::max(s.seq_high, end);
-  trace(seg.flow, TraceEvent::kDataInOrder, seq_in, seg.payload);
+  trace(obs::TraceKind::kFastAckDataInOrder, seg.flow, seq_in, seg.payload);
   return DataAction::kForward;
 }
 
@@ -161,7 +159,7 @@ void FastAckAgent::on_80211_delivered(const TcpSegment& seg) {
   }
 
   s.q_seq.insert(AckedRange{seg.seq, seg.seq_end()});
-  trace(seg.flow, TraceEvent::kAirAck, seg.seq, seg.payload);
+  trace(obs::TraceKind::kFastAckAirAck, seg.flow, seg.seq, seg.payload);
   drain_q_seq(seg.flow, s);
 }
 
@@ -228,7 +226,7 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     // fast-acked (wireless loss or a bad 802.11 hint). Serve it locally
     // from the cache — never bother the sender (§5.5.1).
     ++s.client_dupacks;
-    trace(ack.flow, TraceEvent::kClientDupAck, ack.ack,
+    trace(obs::TraceKind::kFastAckClientDupAck, ack.flow, ack.ack,
           static_cast<std::uint64_t>(s.client_dupacks));
     if (s.client_dupacks >= cfg_.local_retx_dupack_threshold) {
       local_retransmit(ack.flow, s, ack.ack);
@@ -241,13 +239,11 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
   }
 
   if (!cfg_.suppress_client_acks) {
-    trace(ack.flow, TraceEvent::kClientAckPassed, ack.ack);
+    trace(obs::TraceKind::kFastAckClientAckPassed, ack.flow, ack.ack);
     return false;
   }
   ++stats_.client_acks_suppressed;
-  trace(ack.flow, TraceEvent::kClientAckSuppressed, ack.ack);
-  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckSuppress,
-                     sim_.processed_events(), ack.ack, ack.rwnd);
+  trace(obs::TraceKind::kFastAckSuppress, ack.flow, ack.ack, ack.rwnd);
   W11_COUNT("fastack.acks_suppressed");
   return true;
 }
@@ -257,7 +253,7 @@ void FastAckAgent::on_mpdu_dropped(const TcpSegment& seg) {
   // flow, and the sender's RTO eventually drives an end-to-end
   // retransmission (case ii). Deliberately nothing to do (§5.5.1,
   // "timeout-based retransmissions").
-  trace(seg.flow, TraceEvent::kMpduDropped, seg.seq, seg.payload);
+  trace(obs::TraceKind::kFastAckMpduDropped, seg.flow, seg.seq, seg.payload);
 }
 
 bool FastAckAgent::retx_rate_limited(const FlowState& s,
@@ -292,14 +288,14 @@ void FastAckAgent::local_retransmit(FlowId flow, FlowState& s,
     ++stats_.local_retransmits;
     ++injected;
     s.local_retx_horizon = std::max(s.local_retx_horizon, copy.seq_end());
-    trace(flow, TraceEvent::kLocalRetransmit, copy.seq, copy.payload);
+    trace(obs::TraceKind::kFastAckLocalRetransmit, flow, copy.seq,
+          copy.payload);
     ap_.inject_downlink(std::move(copy), /*priority=*/true);
   }
   if (injected > 0) {
     s.local_retx_at = sim_.now();
-    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckCacheServe,
-                       sim_.processed_events(), from_seq,
-                       static_cast<std::uint64_t>(injected));
+    trace(obs::TraceKind::kFastAckCacheServe, flow, from_seq,
+          static_cast<std::uint64_t>(injected));
     W11_COUNT_N("fastack.cache_served_segments", injected);
   }
 }
@@ -322,16 +318,11 @@ void FastAckAgent::emit_fast_ack(FlowId flow, FlowState& s,
   s.last_advertised_rwnd = ack.rwnd;
   if (window_update_only) {
     ++stats_.window_updates_sent;
-    trace(flow, TraceEvent::kWindowUpdate, ack.ack, ack.rwnd);
-    W11_TRACE_EVENT_AT(sim_.now(),
-                       ::w11::obs::TraceKind::kFastAckWindowUpdate,
-                       sim_.processed_events(), ack.ack, ack.rwnd);
+    trace(obs::TraceKind::kFastAckWindowUpdate, flow, ack.ack, ack.rwnd);
     W11_COUNT("fastack.window_updates");
   } else {
     ++stats_.fast_acks_sent;
-    trace(flow, TraceEvent::kFastAck, ack.ack, ack.rwnd);
-    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckSynth,
-                       sim_.processed_events(), ack.ack, ack.rwnd);
+    trace(obs::TraceKind::kFastAckSynth, flow, ack.ack, ack.rwnd);
     W11_COUNT("fastack.acks_synthesized");
   }
   ap_.send_to_wire(std::move(ack));
@@ -378,7 +369,7 @@ void FastAckAgent::gc_idle_flows() {
   std::sort(victims.begin(), victims.end(),
             [](FlowId a, FlowId b) { return a.value() < b.value(); });
   for (FlowId flow : victims) {
-    trace(flow, TraceEvent::kFlowEvicted, flows_[flow].seq_fack);
+    trace(obs::TraceKind::kFastAckFlowEvicted, flow, flows_[flow].seq_fack);
     flows_.erase(flow);
     ++stats_.flows_evicted_idle;
   }
@@ -393,7 +384,8 @@ void FastAckAgent::evict_for_capacity() {
          it->first.value() < victim->first.value()))
       victim = it;
   }
-  trace(victim->first, TraceEvent::kFlowEvicted, victim->second.seq_fack);
+  trace(obs::TraceKind::kFastAckFlowEvicted, victim->first,
+        victim->second.seq_fack);
   flows_.erase(victim);
   ++stats_.flows_evicted_capacity;
 }

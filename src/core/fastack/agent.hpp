@@ -17,8 +17,8 @@
 
 #include "common/ids.hpp"
 #include "core/fastack/flow_state.hpp"
-#include "core/fastack/trace.hpp"
 #include "net/tcp_segment.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "wlan/access_point.hpp"
 #include "wlan/interceptor.hpp"
@@ -57,10 +57,6 @@ class FastAckAgent : public TcpInterceptor {
     // real one (a deployed agent learns it from the SYN handshake, which
     // this model does not carry).
     std::uint64_t initial_client_rwnd = 1 << 20;
-    // Debug switches (paper fn. 9): record every datapath event into a
-    // bounded ring for tests and live debugging.
-    bool trace_enabled = false;
-    std::size_t trace_capacity = 4096;
     // --- graceful degradation (§5.5.4 corner cases) ----------------------
     // On an invariant anomaly (corrupt imported state, bookkeeping gone
     // wrong) the flow drops to bypass: plain forwarding, sender-driven
@@ -118,8 +114,6 @@ class FastAckAgent : public TcpInterceptor {
   [[nodiscard]] const FlowState* flow_state(FlowId flow) const;
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
-  [[nodiscard]] const TraceRing& trace_ring() const { return trace_; }
-  [[nodiscard]] TraceRing& trace_ring() { return trace_; }
 
  private:
   FlowState& state_for(const TcpSegment& seg);
@@ -136,10 +130,12 @@ class FastAckAgent : public TcpInterceptor {
                                        std::uint64_t from_seq) const;
   [[nodiscard]] std::uint64_t advertised_window(const FlowState& s) const;
 
-  void trace(FlowId flow, TraceEvent event, std::uint64_t seq,
+  // Debug switches (paper fn. 9): every datapath event goes to the
+  // recorder attached to the simulator, if any (Simulator::set_tracer).
+  void trace(obs::TraceKind kind, FlowId flow, std::uint64_t seq,
              std::uint64_t extra = 0) {
-    if (cfg_.trace_enabled)
-      trace_.push(TraceRecord{sim_.now(), flow, event, seq, extra});
+    if (obs::TraceRecorder* t = sim_.tracer())
+      t->record_at(sim_.now(), kind, flow.value(), seq, extra);
   }
 
   Simulator& sim_;
@@ -147,7 +143,6 @@ class FastAckAgent : public TcpInterceptor {
   Config cfg_;
   std::unordered_map<FlowId, FlowState> flows_;
   FlowStats stats_;
-  TraceRing trace_;
 };
 
 }  // namespace w11::fastack

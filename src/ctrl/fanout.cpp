@@ -10,12 +10,12 @@ std::uint64_t PlanFanout::commit(std::uint32_t campus_key, ChannelPlan plan,
                                  double netp_log, Time at) {
   auto it = stores_.find(campus_key);
   if (it == stores_.end()) {
-    it = stores_.emplace(campus_key, PlanStore(cfg_.max_history)).first;
+    it = stores_.emplace(campus_key, PlanStore(kMaxHistory)).first;
     ++stats_.campuses_seen;
     W11_COUNT("ctrl.fanout.campus");
   }
   const std::uint64_t version = it->second.commit(std::move(plan), netp_log, at);
-  if (cfg_.mark_good_on_commit) it->second.mark_good(version);
+  it->second.mark_good(version);
   ++stats_.plans_committed;
   W11_COUNT("ctrl.fanout.commit");
   return version;

@@ -8,9 +8,8 @@
 // the backend shards its plan state — so a campus rollout coordinator (or
 // a test) can pick up any campus's history independently.
 //
-// Commits are versioned per campus; `mark_good_on_commit` (default)
-// promotes each commit immediately, modelling the fleet store of record.
-// Leave it false when a RolloutCoordinator drives promotion per campus.
+// Commits are versioned per campus, and each commit is promoted to
+// last-known-good immediately, modelling the fleet store of record.
 
 #include <cstdint>
 #include <map>
@@ -23,18 +22,10 @@ namespace w11::ctrl {
 
 class PlanFanout {
  public:
-  struct Config {
-    std::size_t max_history = 4;  // per-campus PlanStore window
-    bool mark_good_on_commit = true;
-  };
-
   struct Stats {
     std::uint64_t plans_committed = 0;
     std::uint64_t campuses_seen = 0;
   };
-
-  PlanFanout() = default;
-  explicit PlanFanout(Config cfg) : cfg_(cfg) {}
 
   // Commit one campus plan; returns the campus-local version number.
   std::uint64_t commit(std::uint32_t campus_key, ChannelPlan plan,
@@ -47,7 +38,8 @@ class PlanFanout {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  Config cfg_{};
+  static constexpr std::size_t kMaxHistory = 4;  // per-campus PlanStore window
+
   std::map<std::uint32_t, PlanStore> stores_;  // key-ordered
   Stats stats_;
 };

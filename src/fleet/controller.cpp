@@ -13,6 +13,9 @@ namespace w11::fleet {
 
 namespace {
 
+// Per-campus spectrum-aggregate cache bound.
+constexpr std::size_t kStatsCacheCapacity = 256;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -84,8 +87,7 @@ void FleetController::install_campus(
     }
   }
   if (!st.cache)
-    st.cache =
-        std::make_unique<flowsim::ScanStatsCache>(cfg_.stats_cache_capacity);
+    st.cache = std::make_unique<flowsim::ScanStatsCache>(kStatsCacheCapacity);
   for (const ApScan& s : st.scans) owner_[s.id.value()] = campus.key;
   for (const std::uint32_t g : st.ghost_contenders)
     ghost_rev_[g].push_back(campus.key);

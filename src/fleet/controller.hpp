@@ -95,8 +95,6 @@ class FleetController {
     std::uint64_t seed = 1;
     std::size_t ingest_capacity = 16;    // epoch updates buffered
     std::size_t output_capacity = 4096;  // campus plans buffered per tick
-    // Per-campus spectrum-aggregate cache bound (0 disables reuse).
-    std::size_t stats_cache_capacity = 256;
     // Request an out-of-band priority replan for every campus a delta
     // touches (for producers that push deltas faster than the fast
     // cadence). Off by default: replan jobs carry Tier::kReplan, so the

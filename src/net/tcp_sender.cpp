@@ -298,7 +298,7 @@ void TcpSender::clamp_cwnd() {
 }
 
 void TcpSender::note_cwnd() {
-  if (trace_enabled_) cwnd_trace_.emplace_back(sim_.now(), cwnd_segments());
+  if (cwnd_trace_on_) cwnd_trace_.emplace_back(sim_.now(), cwnd_segments());
 }
 
 void TcpSender::cubic_on_loss() {

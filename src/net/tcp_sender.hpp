@@ -79,7 +79,7 @@ class TcpSender {
 
   // tcp_probe-style cwnd trace (Fig. 14): (time, cwnd in segments) recorded
   // at every cwnd change once enabled.
-  void enable_cwnd_trace() { trace_enabled_ = true; }
+  void enable_cwnd_trace() { cwnd_trace_on_ = true; }
   [[nodiscard]] const std::vector<std::pair<Time, double>>& cwnd_trace() const {
     return cwnd_trace_;
   }
@@ -141,7 +141,7 @@ class TcpSender {
   Time cubic_epoch_{};
   bool cubic_epoch_valid_ = false;
 
-  bool trace_enabled_ = false;
+  bool cwnd_trace_on_ = false;
   std::vector<std::pair<Time, double>> cwnd_trace_;
 
   Stats stats_;

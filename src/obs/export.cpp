@@ -57,6 +57,10 @@ void write_chrome_trace(const TraceRecorder& rec, std::ostream& os) {
        << ",\"args\":{\"ord\":" << e.ord << ",\"a\":" << e.a
        << ",\"b\":" << e.b << "}}";
   }
+  if (const std::uint64_t dropped = rec.total_dropped(); dropped > 0)
+    os << ",{\"name\":\"trace_dropped\",\"ph\":\"M\",\"pid\":0,"
+          "\"args\":{\"dropped\":"
+       << dropped << "}}";
   os << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
@@ -71,6 +75,10 @@ void write_trace_jsonl(const TraceRecorder& rec, std::ostream& os) {
         .field("a", e.a)
         .field("b", e.b)
         .end_object();
+    os << "\n";
+  }
+  if (const std::uint64_t dropped = rec.total_dropped(); dropped > 0) {
+    json::Writer(os).begin_object().field("dropped", dropped).end_object();
     os << "\n";
   }
 }

@@ -11,6 +11,10 @@
 //   * JSONL: one flat object per line in merged order — the byte-stable,
 //     regression-diffable form the golden trace tests pin down.
 //
+// When the rings evicted events, the JSONL ends with a {"dropped":N} line
+// and the Chrome trace with a "trace_dropped" metadata event; with no
+// evictions neither appears.
+//
 // Both are deterministic byte-for-byte given a deterministic event stream
 // (see TraceRecorder::merged()).
 

@@ -5,8 +5,9 @@
 //
 //   * Compile-time: the W11_OBS preprocessor flag (CMake option of the same
 //     name, default ON). With -DW11_OBS=0 every instrumentation macro below
-//     expands to nothing and the instrumented subsystems carry zero
-//     observability code — the stance for a minimal embedded build.
+//     expands to nothing — the stance for a minimal embedded build. The
+//     recorder attached to a Simulator (Simulator::set_tracer) is not
+//     gated here: that debug path works in every build.
 //   * Runtime: with W11_OBS compiled in, recording still costs one relaxed
 //     bool load per site until TraceRecorder/MetricsRegistry are enabled
 //     (by tests, by the W11_TRACE environment variable, or explicitly).
@@ -41,19 +42,6 @@
     if (w11_tr.enabled())                                       \
       w11_tr.record_at((ts), (kind), (ord), (a), (b));          \
   } while (0)
-
-// Record a closed [begin, end] sim-time span.
-#define W11_TRACE_SPAN_AT(begin, end, kind, ord, a, b)          \
-  do {                                                          \
-    ::w11::obs::TraceRecorder& w11_tr = ::w11::obs::tracer();   \
-    if (w11_tr.enabled())                                       \
-      w11_tr.record_span((begin), (end), (kind), (ord), (a), (b)); \
-  } while (0)
-
-// RAII span on the process tracer: opens at the bound clock's current time,
-// closes (and records) when `var` leaves scope.
-#define W11_SCOPED_SPAN(var, kind, ord) \
-  ::w11::obs::ScopedSpan var = ::w11::obs::tracer().span((kind), (ord))
 
 // Bump a named counter on the process metrics registry. The handle is
 // resolved once per site (function-local static) on the first *enabled*
@@ -98,8 +86,6 @@
 
 #define W11_TRACE_EVENT(kind, ord, a, b) ((void)0)
 #define W11_TRACE_EVENT_AT(ts, kind, ord, a, b) ((void)0)
-#define W11_TRACE_SPAN_AT(begin, end, kind, ord, a, b) ((void)0)
-#define W11_SCOPED_SPAN(var, kind, ord) ((void)0)
 #define W11_COUNT_N(name_literal, n) ((void)0)
 #define W11_COUNT(name_literal) ((void)0)
 #define W11_GAUGE_SET(name_literal, v) ((void)0)

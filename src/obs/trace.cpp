@@ -50,11 +50,6 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
   return out;
 }
 
-std::size_t TraceRecorder::lanes() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  return rings_.size();
-}
-
 std::size_t TraceRecorder::total_events() const {
   std::lock_guard<std::mutex> lock(lanes_mu_);
   std::size_t total = 0;

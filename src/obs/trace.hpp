@@ -31,21 +31,34 @@
 
 namespace w11::obs {
 
-// Every instrumented site in the tree, grouped by category. New sites
-// append to their category block; the exporter maps categories to Perfetto
-// tracks.
+// Every instrumented site in the tree, one contiguous block per category
+// (category() relies on it). New sites append to their category block; the
+// exporter maps categories to Perfetto tracks.
 enum class TraceKind : std::uint16_t {
   // sim
   kSimEvent,        // one dispatched simulator event; ord = event seq
   // mac
   kAmpduTx,         // A-MPDU formation + airtime; a = MPDU bundles, b = batch frames
-  // fastack
-  kFastAckSynth,    // synthesized cumulative ACK; a = ack seq, b = rwnd
-  kFastAckWindowUpdate,
-  kFastAckSuppress, // client ACK suppressed; a = ack seq
-  kFastAckCacheServe,  // local retransmission burst; a = from seq, b = segments
-  kFastAckHoleDupAck,  // emulated dup-ACK for an upstream hole
-  kFastAckBypass,      // flow dropped to bypass
+  // fastack — the paper's fn. 9 "debug switches". ord = flow id, a = seq or
+  // ack, b = length, rwnd or count. Declared in datapath order so one
+  // flow's events at one instant sort causally under merged().
+  kFastAckFlowCreated,      // first segment of a flow; a = seq
+  kFastAckDataSpurious,     // case (i), dropped; a = seq, b = length
+  kFastAckDataRetransmit,   // case (ii), end-to-end retx; a = seq, b = length
+  kFastAckHoleDetected,     // case (iv); a = hole start, b = hole length
+  kFastAckHoleDupAck,       // emulated dup-ACK for the hole; a = ack, b = rwnd
+  kFastAckDataInOrder,      // case (iii); a = seq, b = length
+  kFastAckAirAck,           // 802.11 ACK absorbed into q_seq; a = seq, b = length
+  kFastAckSynth,            // synthesized cumulative ACK; a = ack, b = rwnd
+  kFastAckWindowUpdate,     // pure window update; a = ack, b = rwnd
+  kFastAckClientDupAck,     // duplicate client ACK; a = ack, b = dup count
+  kFastAckLocalRetransmit,  // one cached segment re-injected; a = seq, b = length
+  kFastAckCacheServe,       // the whole local retx burst; a = from seq, b = segments
+  kFastAckClientAckPassed,  // client ACK forwarded upstream; a = ack
+  kFastAckSuppress,         // client ACK suppressed; a = ack, b = rwnd
+  kFastAckMpduDropped,      // 802.11 retries exhausted; a = seq, b = length
+  kFastAckBypass,           // flow dropped to bypass; a = seq_fack, b = seq_exp
+  kFastAckFlowEvicted,      // idle-timeout or capacity GC; a = seq_fack
   // planner
   kNboRound,        // one NBO round; ord = round, a = picks, b = accepted
   kNboPick,         // one committed ACC decision; a = AP index, b = switched
@@ -67,12 +80,23 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
   switch (k) {
     case TraceKind::kSimEvent: return "sim.event";
     case TraceKind::kAmpduTx: return "mac.ampdu_tx";
+    case TraceKind::kFastAckFlowCreated: return "fastack.flow_created";
+    case TraceKind::kFastAckDataSpurious: return "fastack.data_spurious";
+    case TraceKind::kFastAckDataRetransmit: return "fastack.data_retx";
+    case TraceKind::kFastAckHoleDetected: return "fastack.hole_detected";
+    case TraceKind::kFastAckHoleDupAck: return "fastack.hole_dupack";
+    case TraceKind::kFastAckDataInOrder: return "fastack.data_in_order";
+    case TraceKind::kFastAckAirAck: return "fastack.air_ack";
     case TraceKind::kFastAckSynth: return "fastack.synth";
     case TraceKind::kFastAckWindowUpdate: return "fastack.window_update";
-    case TraceKind::kFastAckSuppress: return "fastack.suppress";
+    case TraceKind::kFastAckClientDupAck: return "fastack.client_dupack";
+    case TraceKind::kFastAckLocalRetransmit: return "fastack.local_retx";
     case TraceKind::kFastAckCacheServe: return "fastack.cache_serve";
-    case TraceKind::kFastAckHoleDupAck: return "fastack.hole_dupack";
+    case TraceKind::kFastAckClientAckPassed: return "fastack.client_ack_passed";
+    case TraceKind::kFastAckSuppress: return "fastack.suppress";
+    case TraceKind::kFastAckMpduDropped: return "fastack.mpdu_dropped";
     case TraceKind::kFastAckBypass: return "fastack.bypass";
+    case TraceKind::kFastAckFlowEvicted: return "fastack.flow_evicted";
     case TraceKind::kNboRound: return "planner.nbo_round";
     case TraceKind::kNboPick: return "planner.nbo_pick";
     case TraceKind::kCollectorPoll: return "telemetry.poll";
@@ -86,27 +110,15 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
   return "?";
 }
 
+// Each category is one contiguous block of the enum, in declaration order.
 [[nodiscard]] constexpr TraceCategory category(TraceKind k) {
-  switch (k) {
-    case TraceKind::kSimEvent: return TraceCategory::kSim;
-    case TraceKind::kAmpduTx: return TraceCategory::kMac;
-    case TraceKind::kFastAckSynth:
-    case TraceKind::kFastAckWindowUpdate:
-    case TraceKind::kFastAckSuppress:
-    case TraceKind::kFastAckCacheServe:
-    case TraceKind::kFastAckHoleDupAck:
-    case TraceKind::kFastAckBypass: return TraceCategory::kFastAck;
-    case TraceKind::kNboRound:
-    case TraceKind::kNboPick: return TraceCategory::kPlanner;
-    case TraceKind::kCollectorPoll: return TraceCategory::kTelemetry;
-    case TraceKind::kRolloutApply:
-    case TraceKind::kRolloutWave:
-    case TraceKind::kRolloutRevert: return TraceCategory::kCtrl;
-    case TraceKind::kHealthBreach:
-    case TraceKind::kHealthRecovery:
-    case TraceKind::kPostmortem: return TraceCategory::kHealth;
-  }
-  return TraceCategory::kSim;
+  if (k < TraceKind::kAmpduTx) return TraceCategory::kSim;
+  if (k < TraceKind::kFastAckFlowCreated) return TraceCategory::kMac;
+  if (k < TraceKind::kNboRound) return TraceCategory::kFastAck;
+  if (k < TraceKind::kCollectorPoll) return TraceCategory::kPlanner;
+  if (k < TraceKind::kRolloutApply) return TraceCategory::kTelemetry;
+  if (k < TraceKind::kHealthBreach) return TraceCategory::kCtrl;
+  return TraceCategory::kHealth;
 }
 
 [[nodiscard]] constexpr const char* to_string(TraceCategory c) {
@@ -188,7 +200,6 @@ class TraceRecorder {
   // recording), e.g. after parallel_for returned.
   [[nodiscard]] std::vector<TraceEvent> merged() const;
 
-  [[nodiscard]] std::size_t lanes() const;
   [[nodiscard]] std::size_t total_events() const;
   [[nodiscard]] std::uint64_t total_dropped() const;
   void clear();

@@ -4,10 +4,10 @@
 
 #include "common/check.hpp"
 #include "obs/gate.hpp"
+#include "obs/trace.hpp"
 
 #if W11_OBS
 #include "obs/export.hpp"
-#include "obs/trace.hpp"
 #endif
 
 namespace w11::scenario {
@@ -241,10 +241,10 @@ Testbed::Health Testbed::health() const {
     if (i == 0 || per[i] < h.client_min_mbps) h.client_min_mbps = per[i];
     if (i == 0 || per[i] > h.client_max_mbps) h.client_max_mbps = per[i];
   }
-#if W11_OBS
-  h.trace_events = obs::tracer().total_events();
-  h.trace_dropped = obs::tracer().total_dropped();
-#endif
+  if (const obs::TraceRecorder* t = sim_.tracer()) {
+    h.trace_events = t->total_events();
+    h.trace_dropped = t->total_dropped();
+  }
   return h;
 }
 

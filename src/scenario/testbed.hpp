@@ -112,7 +112,8 @@ class Testbed {
   [[nodiscard]] std::vector<double> mean_ampdu_per_client(int ap_idx) const;
 
   // Condensed run health for bench mains and the fleet health engine
-  // (plain types only; trace fields are zero in W11_OBS=0 builds).
+  // (plain types only; the trace fields read the recorder attached to the
+  // simulator and are zero when none is).
   struct Health {
     int aps = 0;
     int clients = 0;

@@ -22,18 +22,12 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
-#include "common/fnv.hpp"
 #include "common/time.hpp"
-#include "obs/gate.hpp"
+#include "obs/trace.hpp"
 #include "sim/event_arena.hpp"
 #include "sim/small_fn.hpp"
-
-#if W11_OBS
-#include "obs/trace.hpp"
-#endif
 
 namespace w11 {
 
@@ -73,46 +67,24 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return live_events_; }
   [[nodiscard]] std::uint64_t processed_events() const { return processed_; }
 
-  // --- execution-order observability (golden tests) ----------------------
-  // Record every processed event's (time, seq). The digest is an FNV-1a
-  // fold over the full stream; the trace vector keeps the first `capacity`
-  // entries so mismatches are debuggable without unbounded memory.
-  struct ProcessedEvent {
-    Time at;
-    std::uint64_t seq;
-    friend constexpr bool operator==(const ProcessedEvent&,
-                                     const ProcessedEvent&) = default;
-  };
-  void enable_event_trace(std::size_t capacity = 1u << 20);
-  [[nodiscard]] const std::vector<ProcessedEvent>& event_trace() const {
-    return trace_;
-  }
-  [[nodiscard]] std::uint64_t event_digest() const { return digest_; }
-
   // --- structured tracing (DESIGN.md §12) --------------------------------
   // Attach an obs recorder: every dispatched event records a kSimEvent
   // stamped with its (sim time, seq), and the recorder's clock is bound to
   // this simulator so sim-attached instrumentation sites (AP, FastACK)
-  // stamp sim virtual time. Detached (default) the hot loop pays one null
-  // check. Compiled out entirely under W11_OBS=0.
-#if W11_OBS
+  // stamp sim virtual time. Attaching is the runtime debug switch of the
+  // packet-level testbed and works in every build, including the one that
+  // compiles the process-global instrumentation out (obs/gate.hpp).
+  // Detached (default) the hot loop pays one null check. Any previously
+  // attached recorder is unbound from this simulator's clock.
   void set_tracer(obs::TraceRecorder* t) {
-    if (tracer_ != nullptr && t == nullptr) tracer_->bind_clock(nullptr);
+    if (tracer_ != nullptr) tracer_->bind_clock(nullptr);
     tracer_ = t;
     if (tracer_ != nullptr) tracer_->bind_clock(&now_);
   }
   [[nodiscard]] obs::TraceRecorder* tracer() const { return tracer_; }
-#endif
 
  private:
   void pop_and_run();
-
-  void note_processed(Time at, std::uint64_t seq) {
-    if (!trace_on_) return;
-    fnv::mix_word(digest_, static_cast<std::uint64_t>(at.ns()));
-    fnv::mix_word(digest_, seq);
-    if (trace_.size() < trace_capacity_) trace_.push_back({at, seq});
-  }
 
   Time now_{};
   std::uint64_t next_seq_ = 0;
@@ -125,14 +97,7 @@ class Simulator {
   sim_detail::ArenaTag* tag_ = nullptr;
   sim_detail::TimerHeap heap_;
 
-#if W11_OBS
   obs::TraceRecorder* tracer_ = nullptr;
-#endif
-
-  bool trace_on_ = false;
-  std::size_t trace_capacity_ = 0;
-  std::uint64_t digest_ = fnv::kOffsetBasis;
-  std::vector<ProcessedEvent> trace_;
 
   friend class EventHandle;
 };
@@ -248,11 +213,8 @@ inline void Simulator::pop_and_run() {
     return;
   }
   ++processed_;
-  note_processed(entry.at, entry.seq);
-#if W11_OBS
   if (tracer_ != nullptr)
     tracer_->record_at(entry.at, obs::TraceKind::kSimEvent, entry.seq);
-#endif
   // Run the callback in place: the slot is off the free list while it
   // executes and chunk addresses are stable, so the captures cannot move
   // or be overwritten even if the callback schedules new events. release()

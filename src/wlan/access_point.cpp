@@ -228,9 +228,10 @@ mac::TxDescriptor AccessPoint::begin_txop(AccessCategory ac) {
   txop.n_bundles = bundles;
   // The A-MPDU occupies [now, now+duration] on the air; the sim is
   // single-threaded, so processed_events() is a deterministic ordinal.
-  W11_TRACE_SPAN_AT(sim_.now(), sim_.now() + duration,
-                    ::w11::obs::TraceKind::kAmpduTx, sim_.processed_events(),
-                    static_cast<std::uint64_t>(bundles), txop.batch.size());
+  if (obs::TraceRecorder* t = sim_.tracer())
+    t->record_span(sim_.now(), sim_.now() + duration, obs::TraceKind::kAmpduTx,
+                   sim_.processed_events(),
+                   static_cast<std::uint64_t>(bundles), txop.batch.size());
   W11_HISTOGRAM("mac.ampdu_bundles", bundles);
   W11_HISTOGRAM("mac.ampdu_frames", txop.batch.size());
   pending_[aci] = std::move(txop);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/fastack/agent.hpp"
+#include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 
 namespace w11 {
@@ -502,20 +503,20 @@ TEST_F(FastAckRig, IdleFlowsCollectedBeforeCapacityEviction) {
 
 // ----------------------------------------------------------- invariants --
 
-// trace_capacity = 0 with tracing on keeps no record but counts every
-// event it would have kept.
+// A capacity-0 recorder attached for tracing keeps no record but counts
+// every event it would have kept.
 TEST_F(FastAckRig, ZeroTraceCapacityCountsEveryEventAsDropped) {
-  FastAckAgent::Config cfg;
-  cfg.trace_enabled = true;
-  cfg.trace_capacity = 0;
-  init(cfg);
+  obs::TraceRecorder rec(/*per_lane_capacity=*/0);
+  rec.set_enabled(true);
+  sim_.set_tracer(&rec);
   for (int i = 0; i < 3; ++i) {
     TcpSegment seg = data(1460u * static_cast<std::uint64_t>(i));
     agent_->on_downlink_data(seg);
   }
   air_ack(0);
-  EXPECT_EQ(agent_->trace_ring().size(), 0u);
-  EXPECT_GT(agent_->trace_ring().dropped(), 0u);
+  sim_.set_tracer(nullptr);  // rec dies before the rig's simulator
+  EXPECT_EQ(rec.total_events(), 0u);
+  EXPECT_GT(rec.total_dropped(), 0u);
 }
 
 TEST_F(FastAckRig, InvariantSeqFackNeverExceedsSeqExp) {

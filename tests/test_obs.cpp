@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/turboca/turboca.hpp"
 #include "exec/task_pool.hpp"
@@ -178,8 +181,8 @@ TEST(TraceRecorder, MergedOrdersByTimestampThenOrdinal) {
 }
 
 // -------------------------------------------------------- Simulator tracing
+// Attaching a recorder works in every build, W11_OBS=0 included.
 
-#if W11_OBS
 TEST(SimTracing, RecordsOneEventPerDispatchWithSimTimestamps) {
   Simulator sim;
   TraceRecorder rec;
@@ -205,18 +208,25 @@ TEST(SimTracing, AttachedTracerDoesNotPerturbExecution) {
     Simulator sim;
     if (rec != nullptr) sim.set_tracer(rec);
     Rng rng(99);
+    // What the callbacks observed, in execution order: (now, label).
+    std::uint64_t digest = fnv::kOffsetBasis;
+    auto note = [&](std::uint64_t label) {
+      fnv::mix_word(digest, static_cast<std::uint64_t>(sim.now().ns()));
+      fnv::mix_word(digest, label);
+    };
     // A self-rescheduling chain plus scattered one-shots: enough structure
     // that any tracer-induced divergence would move the digest.
     std::function<void(int)> chain = [&](int depth) {
+      note(static_cast<std::uint64_t>(depth));
       if (depth == 0) return;
       sim.schedule_after(time::micros(rng.uniform_int(1, 50)),
                          [&chain, depth] { chain(depth - 1); });
     };
     chain(200);
     for (int i = 0; i < 100; ++i)
-      sim.schedule_at(time::micros(rng.uniform_int(0, 5000)), [] {});
+      sim.schedule_at(time::micros(rng.uniform_int(0, 5000)),
+                      [&note, i] { note(1000u + static_cast<unsigned>(i)); });
     sim.run();
-    const auto digest = sim.event_digest();
     if (rec != nullptr) sim.set_tracer(nullptr);
     return std::pair(digest, sim.processed_events());
   };
@@ -229,7 +239,24 @@ TEST(SimTracing, AttachedTracerDoesNotPerturbExecution) {
   EXPECT_EQ(bare.second, traced.second);
   EXPECT_EQ(rec.total_events() + rec.total_dropped(), traced.second);
 }
-#endif  // W11_OBS
+
+// Attaching B over A must unbind A from the simulator's clock: otherwise A
+// keeps reading the simulator's time after the simulator is gone.
+TEST(SimTracing, ReplacedRecorderIsUnboundFromTheClock) {
+  TraceRecorder a;
+  TraceRecorder b;
+  a.set_enabled(true);
+  auto sim = std::make_unique<Simulator>();
+  sim->schedule_at(time::micros(3), [] {});
+  sim->run();
+  sim->set_tracer(&a);
+  sim->set_tracer(&b);
+  sim.reset();
+  a.record(TraceKind::kSimEvent, 1);
+  const auto ev = a.merged();
+  ASSERT_EQ(ev.size(), 1u);
+  EXPECT_EQ(ev[0].ts_ns, 0);  // unbound clock stamps Time{0}
+}
 
 // ----------------------------------------------------------------- Metrics
 

@@ -7,8 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "oracle/reference_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "sim_trace.hpp"
 
 namespace w11 {
 namespace {
@@ -336,19 +338,22 @@ TEST(Simulator, SlotRecyclingKeepsArenaBounded) {
 }
 
 TEST(Simulator, EventTraceRecordsTimeAndSeq) {
+  obs::TraceRecorder rec;
+  rec.set_enabled(true);
   Simulator sim;
-  sim.enable_event_trace();
+  sim.set_tracer(&rec);
   sim.schedule_at(time::millis(2), [] {});
   sim.schedule_at(time::millis(1), [] {});
   EventHandle h = sim.schedule_at(time::millis(3), [] {});
   h.cancel();
   sim.run();
-  ASSERT_EQ(sim.event_trace().size(), 2u);  // cancelled event not processed
-  EXPECT_EQ(sim.event_trace()[0].at, time::millis(1));
-  EXPECT_EQ(sim.event_trace()[0].seq, 1u);
-  EXPECT_EQ(sim.event_trace()[1].at, time::millis(2));
-  EXPECT_EQ(sim.event_trace()[1].seq, 0u);
-  EXPECT_NE(sim.event_digest(), 0u);
+  const std::vector<obs::TraceEvent> trace = dispatch_stream(rec);
+  ASSERT_EQ(trace.size(), 2u);  // cancelled event not processed
+  EXPECT_EQ(trace[0].ts_ns, time::millis(1).ns());
+  EXPECT_EQ(trace[0].ord, 1u);
+  EXPECT_EQ(trace[1].ts_ns, time::millis(2).ns());
+  EXPECT_EQ(trace[1].ord, 0u);
+  EXPECT_NE(dispatch_digest(rec), 0u);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 //   EngineGolden.*        — synthetic random workloads (nested scheduling,
 //                           cancellations, same-instant bursts) must produce
 //                           bit-for-bit identical processed-event traces on
-//                           the arena Simulator and on the pre-overhaul
+//                           the arena Simulator (read back from an attached
+//                           obs::TraceRecorder) and on the pre-overhaul
 //                           oracle::ReferenceSimulator.
 //   EngineGoldenTestbed.* — full testbed scenarios (FastACK on) must produce
 //                           pinned constants: the event digest AND the
@@ -22,13 +23,16 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 #include "oracle/reference_simulator.hpp"
 #include "scenario/testbed.hpp"
 #include "sim/simulator.hpp"
+#include "sim_trace.hpp"
 
 namespace w11 {
 namespace {
@@ -36,10 +40,13 @@ namespace {
 // A randomized self-scheduling workload: each event may spawn followers at
 // random offsets (including zero — same-instant ties), cancel a random
 // outstanding handle, or go quiet. Runs identically on any engine because
-// all randomness comes from the seeded Rng. `Sim` is Simulator or
-// oracle::ReferenceSimulator.
+// all randomness comes from the seeded Rng. `Sim` is Simulator (traced
+// through an attached recorder) or oracle::ReferenceSimulator (its own
+// trace).
+using ProcessedEvent = oracle::ReferenceSimulator::ProcessedEvent;
+
 struct WorkloadResult {
-  std::vector<Simulator::ProcessedEvent> trace;
+  std::vector<ProcessedEvent> trace;
   std::uint64_t digest = 0;
   std::uint64_t processed = 0;
   Time end{};
@@ -47,8 +54,15 @@ struct WorkloadResult {
 
 template <class Sim>
 WorkloadResult run_synthetic(std::uint64_t seed) {
+  constexpr bool kArena = std::is_same_v<Sim, Simulator>;
+  obs::TraceRecorder rec;  // outlives sim, which unbinds it on destruction
+  rec.set_enabled(true);
   Sim sim;
-  sim.enable_event_trace();
+  if constexpr (kArena) {
+    sim.set_tracer(&rec);
+  } else {
+    sim.enable_event_trace();
+  }
   Rng rng(seed);
   std::vector<decltype(sim.schedule_at(Time{}, [] {}))> handles;
   std::uint64_t spawned = 0;
@@ -71,8 +85,16 @@ WorkloadResult run_synthetic(std::uint64_t seed) {
     ++spawned;
   }
   sim.run();
-  return {sim.event_trace(), sim.event_digest(), sim.processed_events(),
-          sim.now()};
+  if constexpr (kArena) {
+    std::vector<ProcessedEvent> trace;
+    for (const obs::TraceEvent& e : dispatch_stream(rec))
+      trace.push_back({Time{e.ts_ns}, e.ord});
+    return {std::move(trace), dispatch_digest(rec), sim.processed_events(),
+            sim.now()};
+  } else {
+    return {sim.event_trace(), sim.event_digest(), sim.processed_events(),
+            sim.now()};
+  }
 }
 
 class EngineGolden : public ::testing::TestWithParam<std::uint64_t> {};
@@ -108,7 +130,13 @@ struct TestbedResult {
   std::uint64_t acks_suppressed;
 };
 
+// Enough per-lane capacity for the longest run (seed 3: 199,622 events).
+constexpr std::size_t kTestbedTraceCapacity = std::size_t{1} << 18;
+
 TestbedResult run_testbed(std::uint64_t seed) {
+  obs::TraceRecorder rec(kTestbedTraceCapacity);
+  rec.set_enabled(true);
+  rec.set_category_mask(obs::category_bit(obs::TraceCategory::kSim));
   scenario::TestbedConfig cfg;
   cfg.seed = seed;
   cfg.n_aps = 1;
@@ -117,11 +145,11 @@ TestbedResult run_testbed(std::uint64_t seed) {
   cfg.duration = time::seconds(2);
   cfg.warmup = time::millis(500);
   scenario::Testbed tb(cfg);
-  tb.simulator().enable_event_trace(/*capacity=*/0);  // digest only
+  tb.simulator().set_tracer(&rec);
   tb.run();
 
   TestbedResult r{};
-  r.digest = tb.simulator().event_digest();
+  r.digest = dispatch_digest(rec);
   r.processed = tb.simulator().processed_events();
   r.throughput_bits =
       std::bit_cast<std::uint64_t>(tb.aggregate_throughput_mbps());

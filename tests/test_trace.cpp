@@ -1,56 +1,68 @@
-// Tests for the FastACK debug-trace facility (paper fn. 9).
+// Tests for the FastACK debug trace (paper fn. 9): the agent's datapath
+// events as records in the obs::TraceRecorder attached to its simulator.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/fastack/agent.hpp"
-#include "core/fastack/trace.hpp"
+#include "obs/export.hpp"
+#include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 
 namespace w11 {
 namespace {
 
-using fastack::TraceEvent;
-using fastack::TraceRecord;
-using fastack::TraceRing;
+using obs::TraceEvent;
+using obs::TraceKind;
+using obs::TraceRecorder;
 
 TEST(TraceRecord, RendersHumanReadable) {
-  const TraceRecord r{time::millis(3), FlowId{7}, TraceEvent::kLocalRetransmit,
-                      1460, 1460};
-  const std::string s = r.to_string();
-  EXPECT_NE(s.find("local-retx"), std::string::npos);
-  EXPECT_NE(s.find("flow7"), std::string::npos);
-  EXPECT_NE(s.find("seq=1460"), std::string::npos);
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  rec.record_at(time::millis(3), TraceKind::kFastAckLocalRetransmit,
+                /*flow=*/7, /*seq=*/1460, /*length=*/1460);
+  const std::string s = obs::trace_jsonl_string(rec);
+  EXPECT_NE(s.find("\"kind\":\"fastack.local_retx\""), std::string::npos);
+  EXPECT_NE(s.find("\"ts\":3000000"), std::string::npos);
+  EXPECT_NE(s.find("\"ord\":7"), std::string::npos);
+  EXPECT_NE(s.find("\"a\":1460"), std::string::npos);
 }
 
 TEST(TraceRing, EvictsOldestWhenFull) {
-  TraceRing ring(4);
+  TraceRecorder rec(4);
+  rec.set_enabled(true);
   for (int i = 0; i < 10; ++i)
-    ring.push({time::millis(i), FlowId{1}, TraceEvent::kAirAck,
-               static_cast<std::uint64_t>(i), 0});
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  EXPECT_EQ(ring[0].seq, 6u);
-  EXPECT_EQ(ring.back().seq, 9u);
+    rec.record_at(time::millis(i), TraceKind::kFastAckAirAck, 1,
+                  static_cast<std::uint64_t>(i));
+  const std::vector<TraceEvent> ev = rec.merged();
+  EXPECT_EQ(ev.size(), 4u);
+  EXPECT_EQ(rec.total_dropped(), 6u);
+  EXPECT_EQ(ev.front().a, 6u);
+  EXPECT_EQ(ev.back().a, 9u);
 }
 
 TEST(TraceRing, DumpMentionsEvictions) {
-  TraceRing ring(2);
+  TraceRecorder rec(2);
+  rec.set_enabled(true);
   for (int i = 0; i < 5; ++i)
-    ring.push({Time{}, FlowId{1}, TraceEvent::kFastAck, 0, 0});
-  std::ostringstream os;
-  dump(ring, os);
-  EXPECT_NE(os.str().find("3 older records evicted"), std::string::npos);
+    rec.record_at(Time{}, TraceKind::kFastAckSynth, 1);
+  EXPECT_TRUE(obs::trace_jsonl_string(rec).ends_with("{\"dropped\":3}\n"));
+  EXPECT_NE(obs::chrome_trace_string(rec).find("\"args\":{\"dropped\":3}"),
+            std::string::npos);
+  rec.clear();  // no evictions left: no dropped marker
+  EXPECT_EQ(obs::trace_jsonl_string(rec).find("dropped"), std::string::npos);
 }
 
 TEST(TraceEventNames, AllDistinct) {
   std::set<std::string> names;
-  for (int e = 0; e <= static_cast<int>(TraceEvent::kMpduDropped); ++e)
-    names.insert(to_string(static_cast<TraceEvent>(e)));
+  for (int e = 0; e <= static_cast<int>(TraceKind::kPostmortem); ++e)
+    names.insert(to_string(static_cast<TraceKind>(e)));
   EXPECT_EQ(names.size(),
-            static_cast<std::size_t>(TraceEvent::kMpduDropped) + 1);
+            static_cast<std::size_t>(TraceKind::kPostmortem) + 1);
 }
 
 // ----------------------------------------------------- agent integration --
@@ -62,60 +74,64 @@ TEST(AgentTracing, DisabledByDefault) {
   cfg.fastack = {true};
   scenario::Testbed tb(cfg);
   tb.run();
-  EXPECT_EQ(tb.agent(0)->trace_ring().size(), 0u);
+  EXPECT_EQ(tb.health().trace_events, 0u);
 }
 
 TEST(AgentTracing, RecordsTheExpectedEventSequence) {
+  TraceRecorder rec(1 << 20);  // hold the whole run
+  rec.set_enabled(true);
+  rec.set_category_mask(obs::category_bit(obs::TraceCategory::kFastAck));
   scenario::TestbedConfig cfg;
   cfg.n_clients_per_ap = 2;
   cfg.duration = time::millis(500);
   cfg.warmup = time::millis(0);
   cfg.fastack = {true};
-  cfg.agent.trace_enabled = true;
-  cfg.agent.trace_capacity = 1 << 20;  // hold the whole run
   scenario::Testbed tb(cfg);
+  tb.simulator().set_tracer(&rec);
   tb.run();
 
-  const TraceRing& trace = tb.agent(0)->trace_ring();
+  const std::vector<TraceEvent> trace = rec.merged();
   ASSERT_GT(trace.size(), 100u);
 
   // Every event class of the steady state shows up.
-  std::map<TraceEvent, int> counts;
-  for (const auto& r : trace) ++counts[r.event];
-  EXPECT_EQ(counts[TraceEvent::kFlowCreated], 2);
-  EXPECT_GT(counts[TraceEvent::kDataInOrder], 50);
-  EXPECT_GT(counts[TraceEvent::kAirAck], 50);
-  EXPECT_GT(counts[TraceEvent::kFastAck], 50);
-  EXPECT_GT(counts[TraceEvent::kClientAckSuppressed], 10);
+  std::map<TraceKind, int> counts;
+  for (const auto& r : trace) ++counts[r.kind];
+  EXPECT_EQ(counts[TraceKind::kFastAckFlowCreated], 2);
+  EXPECT_GT(counts[TraceKind::kFastAckDataInOrder], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckAirAck], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckSynth], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckSuppress], 10);
 
   // The very first event of a flow is its creation.
-  EXPECT_EQ(trace[0].event, TraceEvent::kFlowCreated);
+  EXPECT_EQ(trace[0].kind, TraceKind::kFastAckFlowCreated);
 
   // Timestamps are non-decreasing.
   for (std::size_t i = 1; i < trace.size(); ++i)
-    EXPECT_GE(trace[i].at, trace[i - 1].at);
+    EXPECT_GE(trace[i].ts_ns, trace[i - 1].ts_ns);
 }
 
 TEST(AgentTracing, CapturesLossRecoveryStory) {
-  // With bad hints the ring must show client dupacks followed by local
+  // With bad hints the trace must show client dupacks followed by local
   // retransmissions — the §5.5.1 recovery in one readable dump.
+  TraceRecorder rec(1 << 18);
+  rec.set_enabled(true);
+  rec.set_category_mask(obs::category_bit(obs::TraceCategory::kFastAck));
   scenario::TestbedConfig cfg;
   cfg.n_clients_per_ap = 2;
   cfg.duration = time::seconds(2);
   cfg.fastack = {true};
   cfg.bad_hint_rate = 0.05;
-  cfg.agent.trace_enabled = true;
-  cfg.agent.trace_capacity = 1 << 18;
   cfg.seed = 11;
   scenario::Testbed tb(cfg);
+  tb.simulator().set_tracer(&rec);
   tb.run();
 
-  const TraceRing& trace = tb.agent(0)->trace_ring();
+  const std::vector<TraceEvent> trace = rec.merged();
   bool saw_dupack_then_retx = false;
   for (std::size_t i = 0; i + 1 < trace.size() && !saw_dupack_then_retx; ++i) {
-    if (trace[i].event == TraceEvent::kClientDupAck) {
+    if (trace[i].kind == TraceKind::kFastAckClientDupAck) {
       for (std::size_t j = i + 1; j < std::min(trace.size(), i + 8); ++j) {
-        if (trace[j].event == TraceEvent::kLocalRetransmit) {
+        if (trace[j].kind == TraceKind::kFastAckLocalRetransmit) {
           saw_dupack_then_retx = true;
           break;
         }
