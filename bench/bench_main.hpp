@@ -39,8 +39,9 @@ inline const char* build_type() {
 //     still honors an explicit --benchmark_out, which stays debug-tagged) —
 //     so an unoptimized run cannot silently overwrite the committed
 //     release numbers.
-// With W11_TRACE set, the obs tracer/metrics run for the process and the
-// trace/metrics artifacts export on exit (same writers the testbed uses).
+// With W11_TRACE set, the obs metrics run for the process and export on
+// exit as w11_bench_trace_metrics.json; a Testbed inside the bench exports
+// its own trace.
 inline int run_benchmark_main(int argc, char** argv, const char* default_out) {
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag = std::string("--benchmark_out=") + default_out;
@@ -73,7 +74,7 @@ inline int run_benchmark_main(int argc, char** argv, const char* default_out) {
   benchmark::Shutdown();
 #if W11_OBS
   if (tracing)
-    obs::export_global(obs::trace_out_path("w11_bench_trace.json"));
+    obs::export_run(nullptr, obs::trace_out_path("w11_bench_trace.json"));
 #endif
   return 0;
 }

@@ -178,11 +178,9 @@ int main() {
       twin_ok);
 
   // --- fleet health engine + flight recorder demo --------------------------
-  // Sequential on purpose: a health run owns the process-global
-  // tracer/metrics registries, so it must never share them with a
-  // concurrent twin. The faulty shape above guarantees reverts, so the
-  // recorder dumps postmortems — and they must be byte-identical whether
-  // the planner scored on 1 worker or 4.
+  // The faulty shape above guarantees reverts, so the recorder dumps
+  // postmortems — and they must be byte-identical whether the planner
+  // scored on 1 worker or 4.
   auto health_cfg = [](exec::TaskPool* p) {
     scenario::RolloutScenarioConfig cfg = sweep_config(1, 62, 16);
     cfg.health = true;

@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "core/turboca/plan_context.hpp"
 #include "obs/audit.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::turboca {
 
@@ -166,10 +165,6 @@ void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
   const bool switched = !(from == to);
   ++round_picks_;
   if (switched) ++round_switches_;
-  // Ordinal: cumulative pick count across every sweep, strictly increasing.
-  W11_TRACE_EVENT(::w11::obs::TraceKind::kNboPick, picks_, ap,
-                  switched ? 1 : 0);
-  ++picks_;
   if (audit_ == nullptr) return;
   // Read-only re-evaluation of the committed decision: draws no RNG and
   // mutates nothing, so plans are identical with or without the audit.
@@ -229,9 +224,6 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
     } else {
       ctx.rollback_round();
     }
-    W11_TRACE_EVENT(::w11::obs::TraceKind::kNboRound,
-                    static_cast<std::uint64_t>(r), round_picks_,
-                    accepted ? 1 : 0);
     if (audit_ != nullptr) {
       obs::RoundRecord rr;
       rr.round = static_cast<std::uint32_t>(r);

@@ -141,7 +141,6 @@ class TurboCA {
   Params params_;
   Rng rng_;
   exec::TaskPool* pool_ = nullptr;
-  std::uint64_t picks_ = 0;  // committed picks, all sweeps (kNboPick ord)
   obs::PlanAudit* audit_ = nullptr;
   std::uint32_t audit_round_ = 0;   // NBO round within the current run()
   std::uint32_t round_picks_ = 0;   // picks committed in the current round

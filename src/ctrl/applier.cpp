@@ -103,7 +103,8 @@ void PlanApplier::on_ack(std::uint64_t gen, std::size_t idx) {
   ++wave_applied_;
   W11_COUNT("ctrl.applies");
   W11_HISTOGRAM("ctrl.apply_latency_ms", (sim_.now() - t.started).ms());
-  W11_TRACE_EVENT(::w11::obs::TraceKind::kRolloutApply, t.ap,
+  if (obs::TraceRecorder* tr = sim_.tracer())
+    tr->record_at(sim_.now(), obs::TraceKind::kRolloutApply, t.ap,
                   static_cast<std::uint64_t>(t.attempts), switched ? 1 : 0);
   finish(t, ApState::kApplied);
 }

@@ -207,7 +207,8 @@ void RolloutCoordinator::launch_wave() {
   audit_.add({RolloutAudit::Record::Kind::kWave, sim_.now().ns(), version_,
               static_cast<std::uint32_t>(wave_idx_),
               static_cast<std::uint32_t>(targets.size())});
-  W11_TRACE_EVENT(::w11::obs::TraceKind::kRolloutWave, wave_idx_,
+  if (obs::TraceRecorder* tr = sim_.tracer())
+    tr->record_at(sim_.now(), obs::TraceKind::kRolloutWave, wave_idx_,
                   targets.size(), version_);
   W11_COUNT("ctrl.waves");
   applier_.begin_wave(std::move(targets), version_, [this, e = epoch_] {
@@ -308,7 +309,8 @@ void RolloutCoordinator::revert(RevertReason reason) {
               static_cast<std::uint32_t>(wave_idx_),
               static_cast<std::uint32_t>(touched_.size()), 0, 0, 0.0, 0.0,
               0.0, 0.0, false, false, reason});
-  W11_TRACE_EVENT(::w11::obs::TraceKind::kRolloutRevert, rollout_ord_,
+  if (obs::TraceRecorder* tr = sim_.tracer())
+    tr->record_at(sim_.now(), obs::TraceKind::kRolloutRevert, rollout_ord_,
                   static_cast<std::uint64_t>(reason), touched_.size());
   W11_COUNT("ctrl.reverts");
 

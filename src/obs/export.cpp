@@ -34,8 +34,8 @@ void write_chrome_trace(const TraceRecorder& rec, std::ostream& os) {
   bool first = true;
   for (const TraceCategory cat :
        {TraceCategory::kSim, TraceCategory::kMac, TraceCategory::kFastAck,
-        TraceCategory::kPlanner, TraceCategory::kTelemetry,
-        TraceCategory::kCtrl, TraceCategory::kHealth}) {
+        TraceCategory::kTelemetry, TraceCategory::kCtrl,
+        TraceCategory::kHealth}) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
@@ -110,16 +110,19 @@ std::string metrics_json_string(const MetricsRegistry& reg) {
   return os.str();
 }
 
-bool export_global(const std::string& chrome_path) {
+bool export_run(const TraceRecorder* rec, const std::string& chrome_path) {
   const std::string stem = chrome_path.ends_with(".json")
                                ? chrome_path.substr(0, chrome_path.size() - 5)
                                : chrome_path;
-  std::ofstream chrome(chrome_path);
-  std::ofstream jsonl(stem + ".jsonl");
   std::ofstream mjson(stem + "_metrics.json");
-  if (!chrome || !jsonl || !mjson) return false;
-  write_chrome_trace(tracer(), chrome);
-  write_trace_jsonl(tracer(), jsonl);
+  if (!mjson) return false;
+  if (rec != nullptr) {
+    std::ofstream chrome(chrome_path);
+    std::ofstream jsonl(stem + ".jsonl");
+    if (!chrome || !jsonl) return false;
+    write_chrome_trace(*rec, chrome);
+    write_trace_jsonl(*rec, jsonl);
+  }
   write_metrics_json(metrics(), mjson);
   return true;
 }

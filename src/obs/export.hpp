@@ -38,11 +38,13 @@ void write_metrics_json(const MetricsRegistry& reg, std::ostream& os);
 [[nodiscard]] std::string trace_jsonl_string(const TraceRecorder& rec);
 [[nodiscard]] std::string metrics_json_string(const MetricsRegistry& reg);
 
-// Write the full export set for the process-global tracer/metrics:
+// Write the W11_TRACE export set for a run's recorder `rec` plus the
+// process metrics registry:
 //   <path>        — Chrome trace JSON
 //   <path>l       — JSONL dump (".jsonl" when path ends in ".json")
 //   <path stem>_metrics.json
-// Returns false (and writes nothing else) if any file fails to open.
-bool export_global(const std::string& chrome_path);
+// With rec == nullptr only the metrics dump is written. Returns false (and
+// writes nothing else) if any file fails to open.
+bool export_run(const TraceRecorder* rec, const std::string& chrome_path);
 
 }  // namespace w11::obs

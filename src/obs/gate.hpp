@@ -1,16 +1,19 @@
 #pragma once
 // Observability gating (DESIGN.md §12).
 //
+// The macros below feed the process metrics registry. Trace events are not
+// gated here: every one goes to a recorder the run owns, usually the one
+// attached to its Simulator (Simulator::set_tracer), and records in every
+// build.
+//
 // Two gates stack:
 //
 //   * Compile-time: the W11_OBS preprocessor flag (CMake option of the same
-//     name, default ON). With -DW11_OBS=0 every instrumentation macro below
-//     expands to nothing — the stance for a minimal embedded build. The
-//     recorder attached to a Simulator (Simulator::set_tracer) is not
-//     gated here: that debug path works in every build.
+//     name, default ON). With -DW11_OBS=0 every metrics macro below expands
+//     to nothing — the stance for a minimal embedded build.
 //   * Runtime: with W11_OBS compiled in, recording still costs one relaxed
-//     bool load per site until TraceRecorder/MetricsRegistry are enabled
-//     (by tests, by the W11_TRACE environment variable, or explicitly).
+//     bool load per site until the MetricsRegistry is enabled (by tests, by
+//     the W11_TRACE environment variable, or explicitly).
 //     bench_flowsim medians with instrumentation compiled in but disabled
 //     must stay within noise of the uninstrumented build.
 //
@@ -25,23 +28,6 @@
 #if W11_OBS
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
-// Record one instant event on the process tracer (timestamp from the bound
-// clock, Time{0} when none is bound).
-#define W11_TRACE_EVENT(kind, ord, a, b)                        \
-  do {                                                          \
-    ::w11::obs::TraceRecorder& w11_tr = ::w11::obs::tracer();   \
-    if (w11_tr.enabled()) w11_tr.record((kind), (ord), (a), (b)); \
-  } while (0)
-
-// Record one instant event with an explicit sim-time stamp.
-#define W11_TRACE_EVENT_AT(ts, kind, ord, a, b)                 \
-  do {                                                          \
-    ::w11::obs::TraceRecorder& w11_tr = ::w11::obs::tracer();   \
-    if (w11_tr.enabled())                                       \
-      w11_tr.record_at((ts), (kind), (ord), (a), (b));          \
-  } while (0)
 
 // Bump a named counter on the process metrics registry. The handle is
 // resolved once per site (function-local static) on the first *enabled*
@@ -84,8 +70,6 @@
 
 #else  // W11_OBS == 0: every macro vanishes, arguments unevaluated.
 
-#define W11_TRACE_EVENT(kind, ord, a, b) ((void)0)
-#define W11_TRACE_EVENT_AT(ts, kind, ord, a, b) ((void)0)
 #define W11_COUNT_N(name_literal, n) ((void)0)
 #define W11_COUNT(name_literal) ((void)0)
 #define W11_GAUGE_SET(name_literal, v) ((void)0)

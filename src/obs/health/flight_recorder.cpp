@@ -77,8 +77,9 @@ void FlightRecorder::note(Time at, std::string_view tag, double value) {
 const std::string& FlightRecorder::trigger(Trigger t, Time at,
                                            std::string_view detail) {
   const std::uint64_t seq = triggers_++;
-  W11_TRACE_EVENT_AT(at, TraceKind::kPostmortem, seq,
-                     static_cast<std::uint64_t>(t), 0);
+  if (tracer_ != nullptr)
+    tracer_->record_at(at, TraceKind::kPostmortem, seq,
+                       static_cast<std::uint64_t>(t), 0);
   const Time from = at - cfg_.window;
 
   std::ostringstream os;

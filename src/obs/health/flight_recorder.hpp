@@ -57,7 +57,8 @@ class FlightRecorder {
   // attachment order.
   using Source = std::function<void(Time from, Time to, std::ostream& os)>;
 
-  void attach_tracer(const TraceRecorder* t) { tracer_ = t; }
+  // Trace stream the bundles read; trigger() also records into it.
+  void attach_tracer(TraceRecorder* t) { tracer_ = t; }
   // `catalog` fixes the snapshot shape: exactly these metrics, in this
   // order, value 0 when a name is not (yet) registered. Empty = every
   // registered metric, name-sorted.
@@ -72,7 +73,8 @@ class FlightRecorder {
   void note(Time at, std::string_view tag, double value = 0.0);
 
   // Assemble (and retain) a postmortem bundle for [at - window, at].
-  // Also records a kPostmortem trace event (ord = trigger sequence).
+  // First records a kPostmortem event (ord = trigger sequence) into the
+  // attached tracer, so the bundle's own trace section includes it.
   const std::string& trigger(Trigger t, Time at, std::string_view detail);
 
   // Retained bundles, oldest first.
@@ -99,7 +101,7 @@ class FlightRecorder {
   };
 
   Config cfg_;
-  const TraceRecorder* tracer_ = nullptr;
+  TraceRecorder* tracer_ = nullptr;
   const MetricsRegistry* metrics_ = nullptr;
   std::vector<std::string> catalog_;
   std::vector<std::pair<std::string, Source>> sources_;

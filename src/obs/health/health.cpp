@@ -3,7 +3,6 @@
 #if W11_OBS
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -95,11 +94,6 @@ std::vector<HealthEvent> HealthEngine::poll(Time now) {
       ++st.recoveries;
       ++recoveries_;
     }
-    W11_TRACE_EVENT_AT(
-        now, breached_now ? TraceKind::kHealthBreach : TraceKind::kHealthRecovery,
-        static_cast<std::uint64_t>(i),
-        static_cast<std::uint64_t>(spec.severity),
-        static_cast<std::uint64_t>(std::llround(st.burn_fast * 1e3)));
     events_.push_back(ev);
     fresh.push_back(std::move(ev));
   }

@@ -91,10 +91,11 @@ class HealthEngine {
   void observe_counter(std::string_view name, Time at, double cumulative);
 
   // Evaluate every SLO at a poll boundary. Advances each referenced series
-  // to `now` (quiet windows become zeros), emits breach/recovery events on
-  // state transitions — into the returned vector, the retained event log,
-  // and the trace stream (kHealthBreach / kHealthRecovery, ord = SLO
-  // index) — in spec order.
+  // to `now` (quiet windows become zeros) and emits breach/recovery events
+  // on state transitions, in spec order, into the returned vector and the
+  // retained event log. Recording them on a trace (kHealthBreach /
+  // kHealthRecovery, ord = SLO index) is the caller's: the engine owns no
+  // recorder.
   std::vector<HealthEvent> poll(Time now);
 
   struct SloState {

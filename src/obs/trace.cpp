@@ -21,8 +21,8 @@ TraceRecorder::TraceRecorder(std::size_t per_lane_capacity)
 TraceRing& TraceRecorder::local_ring() {
   // One-entry thread-local cache keyed by the recorder's process-unique id
   // (not its address — a recorder allocated where a destroyed one lived
-  // must not inherit the stale ring pointer). In practice one process uses
-  // one recorder, so the cache hits ~always after first record.
+  // must not inherit the stale ring pointer). A thread records into one
+  // run's recorder at a time, so the cache hits ~always after first record.
   struct Cache {
     std::uint64_t id = 0;
     TraceRing* ring = nullptr;
@@ -69,18 +69,10 @@ void TraceRecorder::clear() {
   for (auto& r : rings_) r->clear();
 }
 
-TraceRecorder& tracer() {
-  static TraceRecorder recorder;
-  return recorder;
-}
-
 bool enable_from_env() {
   const char* v = std::getenv("W11_TRACE");
   const bool on = v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  if (on) {
-    tracer().set_enabled(true);
-    metrics().set_enabled(true);
-  }
+  if (on) metrics().set_enabled(true);
   return on;
 }
 

@@ -9,8 +9,8 @@
 //   * Timestamps are sim virtual time (or a caller-supplied logical time),
 //     never wall clock.
 //   * Every event carries a caller-supplied deterministic ordinal `ord`
-//     (the simulator's event sequence number, a planner pick position, a
-//     parallel_for index) that orders events sharing a timestamp. merged()
+//     (the simulator's event sequence number, a flow id, a parallel_for
+//     index) that orders events sharing a timestamp. merged()
 //     stable-sorts on (ts, ord, kind, a, b), so export order never depends
 //     on which lane's ring an event landed in.
 //   * Lanes are per-*thread* rings (registered on first record, appended
@@ -59,9 +59,6 @@ enum class TraceKind : std::uint16_t {
   kFastAckMpduDropped,      // 802.11 retries exhausted; a = seq, b = length
   kFastAckBypass,           // flow dropped to bypass; a = seq_fack, b = seq_exp
   kFastAckFlowEvicted,      // idle-timeout or capacity GC; a = seq_fack
-  // planner
-  kNboRound,        // one NBO round; ord = round, a = picks, b = accepted
-  kNboPick,         // one committed ACC decision; a = AP index, b = switched
   // telemetry
   kCollectorPoll,   // one collector polling interval; a = rows, b = dropped
   // ctrl (plan rollout)
@@ -74,7 +71,7 @@ enum class TraceKind : std::uint16_t {
   kPostmortem,      // flight-recorder bundle dumped; ord = seq, a = Trigger
 };
 
-enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelemetry, kCtrl, kHealth };
+enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kTelemetry, kCtrl, kHealth };
 
 [[nodiscard]] constexpr const char* to_string(TraceKind k) {
   switch (k) {
@@ -97,8 +94,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceKind::kFastAckMpduDropped: return "fastack.mpdu_dropped";
     case TraceKind::kFastAckBypass: return "fastack.bypass";
     case TraceKind::kFastAckFlowEvicted: return "fastack.flow_evicted";
-    case TraceKind::kNboRound: return "planner.nbo_round";
-    case TraceKind::kNboPick: return "planner.nbo_pick";
     case TraceKind::kCollectorPoll: return "telemetry.poll";
     case TraceKind::kRolloutApply: return "ctrl.rollout_apply";
     case TraceKind::kRolloutWave: return "ctrl.rollout_wave";
@@ -114,8 +109,7 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
 [[nodiscard]] constexpr TraceCategory category(TraceKind k) {
   if (k < TraceKind::kAmpduTx) return TraceCategory::kSim;
   if (k < TraceKind::kFastAckFlowCreated) return TraceCategory::kMac;
-  if (k < TraceKind::kNboRound) return TraceCategory::kFastAck;
-  if (k < TraceKind::kCollectorPoll) return TraceCategory::kPlanner;
+  if (k < TraceKind::kCollectorPoll) return TraceCategory::kFastAck;
   if (k < TraceKind::kRolloutApply) return TraceCategory::kTelemetry;
   if (k < TraceKind::kHealthBreach) return TraceCategory::kCtrl;
   return TraceCategory::kHealth;
@@ -126,7 +120,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceCategory::kSim: return "sim";
     case TraceCategory::kMac: return "mac";
     case TraceCategory::kFastAck: return "fastack";
-    case TraceCategory::kPlanner: return "planner";
     case TraceCategory::kTelemetry: return "telemetry";
     case TraceCategory::kCtrl: return "ctrl";
     case TraceCategory::kHealth: return "health";
@@ -265,13 +258,10 @@ inline ScopedSpan TraceRecorder::span(TraceKind kind, std::uint64_t ord,
   return ScopedSpan(accepts(kind) ? this : nullptr, kind, ord, a);
 }
 
-// The process-wide recorder the W11_TRACE_* macros target. Disabled until
-// something (a test, enable_from_env()) switches it on.
-[[nodiscard]] TraceRecorder& tracer();
-
 // W11_TRACE environment gate: W11_TRACE set to anything but "" / "0"
-// enables the process tracer and metrics registry. Returns whether tracing
-// is on. Idempotent; the Testbed and the bench harness both call it.
+// enables the process metrics registry and returns true; the caller then
+// records into a recorder of its own (Testbed::run attaches one to its
+// simulator). Idempotent; the Testbed and the bench harness both call it.
 bool enable_from_env();
 
 // Output path for the exported artifacts: $W11_TRACE_OUT if set, else

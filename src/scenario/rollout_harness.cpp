@@ -1,12 +1,15 @@
 #include "scenario/rollout_harness.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/turboca/service.hpp"
 #include "ctrl/plan_store.hpp"
 #include "fault/scan_fault.hpp"
 #include "obs/gate.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/littletable.hpp"
@@ -18,7 +21,6 @@
 #include "obs/health/health.hpp"
 #include "obs/health/health_bridge.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #endif
 
 namespace w11::scenario {
@@ -31,6 +33,9 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   cc.seed = cfg.net_seed;
   auto net = workload::make_campus(cc);
 
+  // The run's own trace, attached to the simulator by health runs. Declared
+  // before the Simulator, whose destructor unbinds it.
+  obs::TraceRecorder trace;
   Simulator sim;
   ctrl::ControlChannel chan(sim, cfg.channel, cfg.ctrl_seed, cfg.n_aps);
   ctrl::PlanApplier applier(
@@ -92,28 +97,21 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
 #if W11_OBS
   std::unique_ptr<obs::HealthEngine> health;
   std::unique_ptr<obs::FlightRecorder> recorder;
+  obs::MetricsRegistry flight_metrics;  // filled from Stats at each capture
   obs::PlanAudit plan_audit;
   telemetry::LittleTable health_table = obs::make_fleet_health_table();
   std::uint64_t reverts_seen = 0;
   std::uint64_t pins_seen = 0;
   if (cfg.health) {
-    // A health run owns the process-global tracer/metrics registries:
-    // reset both so bundle bytes depend only on this scenario, bind the
-    // tracer clock to sim time, and mask two categories. kSim is
-    // schedule-dependent (per-lane ring overflow varies with the schedule).
-    // kPlanner's round/pick events are worker-invariant, but unmasking them
-    // would change every bundle's bytes, so it stays masked until bundle
-    // contents are revisited; planner *decisions* reach the postmortem
-    // through the plan_audit section below.
-    obs::tracer().clear();
-    obs::tracer().set_enabled(true);
-    obs::tracer().set_category_mask(
-        obs::kAllCategories &
-        ~obs::category_bit(obs::TraceCategory::kSim) &
-        ~obs::category_bit(obs::TraceCategory::kPlanner));
-    sim.set_tracer(&obs::tracer());
-    obs::metrics().set_enabled(true);
-    obs::metrics().reset_values();
+    // Everything this run observes stays in this run, so health runs can
+    // execute concurrently. kSim is masked: one record per dispatched event
+    // would flood the bounded ring and evict the rollout and health events
+    // the bundles correlate. Planner decisions reach the postmortem through
+    // the plan_audit section below.
+    trace.set_enabled(true);
+    trace.set_category_mask(obs::kAllCategories &
+                            ~obs::category_bit(obs::TraceCategory::kSim));
+    sim.set_tracer(&trace);
     svc.engine().set_audit(&plan_audit);
 
     // SLO sheet (DESIGN.md §17). Series width = the poll cadence, so one
@@ -165,11 +163,11 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     fc.window = cfg.health_window;
     fc.max_bundles = cfg.max_postmortems;
     recorder = std::make_unique<obs::FlightRecorder>(fc);
-    recorder->attach_tracer(&obs::tracer());
+    recorder->attach_tracer(&trace);
     // Fixed catalog: snapshot rows have this exact shape at any worker
     // count, whatever order first-touch registration happened in.
     recorder->attach_metrics(
-        &obs::metrics(),
+        &flight_metrics,
         {"ctrl.applies", "ctrl.commands_sent", "ctrl.reverts", "ctrl.waves",
          "telemetry.records_dropped", "telemetry.records_written"});
     recorder->attach_source("rollout_audit",
@@ -243,7 +241,10 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   std::uint64_t done_seen = 0;  // committed + reverted already tallied
   auto tick = [&] {
     const auto ev = net->evaluate();
-    coll.record(*net, ev, sim.now());
+    const bool kept = coll.record(*net, ev, sim.now());
+    trace.record_at(sim.now(), obs::TraceKind::kCollectorPoll,
+                    static_cast<std::uint64_t>(sim.now().ns()),
+                    kept ? ev.per_ap.size() + 1 : 0, coll.records_dropped());
     svc.advance_to(sim.now());
     const std::uint64_t done_now = coord.stats().committed +
                                    coord.stats().reverted;
@@ -266,12 +267,33 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
       // triggers — all on this serial tick, so every piece is exact.
       const Time now = sim.now();
       const ctrl::RolloutCoordinator::Stats& rs = coord.stats();
+      const ctrl::PlanApplier::Stats& as = applier.stats();
       health->observe_counter("ctrl.reverts", now,
                               static_cast<double>(rs.reverted));
       health->observe_counter("telemetry.dropped", now,
                               static_cast<double>(coll.records_dropped()));
+      // ctrl.reverts counts revert() calls; Stats::reverted only counts a
+      // revert once it is done.
+      const std::pair<const char*, std::uint64_t> totals[] = {
+          {"ctrl.applies", as.applied},
+          {"ctrl.commands_sent", as.commands_sent},
+          {"ctrl.reverts", rs.reverts_telemetry + rs.reverts_netp +
+                               rs.reverts_radar + rs.reverts_watchdog +
+                               rs.reverts_exhausted},
+          {"ctrl.waves", rs.waves_started},
+          {"telemetry.records_dropped", coll.records_dropped()},
+          {"telemetry.records_written", coll.records_written()}};
+      for (const auto& [name, v] : totals)
+        flight_metrics.gauge(name).set(static_cast<double>(v));
       recorder->capture(now);
       const std::vector<obs::HealthEvent> hev = health->poll(now);
+      for (const obs::HealthEvent& e : hev)
+        trace.record_at(now,
+                        e.breach ? obs::TraceKind::kHealthBreach
+                                 : obs::TraceKind::kHealthRecovery,
+                        e.slo, static_cast<std::uint64_t>(e.severity),
+                        static_cast<std::uint64_t>(
+                            std::llround(e.burn_fast * 1e3)));
       obs::append_health_events(hev, health_table);
       for (const obs::HealthEvent& e : hev)
         if (e.breach && e.severity == obs::Severity::kPage)
@@ -345,12 +367,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     out.health_rows = health_table.row_count();
     out.recorder_dropped = recorder->entries_dropped();
     out.postmortems_dropped = recorder->bundles_dropped();
-    // Release the process-global registries (the tracer would otherwise
-    // keep a clock pointer into this function's dead Simulator).
-    sim.set_tracer(nullptr);
-    obs::tracer().set_enabled(false);
-    obs::metrics().set_enabled(false);
-    svc.engine().set_audit(nullptr);
   }
 #endif
   return out;

@@ -60,9 +60,9 @@ struct RolloutScenarioConfig {
   // over the rollout SLIs (revert rate, telemetry drops, convergence), an
   // always-on FlightRecorder fed at every poll, and a planner decision
   // audit — and every auto-revert / watchdog / radar pin / paging SLO
-  // breach dumps a postmortem bundle into Result::postmortems. Health runs
-  // reset and take over the process-global tracer/metrics registries, so
-  // they must not execute concurrently with other instrumented scenarios.
+  // breach dumps a postmortem bundle into Result::postmortems. The run's
+  // trace and the flight ring's metrics belong to the run, so health runs
+  // may execute concurrently on separate threads.
   bool health = false;
   Time health_window = time::minutes(5);  // postmortem lookback
   std::size_t recorder_capacity = 256;    // flight-ring entries

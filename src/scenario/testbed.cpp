@@ -183,11 +183,14 @@ void Testbed::run() {
   W11_CHECK_MSG(!ran_, "Testbed::run may only be called once");
   ran_ = true;
 #if W11_OBS
-  // W11_TRACE=1 switches on the process tracer/metrics for this run and
-  // exports the Chrome-trace/JSONL/metrics artifacts when it finishes
-  // (W11_TRACE_OUT overrides the default output path).
+  // W11_TRACE=1 attaches this testbed's own recorder, switches on the
+  // process metrics, and exports the Chrome-trace/JSONL/metrics artifacts
+  // when the run finishes (W11_TRACE_OUT overrides the default path).
   const bool tracing = obs::enable_from_env();
-  if (tracing) sim_.set_tracer(&obs::tracer());
+  if (tracing) {
+    trace_.set_enabled(true);
+    sim_.set_tracer(&trace_);
+  }
 #endif
   for (auto& fc : flows_)
     if (fc.sender) fc.sender->start();
@@ -200,7 +203,7 @@ void Testbed::run() {
   }
   sim_.run_until(cfg_.warmup + cfg_.duration);
 #if W11_OBS
-  if (tracing) obs::export_global(obs::trace_out_path("w11_trace.json"));
+  if (tracing) obs::export_run(&trace_, obs::trace_out_path("w11_trace.json"));
 #endif
 }
 

@@ -151,6 +151,9 @@ class Testbed {
   [[nodiscard]] std::size_t flow_index(int ap_idx, int client_idx) const;
 
   TestbedConfig cfg_;
+  // The W11_TRACE run's recorder. Declared before sim_, whose destructor
+  // unbinds it.
+  obs::TraceRecorder trace_;
   Simulator sim_;
   Rng rng_;
   std::unique_ptr<mac::Medium> medium_;

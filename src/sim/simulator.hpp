@@ -70,10 +70,11 @@ class Simulator {
   // --- structured tracing (DESIGN.md §12) --------------------------------
   // Attach an obs recorder: every dispatched event records a kSimEvent
   // stamped with its (sim time, seq), and the recorder's clock is bound to
-  // this simulator so sim-attached instrumentation sites (AP, FastACK)
-  // stamp sim virtual time. Attaching is the runtime debug switch of the
-  // packet-level testbed and works in every build, including the one that
-  // compiles the process-global instrumentation out (obs/gate.hpp).
+  // this simulator so sim-attached instrumentation sites (AP, FastACK,
+  // PlanApplier, RolloutCoordinator) stamp sim virtual time. Attaching is
+  // the runtime debug switch of the packet-level testbed and works in every
+  // build, including the one that compiles the metrics macros out
+  // (obs/gate.hpp).
   // Detached (default) the hot loop pays one null check. Any previously
   // attached recorder is unbound from this simulator's clock.
   void set_tracer(obs::TraceRecorder* t) {

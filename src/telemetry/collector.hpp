@@ -33,9 +33,6 @@ class NetworkCollector {
       --drop_pending_;
       ++records_dropped_;
       W11_COUNT("telemetry.records_dropped");
-      W11_TRACE_EVENT_AT(at, ::w11::obs::TraceKind::kCollectorPoll,
-                         static_cast<std::uint64_t>(at.ns()), 0,
-                         records_dropped_);
       return false;
     }
     ++records_written_;
@@ -57,9 +54,6 @@ class NetworkCollector {
                        static_cast<double>(net.total_switches()),
                        static_cast<double>(records_dropped_),
                        static_cast<double>(records_written_)});
-    W11_TRACE_EVENT_AT(at, ::w11::obs::TraceKind::kCollectorPoll,
-                       static_cast<std::uint64_t>(at.ns()),
-                       ev.per_ap.size() + 1, records_dropped_);
     return true;
   }
 

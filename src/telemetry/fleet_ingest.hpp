@@ -29,12 +29,14 @@ class FleetIngest {
     // Eager handles: the pipeline metrics must exist (at zero) in every
     // snapshot — rate SLIs over quiet polls are undefined when the name is
     // absent (DESIGN.md §17) — so registration cannot wait for a first hit.
+    // FleetController counts the two declared-only counters where they
+    // happen.
     obs::MetricsRegistry& mr = obs::metrics();
     m_ingest_hw_ = mr.gauge("fleet.ingest.high_water");
     m_output_hw_ = mr.gauge("fleet.output.high_water");
-    m_epochs_dropped_ = mr.counter("fleet.epochs_dropped");
+    mr.declare_counter("fleet.epochs_dropped");
     m_output_rejected_ = mr.counter("fleet.output.rejected");
-    m_jobs_deferred_ = mr.counter("fleet.jobs_deferred");
+    mr.declare_counter("fleet.jobs_deferred");
 #endif
   }
 
@@ -67,28 +69,24 @@ class FleetIngest {
   }
 
   // One controller poll's pipeline health: bounded-queue high-water marks
-  // land as gauges, the MPMC ingest drop counter (epochs_dropped ==
-  // ingest_q.rejected) and backpressure deferrals as cumulative counters
-  // (inputs are cumulative; deltas are added so the registry counter
-  // tracks the source). Call once per poll from the ticking thread.
+  // land as gauges and output-queue rejections as a cumulative counter
+  // (the input is cumulative; deltas are added so the registry counter
+  // tracks the source). Ingest drops and backpressure deferrals are
+  // counted by FleetController itself, so `jobs_deferred` is not mirrored.
+  // Call once per poll from the ticking thread.
   void ingest_pipeline(const fleet::QueueStats& ingest_q,
                        const fleet::QueueStats& output_q,
-                       std::uint64_t jobs_deferred) {
+                       std::uint64_t /*jobs_deferred*/) {
     ++pipeline_polls_;
 #if W11_OBS
     if (!obs::metrics().enabled()) return;
     m_ingest_hw_.set(static_cast<double>(ingest_q.high_water));
     m_output_hw_.set(static_cast<double>(output_q.high_water));
-    m_epochs_dropped_.add(ingest_q.rejected - last_epochs_dropped_);
-    last_epochs_dropped_ = ingest_q.rejected;
     m_output_rejected_.add(output_q.rejected - last_output_rejected_);
     last_output_rejected_ = output_q.rejected;
-    m_jobs_deferred_.add(jobs_deferred - last_jobs_deferred_);
-    last_jobs_deferred_ = jobs_deferred;
 #else
     (void)ingest_q;
     (void)output_q;
-    (void)jobs_deferred;
 #endif
   }
 
@@ -110,12 +108,8 @@ class FleetIngest {
 #if W11_OBS
   obs::Gauge m_ingest_hw_;
   obs::Gauge m_output_hw_;
-  obs::Counter m_epochs_dropped_;
   obs::Counter m_output_rejected_;
-  obs::Counter m_jobs_deferred_;
-  std::uint64_t last_epochs_dropped_ = 0;
   std::uint64_t last_output_rejected_ = 0;
-  std::uint64_t last_jobs_deferred_ = 0;
 #endif
 };
 

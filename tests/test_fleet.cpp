@@ -17,7 +17,9 @@
 #include "fleet/partition.hpp"
 #include "fleet/queues.hpp"
 #include "fleet/scheduler.hpp"
+#include "obs/gate.hpp"
 #include "scenario/fleet_harness.hpp"
+#include "telemetry/fleet_ingest.hpp"
 
 using namespace w11;
 
@@ -351,6 +353,41 @@ TEST(FleetControllerTest, OutputBackpressureDefersDeterministically) {
   EXPECT_EQ(ctl.stats().plans_delivered, 10u);
   EXPECT_EQ(ctl.fleet_plan().size(), scans.size());
 }
+
+#if W11_OBS
+// FleetController counts ingest drops and backpressure deferrals where they
+// happen; FleetIngest's pipeline poll must not count them a second time.
+TEST(FleetControllerTest, PipelineMetricsCountDropsAndDeferralsOnce) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  reg.set_enabled(true);
+  reg.reset_values();
+  telemetry::FleetIngest ingest;
+  fleet::FleetController::Config cfg;
+  cfg.seed = 5;
+  cfg.ingest_capacity = 1;
+  cfg.output_capacity = 3;  // 10 campuses due -> 7 deferred on the first tick
+  exec::TaskPool pool(2);
+  cfg.pool = &pool;
+  fleet::FleetController ctl(cfg);
+  const std::vector<ApScan> scans =
+      scenario::make_fleet_scans(small_population(), time::minutes(1));
+  EXPECT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(1), scans}));
+  EXPECT_FALSE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(1), scans}));
+  EXPECT_FALSE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(1), scans}));
+  for (int poll = 0; poll < 2; ++poll) {
+    ctl.tick(time::minutes(1));
+    ingest.ingest_pipeline(ctl.ingest_stats(), ctl.output_stats(),
+                           ctl.stats().jobs_deferred);
+  }
+  ASSERT_EQ(ctl.stats().epochs_dropped, 2u);
+  ASSERT_GT(ctl.stats().jobs_deferred, 0u);
+  EXPECT_EQ(reg.counter_value(reg.counter("fleet.epochs_dropped")),
+            ctl.stats().epochs_dropped);
+  EXPECT_EQ(reg.counter_value(reg.counter("fleet.jobs_deferred")),
+            ctl.stats().jobs_deferred);
+  reg.set_enabled(false);
+}
+#endif  // W11_OBS
 
 TEST(FleetControllerTest, RequestReplanRunsOutOfBand) {
   fleet::FleetController::Config cfg;

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/time.hpp"
 #include "exec/task_pool.hpp"
 #include "fault/fault_plan.hpp"
@@ -321,6 +325,22 @@ scenario::RolloutScenarioConfig chaos_health_config(exec::TaskPool* pool) {
   return cfg;
 }
 
+// FNV-1a over each string's bytes, then its length, so moving bytes across
+// a string boundary changes the digest.
+std::uint64_t digest_of(const std::vector<std::string>& parts) {
+  std::uint64_t h = fnv::kOffsetBasis;
+  for (const std::string& p : parts) {
+    for (const char c : p) fnv::mix_value(h, c);
+    fnv::mix_value(h, static_cast<std::uint64_t>(p.size()));
+  }
+  return h;
+}
+
+// The chaos run's postmortems followed by its health event log, at one
+// worker. Taken when health runs recorded into process-global state, so a
+// match shows the run-owned trace and metrics write the same bytes.
+constexpr std::uint64_t kChaosPostmortemDigest = 0xba59d2aa0a1f99fcull;
+
 TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossWorkers) {
   std::vector<std::string> base_postmortems;
   std::string base_events;
@@ -354,11 +374,53 @@ TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossWorkers) 
       base_postmortems = r.postmortems;
       base_events = r.health_events_jsonl;
       EXPECT_FALSE(base_events.empty());
+      std::vector<std::string> parts = r.postmortems;
+      parts.push_back(r.health_events_jsonl);
+      EXPECT_EQ(digest_of(parts), kChaosPostmortemDigest)
+          << std::hex << digest_of(parts);
     } else {
       EXPECT_EQ(r.postmortems, base_postmortems);
       EXPECT_EQ(r.health_events_jsonl, base_events);
     }
   }
+}
+
+// Each health run records into its own trace and metrics, so four of them
+// on four threads produce exactly what they produce one after another.
+TEST(FlightRecorderScenario, ConcurrentHealthRunsMatchSequentialRuns) {
+  struct Artifacts {
+    std::vector<std::string> postmortems;
+    std::string health_events;
+    std::string audit;
+  };
+  const auto run = [](std::uint64_t ctrl_seed) {
+    exec::TaskPool pool(2);
+    scenario::RolloutScenarioConfig cfg = chaos_health_config(&pool);
+    cfg.ctrl_seed = ctrl_seed;
+    const auto r = scenario::run_rollout_scenario(cfg);
+    return Artifacts{r.postmortems, r.health_events_jsonl, r.audit_jsonl};
+  };
+  constexpr std::array<std::uint64_t, 4> kSeeds = {41001, 41002, 41003,
+                                                   41004};
+  std::array<Artifacts, 4> sequential;
+  for (std::size_t i = 0; i < kSeeds.size(); ++i)
+    sequential[i] = run(kSeeds[i]);
+  std::array<Artifacts, 4> concurrent;
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kSeeds.size(); ++i)
+      threads.emplace_back([&, i] { concurrent[i] = run(kSeeds[i]); });
+    for (std::thread& t : threads) t.join();
+  }
+  for (std::size_t i = 0; i < kSeeds.size(); ++i) {
+    SCOPED_TRACE(kSeeds[i]);
+    EXPECT_FALSE(sequential[i].postmortems.empty());
+    EXPECT_EQ(concurrent[i].postmortems, sequential[i].postmortems);
+    EXPECT_EQ(concurrent[i].health_events, sequential[i].health_events);
+    EXPECT_EQ(concurrent[i].audit, sequential[i].audit);
+  }
+  // Distinct seeds are distinct runs: the comparison is not vacuous.
+  EXPECT_NE(sequential[0].audit, sequential[1].audit);
 }
 
 TEST(HealthScenario, QuietRunPagesNothingAndDumpsNothing) {

@@ -66,12 +66,12 @@ TEST(TraceRecorder, DisabledByDefaultRecordsNothing) {
 TEST(TraceRecorder, CategoryMaskFilters) {
   TraceRecorder rec;
   rec.set_enabled(true);
-  rec.set_category_mask(obs::category_bit(TraceCategory::kPlanner));
+  rec.set_category_mask(obs::category_bit(TraceCategory::kTelemetry));
   rec.record_at(time::micros(1), TraceKind::kSimEvent, 1);
-  rec.record_at(time::micros(2), TraceKind::kNboPick, 2);
+  rec.record_at(time::micros(2), TraceKind::kCollectorPoll, 2);
   auto ev = rec.merged();
   ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0].kind, TraceKind::kNboPick);
+  EXPECT_EQ(ev[0].kind, TraceKind::kCollectorPoll);
 
   rec.set_category_mask(obs::kAllCategories);
   rec.record_at(time::micros(3), TraceKind::kSimEvent, 3);
@@ -146,7 +146,9 @@ Exports record_synthetic_workload(int workers) {
         rec.record_span(ts, ts + time::micros(5), TraceKind::kAmpduTx, u,
                         u % 7, u % 3);
         break;
-      case 2: rec.record_at(ts, TraceKind::kNboPick, u, u % 11, u % 2); break;
+      case 2:
+        rec.record_at(ts, TraceKind::kRolloutApply, u, u % 11, u % 2);
+        break;
       default: rec.record_at(ts, TraceKind::kCollectorPoll, u, u % 5); break;
     }
   });
@@ -414,14 +416,14 @@ TEST(Metrics, MacroGateRespectsRuntimeToggle) {
 }
 
 TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
-  const bool tracer_was = obs::tracer().enabled();
   const bool metrics_was = obs::metrics().enabled();
 
+  obs::metrics().set_enabled(false);
   ::setenv("W11_TRACE", "0", 1);
   EXPECT_FALSE(obs::enable_from_env());
+  EXPECT_FALSE(obs::metrics().enabled());
   ::setenv("W11_TRACE", "1", 1);
   EXPECT_TRUE(obs::enable_from_env());
-  EXPECT_TRUE(obs::tracer().enabled());
   EXPECT_TRUE(obs::metrics().enabled());
   ::unsetenv("W11_TRACE");
   EXPECT_FALSE(obs::enable_from_env());
@@ -431,8 +433,6 @@ TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
   ::unsetenv("W11_TRACE_OUT");
   EXPECT_STREQ(obs::trace_out_path("default.json"), "default.json");
 
-  obs::tracer().set_enabled(tracer_was);
-  obs::tracer().clear();
   obs::metrics().set_enabled(metrics_was);
 }
 #endif  // W11_OBS

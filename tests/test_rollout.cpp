@@ -16,6 +16,7 @@
 #include "ctrl/rollout.hpp"
 #include "exec/task_pool.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/trace.hpp"
 #include "scenario/rollout_harness.hpp"
 #include "sim/simulator.hpp"
 
@@ -388,6 +389,60 @@ TEST(RolloutCoordinator, UtilizationRegressionRevertsToLastKnownGood) {
   EXPECT_EQ(rig.coord.stats().reverts_telemetry, 1u);
   // Only the canary ever switched, so only the canary switched back.
   EXPECT_EQ(rig.applier.stats().applied, 4u);  // 2 out + 2 back
+}
+
+// The coordinator and applier record into the recorder attached to their
+// Simulator, stamped with sim time, in every build.
+TEST(RolloutCoordinator, CtrlEventsRecordIntoTheSimulatorsTracer) {
+  obs::TraceRecorder rec;  // outlives the rig, whose ~Simulator unbinds it
+  rec.set_enabled(true);
+  rec.set_category_mask(obs::category_bit(obs::TraceCategory::kCtrl));
+  ctrl::RolloutCoordinator::Config rc;
+  rc.canary = 2;
+  rc.validate_window = time::seconds(10);
+  rc.util_regression_tol = 0.10;
+  CoordRig rig(8, rc);
+  rig.sim.set_tracer(&rec);
+  ASSERT_TRUE(rig.coord.start(rig.commit(ch40)));
+  rig.sim.schedule_at(time::seconds(5), [&] { rig.util = 0.5; });
+  rig.sim.run_until(time::minutes(10));
+  ASSERT_EQ(rig.coord.outcome(), ctrl::RolloutOutcome::kReverted);
+
+  using Kind = ctrl::RolloutAudit::Record::Kind;
+  std::int64_t wave_at = -1;
+  std::int64_t revert_at = -1;
+  for (const auto& r : rig.coord.audit().records()) {
+    if (r.kind == Kind::kWave && wave_at < 0) wave_at = r.at_ns;
+    if (r.kind == Kind::kRevert) revert_at = r.at_ns;
+  }
+  ASSERT_GT(revert_at, 0);
+  std::uint64_t waves = 0;
+  std::uint64_t applies = 0;
+  std::uint64_t reverts = 0;
+  for (const obs::TraceEvent& e : rec.merged()) {
+    switch (e.kind) {
+      case obs::TraceKind::kRolloutWave:
+        ++waves;
+        EXPECT_EQ(e.ts_ns, wave_at);
+        EXPECT_EQ(e.a, 2u);  // canary size
+        break;
+      case obs::TraceKind::kRolloutApply:
+        ++applies;
+        EXPECT_GT(e.ts_ns, 0);  // an ack lands after the channel delay
+        break;
+      case obs::TraceKind::kRolloutRevert:
+        ++reverts;
+        EXPECT_EQ(e.ts_ns, revert_at);
+        EXPECT_EQ(e.a, static_cast<std::uint64_t>(
+                           ctrl::RevertReason::kTelemetry));
+        break;
+      default:
+        ADD_FAILURE() << obs::to_string(e.kind);
+    }
+  }
+  EXPECT_EQ(waves, 1u);
+  EXPECT_EQ(applies, rig.applier.stats().applied);  // 2 out + 2 back
+  EXPECT_EQ(reverts, 1u);
 }
 
 TEST(RolloutCoordinator, NetPRegressionReverts) {

@@ -2,7 +2,11 @@
 // events as records in the obs::TraceRecorder attached to its simulator.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -10,6 +14,7 @@
 
 #include "core/fastack/agent.hpp"
 #include "obs/export.hpp"
+#include "obs/gate.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 
@@ -140,6 +145,40 @@ TEST(AgentTracing, CapturesLossRecoveryStory) {
   }
   EXPECT_TRUE(saw_dupack_then_retx);
 }
+
+#if W11_OBS
+// W11_TRACE=1 makes Testbed::run attach a recorder of its own and export
+// it next to the process metrics dump.
+TEST(TestbedTracing, W11TraceExportsTheRunsOwnRecorder) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("w11_trace_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path chrome = dir / "run.json";
+  ::setenv("W11_TRACE", "1", 1);
+  ::setenv("W11_TRACE_OUT", chrome.c_str(), 1);
+  scenario::TestbedConfig cfg;
+  cfg.n_clients_per_ap = 1;
+  cfg.duration = time::millis(200);
+  cfg.warmup = time::millis(0);
+  scenario::Testbed tb(cfg);
+  tb.run();
+  ::unsetenv("W11_TRACE");
+  ::unsetenv("W11_TRACE_OUT");
+
+  EXPECT_GT(tb.health().trace_events, 0u);
+  EXPECT_TRUE(fs::exists(chrome));
+  EXPECT_TRUE(fs::exists(dir / "run_metrics.json"));
+  std::ifstream jsonl(dir / "run.jsonl");
+  ASSERT_TRUE(jsonl);
+  bool sim_event = false;
+  for (std::string line; std::getline(jsonl, line);)
+    sim_event = sim_event ||
+                line.find("\"kind\":\"sim.event\"") != std::string::npos;
+  EXPECT_TRUE(sim_event);
+  fs::remove_all(dir);
+}
+#endif  // W11_OBS
 
 }  // namespace
 }  // namespace w11
