@@ -10,13 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "obs/gate.hpp"
-
-#if W11_OBS
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
-#endif
-
 namespace w11::bench {
 
 // Optimization level of this binary. Keyed off NDEBUG (what -DCMAKE_BUILD_TYPE
@@ -39,9 +32,8 @@ inline const char* build_type() {
 //     still honors an explicit --benchmark_out, which stays debug-tagged) —
 //     so an unoptimized run cannot silently overwrite the committed
 //     release numbers.
-// With W11_TRACE set, the obs metrics run for the process and export on
-// exit as w11_bench_trace_metrics.json; a Testbed inside the bench exports
-// its own trace.
+// With W11_TRACE set, a Testbed inside the bench exports its own trace and
+// metrics; the bench main owns no run and writes nothing of its own.
 inline int run_benchmark_main(int argc, char** argv, const char* default_out) {
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag = std::string("--benchmark_out=") + default_out;
@@ -64,18 +56,11 @@ inline int run_benchmark_main(int argc, char** argv, const char* default_out) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
-#if W11_OBS
-  const bool tracing = obs::enable_from_env();
-#endif
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-#if W11_OBS
-  if (tracing)
-    obs::export_run(nullptr, obs::trace_out_path("w11_bench_trace.json"));
-#endif
   return 0;
 }
 

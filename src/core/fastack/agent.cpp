@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::fastack {
 
@@ -42,7 +41,6 @@ void FastAckAgent::activate_bypass(FlowId flow, FlowState& s) {
   s.holes_vec.clear();
   ++stats_.bypass_activations;
   trace(obs::TraceKind::kFastAckBypass, flow, s.seq_fack, s.seq_exp);
-  W11_COUNT("fastack.bypass_activations");
 }
 
 bool FastAckAgent::validate(FlowId flow, FlowState& s) {
@@ -123,7 +121,6 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
         ++stats_.hole_dupacks_sent;
         trace(obs::TraceKind::kFastAckHoleDupAck, seg.flow, dup.ack,
               dup.rwnd);
-        W11_COUNT("fastack.hole_dupacks");
         ap_.send_to_wire(std::move(dup));
       }
     }
@@ -244,7 +241,6 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
   }
   ++stats_.client_acks_suppressed;
   trace(obs::TraceKind::kFastAckSuppress, ack.flow, ack.ack, ack.rwnd);
-  W11_COUNT("fastack.acks_suppressed");
   return true;
 }
 
@@ -296,7 +292,6 @@ void FastAckAgent::local_retransmit(FlowId flow, FlowState& s,
     s.local_retx_at = sim_.now();
     trace(obs::TraceKind::kFastAckCacheServe, flow, from_seq,
           static_cast<std::uint64_t>(injected));
-    W11_COUNT_N("fastack.cache_served_segments", injected);
   }
 }
 
@@ -319,11 +314,9 @@ void FastAckAgent::emit_fast_ack(FlowId flow, FlowState& s,
   if (window_update_only) {
     ++stats_.window_updates_sent;
     trace(obs::TraceKind::kFastAckWindowUpdate, flow, ack.ack, ack.rwnd);
-    W11_COUNT("fastack.window_updates");
   } else {
     ++stats_.fast_acks_sent;
     trace(obs::TraceKind::kFastAckSynth, flow, ack.ack, ack.rwnd);
-    W11_COUNT("fastack.acks_synthesized");
   }
   ap_.send_to_wire(std::move(ack));
 }

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "ctrl/control_channel.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::ctrl {
 
@@ -74,7 +73,6 @@ void PlanApplier::attempt(std::size_t idx) {
   ++t.attempts;
   ++stats_.commands_sent;
   if (t.attempts > 1) ++stats_.retries;
-  W11_COUNT("ctrl.commands_sent");
   const std::uint64_t gen = gen_;
   channel_.send(t.ap, [this, gen, idx] { on_ack(gen, idx); });
   t.timer.cancel();
@@ -88,7 +86,6 @@ void PlanApplier::on_ack(std::uint64_t gen, std::size_t idx) {
     // flight — e.g. the AP sat out a partition. Reject: the AP keeps its
     // channel rather than applying a stale plan version.
     ++stats_.stale_rejected;
-    W11_COUNT("ctrl.stale_rejected");
     return;
   }
   Task& t = tasks_[idx];
@@ -101,8 +98,6 @@ void PlanApplier::on_ack(std::uint64_t gen, std::size_t idx) {
   if (!switched) ++stats_.noops;
   ++stats_.applied;
   ++wave_applied_;
-  W11_COUNT("ctrl.applies");
-  W11_HISTOGRAM("ctrl.apply_latency_ms", (sim_.now() - t.started).ms());
   if (obs::TraceRecorder* tr = sim_.tracer())
     tr->record_at(sim_.now(), obs::TraceKind::kRolloutApply, t.ap,
                   static_cast<std::uint64_t>(t.attempts), switched ? 1 : 0);
@@ -114,7 +109,6 @@ void PlanApplier::on_timeout(std::uint64_t gen, std::size_t idx) {
   Task& t = tasks_[idx];
   if (t.state != ApState::kInFlight) return;
   ++stats_.timeouts;
-  W11_COUNT("ctrl.timeouts");
   if (backoff_.max_attempts > 0 && t.attempts >= backoff_.max_attempts) {
     ++stats_.exhausted;
     ++wave_exhausted_;
@@ -138,7 +132,6 @@ void PlanApplier::on_reconnect(std::uint32_t ap) {
   if (t.state != ApState::kBackoff) return;
   t.timer.cancel();
   ++stats_.reconnect_kicks;
-  W11_COUNT("ctrl.reconnect_kicks");
   attempt(it->second);
 }
 

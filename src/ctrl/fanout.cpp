@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/gate.hpp"
-
 namespace w11::ctrl {
 
 std::uint64_t PlanFanout::commit(std::uint32_t campus_key, ChannelPlan plan,
@@ -12,12 +10,10 @@ std::uint64_t PlanFanout::commit(std::uint32_t campus_key, ChannelPlan plan,
   if (it == stores_.end()) {
     it = stores_.emplace(campus_key, PlanStore(kMaxHistory)).first;
     ++stats_.campuses_seen;
-    W11_COUNT("ctrl.fanout.campus");
   }
   const std::uint64_t version = it->second.commit(std::move(plan), netp_log, at);
   it->second.mark_good(version);
   ++stats_.plans_committed;
-  W11_COUNT("ctrl.fanout.commit");
   return version;
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/json_writer.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::ctrl {
 
@@ -210,7 +209,6 @@ void RolloutCoordinator::launch_wave() {
   if (obs::TraceRecorder* tr = sim_.tracer())
     tr->record_at(sim_.now(), obs::TraceKind::kRolloutWave, wave_idx_,
                   targets.size(), version_);
-  W11_COUNT("ctrl.waves");
   applier_.begin_wave(std::move(targets), version_, [this, e = epoch_] {
     if (e == epoch_) on_wave_done();
   });
@@ -312,7 +310,6 @@ void RolloutCoordinator::revert(RevertReason reason) {
   if (obs::TraceRecorder* tr = sim_.tracer())
     tr->record_at(sim_.now(), obs::TraceKind::kRolloutRevert, rollout_ord_,
                   static_cast<std::uint64_t>(reason), touched_.size());
-  W11_COUNT("ctrl.reverts");
 
   const PlanVersion* good = store_.last_known_good();
   W11_CHECK(good != nullptr);
@@ -382,7 +379,6 @@ void RolloutCoordinator::done(RolloutOutcome outcome) {
   r.outcome = outcome;
   r.convergence_ns = last_convergence_.ns();
   audit_.add(r);
-  W11_HISTOGRAM("ctrl.rollout_convergence_s", last_convergence_.sec());
 }
 
 }  // namespace w11::ctrl

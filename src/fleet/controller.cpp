@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/fnv.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::fleet {
 
@@ -32,19 +31,13 @@ FleetController::FleetController(Config cfg)
 
 bool FleetController::offer_epoch(ScanEpoch epoch) {
   const bool accepted = ingest_.try_push(EpochUpdate{std::move(epoch)});
-  if (!accepted) {
-    offer_drops_.fetch_add(1, std::memory_order_relaxed);
-    W11_COUNT("fleet.epochs_dropped");
-  }
+  if (!accepted) offer_drops_.fetch_add(1, std::memory_order_relaxed);
   return accepted;
 }
 
 bool FleetController::offer_delta(DeltaEpoch delta) {
   const bool accepted = ingest_.try_push(EpochUpdate{std::move(delta)});
-  if (!accepted) {
-    offer_drops_.fetch_add(1, std::memory_order_relaxed);
-    W11_COUNT("fleet.epochs_dropped");
-  }
+  if (!accepted) offer_drops_.fetch_add(1, std::memory_order_relaxed);
   return accepted;
 }
 
@@ -142,7 +135,6 @@ void FleetController::adopt_epoch(ScanEpoch epoch, Time now) {
   stats_.aps_repartitioned += part.total_aps;
   stats_.campuses_repartitioned += part.campuses.size();
   stats_.ingest_seconds += seconds_since(t0);
-  W11_COUNT("fleet.epochs_adopted");
 }
 
 void FleetController::apply_delta(DeltaEpoch delta, Time now) {
@@ -303,8 +295,6 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
   stats_.campuses_repartitioned += dirty.size();
   stats_.aps_repartitioned += pool.size();
   stats_.ingest_seconds += seconds_since(t0);
-  W11_COUNT("fleet.deltas_adopted");
-  W11_COUNT_N("fleet.delta.aps_repartitioned", pool.size());
 }
 
 CampusPlanOutput FleetController::run_job(const PlanJob& job,
@@ -344,7 +334,6 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
 
 void FleetController::tick(Time now) {
   ++stats_.ticks;
-  W11_COUNT("fleet.ticks");
   stats_.epochs_dropped = offer_drops_.load(std::memory_order_relaxed);
 
   // Drain the ingest queue. Full epochs collapse to the newest (an older
@@ -384,7 +373,6 @@ void FleetController::tick(Time now) {
     if (d == nullptr) continue;
     if (d->taken_at <= last_epoch_at_ || d->base_taken_at != last_epoch_at_) {
       ++stats_.deltas_rejected;
-      W11_COUNT("fleet.deltas_rejected");
       continue;
     }
     apply_delta(std::move(*d), now);
@@ -397,7 +385,6 @@ void FleetController::tick(Time now) {
   const std::size_t budget = out_.free_slots();
   if (jobs.size() > budget) {
     stats_.jobs_deferred += jobs.size() - budget;
-    W11_COUNT_N("fleet.jobs_deferred", jobs.size() - budget);
     jobs.resize(budget);
   }
 
@@ -437,7 +424,6 @@ void FleetController::tick(Time now) {
       scheduler_.fired(*ctx[i].job, now);
       ++stats_.jobs_run;
       if (ctx[i].job->tier == Tier::kReplan) ++stats_.replans_run;
-      W11_COUNT("fleet.jobs_run");
     }
   }
 
@@ -460,8 +446,6 @@ void FleetController::drain_outputs() {
     ++stats_.plans_delivered;
     if (out->improved) ++stats_.plans_improved;
     stats_.aps_planned += out->n_aps;
-    W11_COUNT("fleet.plans_delivered");
-    W11_COUNT_N("fleet.aps_planned", out->n_aps);
     if (sink_) sink_(*out);
   }
 }

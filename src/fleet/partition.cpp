@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/gate.hpp"
-
 namespace w11::fleet {
 
 FleetPartition partition_fleet(const std::vector<ApScan>& scans,
@@ -33,9 +31,6 @@ FleetPartition partition_fleet(const std::vector<ApScan>& scans,
   }
   std::sort(out.campuses.begin(), out.campuses.end(),
             [](const Campus& a, const Campus& b) { return a.key < b.key; });
-
-  W11_COUNT_N("fleet.partition.campuses", out.campuses.size());
-  W11_COUNT_N("fleet.partition.aps", out.total_aps);
   return out;
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "obs/gate.hpp"
 
 namespace w11::fleet {
 
@@ -72,7 +71,6 @@ void CadenceScheduler::add_campus(std::uint32_t key, Time now) {
                             cadence_.slow);
   campuses_.emplace(key, st);
   ++stats_.campuses_added;
-  W11_COUNT("fleet.sched.campus_added");
 }
 
 void CadenceScheduler::sync(const std::vector<std::uint32_t>& keys, Time now) {
@@ -85,7 +83,6 @@ void CadenceScheduler::sync(const std::vector<std::uint32_t>& keys, Time now) {
     } else {
       it = campuses_.erase(it);
       ++stats_.campuses_dropped;
-      W11_COUNT("fleet.sched.campus_dropped");
     }
   }
   for (const std::uint32_t key : keys) {
@@ -102,7 +99,6 @@ void CadenceScheduler::apply_delta(const std::vector<std::uint32_t>& added,
     if (it == campuses_.end()) continue;
     campuses_.erase(it);
     ++stats_.campuses_dropped;
-    W11_COUNT("fleet.sched.campus_dropped");
   }
   for (const std::uint32_t key : added) {
     if (campuses_.contains(key)) continue;
@@ -116,7 +112,6 @@ void CadenceScheduler::request_replan(std::uint32_t campus_key) {
   if (!it->second.replan_pending) {
     it->second.replan_pending = true;
     ++stats_.replans_requested;
-    W11_COUNT("fleet.sched.replan_requested");
   }
 }
 
@@ -167,7 +162,6 @@ void CadenceScheduler::fired(const PlanJob& job, Time now) {
   st.first_run_pending = false;
   st.replan_pending = false;  // every tier's run ends with i = 0
   ++stats_.jobs_fired;
-  W11_COUNT("fleet.sched.job_fired");
 }
 
 }  // namespace w11::fleet

@@ -6,7 +6,6 @@
 
 #include "common/fnv.hpp"
 #include "exec/task_pool.hpp"
-#include "obs/gate.hpp"
 
 // The aggregate rows feed the planner's bit-for-bit contracts (golden plan
 // equivalence, audit/kernel parity); value-unsafe FP breaks them.
@@ -114,10 +113,8 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
         stats_cache->lru_.splice(stats_cache->lru_.begin(), stats_cache->lru_,
                                  it->second.lru_pos);
         ++stats_cache->stats_.hits;
-        W11_COUNT("scan_cache.hits");
       } else {
         ++stats_cache->stats_.misses;
-        W11_COUNT("scan_cache.misses");
       }
     }
   }
@@ -202,7 +199,6 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
         stats_cache->rows_.erase(stats_cache->lru_.back());
         stats_cache->lru_.pop_back();
         ++stats_cache->stats_.evictions;
-        W11_COUNT("scan_cache.evictions");
       }
       stats_cache->lru_.push_front(row_hash[i]);
       stats_cache->rows_.emplace(

@@ -110,20 +110,18 @@ std::string metrics_json_string(const MetricsRegistry& reg) {
   return os.str();
 }
 
-bool export_run(const TraceRecorder* rec, const std::string& chrome_path) {
+bool export_run(const TraceRecorder& rec, const MetricsRegistry& reg,
+                const std::string& chrome_path) {
   const std::string stem = chrome_path.ends_with(".json")
                                ? chrome_path.substr(0, chrome_path.size() - 5)
                                : chrome_path;
+  std::ofstream chrome(chrome_path);
+  std::ofstream jsonl(stem + ".jsonl");
   std::ofstream mjson(stem + "_metrics.json");
-  if (!mjson) return false;
-  if (rec != nullptr) {
-    std::ofstream chrome(chrome_path);
-    std::ofstream jsonl(stem + ".jsonl");
-    if (!chrome || !jsonl) return false;
-    write_chrome_trace(*rec, chrome);
-    write_trace_jsonl(*rec, jsonl);
-  }
-  write_metrics_json(metrics(), mjson);
+  if (!chrome || !jsonl || !mjson) return false;
+  write_chrome_trace(rec, chrome);
+  write_trace_jsonl(rec, jsonl);
+  write_metrics_json(reg, mjson);
   return true;
 }
 

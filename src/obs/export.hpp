@@ -38,13 +38,13 @@ void write_metrics_json(const MetricsRegistry& reg, std::ostream& os);
 [[nodiscard]] std::string trace_jsonl_string(const TraceRecorder& rec);
 [[nodiscard]] std::string metrics_json_string(const MetricsRegistry& reg);
 
-// Write the W11_TRACE export set for a run's recorder `rec` plus the
-// process metrics registry:
+// Write the W11_TRACE export set for one run's recorder `rec` and the
+// registry `reg` it filled from its Stats:
 //   <path>        — Chrome trace JSON
 //   <path>l       — JSONL dump (".jsonl" when path ends in ".json")
 //   <path stem>_metrics.json
-// With rec == nullptr only the metrics dump is written. Returns false (and
-// writes nothing else) if any file fails to open.
-bool export_run(const TraceRecorder* rec, const std::string& chrome_path);
+// Returns false if any file fails to open.
+bool export_run(const TraceRecorder& rec, const MetricsRegistry& reg,
+                const std::string& chrome_path);
 
 }  // namespace w11::obs

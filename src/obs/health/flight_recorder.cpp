@@ -1,7 +1,5 @@
 #include "obs/health/flight_recorder.hpp"
 
-#if W11_OBS
-
 #include <algorithm>
 #include <map>
 #include <ostream>
@@ -160,5 +158,3 @@ const std::string& FlightRecorder::trigger(Trigger t, Time at,
 }
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

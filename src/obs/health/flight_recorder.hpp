@@ -15,10 +15,6 @@
 // scenario at any worker count is byte-identical — the property
 // tests/test_health.cpp pins at 1/2/4/8 workers.
 
-#include "obs/gate.hpp"
-
-#if W11_OBS
-
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -111,5 +107,3 @@ class FlightRecorder {
 };
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

@@ -1,7 +1,5 @@
 #include "obs/health/health.hpp"
 
-#if W11_OBS
-
 #include <algorithm>
 #include <ostream>
 #include <sstream>
@@ -124,5 +122,3 @@ std::string HealthEngine::events_jsonl() const {
 }
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

@@ -15,10 +15,6 @@
 // events carry sim time — two runs that adopt the same samples emit
 // byte-identical event logs at any worker count.
 
-#include "obs/gate.hpp"
-
-#if W11_OBS
-
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -140,5 +136,3 @@ class HealthEngine {
 };
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

@@ -4,10 +4,6 @@
 // same layering reason as obs/telemetry_bridge.hpp: w11_obs sits below
 // w11_telemetry, so the glue lives where both are visible.
 
-#include "obs/gate.hpp"
-
-#if W11_OBS
-
 #include "obs/health/health.hpp"
 #include "telemetry/littletable.hpp"
 
@@ -30,5 +26,3 @@ inline void append_health_events(const std::vector<HealthEvent>& events,
 }
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

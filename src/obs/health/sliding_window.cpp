@@ -1,7 +1,5 @@
 #include "obs/health/sliding_window.hpp"
 
-#if W11_OBS
-
 #include <algorithm>
 
 #include "common/check.hpp"
@@ -154,5 +152,3 @@ double SlidingWindow::fraction_bad(const Agg& a, double threshold,
 }
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

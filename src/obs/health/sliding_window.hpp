@@ -18,10 +18,6 @@
 // Samples older than the ring's reach are counted (dropped_late()) and
 // discarded — never silently folded into the wrong window.
 
-#include "obs/gate.hpp"
-
-#if W11_OBS
-
 #include <cstdint>
 #include <vector>
 
@@ -106,5 +102,3 @@ class SlidingWindow {
 };
 
 }  // namespace w11::obs
-
-#endif  // W11_OBS

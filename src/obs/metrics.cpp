@@ -262,9 +262,4 @@ void MetricsRegistry::reset_values() {
   }
 }
 
-MetricsRegistry& metrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace w11::obs

@@ -4,12 +4,15 @@
 // ("lane") so TaskPool bodies can record without contention, merged
 // deterministically in lane-registration order.
 //
-// Cost model:
-//   * disabled registry — one bool load per site (the W11_COUNT macros
-//     check before touching anything else);
-//   * enabled hot path — one thread-local cache probe plus one add into the
-//     lane's own flat array; no locks, no allocation after the lane's
-//     first touch of a metric id.
+// A registry belongs to a run. Components count in their own Stats; a run
+// that wants a metrics dump or a flight-ring catalog snapshots those Stats
+// into a registry it owns, at the run's edge (Testbed::run under
+// W11_TRACE, run_rollout_scenario's flight ring). There is no process-wide
+// registry.
+//
+// Cost model: one thread-local cache probe plus one add into the lane's
+// own flat array; no locks, no allocation after the lane's first touch of
+// a metric id.
 //
 // Merge semantics (snapshot()):
 //   * counters — summed across lanes (order-free by construction);
@@ -82,9 +85,6 @@ class MetricsRegistry {
  public:
   MetricsRegistry();
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   // Register-or-look-up by name; idempotent, mutex-guarded. Registering an
   // existing name with a different metric kind throws.
   [[nodiscard]] Counter counter(std::string_view name);
@@ -94,10 +94,9 @@ class MetricsRegistry {
   [[nodiscard]] Histogram histogram(std::string_view name,
                                     std::vector<double> bounds = {});
 
-  // Eager registration without keeping the handle. The W11_COUNT family
-  // registers lazily on the first *enabled* hit, so a metric whose site
-  // never fired is absent from snapshot() — indistinguishable from zero.
-  // Rate SLIs over quiet windows need the distinction: declare every
+  // Eager registration without keeping the handle. A metric that was
+  // never registered is absent from snapshot() — indistinguishable from
+  // zero. Rate SLIs over quiet windows need the distinction: declare every
   // metric a health SLI reads up front and a quiet window reads a defined
   // 0, never a missing name (tests/test_obs.cpp pins the zero-valued
   // inclusion).
@@ -176,7 +175,6 @@ class MetricsRegistry {
   }
   [[nodiscard]] HistogramView merge_histogram(const Desc& d) const;
 
-  bool enabled_ = false;
   std::uint64_t id_;  // process-unique, keys the thread-local shard cache
 
   mutable std::mutex mu_;  // guards descs_ growth and shard registration
@@ -196,8 +194,5 @@ class MetricsRegistry {
   friend class Gauge;
   friend class Histogram;
 };
-
-// The process-wide registry the W11_COUNT/W11_HISTOGRAM macros target.
-[[nodiscard]] MetricsRegistry& metrics();
 
 }  // namespace w11::obs

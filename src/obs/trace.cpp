@@ -6,8 +6,6 @@
 #include <cstring>
 #include <tuple>
 
-#include "obs/metrics.hpp"
-
 namespace w11::obs {
 
 namespace {
@@ -71,9 +69,7 @@ void TraceRecorder::clear() {
 
 bool enable_from_env() {
   const char* v = std::getenv("W11_TRACE");
-  const bool on = v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  if (on) metrics().set_enabled(true);
-  return on;
+  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
 const char* trace_out_path(const char* default_path) {

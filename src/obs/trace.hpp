@@ -258,11 +258,10 @@ inline ScopedSpan TraceRecorder::span(TraceKind kind, std::uint64_t ord,
   return ScopedSpan(accepts(kind) ? this : nullptr, kind, ord, a);
 }
 
-// W11_TRACE environment gate: W11_TRACE set to anything but "" / "0"
-// enables the process metrics registry and returns true; the caller then
-// records into a recorder of its own (Testbed::run attaches one to its
-// simulator). Idempotent; the Testbed and the bench harness both call it.
-bool enable_from_env();
+// W11_TRACE environment gate: true when W11_TRACE is set to anything but
+// "" / "0". The caller then records into a recorder of its own and fills a
+// registry of its own (Testbed::run attaches one to its simulator).
+[[nodiscard]] bool enable_from_env();
 
 // Output path for the exported artifacts: $W11_TRACE_OUT if set, else
 // `default_path`.

@@ -270,9 +270,8 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
     controller.tick(t);
     last_at = t;
     if (cfg.attach_telemetry) {
-      // Per-poll pipeline health: queue high-waters and drop/defer deltas
-      // land in the metrics registry (eagerly registered — quiet polls
-      // still report zeros).
+      // Per-poll pipeline tick; queue high-waters and drop/defer counts
+      // are read from FleetController::health().
       ingest.ingest_pipeline(controller.ingest_stats(),
                              controller.output_stats(),
                              controller.stats().jobs_deferred);

@@ -8,20 +8,16 @@
 #include "core/turboca/service.hpp"
 #include "ctrl/plan_store.hpp"
 #include "fault/scan_fault.hpp"
-#include "obs/gate.hpp"
-#include "obs/trace.hpp"
-#include "sim/simulator.hpp"
-#include "telemetry/collector.hpp"
-#include "telemetry/littletable.hpp"
-#include "workload/topology.hpp"
-
-#if W11_OBS
 #include "obs/audit.hpp"
 #include "obs/health/flight_recorder.hpp"
 #include "obs/health/health.hpp"
 #include "obs/health/health_bridge.hpp"
 #include "obs/metrics.hpp"
-#endif
+#include "obs/trace.hpp"
+#include "sim/simulator.hpp"
+#include "telemetry/collector.hpp"
+#include "telemetry/littletable.hpp"
+#include "workload/topology.hpp"
 
 namespace w11::scenario {
 
@@ -94,7 +90,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   store.mark_good(store.commit(net->current_plan(), 0.0, Time{0}));
 
   // --- fleet health engine + flight recorder (cfg.health) ------------------
-#if W11_OBS
   std::unique_ptr<obs::HealthEngine> health;
   std::unique_ptr<obs::FlightRecorder> recorder;
   obs::MetricsRegistry flight_metrics;  // filled from Stats at each capture
@@ -181,7 +176,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
                               plan_audit.write_jsonl(os);
                             });
   }
-#endif
 
   // --- fault wiring --------------------------------------------------------
   fault::FaultHandlers fh;
@@ -191,13 +185,11 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     net->radar_event(ApId{static_cast<std::uint32_t>(ap)});
     if (net->aps()[static_cast<std::size_t>(ap)].channel != before)
       coord.notify_radar(static_cast<std::uint32_t>(ap));
-#if W11_OBS
     if (recorder != nullptr) {
       recorder->note(sim.now(), "fault.radar", ap);
       if (cfg.postmortem_on_fault)
         recorder->trigger(obs::Trigger::kFaultInjection, sim.now(), "radar");
     }
-#endif
   };
   fh.link_down = [&](int link) {
     if (link >= 0 && link < cfg.n_aps)
@@ -219,10 +211,8 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   };
   fh.telemetry_drop = [&](int n) {
     coll.drop_next(n);
-#if W11_OBS
     if (recorder != nullptr)
       recorder->note(sim.now(), "fault.telemetry_drop", n);
-#endif
   };
   fh.scan_degrade = [&](fault::ScanFaultMode m, double keep) {
     deg.set_mode(m, keep);
@@ -250,18 +240,15 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
                                    coord.stats().reverted;
     if (done_now > done_seen) {
       out.convergence_s.push_back(coord.last_convergence().sec());
-#if W11_OBS
       if (health != nullptr)
         health->observe("ctrl.convergence_s", sim.now(),
                         coord.last_convergence().sec());
-#endif
       done_seen = done_now;
     }
     if (accepting && !coord.active() && pending_version > started_version &&
         pending_version > store.last_known_good_version()) {
       if (coord.start(pending_version)) started_version = pending_version;
     }
-#if W11_OBS
     if (health != nullptr) {
       // SLI adoption, flight-ring capture, SLO evaluation, postmortem
       // triggers — all on this serial tick, so every piece is exact.
@@ -311,7 +298,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
         pins_seen = rs.radar_pins;
       }
     }
-#endif
   };
   PeriodicTimer poll(sim, cfg.poll, cfg.poll, tick);
 
@@ -357,7 +343,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   out.planner_runs = svc.stats().runs;
   out.requested_replans = svc.stats().requested_replans;
   out.rollout_health = coord.health();
-#if W11_OBS
   if (health != nullptr) {
     out.postmortems.assign(recorder->bundles().begin(),
                            recorder->bundles().end());
@@ -368,7 +353,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     out.recorder_dropped = recorder->entries_dropped();
     out.postmortems_dropped = recorder->bundles_dropped();
   }
-#endif
   return out;
 }
 

@@ -56,13 +56,13 @@ struct RolloutScenarioConfig {
   exec::TaskPool* pool = nullptr;  // planner scoring pool; nullptr = global
 
   // --- fleet health engine + flight recorder (DESIGN.md §17) ---------------
-  // When true (and the build has W11_OBS), the run stands up a HealthEngine
-  // over the rollout SLIs (revert rate, telemetry drops, convergence), an
-  // always-on FlightRecorder fed at every poll, and a planner decision
-  // audit — and every auto-revert / watchdog / radar pin / paging SLO
-  // breach dumps a postmortem bundle into Result::postmortems. The run's
-  // trace and the flight ring's metrics belong to the run, so health runs
-  // may execute concurrently on separate threads.
+  // When true, the run stands up a HealthEngine over the rollout SLIs
+  // (revert rate, telemetry drops, convergence), an always-on
+  // FlightRecorder fed at every poll, and a planner decision audit — and
+  // every auto-revert / watchdog / radar pin / paging SLO breach dumps a
+  // postmortem bundle into Result::postmortems. The run's trace and the
+  // flight ring's metrics belong to the run, so health runs may execute
+  // concurrently on separate threads.
   bool health = false;
   Time health_window = time::minutes(5);  // postmortem lookback
   std::size_t recorder_capacity = 256;    // flight-ring entries
@@ -94,8 +94,7 @@ struct RolloutScenarioResult {
   int planner_runs = 0;
   int requested_replans = 0;
 
-  // --- health engine output (filled only when cfg.health && W11_OBS) ------
-  // Plain types so the struct shape is identical in W11_OBS=0 builds.
+  // --- health engine output (filled only when cfg.health) -----------------
   std::vector<std::string> postmortems;  // self-contained JSONL bundles
   std::string health_events_jsonl;       // breach/recovery event log
   std::uint64_t health_breaches = 0;

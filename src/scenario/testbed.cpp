@@ -1,20 +1,59 @@
 #include "scenario/testbed.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/check.hpp"
-#include "obs/gate.hpp"
-#include "obs/trace.hpp"
-
-#if W11_OBS
 #include "obs/export.hpp"
-#endif
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace w11::scenario {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+
+// `name`.{count,sum,mean,p50,p95,max} of one sample set: the names a
+// registry histogram expands to, with the sample set's exact values.
+void snapshot_samples(const std::string& name, const Samples& s,
+                      obs::MetricsRegistry& reg) {
+  double sum = 0.0;
+  for (double x : s.sorted()) sum += x;
+  reg.gauge(name + ".count").set(static_cast<double>(s.count()));
+  reg.gauge(name + ".sum").set(sum);
+  reg.gauge(name + ".mean").set(s.mean());
+  reg.gauge(name + ".p50").set(s.empty() ? 0.0 : s.quantile(0.5));
+  reg.gauge(name + ".p95").set(s.empty() ? 0.0 : s.quantile(0.95));
+  reg.gauge(name + ".max").set(s.empty() ? 0.0 : s.max());
 }
+
+// The W11_TRACE metrics dump: a snapshot of one run's AP and FastACK Stats.
+void snapshot_stats(const Testbed& tb, int n_aps, obs::MetricsRegistry& reg) {
+  Samples bundles;
+  Samples frames;
+  fastack::FlowStats fa;
+  for (int i = 0; i < n_aps; ++i) {
+    bundles.add_all(tb.ap(i).stats().ampdu_bundles.sorted());
+    frames.add_all(tb.ap(i).stats().ampdu_frames.sorted());
+    if (const fastack::FastAckAgent* a = tb.agent(i)) {
+      fa.fast_acks_sent += a->stats().fast_acks_sent;
+      fa.client_acks_suppressed += a->stats().client_acks_suppressed;
+      fa.local_retransmits += a->stats().local_retransmits;
+      fa.window_updates_sent += a->stats().window_updates_sent;
+      fa.hole_dupacks_sent += a->stats().hole_dupacks_sent;
+      fa.bypass_activations += a->stats().bypass_activations;
+    }
+  }
+  snapshot_samples("mac.ampdu_bundles", bundles, reg);
+  snapshot_samples("mac.ampdu_frames", frames, reg);
+  reg.counter("fastack.acks_synthesized").add(fa.fast_acks_sent);
+  reg.counter("fastack.acks_suppressed").add(fa.client_acks_suppressed);
+  reg.counter("fastack.cache_served_segments").add(fa.local_retransmits);
+  reg.counter("fastack.window_updates").add(fa.window_updates_sent);
+  reg.counter("fastack.hole_dupacks").add(fa.hole_dupacks_sent);
+  reg.counter("fastack.bypass_activations").add(fa.bypass_activations);
+}
+}  // namespace
 
 Testbed::Testbed(TestbedConfig cfg)
     : cfg_(cfg), rng_(cfg.seed) {
@@ -182,16 +221,15 @@ std::size_t Testbed::flow_index(int ap_idx, int client_idx) const {
 void Testbed::run() {
   W11_CHECK_MSG(!ran_, "Testbed::run may only be called once");
   ran_ = true;
-#if W11_OBS
-  // W11_TRACE=1 attaches this testbed's own recorder, switches on the
-  // process metrics, and exports the Chrome-trace/JSONL/metrics artifacts
-  // when the run finishes (W11_TRACE_OUT overrides the default path).
+  // W11_TRACE=1 attaches this testbed's own recorder and, when the run
+  // finishes, exports it with a snapshot of this run's Stats as the
+  // Chrome-trace/JSONL/metrics artifacts (W11_TRACE_OUT overrides the
+  // default path).
   const bool tracing = obs::enable_from_env();
   if (tracing) {
     trace_.set_enabled(true);
     sim_.set_tracer(&trace_);
   }
-#endif
   for (auto& fc : flows_)
     if (fc.sender) fc.sender->start();
 
@@ -202,9 +240,11 @@ void Testbed::run() {
     udp_bytes_at_warmup_.push_back(clients_[i]->udp_bytes_received());
   }
   sim_.run_until(cfg_.warmup + cfg_.duration);
-#if W11_OBS
-  if (tracing) obs::export_run(&trace_, obs::trace_out_path("w11_trace.json"));
-#endif
+  if (tracing) {
+    obs::MetricsRegistry metrics;
+    snapshot_stats(*this, cfg_.n_aps, metrics);
+    obs::export_run(trace_, metrics, obs::trace_out_path("w11_trace.json"));
+  }
 }
 
 double Testbed::aggregate_throughput_mbps() const {

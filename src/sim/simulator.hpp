@@ -72,9 +72,7 @@ class Simulator {
   // stamped with its (sim time, seq), and the recorder's clock is bound to
   // this simulator so sim-attached instrumentation sites (AP, FastACK,
   // PlanApplier, RolloutCoordinator) stamp sim virtual time. Attaching is
-  // the runtime debug switch of the packet-level testbed and works in every
-  // build, including the one that compiles the metrics macros out
-  // (obs/gate.hpp).
+  // the runtime debug switch of the packet-level testbed.
   // Detached (default) the hot loop pays one null check. Any previously
   // attached recorder is unbound from this simulator's clock.
   void set_tracer(obs::TraceRecorder* t) {

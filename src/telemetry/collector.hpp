@@ -3,7 +3,6 @@
 // LittleTable rows — the shape of the Meraki backend's polling loop (§2.2).
 
 #include "flowsim/network.hpp"
-#include "obs/gate.hpp"
 #include "telemetry/littletable.hpp"
 
 namespace w11::telemetry {
@@ -32,11 +31,9 @@ class NetworkCollector {
     if (drop_pending_ > 0) {
       --drop_pending_;
       ++records_dropped_;
-      W11_COUNT("telemetry.records_dropped");
       return false;
     }
     ++records_written_;
-    W11_COUNT("telemetry.records_written");
     // Batch the interval: build all AP rows, then one bulk append (one
     // reserve + one sortedness check instead of per-AP bookkeeping).
     std::vector<LittleTable::Row> batch;

@@ -13,7 +13,6 @@
 
 #include "fleet/queues.hpp"
 #include "flowsim/scan.hpp"
-#include "obs/gate.hpp"
 #include "telemetry/littletable.hpp"
 
 namespace w11::telemetry {
@@ -24,21 +23,7 @@ class FleetIngest {
       : ap_stats_("fleet_ap_stats",
                   {"campus", "utilization", "load", "neighbors"}),
         plan_stats_("fleet_plans",
-                    {"n_aps", "netp_log", "improved", "plan_seconds"}) {
-#if W11_OBS
-    // Eager handles: the pipeline metrics must exist (at zero) in every
-    // snapshot — rate SLIs over quiet polls are undefined when the name is
-    // absent (DESIGN.md §17) — so registration cannot wait for a first hit.
-    // FleetController counts the two declared-only counters where they
-    // happen.
-    obs::MetricsRegistry& mr = obs::metrics();
-    m_ingest_hw_ = mr.gauge("fleet.ingest.high_water");
-    m_output_hw_ = mr.gauge("fleet.output.high_water");
-    mr.declare_counter("fleet.epochs_dropped");
-    m_output_rejected_ = mr.counter("fleet.output.rejected");
-    mr.declare_counter("fleet.jobs_deferred");
-#endif
-  }
+                    {"n_aps", "netp_log", "improved", "plan_seconds"}) {}
 
   // One campus's slice of a polling interval: one reserve, one bulk
   // append, staged through a scratch batch whose capacity persists across
@@ -54,7 +39,6 @@ class FleetIngest {
            s.total_load(), static_cast<double>(s.neighbors.size())}});
     }
     rows_ingested_ += scratch_.size();
-    W11_COUNT_N("telemetry.fleet_rows", scratch_.size());
     ap_stats_.append_reusing(scratch_);
   }
 
@@ -65,29 +49,15 @@ class FleetIngest {
                        {static_cast<double>(n_aps), netp_log,
                         improved ? 1.0 : 0.0, plan_seconds});
     ++plans_ingested_;
-    W11_COUNT("telemetry.fleet_plans");
   }
 
-  // One controller poll's pipeline health: bounded-queue high-water marks
-  // land as gauges and output-queue rejections as a cumulative counter
-  // (the input is cumulative; deltas are added so the registry counter
-  // tracks the source). Ingest drops and backpressure deferrals are
-  // counted by FleetController itself, so `jobs_deferred` is not mirrored.
-  // Call once per poll from the ticking thread.
-  void ingest_pipeline(const fleet::QueueStats& ingest_q,
-                       const fleet::QueueStats& output_q,
+  // One controller poll's pipeline tick. The queue and deferral figures
+  // are FleetController::health() and Stats fields already, so only the
+  // poll is counted here. Call once per poll from the ticking thread.
+  void ingest_pipeline(const fleet::QueueStats& /*ingest_q*/,
+                       const fleet::QueueStats& /*output_q*/,
                        std::uint64_t /*jobs_deferred*/) {
     ++pipeline_polls_;
-#if W11_OBS
-    if (!obs::metrics().enabled()) return;
-    m_ingest_hw_.set(static_cast<double>(ingest_q.high_water));
-    m_output_hw_.set(static_cast<double>(output_q.high_water));
-    m_output_rejected_.add(output_q.rejected - last_output_rejected_);
-    last_output_rejected_ = output_q.rejected;
-#else
-    (void)ingest_q;
-    (void)output_q;
-#endif
   }
 
   [[nodiscard]] std::uint64_t pipeline_polls() const { return pipeline_polls_; }
@@ -105,12 +75,6 @@ class FleetIngest {
   std::uint64_t rows_ingested_ = 0;
   std::uint64_t plans_ingested_ = 0;
   std::uint64_t pipeline_polls_ = 0;
-#if W11_OBS
-  obs::Gauge m_ingest_hw_;
-  obs::Gauge m_output_hw_;
-  obs::Counter m_output_rejected_;
-  std::uint64_t last_output_rejected_ = 0;
-#endif
 };
 
 }  // namespace w11::telemetry

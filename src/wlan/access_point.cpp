@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "obs/gate.hpp"
 #include "phy/mcs.hpp"
 
 namespace w11 {
@@ -232,8 +231,8 @@ mac::TxDescriptor AccessPoint::begin_txop(AccessCategory ac) {
     t->record_span(sim_.now(), sim_.now() + duration, obs::TraceKind::kAmpduTx,
                    sim_.processed_events(),
                    static_cast<std::uint64_t>(bundles), txop.batch.size());
-  W11_HISTOGRAM("mac.ampdu_bundles", bundles);
-  W11_HISTOGRAM("mac.ampdu_frames", txop.batch.size());
+  stats_.ampdu_bundles.add(bundles);
+  stats_.ampdu_frames.add(static_cast<double>(txop.batch.size()));
   pending_[aci] = std::move(txop);
   return mac::TxDescriptor{duration, bundles};
 }

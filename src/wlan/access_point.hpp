@@ -64,6 +64,8 @@ class AccessPoint {
     std::array<std::uint64_t, 4> mpdus_acked_by_ac{};
     std::array<std::uint64_t, 4> mpdus_lost_by_ac{};  // retry exhaustion
     Samples tcp_latency;     // data processed -> TCP ACK processed (ms)
+    Samples ampdu_bundles;   // MPDUs per A-MPDU, one sample per TXOP
+    Samples ampdu_frames;    // MSDUs per A-MPDU, one sample per TXOP
     std::uint64_t queue_drops = 0;       // downlink queue overflow
     std::array<std::uint64_t, 4> queue_drops_by_ac{};
     std::uint64_t acks_suppressed = 0;   // by the interceptor

@@ -19,20 +19,14 @@
 #include "common/time.hpp"
 #include "exec/task_pool.hpp"
 #include "fault/fault_plan.hpp"
-#include "obs/gate.hpp"
-#include "scenario/rollout_harness.hpp"
-
-#if W11_OBS
 #include "obs/health/flight_recorder.hpp"
 #include "obs/health/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#endif
+#include "scenario/rollout_harness.hpp"
 
 namespace w11 {
 namespace {
-
-#if W11_OBS
 
 using obs::FlightRecorder;
 using obs::HealthEngine;
@@ -256,7 +250,6 @@ TEST(FlightRecorder, BundleWindowCutsEntriesBeforeLookback) {
 
 TEST(FlightRecorder, CatalogFixesSnapshotShapeWithZeroFill) {
   obs::MetricsRegistry reg;
-  reg.set_enabled(true);
   obs::Counter hit = reg.counter("b.hit");
   hit.add(2);
   FlightRecorder fr(small_ring(8));
@@ -463,20 +456,6 @@ TEST(HealthScenario, PostmortemOnFaultDumpsOnInjectedRadar) {
   EXPECT_NE(r.postmortems.front().find("\"tag\":\"fault.radar\""),
             std::string::npos);
 }
-
-#else  // !W11_OBS
-
-TEST(HealthScenario, DisabledBuildStillRunsTheHarness) {
-  scenario::RolloutScenarioConfig cfg;
-  cfg.n_aps = 6;
-  cfg.horizon = time::minutes(30);
-  cfg.health = true;  // must be an inert flag without W11_OBS
-  const auto r = scenario::run_rollout_scenario(cfg);
-  EXPECT_TRUE(r.converged);
-  EXPECT_TRUE(r.postmortems.empty());
-}
-
-#endif  // W11_OBS
 
 }  // namespace
 }  // namespace w11

@@ -19,7 +19,6 @@
 #include "flowsim/scan_index.hpp"
 #include "obs/audit.hpp"
 #include "obs/export.hpp"
-#include "obs/gate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
@@ -183,7 +182,6 @@ TEST(TraceRecorder, MergedOrdersByTimestampThenOrdinal) {
 }
 
 // -------------------------------------------------------- Simulator tracing
-// Attaching a recorder works in every build, W11_OBS=0 included.
 
 TEST(SimTracing, RecordsOneEventPerDispatchWithSimTimestamps) {
   Simulator sim;
@@ -265,7 +263,6 @@ TEST(SimTracing, ReplacedRecorderIsUnboundFromTheClock) {
 TEST(Metrics, CountersSumAcrossLanesAndWorkerCounts) {
   auto json_at = [](int workers) {
     MetricsRegistry reg;
-    reg.set_enabled(true);
     const obs::Counter items = reg.counter("work.items");
     const obs::Histogram sizes = reg.histogram("work.size", {1, 2, 4, 8});
     exec::TaskPool pool(workers);
@@ -286,10 +283,8 @@ TEST(Metrics, DeclaredButNeverHitMetricsSnapshotAtZero) {
   // Absent-vs-zero: a metric the SLO sheet reads must be present (at zero)
   // in every snapshot even when its code path never ran this interval —
   // otherwise a quiet poll is indistinguishable from a never-registered
-  // name and rate SLIs over it are undefined. declare_* is the eager
-  // registration the lazy W11_COUNT/W11_HISTOGRAM macros can't provide.
+  // name and rate SLIs over it are undefined. declare_* registers eagerly.
   MetricsRegistry reg;
-  reg.set_enabled(true);
   reg.declare_counter("quiet.counter");
   reg.declare_gauge("quiet.gauge");
   reg.declare_histogram("quiet.hist");
@@ -318,7 +313,6 @@ TEST(Metrics, DeclaredButNeverHitMetricsSnapshotAtZero) {
 
 TEST(Metrics, GaugeLatestSetWins) {
   MetricsRegistry reg;
-  reg.set_enabled(true);
   const obs::Gauge g = reg.gauge("queue.depth");
   g.set(1.0);
   g.set(2.5);
@@ -328,7 +322,6 @@ TEST(Metrics, GaugeLatestSetWins) {
 
 TEST(Metrics, HistogramViewCountsBucketsAndBounds) {
   MetricsRegistry reg;
-  reg.set_enabled(true);
   const obs::Histogram h = reg.histogram("lat", {1, 2, 4, 8});
   for (double v : {0.5, 1.5, 3.0, 6.0, 6.0}) h.observe(v);
   const auto view = reg.histogram_view(h);
@@ -357,7 +350,6 @@ TEST(Metrics, RegistrationIsIdempotentAndKindChecked) {
   const obs::Counter a = reg.counter("dup.name");
   const obs::Counter b = reg.counter("dup.name");
   EXPECT_EQ(reg.metric_count(), 1u);
-  reg.set_enabled(true);
   a.add(2);
   b.add(3);
   EXPECT_EQ(reg.counter_value(a), 5u) << "same name must alias one slot";
@@ -367,7 +359,6 @@ TEST(Metrics, RegistrationIsIdempotentAndKindChecked) {
 
 TEST(Metrics, SnapshotExpandsHistogramsInRegistrationOrder) {
   MetricsRegistry reg;
-  reg.set_enabled(true);
   const obs::Counter c = reg.counter("c");
   const obs::Histogram h = reg.histogram("h", {10});
   const obs::Gauge g = reg.gauge("g");
@@ -389,7 +380,6 @@ TEST(Metrics, SnapshotExpandsHistogramsInRegistrationOrder) {
 
 TEST(Metrics, ResetValuesKeepsRegistrations) {
   MetricsRegistry reg;
-  reg.set_enabled(true);
   const obs::Counter c = reg.counter("c");
   c.add(7);
   reg.reset_values();
@@ -399,32 +389,29 @@ TEST(Metrics, ResetValuesKeepsRegistrations) {
   EXPECT_EQ(reg.counter_value(c), 1u);
 }
 
-#if W11_OBS
+// A registry belongs to the run that fills it: two registries that register
+// the same metric name keep separate values, so one run's dump never holds
+// another run's counts.
 TEST(Metrics, MacroGateRespectsRuntimeToggle) {
-  MetricsRegistry& reg = obs::metrics();
-  const bool was_enabled = reg.enabled();
-  reg.set_enabled(false);
-  const std::size_t before = reg.metric_count();
-  W11_COUNT("test.macro.gate");  // disabled: must not even register
-  EXPECT_EQ(reg.metric_count(), before);
-
-  reg.set_enabled(true);
-  W11_COUNT("test.macro.gate");
-  W11_COUNT_N("test.macro.gate", 4);
-  EXPECT_EQ(reg.counter_value(reg.counter("test.macro.gate")), 5u);
-  reg.set_enabled(was_enabled);
+  MetricsRegistry first;
+  MetricsRegistry second;
+  const obs::Counter a = first.counter("run.frames");
+  const obs::Counter b = second.counter("run.frames");
+  a.add(5);
+  b.add(2);
+  EXPECT_EQ(first.counter_value(a), 5u);
+  EXPECT_EQ(second.counter_value(b), 2u);
+  EXPECT_EQ(obs::metrics_json_string(first), "{\"run.frames\":5}\n");
+  EXPECT_EQ(obs::metrics_json_string(second), "{\"run.frames\":2}\n");
 }
 
 TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
-  const bool metrics_was = obs::metrics().enabled();
-
-  obs::metrics().set_enabled(false);
   ::setenv("W11_TRACE", "0", 1);
   EXPECT_FALSE(obs::enable_from_env());
-  EXPECT_FALSE(obs::metrics().enabled());
+  ::setenv("W11_TRACE", "", 1);
+  EXPECT_FALSE(obs::enable_from_env());
   ::setenv("W11_TRACE", "1", 1);
   EXPECT_TRUE(obs::enable_from_env());
-  EXPECT_TRUE(obs::metrics().enabled());
   ::unsetenv("W11_TRACE");
   EXPECT_FALSE(obs::enable_from_env());
 
@@ -432,16 +419,12 @@ TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
   EXPECT_STREQ(obs::trace_out_path("default.json"), "/tmp/custom.json");
   ::unsetenv("W11_TRACE_OUT");
   EXPECT_STREQ(obs::trace_out_path("default.json"), "default.json");
-
-  obs::metrics().set_enabled(metrics_was);
 }
-#endif  // W11_OBS
 
 // ---------------------------------------------------------------- Bridge
 
 TEST(TelemetryBridge, SnapshotLandsAsLittleTableRows) {
   MetricsRegistry reg;
-  reg.set_enabled(true);
   const obs::Counter c = reg.counter("acks");
   const obs::Gauge g = reg.gauge("depth");
   c.add(5);

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -14,7 +15,6 @@
 
 #include "core/fastack/agent.hpp"
 #include "obs/export.hpp"
-#include "obs/gate.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 
@@ -146,9 +146,8 @@ TEST(AgentTracing, CapturesLossRecoveryStory) {
   EXPECT_TRUE(saw_dupack_then_retx);
 }
 
-#if W11_OBS
 // W11_TRACE=1 makes Testbed::run attach a recorder of its own and export
-// it next to the process metrics dump.
+// it next to a metrics dump of the same run.
 TEST(TestbedTracing, W11TraceExportsTheRunsOwnRecorder) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
@@ -178,7 +177,55 @@ TEST(TestbedTracing, W11TraceExportsTheRunsOwnRecorder) {
   EXPECT_TRUE(sim_event);
   fs::remove_all(dir);
 }
-#endif  // W11_OBS
+
+// The numeric value of `"name":<number>` in a flat metrics JSON object.
+double metric_in(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no metric " << name << " in " << json;
+    return -1.0;
+  }
+  return std::strtod(json.c_str() + at + key.size(), nullptr);
+}
+
+// Two traced Testbeds back to back: the second metrics dump is a snapshot
+// of the second run's own Stats, not a sum over every run in the process.
+TEST(TestbedTracing, W11TraceMetricsDescribeOnlyThisRun) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("w11_trace_runs_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("W11_TRACE", "1", 1);
+  ::setenv("W11_TRACE_OUT", (dir / "run.json").c_str(), 1);
+  scenario::TestbedConfig cfg;
+  cfg.n_clients_per_ap = 2;
+  cfg.warmup = time::millis(0);
+  cfg.fastack = {true};
+  cfg.duration = time::millis(400);
+  scenario::Testbed first(cfg);
+  first.run();
+  cfg.duration = time::millis(200);
+  scenario::Testbed second(cfg);
+  second.run();
+  ::unsetenv("W11_TRACE");
+  ::unsetenv("W11_TRACE_OUT");
+
+  std::ifstream in(dir / "run_metrics.json");
+  ASSERT_TRUE(in);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t frames = second.ap(0).stats().ampdu_frames.count();
+  const std::uint64_t fast_acks = second.agent(0)->stats().fast_acks_sent;
+  ASSERT_GT(first.ap(0).stats().ampdu_frames.count(), 0u);
+  ASSERT_GT(frames, 0u);
+  ASSERT_GT(fast_acks, 0u);
+  EXPECT_EQ(metric_in(json, "mac.ampdu_frames.count"),
+            static_cast<double>(frames));
+  EXPECT_EQ(metric_in(json, "fastack.acks_synthesized"),
+            static_cast<double>(fast_acks));
+  fs::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace w11
