@@ -44,6 +44,7 @@ ApId Network::add_ap(Position pos, ChannelWidth max_width, Channel initial,
   node.channel = initial;
   node.dfs_capable = dfs_capable;
   aps_.push_back(std::move(node));
+  budget_valid_ = false;
   return aps_.back().id;
 }
 
@@ -56,12 +57,14 @@ StationId Network::add_client(ApId ap, Position pos, ClientCapability cap,
   cl.offered_mbps = offered_mbps;
   cl.base_offered_mbps = offered_mbps;
   ap_of_mut(ap).clients.push_back(std::move(cl));
+  budget_valid_ = false;
   return ap_of(ap).clients.back().id;
 }
 
 void Network::add_interferer(ExternalInterferer intf) {
   W11_CHECK(intf.channel.band == cfg_.band);
   interferers_.push_back(intf);
+  budget_valid_ = false;
 }
 
 void Network::scale_offered_load(double factor) {
@@ -85,6 +88,7 @@ void Network::set_client_load(ApId ap, double per_client_mbps) {
   }
 }
 
+// Channel and duty only: positions and powers, hence the budget, stay.
 void Network::mutate_interferers(Rng& rng) {
   const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
   for (auto& intf : interferers_) {
@@ -200,28 +204,96 @@ ApNode& Network::ap_of_mut(ApId id) {
   return aps_[id.value()];
 }
 
-bool Network::in_cs_range(const ApNode& a, const ApNode& b) const {
-  return cfg_.prop.rssi(kApTxPowerDbm, a.pos, b.pos, cfg_.band) >
-         cfg_.cs_threshold;
+const Network::LinkBudget& Network::budget() const {
+  if (budget_valid_) return budget_;
+  const std::size_t n = aps_.size();
+  const std::size_t m = interferers_.size();
+  LinkBudget& b = budget_;
+  b.ap_ap.assign(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const Db loss = cfg_.prop.path_loss(aps_[i].pos, aps_[j].pos, cfg_.band);
+      b.ap_ap[i * n + j] = loss;
+      b.ap_ap[j * n + i] = loss;
+    }
+  }
+  b.clients.assign(n, {});
+  b.intf_ap.assign(n * m, 0.0);
+  b.cs_interferers.assign(n, {});
+  for (std::size_t i = 0; i < n; ++i) {
+    const ApNode& ap = aps_[i];
+    for (const ClientNode& cl : ap.clients) {
+      ClientLink link;
+      link.loss = cfg_.prop.path_loss(ap.pos, cl.pos, cfg_.band);
+      // The efficiency denominator is the max rate "supported by both for a
+      // particular association" (§4.6.2): associations are established at
+      // the AP's *operating* width, so the metric is width-neutral and
+      // measures how close the link runs to its SINR-free ceiling —
+      // contention and interference are what drag it down.
+      for (std::size_t w = 0; w < link.max_rate.size(); ++w) {
+        ApCapability ap_cap;  // 3x3 wave-2
+        ap_cap.max_width = static_cast<ChannelWidth>(w);
+        link.max_rate[w] = mcs::max_rate(ap_cap.to_mcs_capability(),
+                                         cl.cap.to_mcs_capability())
+                               .mbps();
+      }
+      b.clients[i].push_back(link);
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      const ExternalInterferer& intf = interferers_[k];
+      const Db loss = cfg_.prop.path_loss(intf.pos, ap.pos, cfg_.band);
+      b.intf_ap[i * m + k] = loss;
+      if (intf.tx_power - loss > cfg_.cs_threshold)
+        b.cs_interferers[i].push_back(k);
+    }
+  }
+  budget_valid_ = true;
+  return budget_;
 }
 
-double Network::external_duty_at(const ApNode& a, const Channel& on) const {
+bool Network::in_cs_range(const LinkBudget& b, std::size_t i,
+                          std::size_t j) const {
+  return kApTxPowerDbm - b.ap_ap[i * aps_.size() + j] > cfg_.cs_threshold;
+}
+
+Network::Contention Network::contention(const LinkBudget& b) const {
+  const std::size_t n = aps_.size();
+  std::vector<int> ord(n);
+  for (std::size_t i = 0; i < n; ++i) ord[i] = channels::ordinal(aps_[i].channel);
+  const auto overlap = [&](std::size_t i, std::size_t j) {
+    return ord[i] >= 0 && ord[j] >= 0
+               ? channels::overlaps_ordinal(ord[i], ord[j])
+               : aps_[i].channel.overlaps(aps_[j].channel);
+  };
+  Contention c;
+  c.cs.resize(n);
+  c.hidden.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j || !overlap(i, j)) continue;
+      (in_cs_range(b, i, j) ? c.cs : c.hidden)[i].push_back(j);
+    }
+  }
+  return c;
+}
+
+double Network::external_duty_at(const LinkBudget& b, std::size_t i,
+                                 const Channel& on) const {
   double duty = 0.0;
-  for (const auto& intf : interferers_) {
+  for (const std::size_t k : b.cs_interferers[i]) {
+    const ExternalInterferer& intf = interferers_[k];
     if (!intf.channel.overlaps(on)) continue;
-    if (cfg_.prop.rssi(intf.tx_power, intf.pos, a.pos, cfg_.band) <=
-        cfg_.cs_threshold)
-      continue;
     duty += intf.duty_cycle * overlap_fraction(on, intf.channel);
   }
   return std::min(duty, 1.0);
 }
 
 double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
+                                const ClientLink& link,
                                 double interference_mw,
                                 int cochannel_contenders) const {
   const ChannelWidth width = std::min(ap.channel.width, cl.cap.max_width);
-  const Dbm rssi = cfg_.prop.rssi(kApTxPowerDbm, ap.pos, cl.pos, cfg_.band);
+  const Dbm rssi = kApTxPowerDbm - link.loss;
   const double noise_mw = dbm_to_mw(cfg_.prop.noise_floor(width));
   const Db sinr = rssi - mw_to_dbm(noise_mw + interference_mw);
   // Rate controllers back off under contention: collisions and retries on
@@ -241,51 +313,36 @@ double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
       .mbps();
 }
 
-double Network::client_max_rate(const ApNode& ap, const ClientNode& cl) const {
-  // The efficiency denominator is the max rate "supported by both for a
-  // particular association" (§4.6.2): associations are established at the
-  // AP's *operating* width, so the metric is width-neutral and measures how
-  // close the link runs to its SINR-free ceiling — contention and
-  // interference are what drag it down.
-  ApCapability ap_cap;  // 3x3 wave-2
-  ap_cap.max_width = ap.channel.width;
-  return mcs::max_rate(ap_cap.to_mcs_capability(), cl.cap.to_mcs_capability())
-      .mbps();
-}
-
 Evaluation Network::evaluate() const {
   const std::size_t n = aps_.size();
+  const LinkBudget& b = budget();
   Evaluation ev;
   ev.per_ap.resize(n);
 
   // CS-coupled, channel-overlapping neighborhoods for the current plan.
-  std::vector<std::vector<std::size_t>> nbrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (aps_[i].channel.overlaps(aps_[j].channel) &&
-          in_cs_range(aps_[i], aps_[j]))
-        nbrs[i].push_back(j);
-    }
-  }
+  const Contention con = contention(b);
+  const auto& nbrs = con.cs;
 
   std::vector<double> ext(n);
   for (std::size_t i = 0; i < n; ++i)
-    ext[i] = external_duty_at(aps_[i], aps_[i].channel);
+    ext[i] = external_duty_at(b, i, aps_[i].channel);
 
   // Two passes: rates -> airtime -> interference-adjusted rates -> airtime.
   std::vector<double> demand(n), share(n);
   std::vector<std::vector<double>> client_rate(n);
   std::vector<double> client_intf_mw(n, 0.0);  // per-AP mean interference
+  std::vector<double> pressure(n);
 
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < n; ++i) {
       const ApNode& ap = aps_[i];
       client_rate[i].clear();
       double d = 0.0;
-      for (const auto& cl : ap.clients) {
-        const double rate = client_phy_rate(
-            ap, cl, client_intf_mw[i], static_cast<int>(nbrs[i].size()));
+      for (std::size_t c = 0; c < ap.clients.size(); ++c) {
+        const ClientNode& cl = ap.clients[c];
+        const double rate =
+            client_phy_rate(ap, cl, b.clients[i][c], client_intf_mw[i],
+                            static_cast<int>(nbrs[i].size()));
         client_rate[i].push_back(rate);
         d += cl.offered_mbps / std::max(rate * cfg_.mac_efficiency, 1.0);
       }
@@ -295,7 +352,7 @@ Evaluation Network::evaluate() const {
 
     // Damped water-filling on neighborhood constraints.
     for (int it = 0; it < cfg_.solver_iterations; ++it) {
-      std::vector<double> pressure(n, 1.0);
+      std::fill(pressure.begin(), pressure.end(), 1.0);
       for (std::size_t k = 0; k < n; ++k) {
         double load = share[k] + ext[k];
         for (std::size_t j : nbrs[k]) load += share[j];
@@ -323,21 +380,19 @@ Evaluation Network::evaluate() const {
           continue;
         }
         // Use the AP's own position as a proxy for its clients' locations.
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j == i) continue;
-          if (!aps_[i].channel.overlaps(aps_[j].channel)) continue;
-          if (in_cs_range(aps_[i], aps_[j])) continue;  // serialized by CSMA
-          const Dbm p =
-              cfg_.prop.rssi(kApTxPowerDbm, aps_[j].pos, aps_[i].pos, cfg_.band);
+        // CS neighbours are serialized by CSMA; only hidden APs interfere.
+        for (const std::size_t j : con.hidden[i]) {
+          const Dbm p = kApTxPowerDbm - b.ap_ap[j * n + i];
           mw += dbm_to_mw(p) * share[j] *
                 overlap_fraction(aps_[i].channel, aps_[j].channel);
         }
         // External interferers beyond carrier-sense range still radiate
         // into the cell and erode client SINR.
-        for (const auto& intf : interferers_) {
+        const std::size_t m = interferers_.size();
+        for (std::size_t k = 0; k < m; ++k) {
+          const ExternalInterferer& intf = interferers_[k];
           if (!intf.channel.overlaps(aps_[i].channel)) continue;
-          const Dbm p =
-              cfg_.prop.rssi(intf.tx_power, intf.pos, aps_[i].pos, cfg_.band);
+          const Dbm p = intf.tx_power - b.intf_ap[i * m + k];
           if (p > cfg_.cs_threshold) continue;  // in range -> serialized
           mw += dbm_to_mw(p) * intf.duty_cycle *
                 overlap_fraction(aps_[i].channel, intf.channel);
@@ -369,7 +424,8 @@ Evaluation Network::evaluate() const {
     for (std::size_t c = 0; c < ap.clients.size(); ++c) {
       const double rate = client_rate[i][c];
       rate_sum += rate;
-      const double max_rate = client_max_rate(ap, ap.clients[c]);
+      const double max_rate =
+          b.clients[i][c].max_rate[static_cast<std::size_t>(ap.channel.width)];
       const double eff = max_rate > 0.0 ? std::min(1.0, rate / max_rate) : 0.0;
       m.client_efficiency.push_back(eff);
       eff_sum += eff;
@@ -395,9 +451,12 @@ Evaluation Network::evaluate() const {
 
 std::vector<ApScan> Network::scan() const {
   const Evaluation ev = evaluate();
+  const LinkBudget& b = budget();
+  const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
+  const std::size_t n = aps_.size();
   std::vector<ApScan> scans;
-  scans.reserve(aps_.size());
-  for (std::size_t i = 0; i < aps_.size(); ++i) {
+  scans.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const ApNode& ap = aps_[i];
     ApScan s;
     s.id = ap.id;
@@ -415,19 +474,18 @@ std::vector<ApScan> Network::scan() const {
     s.utilization_current = ev.per_ap[i].utilization;
 
     for (const auto& cl : ap.clients) {
-      const ChannelWidth b = std::min(cl.cap.max_width, ap.max_width);
-      s.load_by_width[b] += 1.0 + cl.offered_mbps / 5.0;
+      const ChannelWidth w = std::min(cl.cap.max_width, ap.max_width);
+      s.load_by_width[w] += 1.0 + cl.offered_mbps / 5.0;
     }
 
-    for (const auto& other : aps_) {
-      if (other.id == ap.id) continue;
-      if (!in_cs_range(ap, other)) continue;
-      s.neighbors.push_back(NeighborReport{
-          other.id, cfg_.prop.rssi(kApTxPowerDbm, other.pos, ap.pos, cfg_.band)});
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || !in_cs_range(b, i, j)) continue;
+      s.neighbors.push_back(
+          NeighborReport{aps_[j].id, kApTxPowerDbm - b.ap_ap[j * n + i]});
     }
 
-    for (const Channel& comp : channels::us_catalog(cfg_.band, ChannelWidth::MHz20)) {
-      double u = external_duty_at(ap, comp);
+    for (const Channel& comp : catalog) {
+      double u = external_duty_at(b, i, comp);
       if (cfg_.scan_noise_sigma > 0.0 && u > 0.0) {
         // Scanning-radio sampling error (150 ms dwells, §2.1).
         u = std::clamp(u + rng_.normal(0.0, cfg_.scan_noise_sigma), 0.0, 1.0);
@@ -474,10 +532,10 @@ Samples Network::sample_bitrate_efficiency(const Evaluation& ev) const {
 }
 
 Samples Network::sample_client_rssi() const {
+  const LinkBudget& b = budget();
   Samples out;
-  for (const auto& ap : aps_)
-    for (const auto& cl : ap.clients)
-      out.add(cfg_.prop.rssi(kClientTxPowerDbm, cl.pos, ap.pos, cfg_.band));
+  for (const auto& links : b.clients)
+    for (const ClientLink& link : links) out.add(kClientTxPowerDbm - link.loss);
   return out;
 }
 
@@ -489,16 +547,8 @@ Samples Network::sample_utilization(const Evaluation& ev) const {
 
 Samples Network::sample_cochannel_interferers() const {
   Samples out;
-  for (std::size_t i = 0; i < aps_.size(); ++i) {
-    int count = 0;
-    for (std::size_t j = 0; j < aps_.size(); ++j) {
-      if (i == j) continue;
-      if (aps_[i].channel.overlaps(aps_[j].channel) &&
-          in_cs_range(aps_[i], aps_[j]))
-        ++count;
-    }
-    out.add(static_cast<double>(count));
-  }
+  for (const auto& cs : contention(budget()).cs)
+    out.add(static_cast<double>(cs.size()));
   return out;
 }
 

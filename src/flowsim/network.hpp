@@ -18,6 +18,7 @@
 // are derived from these results — *not* from TurboCA's NodeP — so channel
 // plans are evaluated by an independent model, avoiding circularity.
 
+#include <array>
 #include <optional>
 #include <set>
 #include <vector>
@@ -78,6 +79,9 @@ struct Evaluation {
   [[nodiscard]] const ApMetrics& of(ApId id) const;
 };
 
+// Single-threaded: scan() draws measurement noise from the network's own
+// Rng, and the first measurement after a topology change fills the link
+// budget, so const calls on one Network must not run concurrently.
 class Network {
  public:
   struct Config {
@@ -101,6 +105,8 @@ class Network {
   explicit Network(Config cfg);
 
   // --- topology ----------------------------------------------------------
+  // Positions never move once added, so every add_* only invalidates the
+  // link budget; the next measurement rebuilds it.
   ApId add_ap(Position pos, ChannelWidth max_width, Channel initial,
               bool dfs_capable = true);
   StationId add_client(ApId ap, Position pos, ClientCapability cap,
@@ -185,10 +191,6 @@ class Network {
   [[nodiscard]] Samples sample_cochannel_interferers() const;
 
  private:
-  struct Interference {
-    double noise_mw_extra = 0.0;  // co-channel interference power at client
-  };
-
   [[nodiscard]] const ApNode& ap_of(ApId id) const;
   [[nodiscard]] ApNode& ap_of_mut(ApId id);
   // Keep a non-DFS fallback whenever `ap` sits on a DFS channel; clear it
@@ -196,17 +198,47 @@ class Network {
   void refresh_dfs_fallback(ApNode& ap);
   // §4.3.1 disruption accounting for one AP's active clients after a switch.
   void account_switch_disruption(const ApNode& ap);
-  [[nodiscard]] bool in_cs_range(const ApNode& a, const ApNode& b) const;
-  [[nodiscard]] double external_duty_at(const ApNode& a,
+
+  // Everything that depends only on positions and transmit powers, in
+  // path-loss dB from PropagationModel::path_loss. Readers form RSSI as
+  // `tx - loss`, the expression PropagationModel::rssi evaluates, so every
+  // derived value is bit-identical to computing the link afresh.
+  struct ClientLink {
+    Db loss = 0.0;  // AP <-> client
+    // mcs::max_rate of the association at each AP operating width, indexed
+    // by ChannelWidth (the §4.6.2 efficiency denominator).
+    std::array<double, 4> max_rate{};
+  };
+  struct LinkBudget {
+    std::vector<Db> ap_ap;  // n x n, row-major (path loss is symmetric)
+    std::vector<std::vector<ClientLink>> clients;  // [ap][client]
+    std::vector<Db> intf_ap;  // [ap * interferers + k]
+    // Interferers each AP carrier-senses, ascending index.
+    std::vector<std::vector<std::size_t>> cs_interferers;
+  };
+  // Co-channel APs under the current plan, ascending index: CS neighbours
+  // share airtime; hidden ones (out of CS range) interfere at the clients.
+  struct Contention {
+    std::vector<std::vector<std::size_t>> cs;
+    std::vector<std::vector<std::size_t>> hidden;
+  };
+
+  // The budget for the current topology, built on first use after add_*.
+  [[nodiscard]] const LinkBudget& budget() const;
+  [[nodiscard]] bool in_cs_range(const LinkBudget& b, std::size_t i,
+                                 std::size_t j) const;
+  [[nodiscard]] Contention contention(const LinkBudget& b) const;
+  [[nodiscard]] double external_duty_at(const LinkBudget& b, std::size_t i,
                                         const Channel& on) const;
   [[nodiscard]] double client_phy_rate(const ApNode& ap, const ClientNode& cl,
+                                       const ClientLink& link,
                                        double interference_mw,
                                        int cochannel_contenders) const;
-  [[nodiscard]] double client_max_rate(const ApNode& ap,
-                                       const ClientNode& cl) const;
 
   Config cfg_;
   mutable Rng rng_;
+  mutable LinkBudget budget_;
+  mutable bool budget_valid_ = false;
   std::vector<ApNode> aps_;
   std::vector<ExternalInterferer> interferers_;
   int total_switches_ = 0;

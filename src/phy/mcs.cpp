@@ -1,6 +1,7 @@
 #include "phy/mcs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -70,10 +71,13 @@ Db min_snr(McsIndex idx) {
   return kBase[idx.mcs] + 3.0 * (idx.nss - 1);
 }
 
-std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss) {
+namespace {
+
+// The exhaustive search: highest-rate valid MCS whose threshold `snr`
+// meets (a NaN meets every threshold). Builds the staircases below.
+std::optional<McsIndex> search(Db snr, ChannelWidth width, int nss_cap) {
   std::optional<McsIndex> best;
   RateMbps best_rate{0.0};
-  const int nss_cap = std::clamp(max_nss, 1, kMaxNss);
   for (int nss = 1; nss <= nss_cap; ++nss) {
     for (int m = 0; m <= kMaxMcs; ++m) {
       const McsIndex idx{m, nss};
@@ -87,6 +91,49 @@ std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss) {
     }
   }
   return best;
+}
+
+// search() is a step function of `snr` that changes only at a min_snr
+// threshold, so it is exactly its value at the highest threshold <= snr.
+struct Staircase {
+  std::vector<Db> thresholds;   // distinct min_snr values, ascending
+  std::vector<McsIndex> picks;  // search() at each threshold
+};
+
+// [width][nss cap - 1], built once.
+const Staircase& staircase(ChannelWidth width, int nss_cap) {
+  static const auto tables = [] {
+    std::array<std::array<Staircase, kMaxNss>, 4> t;
+    for (std::size_t w = 0; w < t.size(); ++w) {
+      const auto cw = static_cast<ChannelWidth>(w);
+      for (int cap = 1; cap <= kMaxNss; ++cap) {
+        Staircase& s = t[w][static_cast<std::size_t>(cap - 1)];
+        for (int nss = 1; nss <= cap; ++nss)
+          for (int m = 0; m <= kMaxMcs; ++m)
+            if (valid({m, nss}, cw)) s.thresholds.push_back(min_snr({m, nss}));
+        std::sort(s.thresholds.begin(), s.thresholds.end());
+        s.thresholds.erase(
+            std::unique(s.thresholds.begin(), s.thresholds.end()),
+            s.thresholds.end());
+        for (const Db th : s.thresholds) s.picks.push_back(*search(th, cw, cap));
+      }
+    }
+    return t;
+  }();
+  return tables[static_cast<std::size_t>(width)]
+               [static_cast<std::size_t>(nss_cap - 1)];
+}
+
+}  // namespace
+
+std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss) {
+  const Staircase& s = staircase(width, std::clamp(max_nss, 1, kMaxNss));
+  // First threshold above snr; a NaN compares above none, so it takes the
+  // top step, as search() does.
+  const auto above =
+      std::upper_bound(s.thresholds.begin(), s.thresholds.end(), snr);
+  if (above == s.thresholds.begin()) return std::nullopt;
+  return s.picks[static_cast<std::size_t>(above - s.thresholds.begin() - 1)];
 }
 
 double packet_error_rate(McsIndex idx, Db snr, int mpdu_bytes) {

@@ -29,10 +29,6 @@ void LittleTable::insert(std::uint32_t entity, Time at,
   maybe_compact();
 }
 
-void LittleTable::reserve_rows(std::size_t rows) {
-  rows_.reserve(rows_.size() + rows);
-}
-
 void LittleTable::append(std::vector<Row> batch) { append_reusing(batch); }
 
 void LittleTable::append_reusing(std::vector<Row>& batch) {
@@ -49,7 +45,11 @@ void LittleTable::append_reusing(std::vector<Row>& batch) {
     }
     prev = r.at;
   }
-  rows_.reserve(rows_.size() + batch.size());
+  // Grow geometrically: reserving exactly size + batch would reallocate
+  // and move the whole table on every batch, O(history) per append.
+  const std::size_t need = rows_.size() + batch.size();
+  if (need > rows_.capacity())
+    rows_.reserve(std::max(need, 2 * rows_.capacity()));
   if (rows_.empty()) oldest_ = batch.front().at;
   for (const Row& r : batch) {
     newest_ = std::max(newest_, r.at);

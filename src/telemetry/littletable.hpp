@@ -35,18 +35,16 @@ class LittleTable {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<std::string>& columns() const { return columns_; }
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
+  // Rows the store holds before it must reallocate.
+  [[nodiscard]] std::size_t row_capacity() const { return rows_.capacity(); }
 
   // Insert one row. Values must match the schema width. Out-of-order
   // timestamps are accepted (a sort index is rebuilt lazily).
   void insert(std::uint32_t entity, Time at, std::vector<double> values);
 
-  // Pre-size the row store for `rows` additional rows (ingestion batching:
-  // one reallocation for a whole polling interval instead of one per AP).
-  void reserve_rows(std::size_t rows);
-
   // Bulk append: moves a whole batch in, validating each row's width and
-  // updating sortedness once. Equivalent to insert() per row, but with a
-  // single reserve and no per-row sorted_ bookkeeping.
+  // updating sortedness once. Equivalent to insert() per row, but with at
+  // most one geometric reallocation and no per-row sorted_ bookkeeping.
   void append(std::vector<Row> batch);
 
   // Same, for callers that reuse one scratch batch across polls: rows are

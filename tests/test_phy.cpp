@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "phy/channel.hpp"
 #include "phy/mcs.hpp"
 #include "phy/propagation.hpp"
@@ -182,6 +188,51 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, McsSelectSweep,
                                            ChannelWidth::MHz40,
                                            ChannelWidth::MHz80,
                                            ChannelWidth::MHz160));
+
+// The exhaustive search mcs::select replaced with a threshold staircase:
+// the highest-rate valid MCS whose min_snr `snr` meets.
+std::optional<McsIndex> select_by_search(Db snr, ChannelWidth width,
+                                         int max_nss) {
+  std::optional<McsIndex> best;
+  RateMbps best_rate{0.0};
+  const int nss_cap = std::clamp(max_nss, 1, mcs::kMaxNss);
+  for (int nss = 1; nss <= nss_cap; ++nss) {
+    for (int m = 0; m <= mcs::kMaxMcs; ++m) {
+      const McsIndex idx{m, nss};
+      if (!mcs::valid(idx, width)) continue;
+      if (snr < mcs::min_snr(idx)) continue;
+      const auto r = mcs::rate(idx, width, /*short_gi=*/true);
+      if (r && *r > best_rate) {
+        best_rate = *r;
+        best = idx;
+      }
+    }
+  }
+  return best;
+}
+
+TEST(McsSelect, StaircaseMatchesExhaustiveSearch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Db> snrs = {-kInf, kInf, std::numeric_limits<double>::quiet_NaN(),
+                          0.0, -0.0};
+  for (int nss = 1; nss <= mcs::kMaxNss; ++nss) {
+    for (int m = 0; m <= mcs::kMaxMcs; ++m) {
+      const Db th = mcs::min_snr({m, nss});
+      snrs.insert(snrs.end(), {std::nextafter(th, -kInf), th,
+                               std::nextafter(th, kInf)});
+    }
+  }
+  for (Db snr = -20.0; snr <= 60.0; snr += 0.05) snrs.push_back(snr);
+  for (const ChannelWidth w : widths_up_to(ChannelWidth::MHz160)) {
+    for (int max_nss = -1; max_nss <= 6; ++max_nss) {
+      for (const Db snr : snrs) {
+        EXPECT_EQ(mcs::select(snr, w, max_nss), select_by_search(snr, w, max_nss))
+            << "snr=" << snr << " width=" << to_string(w)
+            << " max_nss=" << max_nss;
+      }
+    }
+  }
+}
 
 TEST(Mcs, SelectRespectsNssCap) {
   const auto pick = mcs::select(50.0, ChannelWidth::MHz80, 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -113,7 +114,6 @@ TEST(LittleTable, BatchAppendMatchesPerRowInserts) {
     batch.push_back(
         LittleTable::Row{static_cast<std::uint32_t>(i % 4), at, vals});
   }
-  b.reserve_rows(batch.size());
   b.append(std::move(batch));
 
   ASSERT_EQ(a.row_count(), b.row_count());
@@ -125,6 +125,30 @@ TEST(LittleTable, BatchAppendMatchesPerRowInserts) {
     EXPECT_EQ(ra[i].at, rb[i].at);
     EXPECT_EQ(ra[i].values, rb[i].values);
   }
+}
+
+TEST(LittleTable, BatchAppendGrowsCapacityGeometrically) {
+  // Per-append cost must not grow with table size: across k batches the
+  // row store may reallocate only O(log rows) times, not once per batch.
+  auto t = two_col();
+  constexpr int kBatches = 1000;
+  constexpr int kBatchRows = 64;
+  std::vector<LittleTable::Row> batch;
+  int capacity_changes = 0;
+  std::size_t capacity = t.row_capacity();
+  for (int k = 0; k < kBatches; ++k) {
+    for (int i = 0; i < kBatchRows; ++i)
+      batch.push_back(LittleTable::Row{static_cast<std::uint32_t>(i),
+                                       time::seconds(k), {1.0, 2.0}});
+    t.append_reusing(batch);
+    if (t.row_capacity() != capacity) {
+      ++capacity_changes;
+      capacity = t.row_capacity();
+    }
+  }
+  ASSERT_EQ(t.row_count(), std::size_t{kBatches * kBatchRows});
+  EXPECT_LE(capacity_changes,
+            2.0 * std::log2(static_cast<double>(kBatches * kBatchRows)));
 }
 
 TEST(LittleTable, BatchAppendDetectsDisorderAcrossSeamAndWithin) {
