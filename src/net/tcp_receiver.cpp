@@ -7,7 +7,13 @@
 namespace w11 {
 
 TcpReceiver::TcpReceiver(Simulator& sim, FlowId flow, Config cfg, AckFn send_ack)
-    : sim_(sim), flow_(flow), cfg_(cfg), send_ack_(std::move(send_ack)) {
+    : sim_(sim),
+      flow_(flow),
+      cfg_(cfg),
+      send_ack_(std::move(send_ack)),
+      delack_timer_(sim, [this] {
+        if (unacked_segments_ > 0) emit_ack(/*duplicate=*/false);
+      }) {
   W11_CHECK(send_ack_ != nullptr);
   W11_CHECK(cfg_.buffer > Bytes{0});
 }
@@ -58,14 +64,14 @@ void TcpReceiver::on_data(const TcpSegment& seg) {
 
   if (++unacked_segments_ >= cfg_.ack_every) {
     emit_ack(/*duplicate=*/false);
-  } else {
-    schedule_delayed_ack();
+  } else if (!delack_timer_.armed()) {
+    delack_timer_.arm_after(cfg_.delayed_ack);
   }
 }
 
 void TcpReceiver::emit_ack(bool duplicate) {
   unacked_segments_ = 0;
-  delack_timer_.cancel();
+  delack_timer_.disarm();
   TcpSegment ack;
   ack.flow = flow_;
   ack.is_ack = true;
@@ -79,13 +85,6 @@ void TcpReceiver::emit_ack(bool duplicate) {
   ++stats_.acks_sent;
   if (duplicate) ++stats_.dup_acks_sent;
   send_ack_(std::move(ack));
-}
-
-void TcpReceiver::schedule_delayed_ack() {
-  if (delack_timer_.pending()) return;
-  delack_timer_ = sim_.schedule_after(cfg_.delayed_ack, [this] {
-    if (unacked_segments_ > 0) emit_ack(/*duplicate=*/false);
-  });
 }
 
 }  // namespace w11

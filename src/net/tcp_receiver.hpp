@@ -50,7 +50,6 @@ class TcpReceiver {
 
  private:
   void emit_ack(bool duplicate);
-  void schedule_delayed_ack();
 
   Simulator& sim_;
   FlowId flow_;
@@ -62,7 +61,7 @@ class TcpReceiver {
   // intervals in a flat sorted vector.
   IntervalVec ooo_;
   int unacked_segments_ = 0;
-  EventHandle delack_timer_;
+  DeadlineTimer delack_timer_;
   Stats stats_;
 };
 

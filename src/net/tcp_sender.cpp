@@ -20,7 +20,8 @@ TcpSender::TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg,
       dst_(dst),
       cfg_(cfg),
       send_(std::move(send)),
-      rto_(cfg.initial_rto) {
+      rto_(cfg.initial_rto),
+      rto_timer_(sim, [this] { on_rto(); }) {
   W11_CHECK(send_ != nullptr);
   W11_CHECK(cfg_.mss > Bytes{0});
   cwnd_ = static_cast<double>(cfg_.initial_cwnd_segments * cfg_.mss.count());
@@ -55,7 +56,7 @@ void TcpSender::try_send() {
     send_segment(snd_nxt_, len, /*is_retransmit=*/false);
     snd_nxt_ += len;
   }
-  if (inflight() > 0 && !rto_timer_.pending()) arm_rto();
+  if (inflight() > 0 && !rto_timer_.armed()) arm_rto();
 
   // Zero-window deadlock guard: data waits, nothing is in flight, and the
   // peer window is closed — probe until an ACK reopens it (RFC 9293 §3.8.6).
@@ -85,7 +86,7 @@ void TcpSender::on_persist_probe() {
   persist_interval_ = std::min(persist_interval_ * 2, time::seconds(60));
   persist_timer_ =
       sim_.schedule_after(persist_interval_, [this] { on_persist_probe(); });
-  if (!rto_timer_.pending()) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len,
@@ -161,7 +162,7 @@ void TcpSender::on_ack(const TcpSegment& ack) {
     }
 
     // Fresh data acknowledged: restart the RTO for the remaining flight.
-    rto_timer_.cancel();
+    rto_timer_.disarm();
     if (inflight() > 0) arm_rto();
   } else if (ack.ack == snd_una_ && !ack.has_payload() && inflight() > 0) {
     // Duplicate ACK.
@@ -273,10 +274,7 @@ void TcpSender::on_rto() {
   try_send();
 }
 
-void TcpSender::arm_rto() {
-  rto_timer_.cancel();
-  rto_timer_ = sim_.schedule_after(rto_, [this] { on_rto(); });
-}
+void TcpSender::arm_rto() { rto_timer_.arm_after(rto_); }
 
 void TcpSender::update_rtt(Time sample) {
   if (!rtt_valid_) {

@@ -130,7 +130,7 @@ class TcpSender {
   Time rto_;
   bool rtt_valid_ = false;
   std::optional<std::pair<std::uint64_t, Time>> timed_segment_;  // (seq_end, sent)
-  EventHandle rto_timer_;
+  DeadlineTimer rto_timer_;
   // Zero-window persist machinery: without probes a closed peer window
   // with an empty flight would deadlock the connection.
   EventHandle persist_timer_;

@@ -1,6 +1,15 @@
 #include "net/wired_link.hpp"
 
+#include <algorithm>
+
 namespace w11 {
+
+std::size_t WiredLink::queue_depth() const {
+  const Time now = sim_.now();
+  const auto waiting = std::partition_point(
+      fifo_.begin(), fifo_.end(), [now](const Slot& s) { return s.start <= now; });
+  return static_cast<std::size_t>(fifo_.end() - waiting);
+}
 
 void WiredLink::send(TcpSegment seg) {
   if (!up_) {
@@ -8,44 +17,45 @@ void WiredLink::send(TcpSegment seg) {
     ++dropped_;
     return;
   }
-  if (cfg_.queue_packets != 0 && queue_.size() >= cfg_.queue_packets) {
+  if (cfg_.queue_packets != 0 && queue_depth() >= cfg_.queue_packets) {
     ++dropped_;
     return;
   }
-  queue_.push_back(std::move(seg));
-  if (!transmitting_) start_transmit();
+  // The next segment can begin serializing as soon as the one ahead of it
+  // leaves the NIC.
+  const Time start = std::max(sim_.now(), free_at_);
+  free_at_ = start + transmit_time(seg.wire_size(), cfg_.rate);
+  fifo_.push_back({start, free_at_, std::move(seg)});
+  if (fifo_.size() == 1) schedule_front();
 }
 
 void WiredLink::set_up(bool up) {
   if (up == up_) return;
   up_ = up;
-  if (!up_) {
-    // Unplugged mid-burst: everything still queued in the NIC is lost.
-    outage_drops_ += queue_.size();
-    dropped_ += queue_.size();
-    queue_.clear();
-  } else if (!transmitting_ && !queue_.empty()) {
-    start_transmit();
+  if (up_) return;
+  // Unplugged mid-burst: everything still waiting in the NIC is lost.
+  const Time now = sim_.now();
+  while (!fifo_.empty() && fifo_.back().start > now) {
+    W11_CHECK_MSG(fifo_.size() > 1, "the front segment has always started");
+    fifo_.pop_back();
+    ++outage_drops_;
+    ++dropped_;
   }
+  // Serialization resumes once the segments on the wire have left the NIC.
+  if (!fifo_.empty()) free_at_ = fifo_.back().done;
 }
 
-void WiredLink::start_transmit() {
-  if (queue_.empty()) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
-  TcpSegment seg = std::move(queue_.front());
-  queue_.pop_front();
-  const Time serialize = transmit_time(seg.wire_size(), cfg_.rate);
-  // Delivery happens after serialization + propagation; the next packet can
-  // begin serializing as soon as this one leaves the NIC.
-  sim_.schedule_after(serialize + cfg_.propagation,
-                      [this, s = std::move(seg)]() mutable {
-                        ++delivered_;
-                        deliver_(std::move(s));
-                      });
-  sim_.schedule_after(serialize, [this] { start_transmit(); });
+void WiredLink::schedule_front() {
+  sim_.schedule_at(fifo_.front().done + cfg_.propagation,
+                   [this] { deliver_front(); });
+}
+
+void WiredLink::deliver_front() {
+  TcpSegment seg = std::move(fifo_.front().seg);
+  fifo_.pop_front();
+  if (!fifo_.empty()) schedule_front();
+  ++delivered_;
+  deliver_(std::move(seg));
 }
 
 }  // namespace w11

@@ -4,6 +4,11 @@
 // Models the path between the TCP sender and the AP (switch + Ethernet).
 // A finite queue lets benches reproduce "TCP holes": drops upstream of the
 // AP that FastACK must paper over (§5.5.3).
+//
+// The FIFO runs in virtual time: `send` stamps each segment with the
+// interval it will occupy the NIC, back to back after the segment ahead of
+// it, and only the front segment has an event queued — its delivery at the
+// end of serialization + propagation (DESIGN.md §11).
 
 #include <deque>
 #include <functional>
@@ -38,23 +43,35 @@ class WiredLink {
 
   // Outage control (fault injection): a down link drops everything offered
   // to it — queued segments are lost too, like an unplugged cable. Packets
-  // already serialized onto the wire still arrive (they left the NIC).
+  // that started serializing onto the wire still arrive (they left the
+  // NIC's queue).
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  // Segments waiting to start serializing; the one on the wire is not
+  // counted. The `queue_packets` limit applies to this depth.
+  [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_; }
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
   [[nodiscard]] std::uint64_t outage_drops() const { return outage_drops_; }
 
  private:
-  void start_transmit();
+  // A segment occupies the NIC over [start, done) and arrives at
+  // done + propagation.
+  struct Slot {
+    Time start;
+    Time done;
+    TcpSegment seg;
+  };
+
+  void schedule_front();
+  void deliver_front();
 
   Simulator& sim_;
   Config cfg_;
   DeliverFn deliver_;
-  std::deque<TcpSegment> queue_;
-  bool transmitting_ = false;
+  std::deque<Slot> fifo_;  // ascending start; the front has always started
+  Time free_at_{};         // when the NIC finishes the last segment
   bool up_ = true;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -272,4 +272,60 @@ class PeriodicTimer {
   EventHandle handle_;
 };
 
+// A restartable one-shot timer (an RTO, a delayed ACK) that keeps at most
+// one event in the queue however often it is re-armed. Moving the deadline
+// later only records it: the pending event, when it fires early, reschedules
+// itself at the deadline. Only moving it earlier cancels and reschedules.
+// The callback runs once, at the last armed deadline, unless disarmed first.
+// A restarted timer's event takes its seq when it reschedules, not when it
+// is re-armed (DESIGN.md §11).
+class DeadlineTimer {
+ public:
+  DeadlineTimer(Simulator& sim, Simulator::Callback cb)
+      : sim_(sim), cb_(std::move(cb)) {}
+
+  ~DeadlineTimer() { event_.cancel(); }
+  DeadlineTimer(const DeadlineTimer&) = delete;
+  DeadlineTimer& operator=(const DeadlineTimer&) = delete;
+
+  void arm_at(Time at) {
+    deadline_ = at;
+    armed_ = true;
+    if (event_.pending() && event_at_ <= at) return;
+    event_.cancel();
+    schedule(at);
+  }
+  void arm_after(Time delay) { arm_at(sim_.now() + delay); }
+
+  // The pending event stays queued and, unarmed, does nothing when it fires.
+  void disarm() { armed_ = false; }
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  void schedule(Time at) {
+    event_at_ = at;
+    event_ = sim_.schedule_at(at, [this] { fire(); });
+  }
+
+  void fire() {
+    // Drop the running event's handle first: a callback that re-arms the
+    // timer must see nothing pending and schedule anew.
+    event_ = EventHandle{};
+    if (!armed_) return;
+    if (sim_.now() < deadline_) {
+      schedule(deadline_);
+      return;
+    }
+    armed_ = false;
+    cb_();
+  }
+
+  Simulator& sim_;
+  Simulator::Callback cb_;
+  EventHandle event_;
+  Time event_at_{};
+  Time deadline_{};
+  bool armed_ = false;
+};
+
 }  // namespace w11

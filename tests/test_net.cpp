@@ -4,6 +4,8 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/tcp_receiver.hpp"
 #include "net/tcp_segment.hpp"
@@ -82,6 +84,92 @@ TEST(WiredLink, PipelinesSerialization) {
   sim.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ((arrivals[1] - arrivals[0]), time::micros(100));
+}
+
+// 100 Mb/s with 1250 B on the wire: 100 us of serialization, then 50 us of
+// propagation.
+WiredLink::Config slow_link() {
+  WiredLink::Config cfg;
+  cfg.rate = RateMbps{100.0};
+  cfg.propagation = time::micros(50);
+  return cfg;
+}
+
+void send_burst(WiredLink& link, std::uint64_t first_seq, int n) {
+  for (int i = 0; i < n; ++i) {
+    TcpSegment seg;
+    seg.seq = first_seq + static_cast<std::uint64_t>(i);
+    seg.payload = 1210;
+    link.send(seg);
+  }
+}
+
+TEST(WiredLink, OutageMidBurstDeliversInFlightAndDropsWaiting) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, Time>> arrivals;
+  WiredLink link(sim, slow_link(),
+                 [&](TcpSegment s) { arrivals.emplace_back(s.seq, sim.now()); });
+  send_burst(link, 0, 5);
+  // At 130 us segment 0 is propagating and segment 1 is serializing; 2-4
+  // still wait in the NIC.
+  sim.schedule_at(time::micros(130), [&] { link.set_up(false); });
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], std::make_pair(std::uint64_t{0}, time::micros(150)));
+  EXPECT_EQ(arrivals[1], std::make_pair(std::uint64_t{1}, time::micros(250)));
+  EXPECT_EQ(link.outage_drops(), 3u);
+  EXPECT_EQ(link.dropped_count(), 3u);
+  EXPECT_EQ(link.delivered_count(), 2u);
+}
+
+TEST(WiredLink, SerializationResumesAfterInFlightWhenBackUp) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, Time>> arrivals;
+  WiredLink link(sim, slow_link(),
+                 [&](TcpSegment s) { arrivals.emplace_back(s.seq, sim.now()); });
+  send_burst(link, 0, 5);
+  sim.schedule_at(time::micros(130), [&] { link.set_up(false); });
+  // Back up while segment 1 still occupies the NIC: the next segment waits
+  // for it to finish at 200 us.
+  sim.schedule_at(time::micros(140), [&] {
+    link.set_up(true);
+    send_burst(link, 10, 1);
+  });
+  // Back up on an idle NIC: serialization starts at once.
+  sim.schedule_at(time::micros(400), [&] { link.set_up(false); });
+  sim.schedule_at(time::micros(500), [&] {
+    link.set_up(true);
+    send_burst(link, 20, 1);
+  });
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 4u);
+  EXPECT_EQ(arrivals[2], std::make_pair(std::uint64_t{10}, time::micros(350)));
+  EXPECT_EQ(arrivals[3], std::make_pair(std::uint64_t{20}, time::micros(650)));
+  EXPECT_EQ(link.outage_drops(), 3u);
+}
+
+TEST(WiredLink, QueueDepthExcludesSegmentOnWire) {
+  Simulator sim;
+  WiredLink link(sim, slow_link(), [](TcpSegment) {});
+  send_burst(link, 0, 3);
+  EXPECT_EQ(link.queue_depth(), 2u);
+  sim.run_until(time::micros(50));
+  EXPECT_EQ(link.queue_depth(), 2u);
+  sim.run_until(time::micros(100));  // segment 1 starts serializing
+  EXPECT_EQ(link.queue_depth(), 1u);
+  sim.run_until(time::micros(200));
+  EXPECT_EQ(link.queue_depth(), 0u);
+}
+
+TEST(WiredLink, BackToBackSendsLeaveOneEventQueued) {
+  Simulator sim;
+  int delivered = 0;
+  WiredLink link(sim, slow_link(), [&](TcpSegment) { ++delivered; });
+  send_burst(link, 0, 10);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(delivered, 10);
+  EXPECT_EQ(sim.processed_events(), 10u);
 }
 
 // -------------------------------------------------- TCP loopback rig ----

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -169,6 +170,87 @@ TEST(PeriodicTimer, DestructionCancels) {
 TEST(PeriodicTimer, ZeroPeriodRejected) {
   Simulator sim;
   EXPECT_THROW(PeriodicTimer(sim, Time{0}, [] {}), std::logic_error);
+}
+
+TEST(DeadlineTimer, FiresOnceAtLastArmedDeadline) {
+  Simulator sim;
+  std::vector<Time> fires;
+  DeadlineTimer timer(sim, [&] { fires.push_back(sim.now()); });
+  timer.arm_after(time::millis(10));
+  sim.schedule_at(time::millis(5), [&] { timer.arm_after(time::millis(10)); });
+  sim.schedule_at(time::millis(12), [&] { timer.arm_after(time::millis(10)); });
+  sim.run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], time::millis(22));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(DeadlineTimer, RearmingLaterKeepsOneEventQueued) {
+  Simulator sim;
+  std::vector<Time> fires;
+  DeadlineTimer timer(sim, [&] { fires.push_back(sim.now()); });
+  for (int ms = 10; ms <= 20; ++ms) {
+    timer.arm_at(time::millis(ms));
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], time::millis(20));
+}
+
+TEST(DeadlineTimer, RearmingEarlierFiresEarly) {
+  Simulator sim;
+  std::vector<Time> fires;
+  DeadlineTimer timer(sim, [&] { fires.push_back(sim.now()); });
+  timer.arm_at(time::millis(10));
+  timer.arm_at(time::millis(3));
+  sim.run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], time::millis(3));
+  EXPECT_EQ(sim.processed_events(), 1u);  // the 10 ms event was cancelled
+}
+
+TEST(DeadlineTimer, DisarmSuppressesCallback) {
+  Simulator sim;
+  int count = 0;
+  DeadlineTimer timer(sim, [&] { ++count; });
+  timer.arm_at(time::millis(10));
+  sim.schedule_at(time::millis(5), [&] { timer.disarm(); });
+  sim.run();
+  EXPECT_EQ(count, 0);
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(DeadlineTimer, RearmingFromItsOwnCallbackSchedulesAgain) {
+  // The running event must not count as pending, or the re-arm below would
+  // only record its deadline and the timer would go silent.
+  Simulator sim;
+  std::vector<Time> fires;
+  std::function<void()> on_fire;
+  DeadlineTimer timer(sim, [&] { on_fire(); });
+  on_fire = [&] {
+    fires.push_back(sim.now());
+    if (fires.size() < 3) timer.arm_after(time::millis(10));
+  };
+  timer.arm_after(time::millis(10));
+  sim.run();
+  ASSERT_EQ(fires.size(), 3u);
+  EXPECT_EQ(fires[0], time::millis(10));
+  EXPECT_EQ(fires[1], time::millis(20));
+  EXPECT_EQ(fires[2], time::millis(30));
+}
+
+TEST(DeadlineTimer, DestructionCancels) {
+  Simulator sim;
+  int count = 0;
+  {
+    DeadlineTimer timer(sim, [&] { ++count; });
+    timer.arm_after(time::millis(10));
+  }
+  sim.run();
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(sim.processed_events(), 0u);
 }
 
 // --- EventHandle lifetime hazards ------------------------------------------
