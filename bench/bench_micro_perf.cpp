@@ -121,14 +121,13 @@ void BM_ScoreCandidates(benchmark::State& state) {
   const flowsim::ScanIndex index(campus_scans(200),
                                  params.neighbor_rssi_floor);
   const turboca::PlanContext ctx(index, params, {});
-  const turboca::PsiSet psi(index.size());
   std::vector<double> out;
   std::size_t i = 0;
   std::int64_t cands_scored = 0;
   for (auto _ : state) {
     const std::size_t target = i++ % index.size();
     out.resize(index.candidates(target).size());
-    ctx.score_candidates(target, out, &psi);
+    ctx.score_candidates(target, out);
     benchmark::DoNotOptimize(out.data());
     cands_scored += static_cast<std::int64_t>(out.size());
   }
@@ -150,20 +149,15 @@ void BM_NodePBatch(benchmark::State& state) {
   const flowsim::ScanIndex index(campus_scans(200),
                                  params.neighbor_rssi_floor);
   const turboca::PlanContext ctx(index, params, {});
-  const turboca::PsiSet psi(index.size());
   std::vector<double> out;
   std::size_t i = 0;
   std::int64_t terms_scored = 0;  // (candidate, AP-term) evaluations
   for (auto _ : state) {
     const std::size_t target = i++ % index.size();
     out.resize(index.candidates(target).size());
-    ctx.score_candidates(target, out, &psi);
-    std::int64_t aps = 1;
-    for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(target)) {
-      if (psi.contains(nb.index)) continue;
-      ctx.add_neighbor_scores(nb.index, target, &psi, out);
-      ++aps;
-    }
+    ctx.acc_scores(target, out);
+    const std::int64_t aps =
+        1 + static_cast<std::int64_t>(index.neighbors(target).size());
     benchmark::DoNotOptimize(out.data());
     terms_scored += aps * static_cast<std::int64_t>(out.size());
   }
@@ -185,11 +179,10 @@ void BM_AccIncremental(benchmark::State& state) {
   turboca::TurboCA tca(params, Rng(3));
   turboca::PlanContext ctx(index, params, {});
   benchmark::DoNotOptimize(ctx.net_p_log());  // warm the term cache
-  const turboca::PsiSet psi(index.size());
   std::size_t i = 0;
   for (auto _ : state) {
     const std::size_t target = i++ % index.size();
-    const Channel best = tca.acc(ctx, target, psi);
+    const Channel best = tca.acc(ctx, target);
     benchmark::DoNotOptimize(best);
     ctx.set(target, best);
     benchmark::DoNotOptimize(ctx.net_p_log());
@@ -244,12 +237,18 @@ void BM_ScanIndexBuildCached(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanIndexBuildCached)->Arg(200);
 
+// Network memoises its evaluation until the next mutation, so each
+// iteration first moves the load factor (alternating between two values):
+// every evaluate() below is a full solve, never a memo hit.
 void BM_FlowsimEvaluate(benchmark::State& state) {
   workload::CampusConfig cc;
   cc.n_aps = static_cast<int>(state.range(0));
   cc.seed = 7;
   auto net = workload::make_campus(cc);
+  bool high = false;
   for (auto _ : state) {
+    high = !high;
+    net->set_load_factor(high ? 1.0 : 0.9);
     benchmark::DoNotOptimize(net->evaluate().total_throughput_mbps);
   }
   state.SetComplexityN(state.range(0));

@@ -1,7 +1,6 @@
 #include "core/turboca/plan_context.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 
@@ -14,6 +13,22 @@
 #endif
 
 namespace w11::turboca {
+
+namespace {
+
+// The catalog channels `c` overlaps, as a bit set over ordinals. A catalog
+// channel reads its precomputed row; any other channel is tested against
+// each catalog entry with Channel::overlaps, the scalar path's predicate.
+std::uint64_t plan_mask(const Channel& c, int ord) {
+  if (ord >= 0) return channels::overlap_masks()[ord];
+  std::uint64_t m = 0;
+  const int n = static_cast<int>(channels::catalog_size());
+  for (int s = 0; s < n; ++s)
+    if (c.overlaps(channels::by_ordinal(s))) m |= std::uint64_t{1} << s;
+  return m;
+}
+
+}  // namespace
 
 PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
                          const ChannelPlan& initial)
@@ -33,6 +48,15 @@ PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
   }
   for (const auto& [id, c] : initial)
     if (!index.find(id)) extras_.emplace(id, c);
+
+  n_ord_ = channels::catalog_size();
+  plan_mask_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    plan_mask_[i] = plan_mask(plan_[i], plan_ord_[i]);
+  psi_.assign(n, 0);
+  t_mult_.assign(n, 0);
+  live_cnt_.assign(n * n_ord_, 0);
+  for (std::size_t i = 0; i < n; ++i) spread(i, plan_mask_[i], +1);
 
   term_.assign(n, 0.0);
   dirty_.assign(n, 1);
@@ -97,15 +121,42 @@ void PlanContext::set(std::size_t i, const Channel& c) {
     touched_list_.push_back(static_cast<std::uint32_t>(i));
     undo_.emplace_back(static_cast<std::uint32_t>(i), plan_[i]);
   }
+  const std::uint64_t before = plan_mask_[i];
   plan_[i] = c;
   plan_ord_[i] = channels::ordinal(c);
+  plan_mask_[i] = plan_mask(c, plan_ord_[i]);
+  if (!psi_[i]) {
+    spread(i, before & ~plan_mask_[i], -1);
+    spread(i, plan_mask_[i] & ~before, +1);
+  }
   mark_dirty(i);
   for (std::uint32_t d : index_->dependents(i)) mark_dirty(d);
 }
 
+void PlanContext::spread(std::size_t i, std::uint64_t mask, int delta) {
+  if (mask == 0) return;
+  for (std::uint32_t d : index_->dependents(i)) {
+    std::int32_t* row = live_cnt_.data() + d * n_ord_;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1)
+      row[std::countr_zero(m)] += delta;
+  }
+}
+
+void PlanContext::presume_moving(std::size_t i) {
+  if (psi_[i]) return;
+  psi_[i] = 1;
+  spread(i, plan_mask_[i], -1);
+}
+
+void PlanContext::settle(std::size_t i) {
+  if (!psi_[i]) return;
+  psi_[i] = 0;
+  spread(i, plan_mask_[i], +1);
+}
+
 double PlanContext::net_p_log() {
   for (std::uint32_t i : dirty_list_) {
-    term_[i] = node_p_log(i, plan_[i]);
+    term_[i] = log_node_p(i, plan_[i], /*honor_psi=*/false, nullptr);
     dirty_[i] = 0;
   }
   dirty_list_.clear();
@@ -115,7 +166,11 @@ double PlanContext::net_p_log() {
 }
 
 double PlanContext::node_p_log(std::size_t i, const Channel& c,
-                               const PsiSet* psi,
+                               const TrialMove* trial) const {
+  return log_node_p(i, c, /*honor_psi=*/true, trial);
+}
+
+double PlanContext::log_node_p(std::size_t i, const Channel& c, bool honor_psi,
                                const TrialMove* trial) const {
   const int c_ord = channels::ordinal(c);
   const double total_load = index_->total_load(i);
@@ -125,8 +180,8 @@ double PlanContext::node_p_log(std::size_t i, const Channel& c,
     double load = index_->load_at(i, static_cast<ChannelWidth>(b), c.width);
     if (total_load <= 0.0) load = params_.empty_ap_load;
     if (load <= 0.0) continue;
-    const double metric =
-        channel_metric(i, c, c_ord, static_cast<ChannelWidth>(b), psi, trial);
+    const double metric = channel_metric(
+        i, c, c_ord, static_cast<ChannelWidth>(b), honor_psi, trial);
     log_p += load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
   }
   return log_p;
@@ -146,8 +201,8 @@ double PlanContext::node_p_log_terms(std::size_t i, const Channel& c,
     if (load <= 0.0) continue;
     obs::NodePTerm term;
     const double metric = channel_metric(i, c, c_ord,
-                                         static_cast<ChannelWidth>(b), nullptr,
-                                         nullptr, &term);
+                                         static_cast<ChannelWidth>(b),
+                                         /*honor_psi=*/false, nullptr, &term);
     const double log_term =
         load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
     log_p += log_term;
@@ -163,7 +218,7 @@ double PlanContext::node_p_log_terms(std::size_t i, const Channel& c,
 }
 
 double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
-                                   ChannelWidth b, const PsiSet* psi,
+                                   ChannelWidth b, bool honor_psi,
                                    const TrialMove* trial,
                                    obs::NodePTerm* detail) const {
   const flowsim::ScanIndex& index = *index_;
@@ -187,7 +242,7 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
   int contenders = 0;
   for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(i)) {
     if (!nb.contender) continue;
-    if (psi && psi->contains(nb.index)) continue;  // ψ: presume they move
+    if (honor_psi && psi_[nb.index]) continue;  // ψ: presume they move
     const bool is_trial = trial && nb.index == trial->index;
     const int po = is_trial ? trial->ordinal : plan_ord_[nb.index];
     bool overlaps;
@@ -225,60 +280,36 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
   return static_cast<double>(width_mhz(b)) * (airtime * st.quality - penalty);
 }
 
-double PlanContext::scalar_candidate_score(std::size_t i, std::size_t k,
-                                           const PsiSet* psi,
-                                           const TrialMove* trial) const {
-  const std::vector<Channel>& cands = index_->candidates(i);
-  if (trial != nullptr) return node_p_log(i, cands[k], psi, trial);
-  const TrialMove self{i, cands[k], index_->candidate_ordinals(i)[k]};
-  return node_p_log(i, cands[k], psi, &self);
-}
-
-void PlanContext::score_candidates(std::size_t i, std::span<double> out,
-                                   const PsiSet* psi) const {
+void PlanContext::score_candidates(std::size_t i,
+                                   std::span<double> out) const {
   const flowsim::ScanIndex& index = *index_;
   const std::vector<Channel>& cands = index.candidates(i);
   const std::vector<int>& ords = index.candidate_ordinals(i);
   W11_CHECK(out.size() == cands.size());
 
+  // Scalar fallback slots: an AP reporting itself as a neighbor (degenerate
+  // input, where the self-trial bites per candidate) and off-catalog
+  // candidates.
+  const auto scalar = [&](std::size_t k) {
+    const TrialMove self{i, cands[k], ords[k]};
+    return node_p_log(i, cands[k], &self);
+  };
   if (index.has_self_neighbor(i)) {
-    // Degenerate input (an AP reporting itself as a neighbor): the
-    // self-trial actually bites, and per candidate at that — keep the
-    // scalar loop, which handles it exactly.
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      out[k] = scalar_candidate_score(i, k, psi, nullptr);
+    for (std::size_t k = 0; k < cands.size(); ++k) out[k] = scalar(k);
     return;
   }
 
-  // Contender counts per catalog sub-channel, built in ONE pass over the
-  // neighbor list: each active contender's planned channel spreads through
-  // its precomputed overlap mask (one increment per set bit). After this,
-  // no per-candidate work ever touches the neighbor list again. Neighbors
-  // planned off-catalog (rare) are kept aside and resolved per term.
-  std::array<int, channels::kMaxCatalogOrdinals> cnt{};
-  std::vector<const Channel*> off_catalog;
-  const std::uint64_t* masks = channels::overlap_masks();
-  for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(i)) {
-    if (!nb.contender) continue;
-    if (psi != nullptr && psi->contains(nb.index)) continue;
-    const int po = plan_ord_[nb.index];
-    if (po >= 0) {
-      for (std::uint64_t m = masks[po]; m != 0; m &= m - 1)
-        ++cnt[static_cast<std::size_t>(std::countr_zero(m))];
-    } else {
-      off_catalog.push_back(&plan_[nb.index]);
-    }
-  }
-
   // The batched pass: per candidate, walk its contiguous term slice; every
-  // input is a flat array read and the arithmetic is the scalar metric's,
-  // expression for expression — bit-identical results, no map lookups, no
-  // geometry calls.
+  // input is a flat array read (the contender count is i's live count of
+  // the term's sub-channel) and the arithmetic is the scalar metric's,
+  // expression for expression — bit-identical results, no neighbor walk,
+  // no geometry calls.
+  const std::int32_t* cnt = live_cnt_.data() + i * n_ord_;
   const flowsim::ScanIndex::ScoreBlock blk = index.score_block(i);
   const std::uint32_t base = index.candidate_base(i);
   for (std::size_t k = 0; k < cands.size(); ++k) {
     if (ords[k] < 0) {
-      out[k] = scalar_candidate_score(i, k, psi, nullptr);
+      out[k] = scalar(k);
       continue;
     }
     const double penalty = cand_penalty_[base + k];
@@ -287,11 +318,7 @@ void PlanContext::score_candidates(std::size_t i, std::span<double> out,
     for (std::uint32_t t = blk.term_begin[k]; t < te; ++t) {
       const double load = term_eff_load_[t];
       if (load <= 0.0) continue;
-      const std::size_t s = static_cast<std::size_t>(blk.sub[t]);
-      int contenders = cnt[s];
-      for (const Channel* pc : off_catalog)
-        if (pc->overlaps(channels::by_ordinal(static_cast<int>(s))))
-          ++contenders;
+      const int contenders = cnt[blk.sub[t]];
       const double airtime =
           std::clamp((1.0 - blk.ext[t]) / (1.0 + contenders), 0.0, 1.0);
       const double metric = blk.width[t] * (airtime * blk.qual[t] - penalty);
@@ -301,8 +328,23 @@ void PlanContext::score_candidates(std::size_t i, std::span<double> out,
   }
 }
 
+void PlanContext::acc_scores(std::size_t target,
+                             std::span<double> out) const {
+  const flowsim::ScanIndex& index = *index_;
+  score_candidates(target, out);
+  // t_mult per neighbor leg from one pass over dependents(target): d is
+  // listed once per contender report of d that names target.
+  const std::span<const std::uint32_t> deps = index.dependents(target);
+  for (std::uint32_t d : deps) ++t_mult_[d];
+  for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(target)) {
+    if (psi_[nb.index]) continue;
+    add_neighbor_scores(nb.index, target, t_mult_[nb.index], out);
+  }
+  for (std::uint32_t d : deps) t_mult_[d] = 0;
+}
+
 void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
-                                      const PsiSet* psi,
+                                      int t_mult,
                                       std::span<double> inout) const {
   const flowsim::ScanIndex& index = *index_;
   const std::vector<Channel>& cands = index.candidates(target);
@@ -317,46 +359,22 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
     for (std::size_t k = 0; k < cands.size(); ++k) {
       const TrialMove trial{target, cands[k], ords[k]};
       const Channel& nc = nb == target ? cands[k] : plan_[nb];
-      inout[k] += node_p_log(nb, nc, psi, &trial);
+      inout[k] += node_p_log(nb, nc, &trial);
     }
     return;
   }
 
-  // The neighbor's sub-channel geometry and base contender counts (with the
-  // target's contribution split out) are computed once; each candidate then
-  // costs one mask probe per width term.
+  // The neighbor's sub-channels and base contender counts: its live counts
+  // less target's share (a ψ target has none — its trial channel never
+  // counts either).
+  if (psi_[target]) t_mult = 0;
   const Channel& nc = plan_[nb];
   const int cw = static_cast<int>(nc.width);
   const std::int16_t* sub_row =
       channels::sub_channel_table() +
       static_cast<std::size_t>(nc_ord) * channels::sub_channel_stride();
-  const std::uint64_t* masks = channels::overlap_masks();
-  std::int16_t subs[4];
-  std::uint64_t sub_mask[4];
-  for (int b = 0; b <= cw; ++b) {
-    subs[b] = sub_row[b];
-    sub_mask[b] = masks[subs[b]];
-  }
-
-  int base_cnt[4] = {0, 0, 0, 0};
-  int t_mult = 0;  // multiplicity of `target` among nb's active contenders
-  for (const flowsim::ScanIndex::Neighbor& e : index.neighbors(nb)) {
-    if (!e.contender) continue;
-    if (psi != nullptr && psi->contains(e.index)) continue;
-    if (e.index == target) {
-      ++t_mult;
-      continue;
-    }
-    const int po = plan_ord_[e.index];
-    if (po >= 0) {
-      for (int b = 0; b <= cw; ++b)
-        base_cnt[b] += static_cast<int>((sub_mask[b] >> po) & 1u);
-    } else {
-      const Channel& pc = plan_[e.index];
-      for (int b = 0; b <= cw; ++b)
-        if (pc.overlaps(channels::by_ordinal(subs[b]))) ++base_cnt[b];
-    }
-  }
+  const std::int32_t* cnt = live_cnt_.data() + nb * n_ord_;
+  const std::uint64_t target_mask = plan_mask_[target];
 
   // Per width term, the two possible log contributions: target's trial
   // channel overlapping this sub-channel (+t_mult contenders) or not.
@@ -379,18 +397,21 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
     if (total_load <= 0.0) load = params_.empty_ap_load;
     if (load <= 0.0) continue;
     live[b] = true;
-    const flowsim::ScanIndex::ChannelStats& st = index.stats(nb, subs[b]);
+    const int sub = sub_row[b];
+    const int base_cnt =
+        cnt[sub] - t_mult * static_cast<int>((target_mask >> sub) & 1u);
+    const flowsim::ScanIndex::ChannelStats& st = index.stats(nb, sub);
     const double width =
         static_cast<double>(width_mhz(static_cast<ChannelWidth>(b)));
     {
       const double airtime =
-          std::clamp((1.0 - st.external_util) / (1.0 + base_cnt[b]), 0.0, 1.0);
+          std::clamp((1.0 - st.external_util) / (1.0 + base_cnt), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
       lt_without[b] =
           load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
     }
     if (t_mult > 0) {
-      const int contenders = base_cnt[b] + t_mult;
+      const int contenders = base_cnt + t_mult;
       const double airtime =
           std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
@@ -400,20 +421,30 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
     }
   }
 
+  // One sum per overlap pattern (bit b: the trial overlaps sub-channel b),
+  // accumulated in width order exactly as a per-candidate loop would. With
+  // t_mult == 0 every pattern sums the same terms, so one sum serves all.
+  const unsigned n_patterns = t_mult > 0 ? 1u << (cw + 1) : 1u;
+  double psum[16];
+  for (unsigned p = 0; p < n_patterns; ++p) {
+    double sum = 0.0;
+    for (int b = 0; b <= cw; ++b) {
+      if (!live[b]) continue;
+      sum += ((p >> b) & 1u) != 0 ? lt_with[b] : lt_without[b];
+    }
+    psum[p] = sum;
+  }
+  const unsigned pattern_mask = n_patterns - 1;
+  const std::uint8_t* pattern = channels::sub_overlap_patterns() +
+                                static_cast<std::size_t>(nc_ord) * n_ord_;
   for (std::size_t k = 0; k < cands.size(); ++k) {
     const int ord = ords[k];
     if (ord < 0) {
       const TrialMove trial{target, cands[k], ord};
-      inout[k] += node_p_log(nb, nc, psi, &trial);
+      inout[k] += node_p_log(nb, nc, &trial);
       continue;
     }
-    double sum = 0.0;
-    for (int b = 0; b <= cw; ++b) {
-      if (!live[b]) continue;
-      const bool overlaps_trial = ((sub_mask[b] >> ord) & 1u) != 0;
-      sum += overlaps_trial ? lt_with[b] : lt_without[b];
-    }
-    inout[k] += sum;
+    inout[k] += psum[pattern[ord] & pattern_mask];
   }
 }
 

@@ -14,6 +14,15 @@
 //     epoch means a new index and new contexts (services rebuild both per
 //     firing).
 //   * Only set() mutates the plan; it is the single invalidation point.
+//   * ψ (the APs ACC presumes are about to move) is context state too:
+//     presume_moving()/settle() add and remove members. NetP terms ignore
+//     ψ; only ACC's trial scores read it.
+//   * Live contender counts: for every AP i and catalog sub-channel s, the
+//     number of i's contender reports (with multiplicity, as dependents()
+//     lists them) that are outside ψ and whose planned channel overlaps s.
+//     set(), presume_moving() and settle() keep them current by touching
+//     only the mover's dependents() rows, so the scoring kernels never
+//     walk a neighbor list.
 //   * begin_round()/commit_round()/rollback_round() bracket one NBO sweep:
 //     rollback restores every channel the sweep touched (and re-dirties
 //     exactly those terms), which is how TurboCA::run discards a
@@ -28,30 +37,6 @@
 #include "obs/audit.hpp"
 
 namespace w11::turboca {
-
-// O(1) membership set over AP indices (the ψ of ACC), epoch-stamped so
-// clear() is O(1) — replaces the per-iteration std::set rebuild the old
-// NBO group-drain loop paid.
-class PsiSet {
- public:
-  explicit PsiSet(std::size_t n) : stamp_(n, 0) {}
-
-  void clear() {
-    if (++token_ == 0) {  // stamp wrap: reset lazily
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      token_ = 1;
-    }
-  }
-  void insert(std::size_t i) { stamp_[i] = token_; }
-  void erase(std::size_t i) { stamp_[i] = 0; }
-  [[nodiscard]] bool contains(std::size_t i) const {
-    return stamp_[i] == token_;
-  }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t token_ = 1;
-};
 
 class PlanContext {
  public:
@@ -75,19 +60,28 @@ class PlanContext {
   }
 
   // Assign AP i's channel; no-op when unchanged. Marks the mover and every
-  // dependent NodeP term dirty, and records the first touch per round for
-  // rollback.
+  // dependent NodeP term dirty, updates the dependents' live counts (unless
+  // i is in ψ) and records the first touch per round for rollback.
   void set(std::size_t i, const Channel& c);
 
+  // ψ membership (ACC's "presumed to move" set, §4.4.2). presume_moving(i)
+  // takes i's planned channel out of every dependent's live counts and
+  // settle(i) puts it back; each is a no-op when i is already in / out.
+  void presume_moving(std::size_t i);
+  void settle(std::size_t i);
+  [[nodiscard]] bool presumed_moving(std::size_t i) const {
+    return psi_[i] != 0;
+  }
+
   // log NetP of the current plan: recomputes only dirty terms, then sums
-  // all cached terms in scan order (bit-identical to a full rescore).
+  // all cached terms in scan order (bit-identical to a full rescore). The
+  // terms ignore ψ.
   [[nodiscard]] double net_p_log();
 
   // log NodeP of AP i operating on channel c against the current plan,
   // with ψ excluded from contention and an optional uncommitted trial move
   // overriding one AP's planned channel.
   [[nodiscard]] double node_p_log(std::size_t i, const Channel& c,
-                                  const PsiSet* psi = nullptr,
                                   const TrialMove* trial = nullptr) const;
 
   // node_p_log with the §4.4 per-width term breakdown appended to `out`
@@ -100,26 +94,21 @@ class PlanContext {
 
   // ---- batched SoA scoring kernel (DESIGN.md §14) -----------------------
   // One pass over AP i's ScanIndex score block evaluating log NodeP for
-  // EVERY candidate channel at once: the ψ overlay and the plan's contender
-  // counts are applied once per sub-channel instead of once per (candidate,
-  // width, neighbor) probe. out[k] must equal — bit for bit —
-  //   node_p_log(i, candidates(i)[k], psi, &TrialMove{i, cand_k, ord_k})
+  // EVERY candidate channel at once, reading the contender count of each
+  // sub-channel from i's live counts. out[k] must equal — bit for bit —
+  //   node_p_log(i, candidates(i)[k], &TrialMove{i, cand_k, ord_k})
   // (the self-trial is what ACC passes; it only differs from a plain
   // node_p_log when an AP degenerately reports itself as a neighbor, in
   // which case the kernel falls back to the scalar loop). out.size() must
   // be candidates(i).size().
-  void score_candidates(std::size_t i, std::span<double> out,
-                        const PsiSet* psi = nullptr) const;
+  void score_candidates(std::size_t i, std::span<double> out) const;
 
-  // The ACC neighbor leg, batched over trial channels: adds
-  //   node_p_log(nb, channel_of(nb), psi, &TrialMove{target, cand_k, ord_k})
-  // to inout[k] for every candidate k of `target`. The neighbor's base
-  // contender counts and per-width log terms are computed once; per
-  // candidate the only varying input is whether the target's trial channel
-  // overlaps each sub-channel — one mask probe selecting between the
-  // with/without-target log term. Bit-identical to the scalar sum.
-  void add_neighbor_scores(std::size_t nb, std::size_t target,
-                           const PsiSet* psi, std::span<double> inout) const;
+  // ACC's objective for every candidate k of `target` (out.size() ==
+  // candidates(target).size()): score_candidates, then for each neighbor
+  // nb of target outside ψ, in scan-report order,
+  //   node_p_log(nb, channel_of(nb), &TrialMove{target, cand_k, ord_k})
+  // added in turn — bit-identical to that scalar sum.
+  void acc_scores(std::size_t target, std::span<double> out) const;
 
   void begin_round();
   void commit_round();
@@ -130,23 +119,43 @@ class PlanContext {
   [[nodiscard]] ChannelPlan snapshot() const;
 
  private:
+  // node_p_log with ψ honoured or ignored (NetP terms ignore it).
+  [[nodiscard]] double log_node_p(std::size_t i, const Channel& c,
+                                  bool honor_psi,
+                                  const TrialMove* trial) const;
   [[nodiscard]] double channel_metric(std::size_t i, const Channel& c,
                                       int c_ord, ChannelWidth b,
-                                      const PsiSet* psi,
-                                      const TrialMove* trial,
+                                      bool honor_psi, const TrialMove* trial,
                                       obs::NodePTerm* detail = nullptr) const;
   void mark_dirty(std::size_t i);
+  // Add `delta` to every dependent's live count of each sub-channel in
+  // `mask` (one row update per dependents() entry of i).
+  void spread(std::size_t i, std::uint64_t mask, int delta);
 
-  // Scalar fallback for one candidate slot of the batched kernel (rare
-  // paths: non-catalog candidate or plan channel, self-reporting AP).
-  [[nodiscard]] double scalar_candidate_score(std::size_t i, std::size_t k,
-                                              const PsiSet* psi,
-                                              const TrialMove* trial) const;
+  // The ACC neighbor leg, batched over trial channels: adds
+  //   node_p_log(nb, channel_of(nb), &TrialMove{target, cand_k, ord_k})
+  // to inout[k] for every candidate k of `target`. `t_mult` is how many of
+  // nb's contender reports name target. The base contender counts come
+  // from nb's live counts with target's share taken out; the ≤4 per-width
+  // log terms with and without target fold into ≤16 pattern sums, and each
+  // candidate adds the one its sub_overlap_patterns() entry selects.
+  void add_neighbor_scores(std::size_t nb, std::size_t target, int t_mult,
+                           std::span<double> inout) const;
 
   const flowsim::ScanIndex* index_;
   Params params_;
   std::vector<Channel> plan_;
   std::vector<int> plan_ord_;
+  // Catalog channels overlapping each AP's planned channel (bit s set iff
+  // plan_[i].overlaps(by_ordinal(s))), off-catalog plans included.
+  std::vector<std::uint64_t> plan_mask_;
+  std::vector<char> psi_;
+  // Live contender counts, row-major [AP][catalog ordinal].
+  std::vector<std::int32_t> live_cnt_;
+  std::size_t n_ord_ = 0;
+  // acc_scores scratch: how many of each AP's contender reports name the
+  // current target. Zero between calls; a PlanContext is single-threaded.
+  mutable std::vector<std::int32_t> t_mult_;
   // Kernel SoA companions, aligned to the index's candidate slots / term
   // arrays: switch penalties depend only on (scan, params, candidate) and
   // effective loads fold the empty-AP rule in — both are plan-invariant, so

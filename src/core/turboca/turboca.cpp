@@ -15,31 +15,24 @@ namespace w11::turboca {
 TurboCA::TurboCA(Params params, Rng rng)
     : params_(params), rng_(std::move(rng)) {}
 
-Channel TurboCA::acc(const PlanContext& ctx, std::size_t target,
-                     const PsiSet& psi) const {
+Channel TurboCA::acc(const PlanContext& ctx, std::size_t target) const {
   const flowsim::ScanIndex& index = ctx.index();
   const ApScan& a = index.scan(target);
   const std::vector<Channel>& cands = index.candidates(target);
 
-  // All (channel, width) trials in two batched kernel passes (DESIGN.md
-  // §14): the target's own term for every candidate at once, then one pass
-  // per affected neighbor adding its term under each trial. Only target and
-  // its neighbors change NodeP when target moves (§4.4.2); the affected
-  // sweep deliberately ignores the contender RSSI floor (a sub-floor
-  // neighbor's own term can still shift if it hears us). The batched sums
-  // accumulate in the exact order the old per-candidate scalar loop did
-  // (own term first, then neighbors in scan-report order), so scores — and
-  // the selection below — are bit-identical to it. The kernel replaced the
-  // candidate-level pool fan-out: one serial pass is now cheaper than
-  // dispatch was.
+  // All (channel, width) trials in batched kernel passes (DESIGN.md §14):
+  // the target's own term for every candidate at once, then one pass per
+  // affected neighbor outside ψ adding its term under each trial. Only
+  // target and its neighbors change NodeP when target moves (§4.4.2); the
+  // affected sweep deliberately ignores the contender RSSI floor (a
+  // sub-floor neighbor's own term can still shift if it hears us). The
+  // batched sums accumulate in the exact order the old per-candidate scalar
+  // loop did (own term first, then neighbors in scan-report order), so
+  // scores — and the selection below — are bit-identical to it.
   std::array<double, channels::kMaxCatalogOrdinals + 1> scores_buf;
   W11_CHECK(cands.size() <= scores_buf.size());
   const std::span<double> scores(scores_buf.data(), cands.size());
-  ctx.score_candidates(target, scores, &psi);
-  for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(target)) {
-    if (psi.contains(nb.index)) continue;
-    ctx.add_neighbor_scores(nb.index, target, &psi, scores);
-  }
+  ctx.acc_scores(target, scores);
 
   Channel best = a.current;
   double best_score = -std::numeric_limits<double>::infinity();
@@ -142,18 +135,18 @@ void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
   plan_sweep(index, hop_limit, order, group_end);
 
   // ψ (the still-undrained members of the current group) starts as the
-  // whole group and shrinks by one erase per pick.
-  PsiSet psi(n);
+  // whole group and shrinks by one settle per pick; every group is fully
+  // settled before the next one forms.
   std::size_t group_until = 0;
   for (std::size_t t = 0; t < order.size(); ++t) {
     if (t == group_until) {
-      psi.clear();
       group_until = group_end[t];
-      for (std::size_t u = t; u < group_until; ++u) psi.insert(order[u]);
+      for (std::size_t u = t; u < group_until; ++u)
+        ctx.presume_moving(order[u]);
     }
-    psi.erase(order[t]);
+    ctx.settle(order[t]);
     const Channel from = ctx.channel_of(order[t]);
-    const Channel to = acc(ctx, order[t], psi);
+    const Channel to = acc(ctx, order[t]);
     ctx.set(order[t], to);
     note_pick(ctx, order[t], t, from, to);
   }

@@ -44,7 +44,6 @@ class PlanAudit;
 namespace w11::turboca {
 
 class PlanContext;
-class PsiSet;
 
 // log of an effectively-zero metric (shared with the oracle's reference
 // evaluator — the two must stay bit-identical).
@@ -101,10 +100,9 @@ class TurboCA {
   // engine's neighbor_rssi_floor) and share it across calls.
 
   // ACC(v, ψ): best channel for the AP at `target` maximizing NetP over it
-  // and its neighbors, ignoring ψ (§4.4.2). Evaluates trial moves against
-  // `ctx` without mutating it.
-  [[nodiscard]] Channel acc(const PlanContext& ctx, std::size_t target,
-                            const PsiSet& psi) const;
+  // and its neighbors, ignoring the context's ψ (§4.4.2). Evaluates trial
+  // moves against `ctx` without changing its plan.
+  [[nodiscard]] Channel acc(const PlanContext& ctx, std::size_t target) const;
 
   // NBO (Algorithm 1): one full sweep with hop limit `i`. `current`
   // supplies channels for APs not yet assigned in the proposed plan.

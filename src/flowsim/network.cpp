@@ -45,6 +45,7 @@ ApId Network::add_ap(Position pos, ChannelWidth max_width, Channel initial,
   node.dfs_capable = dfs_capable;
   aps_.push_back(std::move(node));
   budget_valid_ = false;
+  eval_valid_ = false;
   return aps_.back().id;
 }
 
@@ -58,6 +59,7 @@ StationId Network::add_client(ApId ap, Position pos, ClientCapability cap,
   cl.base_offered_mbps = offered_mbps;
   ap_of_mut(ap).clients.push_back(std::move(cl));
   budget_valid_ = false;
+  eval_valid_ = false;
   return ap_of(ap).clients.back().id;
 }
 
@@ -65,9 +67,11 @@ void Network::add_interferer(ExternalInterferer intf) {
   W11_CHECK(intf.channel.band == cfg_.band);
   interferers_.push_back(intf);
   budget_valid_ = false;
+  eval_valid_ = false;
 }
 
 void Network::scale_offered_load(double factor) {
+  eval_valid_ = false;
   for (auto& ap : aps_) {
     for (auto& cl : ap.clients) {
       cl.offered_mbps *= factor;
@@ -77,11 +81,13 @@ void Network::scale_offered_load(double factor) {
 }
 
 void Network::set_load_factor(double factor) {
+  eval_valid_ = false;
   for (auto& ap : aps_)
     for (auto& cl : ap.clients) cl.offered_mbps = cl.base_offered_mbps * factor;
 }
 
 void Network::set_client_load(ApId ap, double per_client_mbps) {
+  eval_valid_ = false;
   for (auto& cl : ap_of_mut(ap).clients) {
     cl.offered_mbps = per_client_mbps;
     cl.base_offered_mbps = per_client_mbps;
@@ -90,6 +96,7 @@ void Network::set_client_load(ApId ap, double per_client_mbps) {
 
 // Channel and duty only: positions and powers, hence the budget, stay.
 void Network::mutate_interferers(Rng& rng) {
+  eval_valid_ = false;
   const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
   for (auto& intf : interferers_) {
     intf.channel = catalog[rng.index(catalog.size())];
@@ -110,6 +117,7 @@ int Network::apply_plan(const ChannelPlan& plan) {
     refresh_dfs_fallback(ap);
   }
   total_switches_ += switches;
+  if (switches > 0) eval_valid_ = false;
   return switches;
 }
 
@@ -120,6 +128,7 @@ bool Network::apply_channel(ApId id, const Channel& to) {
     return false;
   }
   ap.channel = to;
+  eval_valid_ = false;
   ++total_switches_;
   account_switch_disruption(ap);
   refresh_dfs_fallback(ap);
@@ -180,6 +189,7 @@ void Network::radar_event(ApId id) {
     refresh_dfs_fallback(ap);
   ap.channel = ap.dfs_fallback.value_or(
       Channel{cfg_.band, 36, ChannelWidth::MHz20});
+  eval_valid_ = false;
   ++total_switches_;
   if (duplicate) {
     ++radar_duplicates_;
@@ -313,7 +323,17 @@ double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
       .mbps();
 }
 
-Evaluation Network::evaluate() const {
+Evaluation Network::evaluate() const { return evaluation(); }
+
+const Evaluation& Network::evaluation() const {
+  if (!eval_valid_) {
+    eval_ = solve();
+    eval_valid_ = true;
+  }
+  return eval_;
+}
+
+Evaluation Network::solve() const {
   const std::size_t n = aps_.size();
   const LinkBudget& b = budget();
   Evaluation ev;
@@ -450,7 +470,7 @@ Evaluation Network::evaluate() const {
 }
 
 std::vector<ApScan> Network::scan() const {
-  const Evaluation ev = evaluate();
+  const Evaluation& ev = evaluation();
   const LinkBudget& b = budget();
   const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
   const std::size_t n = aps_.size();

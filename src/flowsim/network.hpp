@@ -80,8 +80,9 @@ struct Evaluation {
 };
 
 // Single-threaded: scan() draws measurement noise from the network's own
-// Rng, and the first measurement after a topology change fills the link
-// budget, so const calls on one Network must not run concurrently.
+// Rng, the first measurement after a topology change fills the link budget
+// and the first after any state change fills the evaluation memo, so const
+// calls on one Network must not run concurrently.
 class Network {
  public:
   struct Config {
@@ -106,7 +107,9 @@ class Network {
 
   // --- topology ----------------------------------------------------------
   // Positions never move once added, so every add_* only invalidates the
-  // link budget; the next measurement rebuilds it.
+  // link budget; the next measurement rebuilds it. Every mutator below
+  // (and apply_plan/apply_channel when a channel changes, radar_event)
+  // drops the memoised evaluation.
   ApId add_ap(Position pos, ChannelWidth max_width, Channel initial,
               bool dfs_capable = true);
   StationId add_client(ApId ap, Position pos, ClientCapability cap,
@@ -174,6 +177,8 @@ class Network {
   [[nodiscard]] std::vector<ApScan> scan() const;
 
   // Solve airtime shares for the current plan and report per-AP outcomes.
+  // The solution is memoised until the next state mutation: scan() and
+  // evaluate() on one state share a single solve.
   [[nodiscard]] Evaluation evaluate() const;
 
   // Sample distributions derived from an evaluation (outcome metrics).
@@ -225,6 +230,10 @@ class Network {
 
   // The budget for the current topology, built on first use after add_*.
   [[nodiscard]] const LinkBudget& budget() const;
+  // The evaluation of the current state, solved on first use after a
+  // mutation (every mutator clears eval_valid_).
+  [[nodiscard]] const Evaluation& evaluation() const;
+  [[nodiscard]] Evaluation solve() const;
   [[nodiscard]] bool in_cs_range(const LinkBudget& b, std::size_t i,
                                  std::size_t j) const;
   [[nodiscard]] Contention contention(const LinkBudget& b) const;
@@ -239,6 +248,8 @@ class Network {
   mutable Rng rng_;
   mutable LinkBudget budget_;
   mutable bool budget_valid_ = false;
+  mutable Evaluation eval_;
+  mutable bool eval_valid_ = false;
   std::vector<ApNode> aps_;
   std::vector<ExternalInterferer> interferers_;
   int total_switches_ = 0;

@@ -174,6 +174,8 @@ struct Geometry {
   // Same relation as one bit per column: bit b of overlap_bits[a] is
   // overlap[a][b]. The scoring kernel's contender test is one shift+and.
   std::vector<std::uint64_t> overlap_bits;
+  // (a, c) -> bit b set when sub[a][b] overlaps c, for b <= a's width.
+  std::vector<std::uint8_t> sub_overlap;
 
   Geometry() {
     std::fill_n(&ord[0][0][0], 2 * kWidths * (kMaxNumber + 1),
@@ -224,6 +226,15 @@ struct Geometry {
         const bool o = catalog[a].overlaps(catalog[b]);
         overlap[a * catalog.size() + b] = o;
         if (o) overlap_bits[a] |= std::uint64_t{1} << b;
+      }
+    sub_overlap.assign(catalog.size() * catalog.size(), 0);
+    for (std::size_t a = 0; a < catalog.size(); ++a)
+      for (std::size_t c = 0; c < catalog.size(); ++c) {
+        unsigned p = 0;
+        for (int b = 0; b <= wi(catalog[a].width); ++b)
+          if ((overlap_bits[static_cast<std::size_t>(sub[a][b])] >> c) & 1u)
+            p |= 1u << b;
+        sub_overlap[a * catalog.size() + c] = static_cast<std::uint8_t>(p);
       }
   }
 };
@@ -288,6 +299,8 @@ const std::uint64_t* overlap_masks() { return geo().overlap_bits.data(); }
 const std::int16_t* sub_channel_table() { return geo().sub.front().data(); }
 
 std::size_t sub_channel_stride() { return kWidths; }
+
+const std::uint8_t* sub_overlap_patterns() { return geo().sub_overlap.data(); }
 
 }  // namespace channels
 

@@ -133,6 +133,12 @@ inline constexpr std::size_t kMaxCatalogOrdinals = 64;
 [[nodiscard]] const std::int16_t* sub_channel_table();
 [[nodiscard]] std::size_t sub_channel_stride();
 
+// Row-major (plan ordinal a, candidate ordinal c) -> width pattern, stride
+// catalog_size(): bit b (b <= a's width) is set when a's b-wide sub-channel
+// overlaps c. A neighbour planned on `a` sees a target moving to `c` as a
+// contender on exactly the sub-channels of this pattern.
+[[nodiscard]] const std::uint8_t* sub_overlap_patterns();
+
 }  // namespace channels
 
 }  // namespace w11

@@ -30,11 +30,14 @@ struct PlanEpoch {
   [[nodiscard]] double node_p_log(ApId id, const Channel& c) const {
     return ctx.node_p_log(at(id), c);
   }
+  // ACC with ψ = `psi` presumed moving for the call; ψ is empty again
+  // afterwards.
   [[nodiscard]] Channel acc(const turboca::TurboCA& tca, ApId id,
-                            const std::vector<ApId>& psi = {}) const {
-    turboca::PsiSet set(index.size());
-    for (ApId p : psi) set.insert(at(p));
-    return tca.acc(ctx, at(id), set);
+                            const std::vector<ApId>& psi = {}) {
+    for (ApId p : psi) ctx.presume_moving(at(p));
+    const Channel pick = tca.acc(ctx, at(id));
+    for (ApId p : psi) ctx.settle(at(p));
+    return pick;
   }
 
   flowsim::ScanIndex index;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 
 #include "common/fnv.hpp"
 #include "core/turboca/service.hpp"
@@ -543,6 +544,62 @@ TEST(Flowsim, LinkBudgetFollowsTopologyChanges) {
   Rng rng(3);
   grown.mutate_interferers(rng);
   EXPECT_EQ(measurement_digest(grown), fresh(1)) << "after mutate_interferers";
+}
+
+TEST(Flowsim, EvaluationFollowsEveryMutator) {
+  // Twins built alike; one has its evaluation memoised before the mutation,
+  // the other does not. After the same mutation both must report the same
+  // bits, so every mutator must drop the memo. Each mutation also has to
+  // move the measurement, or a missing invalidation could not show.
+  const auto build = [] {
+    Network net(Network::Config{});
+    const ApId a = net.add_ap({0, 0}, ChannelWidth::MHz80, ch36);
+    const ApId b = net.add_ap({30, 5}, ChannelWidth::MHz80, ch36);
+    const ApId c = net.add_ap({65, 0}, ChannelWidth::MHz80, ch42_80);
+    net.add_client(a, {4, 1}, ac2ss(), 6.0);
+    net.add_client(b, {33, 9}, ac2ss(), 6.0);
+    net.add_client(c, {70, 2}, ac2ss(), 6.0);
+    net.add_interferer({{15, 10}, ch36, 0.3, 20.0});
+    net.add_interferer({{60, -5}, ch42_80, 0.4, 20.0});
+    (void)net.apply_channel(c, ch52);  // a DFS channel for radar_event
+    return net;
+  };
+  const ApId b{1};
+  const ApId c{2};
+  const std::vector<std::pair<const char*, std::function<void(Network&)>>>
+      mutators = {
+          {"add_ap",
+           [](Network& n) { n.add_ap({20, 20}, ChannelWidth::MHz80, ch36); }},
+          {"add_client",
+           [b](Network& n) { n.add_client(b, {28, 2}, ac2ss(), 40.0); }},
+          {"add_interferer",
+           [](Network& n) { n.add_interferer({{2, 2}, ch36, 0.6, 20.0}); }},
+          {"scale_offered_load",
+           [](Network& n) { n.scale_offered_load(3.0); }},
+          {"set_load_factor", [](Network& n) { n.set_load_factor(4.0); }},
+          {"set_client_load", [b](Network& n) { n.set_client_load(b, 60.0); }},
+          {"mutate_interferers",
+           [](Network& n) {
+             Rng rng(5);
+             n.mutate_interferers(rng);
+           }},
+          {"apply_plan",
+           [b](Network& n) { (void)n.apply_plan({{b, ch149}}); }},
+          {"apply_channel",
+           [b](Network& n) { (void)n.apply_channel(b, ch42_80); }},
+          {"radar_event", [c](Network& n) { n.radar_event(c); }},
+      };
+  const std::uint64_t unmutated = measurement_digest(build());
+  for (const auto& [name, mutate] : mutators) {
+    Network memoised = build();
+    Network cold = build();
+    (void)memoised.evaluate();
+    mutate(memoised);
+    mutate(cold);
+    EXPECT_NE(measurement_digest(cold), unmutated)
+        << name << " does not move the measurement";
+    EXPECT_EQ(measurement_digest(memoised), measurement_digest(cold)) << name;
+  }
 }
 
 }  // namespace

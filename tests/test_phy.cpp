@@ -129,6 +129,43 @@ TEST(Channels, WidthsUpTo) {
   EXPECT_EQ(widths_up_to(ChannelWidth::MHz80).back(), ChannelWidth::MHz80);
 }
 
+// The planner's live contender counts spread a mover's plan through its own
+// mask row (bit s: plan overlaps s), while the ACC kernel probes the
+// sub-channel's row (bit plan: s overlaps plan); the two agree only because
+// the relation is symmetric.
+TEST(Channel, OverlapMasksAreSymmetric) {
+  const int n = static_cast<int>(channels::catalog_size());
+  ASSERT_LE(channels::catalog_size(), channels::kMaxCatalogOrdinals);
+  for (int a = 0; a < n; ++a) {
+    EXPECT_EQ(channels::overlap_masks()[a], channels::overlap_mask(a));
+    EXPECT_TRUE((channels::overlap_mask(a) >> a) & 1u) << "ordinal " << a;
+    for (int b = 0; b < n; ++b) {
+      const bool ab = (channels::overlap_mask(a) >> b) & 1u;
+      const bool ba = (channels::overlap_mask(b) >> a) & 1u;
+      EXPECT_EQ(ab, ba) << channels::by_ordinal(a) << " vs "
+                        << channels::by_ordinal(b);
+      EXPECT_EQ(ab, channels::by_ordinal(a).overlaps(channels::by_ordinal(b)));
+    }
+  }
+}
+
+TEST(Channel, SubOverlapPatternsMatchGeometry) {
+  const int n = static_cast<int>(channels::catalog_size());
+  for (int a = 0; a < n; ++a) {
+    const int cw = static_cast<int>(channels::by_ordinal(a).width);
+    for (int c = 0; c < n; ++c) {
+      unsigned want = 0;
+      for (int b = 0; b <= cw; ++b) {
+        const int sub =
+            channels::sub_channel_ordinal(a, static_cast<ChannelWidth>(b));
+        if (channels::overlaps_ordinal(sub, c)) want |= 1u << b;
+      }
+      EXPECT_EQ(channels::sub_overlap_patterns()[a * n + c], want)
+          << channels::by_ordinal(a) << " vs " << channels::by_ordinal(c);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- MCS --
 
 TEST(Mcs, KnownRatesMatchStandardTable) {

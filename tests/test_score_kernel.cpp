@@ -1,10 +1,11 @@
 // Parity and determinism tests for the batched SoA scoring kernel
-// (DESIGN.md §14): PlanContext::score_candidates / add_neighbor_scores must
-// be bit-for-bit equal to the scalar node_p_log path on every input —
+// (DESIGN.md §14): PlanContext::score_candidates / acc_scores must be
+// bit-for-bit equal to the scalar node_p_log path on every input —
 // including the kNodePLogFloor clamp, ψ overlays, trial moves, degenerate
-// self-neighbor scans and non-catalog channels — plus the audit term-sum
-// parity, the ScanStatsCache reuse contract, and a golden NetP digest
-// pinning cross-build FP determinism.
+// self-neighbor scans, non-catalog channels and any history of moves the
+// live contender counts have to follow — plus the audit term-sum parity,
+// the ScanStatsCache reuse contract, and a golden NetP digest pinning
+// cross-build FP determinism.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,6 @@ namespace {
 
 using turboca::Params;
 using turboca::PlanContext;
-using turboca::PsiSet;
 
 std::vector<ApScan> campus_scans(int n_aps, std::uint64_t seed) {
   workload::CampusConfig cc;
@@ -92,45 +92,42 @@ std::vector<ApScan> hostile_scans(int n_aps, Rng& rng, bool self_neighbor) {
 }
 
 // The scalar oracle for one candidate slot: exactly what the kernel
-// contract in plan_context.hpp promises out[k] equals.
-double scalar_score(const PlanContext& ctx, std::size_t i, std::size_t k,
-                    const PsiSet* psi) {
+// contract in plan_context.hpp promises out[k] equals (ψ is the context's).
+double scalar_score(const PlanContext& ctx, std::size_t i, std::size_t k) {
   const flowsim::ScanIndex& index = ctx.index();
   const PlanContext::TrialMove trial{i, index.candidates(i)[k],
                                      index.candidate_ordinals(i)[k]};
-  return ctx.node_p_log(i, index.candidates(i)[k], psi, &trial);
+  return ctx.node_p_log(i, index.candidates(i)[k], &trial);
 }
 
-void expect_kernel_parity(const flowsim::ScanIndex& index, const Params& params,
-                          const ChannelPlan& plan, const PsiSet* psi) {
-  const PlanContext ctx(index, params, plan);
+// Every AP's kernel scores against the scalar sums, bit for bit, under the
+// context's current plan and ψ.
+void expect_ctx_parity(const PlanContext& ctx) {
+  const flowsim::ScanIndex& index = ctx.index();
   for (std::size_t i = 0; i < index.size(); ++i) {
     const std::size_t n_cands = index.candidates(i).size();
     std::vector<double> got(n_cands);
-    ctx.score_candidates(i, got, psi);
+    ctx.score_candidates(i, got);
     for (std::size_t k = 0; k < n_cands; ++k) {
-      const double want = scalar_score(ctx, i, k, psi);
+      const double want = scalar_score(ctx, i, k);
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
                 std::bit_cast<std::uint64_t>(want))
           << "own-term mismatch ap=" << i << " cand=" << k << " got=" << got[k]
           << " want=" << want;
     }
 
-    // Neighbor legs: accumulate like ACC does and compare against the full
-    // scalar sum (own + every affected neighbor, scan-report order).
-    for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(i)) {
-      if (psi != nullptr && psi->contains(nb.index)) continue;
-      ctx.add_neighbor_scores(nb.index, i, psi, got);
-    }
+    // Neighbor legs: ACC's full objective against the scalar sum (own +
+    // every affected neighbor outside ψ, scan-report order).
+    ctx.acc_scores(i, got);
     for (std::size_t k = 0; k < n_cands; ++k) {
       const PlanContext::TrialMove trial{i, index.candidates(i)[k],
                                          index.candidate_ordinals(i)[k]};
-      double want = ctx.node_p_log(i, index.candidates(i)[k], psi, &trial);
+      double want = ctx.node_p_log(i, index.candidates(i)[k], &trial);
       for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(i)) {
-        if (psi != nullptr && psi->contains(nb.index)) continue;
+        if (ctx.presumed_moving(nb.index)) continue;
         const Channel& nc =
             nb.index == i ? index.candidates(i)[k] : ctx.channel_of(nb.index);
-        want += ctx.node_p_log(nb.index, nc, psi, &trial);
+        want += ctx.node_p_log(nb.index, nc, &trial);
       }
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
                 std::bit_cast<std::uint64_t>(want))
@@ -139,13 +136,21 @@ void expect_kernel_parity(const flowsim::ScanIndex& index, const Params& params,
   }
 }
 
+void expect_kernel_parity(const flowsim::ScanIndex& index, const Params& params,
+                          const ChannelPlan& plan,
+                          const std::vector<std::size_t>& psi = {}) {
+  PlanContext ctx(index, params, plan);
+  for (std::size_t i : psi) ctx.presume_moving(i);
+  expect_ctx_parity(ctx);
+}
+
 TEST(ScoreKernel, MatchesScalarOnCampusFleet) {
   const Params params;
   const flowsim::ScanIndex index(campus_scans(60, 5),
                                  params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
-  expect_kernel_parity(index, params, plan, nullptr);
+  expect_kernel_parity(index, params, plan);
 }
 
 TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
@@ -171,12 +176,66 @@ TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
     }
 
     // Random ψ overlay (the in-flight set ACC excludes from contention).
-    PsiSet psi(index.size());
+    std::vector<std::size_t> psi;
     for (std::size_t i = 0; i < index.size(); ++i)
-      if (rng.uniform() < 0.25) psi.insert(i);
+      if (rng.uniform() < 0.25) psi.push_back(i);
 
-    expect_kernel_parity(index, params, plan, nullptr);
-    expect_kernel_parity(index, params, plan, &psi);
+    expect_kernel_parity(index, params, plan);
+    expect_kernel_parity(index, params, plan, psi);
+  }
+}
+
+// The live contender counts must follow any history of plan moves, ψ
+// presumes/settles and round rollbacks: after every operation, every AP's
+// kernel scores still equal the scalar sums (which walk the neighbor lists
+// afresh). Plans include off-catalog channels, and some fleets hold an AP
+// that reports itself.
+TEST(ScoreKernel, LiveCountsMatchRecountUnderRandomMoves) {
+  const std::vector<Channel> off_catalog = {
+      Channel{Band::G5, 33, ChannelWidth::MHz20},
+      Channel{Band::G5, 40, ChannelWidth::MHz80},  // not an 80 MHz centre
+      Channel{Band::G2_4, 3, ChannelWidth::MHz20},
+      Channel{Band::G2_4, 9, ChannelWidth::MHz20}};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    const Params params;
+    const flowsim::ScanIndex index(hostile_scans(24, rng, seed % 2 == 0),
+                                   params.neighbor_rssi_floor);
+    ChannelPlan plan;
+    for (const auto& s : index.scans()) plan[s.id] = s.current;
+    PlanContext ctx(index, params, plan);
+    const auto pick_ap = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(index.size()) - 1));
+    };
+    bool round = false;
+    for (int op = 0; op < 60; ++op) {
+      const double r = rng.uniform();
+      if (r < 0.45) {
+        const std::size_t i = pick_ap();
+        const auto& cands = index.candidates(i);
+        const Channel c =
+            rng.uniform() < 0.15
+                ? off_catalog[rng.index(off_catalog.size())]
+                : cands[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(cands.size()) - 1))];
+        ctx.set(i, c);
+      } else if (r < 0.65) {
+        ctx.presume_moving(pick_ap());
+      } else if (r < 0.85) {
+        ctx.settle(pick_ap());
+      } else if (!round) {
+        ctx.begin_round();
+        round = true;
+      } else {
+        if (rng.uniform() < 0.7) ctx.rollback_round();
+        else ctx.commit_round();
+        round = false;
+      }
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
+      expect_ctx_parity(ctx);
+      if (testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 
@@ -196,10 +255,10 @@ TEST(ScoreKernel, FloorClampMatchesScalarBitForBit) {
   const PlanContext ctx(index, params, plan);
   for (std::size_t i = 0; i < index.size(); ++i) {
     std::vector<double> got(index.candidates(i).size());
-    ctx.score_candidates(i, got, nullptr);
+    ctx.score_candidates(i, got);
     for (std::size_t k = 0; k < got.size(); ++k) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
-                std::bit_cast<std::uint64_t>(scalar_score(ctx, i, k, nullptr)));
+                std::bit_cast<std::uint64_t>(scalar_score(ctx, i, k)));
       // The clamp actually fired: the score is a ±load·kNodePLogFloor sum.
       EXPECT_LT(got[k], 0.0);
     }
@@ -220,7 +279,7 @@ TEST(ScoreKernel, AuditTermBreakdownSumsToKernelScore) {
   for (std::size_t i = 0; i < index.size(); ++i) {
     ASSERT_FALSE(index.has_self_neighbor(i));
     std::vector<double> got(index.candidates(i).size());
-    ctx.score_candidates(i, got, nullptr);
+    ctx.score_candidates(i, got);
     for (std::size_t k = 0; k < got.size(); ++k) {
       std::vector<obs::NodePTerm> terms;
       const double scalar =

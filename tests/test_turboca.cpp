@@ -120,7 +120,7 @@ TEST(Acc, SeparatesTwoNeighborsOntoDifferentChannels) {
   TurboCA tca({}, Rng(1));
   ApScan a = make_scan(0, ch36_20, {{ApId{1}, -55.0}});
   ApScan b = make_scan(1, ch36_20, {{ApId{0}, -55.0}});
-  const PlanEpoch epoch({a, b}, {{a.id, ch36_20}, {b.id, ch36_20}});
+  PlanEpoch epoch({a, b}, {{a.id, ch36_20}, {b.id, ch36_20}});
   const Channel pick = epoch.acc(tca, b.id);
   EXPECT_FALSE(pick.overlaps(ch36_20)) << "picked " << pick;
 }
@@ -138,7 +138,7 @@ TEST(Acc, PsiHidesNeighborChannels) {
       a.quality[c.number] = 0.05;
     }
   }
-  const PlanEpoch epoch({a, b}, {{a.id, ch149_20}, {b.id, ch36_20}});
+  PlanEpoch epoch({a, b}, {{a.id, ch149_20}, {b.id, ch36_20}});
   const Channel with_psi = epoch.acc(tca, a.id, {ApId{1}});
   EXPECT_EQ(with_psi.primary20().number, 36);
 }
