@@ -1,9 +1,9 @@
 #pragma once
 // BoundedRing<T>: the tree's one oldest-evicting, drop-counting ring.
 //
-// Every bounded breadcrumb store (the FastACK debug trace, the obs per-lane
-// trace rings, the flight recorder's entries and retained postmortems)
-// shares one contract:
+// Every bounded breadcrumb store (the obs trace recorder's ring, which also
+// holds the FastACK debug trace, and the flight recorder's entries and
+// retained postmortems) shares one contract:
 //
 //   * push() never blocks and never fails: once the ring holds `capacity`
 //     entries, the oldest is overwritten and counted in dropped();

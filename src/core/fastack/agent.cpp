@@ -108,21 +108,18 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
     ++stats_.holes_detected;
     trace(obs::TraceKind::kFastAckHoleDetected, seg.flow, s.seq_exp,
           seq_in - s.seq_exp);
-    if (cfg_.emulate_hole_dupacks) {
-      for (int i = 0; i < 3; ++i) {
-        TcpSegment dup;
-        dup.flow = seg.flow;
-        dup.dst_station = s.client;
-        dup.is_ack = true;
-        dup.ack = s.seq_fack;
-        dup.rwnd = advertised_window(s);
-        dup.sacks.push_back(SackBlock{seq_in, end});
-        dup.sent_at = sim_.now();
-        ++stats_.hole_dupacks_sent;
-        trace(obs::TraceKind::kFastAckHoleDupAck, seg.flow, dup.ack,
-              dup.rwnd);
-        ap_.send_to_wire(std::move(dup));
-      }
+    for (int i = 0; i < 3; ++i) {
+      TcpSegment dup;
+      dup.flow = seg.flow;
+      dup.dst_station = s.client;
+      dup.is_ack = true;
+      dup.ack = s.seq_fack;
+      dup.rwnd = advertised_window(s);
+      dup.sacks.push_back(SackBlock{seq_in, end});
+      dup.sent_at = sim_.now();
+      ++stats_.hole_dupacks_sent;
+      trace(obs::TraceKind::kFastAckHoleDupAck, seg.flow, dup.ack, dup.rwnd);
+      ap_.send_to_wire(std::move(dup));
     }
   }
 
@@ -203,8 +200,10 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     }
     // A suppressed client ACK may carry the window update that un-sticks a
     // stalled sender; re-advertise if the window meaningfully reopened.
-    // (Needed in both rwnd modes — suppression eats the client's update.)
-    if (cfg_.emit_window_updates && cfg_.suppress_client_acks &&
+    // Without it the sender could deadlock on a zero window, because the
+    // client ACK carrying the update is dropped at the AP. (Needed in both
+    // rwnd modes — suppression eats the client's update.)
+    if (cfg_.suppress_client_acks &&
         s.last_advertised_rwnd < 1460 && advertised_window(s) >= 1460) {
       emit_fast_ack(ack.flow, s, /*window_update_only=*/true);
     }

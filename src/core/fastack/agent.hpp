@@ -33,13 +33,6 @@ class FastAckAgent : public TcpInterceptor {
     std::size_t retx_cache_segments = 4096;
     // §5.5.2 receive-window rewriting: rx'win = rxwin − outbytes.
     bool rewrite_rwnd = true;
-    // Emit a pure window-update ACK when a suppressed client ACK reopens a
-    // window the sender last saw as (nearly) closed. Engineering addition;
-    // without it the sender could deadlock on a zero window because the
-    // client ACK carrying the update is dropped at the AP.
-    bool emit_window_updates = true;
-    // §5.5.3 duplicate-ACK emulation for upstream holes.
-    bool emulate_hole_dupacks = true;
     // Suppress the client's own TCP ACKs (ablation D6).
     bool suppress_client_acks = true;
     // Only fast-ack contiguous 802.11-acked prefixes (ablation D4). When

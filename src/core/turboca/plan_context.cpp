@@ -28,6 +28,22 @@ std::uint64_t plan_mask(const Channel& c, int ord) {
   return m;
 }
 
+// What switching AP `a` to `c` disrupts, in NodeP's metric units.
+double switch_penalty(const ApScan& a, const Channel& c, const Params& p) {
+  if (c == a.current || !a.has_clients) return 0.0;
+  double penalty =
+      a.band == Band::G2_4 ? p.switch_penalty_24ghz : p.switch_penalty;
+  if (a.utilization_current > p.high_util_threshold)
+    penalty = std::max(penalty, p.switch_penalty_high_util);
+  return penalty;
+}
+
+// One width term of log NodeP: the load-weighted log of its metric, with
+// non-positive metrics floored.
+inline double log_term(double load, double metric) {
+  return load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+}
+
 }  // namespace
 
 PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
@@ -66,26 +82,15 @@ PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
   touched_.assign(n, 0);
 
   // Plan-invariant kernel companions (see header): per-candidate switch
-  // penalties (exactly channel_metric's penalty branch, hoisted out of the
-  // per-width loop it never varied across) and per-term effective loads
-  // (the empty-AP substitution folded in).
+  // penalties (hoisted out of the per-width loop they never vary across)
+  // and per-term effective loads (the empty-AP substitution folded in).
   cand_penalty_.resize(index.candidate_slots());
   for (std::size_t i = 0; i < n; ++i) {
-    const ApScan& a = index.scan(i);
     const std::vector<Channel>& cands = index.candidates(i);
     const std::uint32_t base = index.candidate_base(i);
-    for (std::size_t k = 0; k < cands.size(); ++k) {
-      const Channel& c = cands[k];
-      double penalty = 0.0;
-      if (c != a.current) {
-        penalty = params_.switch_penalty;
-        if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-        if (a.utilization_current > params_.high_util_threshold)
-          penalty = std::max(penalty, params_.switch_penalty_high_util);
-        if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-      }
-      cand_penalty_[base + k] = penalty;
-    }
+    for (std::size_t k = 0; k < cands.size(); ++k)
+      cand_penalty_[base + k] =
+          switch_penalty(index.scan(i), cands[k], params_);
   }
   {
     const std::size_t slots = index.candidate_slots();
@@ -170,27 +175,14 @@ double PlanContext::node_p_log(std::size_t i, const Channel& c,
   return log_node_p(i, c, /*honor_psi=*/true, trial);
 }
 
-double PlanContext::log_node_p(std::size_t i, const Channel& c, bool honor_psi,
-                               const TrialMove* trial) const {
-  const int c_ord = channels::ordinal(c);
-  const double total_load = index_->total_load(i);
-  double log_p = 0.0;
-  const int cw = static_cast<int>(c.width);
-  for (int b = 0; b <= cw; ++b) {
-    double load = index_->load_at(i, static_cast<ChannelWidth>(b), c.width);
-    if (total_load <= 0.0) load = params_.empty_ap_load;
-    if (load <= 0.0) continue;
-    const double metric = channel_metric(
-        i, c, c_ord, static_cast<ChannelWidth>(b), honor_psi, trial);
-    log_p += load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
-  }
-  return log_p;
-}
-
 double PlanContext::node_p_log_terms(std::size_t i, const Channel& c,
                                      std::vector<obs::NodePTerm>* out) const {
-  // Mirrors node_p_log exactly (same loop, same floor) and additionally
-  // captures the per-width breakdown; keep the two in lockstep.
+  return log_node_p(i, c, /*honor_psi=*/false, nullptr, out);
+}
+
+double PlanContext::log_node_p(std::size_t i, const Channel& c, bool honor_psi,
+                               const TrialMove* trial,
+                               std::vector<obs::NodePTerm>* terms) const {
   const int c_ord = channels::ordinal(c);
   const double total_load = index_->total_load(i);
   double log_p = 0.0;
@@ -200,18 +192,17 @@ double PlanContext::node_p_log_terms(std::size_t i, const Channel& c,
     if (total_load <= 0.0) load = params_.empty_ap_load;
     if (load <= 0.0) continue;
     obs::NodePTerm term;
-    const double metric = channel_metric(i, c, c_ord,
-                                         static_cast<ChannelWidth>(b),
-                                         /*honor_psi=*/false, nullptr, &term);
-    const double log_term =
-        load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
-    log_p += log_term;
-    if (out != nullptr) {
+    const double metric =
+        channel_metric(i, c, c_ord, static_cast<ChannelWidth>(b), honor_psi,
+                       trial, terms != nullptr ? &term : nullptr);
+    const double lt = log_term(load, metric);
+    log_p += lt;
+    if (terms != nullptr) {
       term.width_mhz = width_mhz(static_cast<ChannelWidth>(b));
       term.load = load;
       term.metric = metric;
-      term.log_term = log_term;
-      out->push_back(term);
+      term.log_term = lt;
+      terms->push_back(term);
     }
   }
   return log_p;
@@ -258,14 +249,7 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
   const double airtime =
       std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
 
-  double penalty = 0.0;
-  if (c != a.current) {
-    penalty = params_.switch_penalty;
-    if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-    if (a.utilization_current > params_.high_util_threshold)
-      penalty = std::max(penalty, params_.switch_penalty_high_util);
-    if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-  }
+  const double penalty = switch_penalty(a, c, params_);
 
   if (detail != nullptr) {
     detail->airtime = airtime;
@@ -322,7 +306,7 @@ void PlanContext::score_candidates(std::size_t i,
       const double airtime =
           std::clamp((1.0 - blk.ext[t]) / (1.0 + contenders), 0.0, 1.0);
       const double metric = blk.width[t] * (airtime * blk.qual[t] - penalty);
-      log_p += load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      log_p += log_term(load, metric);
     }
     out[k] = log_p;
   }
@@ -379,15 +363,7 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
   // Per width term, the two possible log contributions: target's trial
   // channel overlapping this sub-channel (+t_mult contenders) or not.
   // Exactly the scalar metric arithmetic; only the contender count varies.
-  const ApScan& a = index.scan(nb);
-  double penalty = 0.0;
-  if (nc != a.current) {
-    penalty = params_.switch_penalty;
-    if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-    if (a.utilization_current > params_.high_util_threshold)
-      penalty = std::max(penalty, params_.switch_penalty_high_util);
-    if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-  }
+  const double penalty = switch_penalty(index.scan(nb), nc, params_);
   const double total_load = index.total_load(nb);
   double lt_without[4];
   double lt_with[4];
@@ -407,15 +383,14 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
       const double airtime =
           std::clamp((1.0 - st.external_util) / (1.0 + base_cnt), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
-      lt_without[b] =
-          load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      lt_without[b] = log_term(load, metric);
     }
     if (t_mult > 0) {
       const int contenders = base_cnt + t_mult;
       const double airtime =
           std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
-      lt_with[b] = load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      lt_with[b] = log_term(load, metric);
     } else {
       lt_with[b] = lt_without[b];
     }

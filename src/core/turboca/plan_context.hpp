@@ -84,11 +84,12 @@ class PlanContext {
   [[nodiscard]] double node_p_log(std::size_t i, const Channel& c,
                                   const TrialMove* trial = nullptr) const;
 
-  // node_p_log with the §4.4 per-width term breakdown appended to `out`
-  // (when non-null). Arithmetic is identical to node_p_log — the audit
-  // (DESIGN.md §12) sees exactly the numbers the optimizer used. This stays
-  // on the scalar path deliberately; the kernel parity suite
-  // (tests/test_score_kernel.cpp) pins it against score_candidates.
+  // The NetP term of AP i on channel c (ψ ignored, no trial), with the
+  // §4.4 per-width term breakdown appended to `out` (when non-null). It is
+  // the same loop node_p_log runs — the audit (DESIGN.md §12) sees exactly
+  // the numbers the optimizer used. This stays on the scalar path
+  // deliberately; the kernel parity suite (tests/test_score_kernel.cpp)
+  // pins it against score_candidates.
   [[nodiscard]] double node_p_log_terms(std::size_t i, const Channel& c,
                                         std::vector<obs::NodePTerm>* out) const;
 
@@ -119,10 +120,11 @@ class PlanContext {
   [[nodiscard]] ChannelPlan snapshot() const;
 
  private:
-  // node_p_log with ψ honoured or ignored (NetP terms ignore it).
-  [[nodiscard]] double log_node_p(std::size_t i, const Channel& c,
-                                  bool honor_psi,
-                                  const TrialMove* trial) const;
+  // node_p_log with ψ honoured or ignored (NetP terms ignore it), appending
+  // the per-width breakdown to `terms` when non-null.
+  [[nodiscard]] double log_node_p(
+      std::size_t i, const Channel& c, bool honor_psi, const TrialMove* trial,
+      std::vector<obs::NodePTerm>* terms = nullptr) const;
   [[nodiscard]] double channel_metric(std::size_t i, const Channel& c,
                                       int c_ord, ChannelWidth b,
                                       bool honor_psi, const TrialMove* trial,

@@ -78,10 +78,8 @@ void TcpReceiver::emit_ack(bool duplicate) {
   ack.ack = rcv_nxt_;
   ack.rwnd = advertised_window();
   ack.sent_at = sim_.now();
-  if (cfg_.sack_enabled) {
-    // SackList caps itself at the 3-block option space limit.
-    for (const auto& iv : ooo_) ack.sacks.push_back({iv.start, iv.end});
-  }
+  // SackList caps itself at the 3-block option space limit.
+  for (const auto& iv : ooo_) ack.sacks.push_back({iv.start, iv.end});
   ++stats_.acks_sent;
   if (duplicate) ++stats_.dup_acks_sent;
   send_ack_(std::move(ack));

@@ -113,11 +113,9 @@ void TcpSender::on_ack(const TcpSegment& ack) {
 
   // Merge SACK information.
   bool sack_changed = false;
-  if (cfg_.sack_enabled) {
-    for (const SackBlock& b : ack.sacks) {
-      if (b.end <= snd_una_) continue;
-      if (sack_scoreboard_.insert(b).second) sack_changed = true;
-    }
+  for (const SackBlock& b : ack.sacks) {
+    if (b.end <= snd_una_) continue;
+    if (sack_scoreboard_.insert(b).second) sack_changed = true;
   }
 
   if (ack.ack > snd_una_) {

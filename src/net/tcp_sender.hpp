@@ -35,7 +35,6 @@ class TcpSender {
     CcAlgo algo = CcAlgo::kReno;
     Time min_rto = time::millis(200);
     Time initial_rto = time::seconds(1);
-    bool sack_enabled = true;
     int dscp = 0;
   };
 

@@ -29,8 +29,8 @@ namespace w11::obs {
 void write_chrome_trace(const TraceRecorder& rec, std::ostream& os);
 void write_trace_jsonl(const TraceRecorder& rec, std::ostream& os);
 
-// Flat {"name": value} object over MetricsRegistry::snapshot(), in metric
-// registration order.
+// Flat {"name": value} object over MetricsRegistry::snapshot(), in
+// first-set order.
 void write_metrics_json(const MetricsRegistry& reg, std::ostream& os);
 
 // Convenience: serialize to a string (tests diff these).

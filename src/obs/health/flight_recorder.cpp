@@ -43,15 +43,14 @@ void FlightRecorder::capture(Time at) {
   Entry e;
   e.at = at;
   e.is_snapshot = true;
-  auto samples = metrics_->snapshot();
+  const std::vector<MetricsRegistry::Sample>& samples = metrics_->snapshot();
   if (catalog_.empty()) {
-    // No catalog: every registered metric, name-sorted so the bundle never
-    // depends on first-touch registration order (which can vary with the
-    // worker schedule).
-    std::sort(samples.begin(), samples.end(),
+    // No catalog: every metric set so far, name-sorted so the bundle does
+    // not depend on the order the run first set them.
+    e.samples = samples;
+    std::sort(e.samples.begin(), e.samples.end(),
               [](const MetricsRegistry::Sample& a,
                  const MetricsRegistry::Sample& b) { return a.name < b.name; });
-    e.samples = std::move(samples);
   } else {
     std::map<std::string_view, double> by_name;
     for (const MetricsRegistry::Sample& s : samples) by_name[s.name] = s.value;
@@ -117,7 +116,7 @@ const std::string& FlightRecorder::trigger(Trigger t, Time at,
     os << '\n';
   }
 
-  // Trace events intersecting the window, from the lane-blind merge.
+  // Trace events intersecting the window, in merged() order.
   if (tracer_ != nullptr) {
     for (const TraceEvent& e : tracer_->merged()) {
       if (e.ts_ns + e.dur_ns < from.ns() || e.ts_ns > at.ns()) continue;

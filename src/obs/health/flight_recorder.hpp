@@ -7,10 +7,10 @@
 //
 // Determinism contract: feeds are serial (the scenario's poll/tick thread)
 // so ring contents and overflow accounting are exact, trace records come
-// from TraceRecorder::merged() (lane-blind stable sort), metric snapshots
-// are restricted to a declared catalog (fixed name order, zero-valued when
-// quiet — see MetricsRegistry::declare_*) or name-sorted when no catalog
-// is set, and attached sources are required to be worker-count invariant
+// from TraceRecorder::merged() (a stable sort on sim time and ordinal),
+// metric snapshots are restricted to a declared catalog (fixed name order,
+// zero-valued for a name not yet set) or name-sorted when no catalog is
+// set, and attached sources are required to be worker-count invariant
 // (the rollout and plan audits already are). A bundle produced by the same
 // scenario at any worker count is byte-identical — the property
 // tests/test_health.cpp pins at 1/2/4/8 workers.
@@ -56,8 +56,8 @@ class FlightRecorder {
   // Trace stream the bundles read; trigger() also records into it.
   void attach_tracer(TraceRecorder* t) { tracer_ = t; }
   // `catalog` fixes the snapshot shape: exactly these metrics, in this
-  // order, value 0 when a name is not (yet) registered. Empty = every
-  // registered metric, name-sorted.
+  // order, value 0 when a name is not (yet) set. Empty = every metric set
+  // so far, name-sorted.
   void attach_metrics(const MetricsRegistry* m,
                       std::vector<std::string> catalog = {});
   void attach_source(std::string name, Source src);

@@ -11,8 +11,8 @@ namespace {
 const SlidingWindow::Agg kZeroAgg{};
 
 std::vector<double> default_bounds() {
-  // Same power-of-two ladder the MetricsRegistry defaults to, so an SLI
-  // fed from a default-bucketed histogram loses no resolution.
+  // Power-of-two ladder 1, 2, 4, ... 2^20: a serviceable default for
+  // counts, queue depths and microsecond-scale durations.
   std::vector<double> b;
   b.reserve(21);
   for (int i = 0; i <= 20; ++i) b.push_back(static_cast<double>(1u << i));
@@ -107,20 +107,30 @@ const SlidingWindow::Agg& SlidingWindow::window(std::size_t ago) const {
 }
 
 double SlidingWindow::quantile(const Agg& a, double q) const {
-  // Delegate to the registry histogram's interpolation so SLI quantiles and
-  // metric-snapshot quantiles of the same samples agree to the bit.
-  MetricsRegistry::HistogramView view;
-  view.bounds = bounds_;
-  view.counts = a.buckets.empty()
-                    ? std::vector<std::uint64_t>(bounds_.size() + 1, 0)
-                    : a.buckets;
-  view.count = a.count;
-  view.sum = a.sum;
-  if (a.count > 0) {
-    view.min = a.min;
-    view.max = a.max;
+  if (a.count == 0) return 0.0;
+  const double target = q * static_cast<double>(a.count);
+  std::uint64_t cum = 0;
+  bool first_nonempty = true;
+  for (std::size_t i = 0; i < a.buckets.size(); ++i) {
+    if (a.buckets[i] == 0) continue;
+    const double lo_cum = static_cast<double>(cum);
+    cum += a.buckets[i];
+    const bool hit = static_cast<double>(cum) >= target;
+    if (!hit) {
+      first_nonempty = false;
+      continue;
+    }
+    // Interpolate inside bucket i. The true min lives in the first
+    // non-empty bucket and the true max in the last, so they tighten the
+    // bucket's nominal [lower, upper) where applicable (and give the
+    // unbounded overflow bucket a finite upper edge).
+    const double lower = first_nonempty ? a.min : bounds_[i - 1];
+    const double upper =
+        i < bounds_.size() ? std::min(bounds_[i], a.max) : a.max;
+    const double frac = (target - lo_cum) / static_cast<double>(a.buckets[i]);
+    return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
   }
-  return view.quantile(q);
+  return a.max;
 }
 
 double SlidingWindow::fraction_bad(const Agg& a, double threshold,

@@ -4,17 +4,15 @@
 //
 // Each window of width W covers the half-open sim-time interval
 // [k*W, (k+1)*W) for integer k; the ring keeps the newest `windows`
-// of them. A window holds the same merge-free aggregate shape the
-// MetricsRegistry histograms use — count / sum / min / max plus
-// fixed-bucket counts — so per-window quantiles and threshold fractions
-// come from the identical interpolation rules, and merging N windows (or
-// two partial aggregates of the same window) is order-free: the SLO
-// evaluator's numbers are worker-count invariant by construction, like the
-// rest of obs/.
+// of them. A window holds a merge-free aggregate — count / sum / min / max
+// plus fixed-bucket counts — so per-window quantiles and threshold
+// fractions come from one set of interpolation rules, and merging N windows
+// (or two partial aggregates of the same window) is order-free: the SLO
+// evaluator's numbers are worker-count invariant by construction.
 //
 // Quiet windows are *defined*, not absent: advance() rolls zeroed
 // aggregates into the ring, so a rate SLI over a window with no samples
-// reads 0 (see the absent-vs-zero note on MetricsRegistry::declare_*).
+// reads 0, never a missing value.
 // Samples older than the ring's reach are counted (dropped_late()) and
 // discarded — never silently folded into the wrong window.
 
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "obs/metrics.hpp"
 
 namespace w11::obs {
 
@@ -42,8 +39,8 @@ class SlidingWindow {
     void merge(const Agg& o);
   };
 
-  // `bounds` as MetricsRegistry::histogram: strictly increasing upper
-  // bounds, implicit +inf overflow bucket; empty = the power-of-two ladder.
+  // `bounds`: strictly increasing bucket upper bounds, with an implicit
+  // +inf overflow bucket; empty = the power-of-two ladder 1..2^20.
   SlidingWindow(Time width, std::size_t windows,
                 std::vector<double> bounds = {});
 
@@ -64,11 +61,11 @@ class SlidingWindow {
   // when beyond history.
   [[nodiscard]] const Agg& window(std::size_t ago) const;
 
-  // Quantile / threshold readings via the registry histogram's
-  // interpolation rules (min/max tighten the owning bucket's nominal
-  // edges). fraction_bad: estimated fraction of samples strictly above
-  // (bad_above) or at-or-below (otherwise) `threshold`; 0 when count == 0
-  // — quiet is good.
+  // Quantile / threshold readings by linear interpolation inside the
+  // owning bucket (min/max tighten the bucket's nominal edges; the overflow
+  // bucket reports max). fraction_bad: estimated fraction of samples
+  // strictly above (bad_above) or at-or-below (otherwise) `threshold`; 0
+  // when count == 0 — quiet is good.
   [[nodiscard]] double quantile(const Agg& a, double q) const;
   [[nodiscard]] double fraction_bad(const Agg& a, double threshold,
                                     bool bad_above) const;

@@ -14,7 +14,7 @@ namespace w11::obs {
 
 // The schema snapshot_into() expects: one row per metric sample, keyed by
 // the sample's position in the snapshot (stable across snapshots as long
-// as no new metrics register in between).
+// as no new name is set in between).
 inline telemetry::LittleTable make_metrics_table() {
   return telemetry::LittleTable("obs_metrics", {"value"});
 }
@@ -24,7 +24,7 @@ inline telemetry::LittleTable make_metrics_table() {
 inline std::vector<std::string> snapshot_into(const MetricsRegistry& reg,
                                               telemetry::LittleTable& table,
                                               Time at) {
-  const auto samples = reg.snapshot();
+  const auto& samples = reg.snapshot();
   std::vector<telemetry::LittleTable::Row> batch;
   batch.reserve(samples.size());
   std::vector<std::string> names;

@@ -1,29 +1,26 @@
 #pragma once
-// Structured trace recorder (DESIGN.md §12): bounded per-lane ring buffers
-// of typed events stamped with *simulated* virtual time.
+// Structured trace recorder (DESIGN.md §12): one bounded ring of typed
+// events stamped with *simulated* virtual time.
 //
-// Determinism is the design constraint, inherited from the exec layer
-// (DESIGN.md §10): a trace taken at any worker count must export to the
-// same bytes. Three rules make that hold:
+// A recorder belongs to one run and has one writer, the thread that runs
+// it; concurrent runs each own a recorder. Exports must be byte-stable, so
+// three rules hold:
 //
 //   * Timestamps are sim virtual time (or a caller-supplied logical time),
 //     never wall clock.
 //   * Every event carries a caller-supplied deterministic ordinal `ord`
-//     (the simulator's event sequence number, a flow id, a parallel_for
-//     index) that orders events sharing a timestamp. merged()
-//     stable-sorts on (ts, ord, kind, a, b), so export order never depends
-//     on which lane's ring an event landed in.
-//   * Lanes are per-*thread* rings (registered on first record, appended
-//     lock-free by their owner), so recording from TaskPool tasks is safe;
-//     ring identity deliberately does not appear in the sort key.
+//     (the simulator's event sequence number, a flow id, a wave index)
+//     that orders events sharing a timestamp. merged() stable-sorts on
+//     (ts, ord, kind, a, b), so export order never depends on the order
+//     the events were recorded in.
+//   * One writer per recorder: record() appends to the ring without a
+//     lock, and merged()/exports read it once the run has stopped writing.
 //
-// Rings are bounded (common::BoundedRing): overflow evicts the oldest event
-// in that ring and counts it (dropped()), never blocks, never allocates past
-// capacity.
+// The ring is a common::BoundedRing: overflow evicts the oldest event and
+// counts it (dropped()), never blocks, and storage grows with use, so an
+// unattached recorder allocates nothing.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/bounded_ring.hpp"
@@ -143,15 +140,18 @@ struct TraceEvent {
   friend constexpr bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-// One lane's bounded ring (common::BoundedRing). Single-writer (the owning
-// thread); traversed at quiescent points only.
+// The recorder's bounded ring (common::BoundedRing).
 using TraceRing = common::BoundedRing<TraceEvent>;
 
 class ScopedSpan;
 
 class TraceRecorder {
  public:
-  explicit TraceRecorder(std::size_t per_lane_capacity = std::size_t{1} << 16);
+  explicit TraceRecorder(std::size_t capacity = std::size_t{1} << 16)
+      : ring_(capacity) {}
+  // A simulator binds its clock to a recorder by address.
+  TraceRecorder(const TraceRecorder&) = delete;
+  TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   // Runtime gate. Disabled recording is one bool load per site.
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -175,42 +175,35 @@ class TraceRecorder {
   void record_at(Time ts, TraceKind kind, std::uint64_t ord,
                  std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!accepts(kind)) return;
-    local_ring().push(TraceEvent{ts.ns(), 0, ord, a, b, kind});
+    ring_.push(TraceEvent{ts.ns(), 0, ord, a, b, kind});
   }
   void record_span(Time begin, Time end, TraceKind kind, std::uint64_t ord,
                    std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!accepts(kind)) return;
-    local_ring().push(
-        TraceEvent{begin.ns(), (end - begin).ns(), ord, a, b, kind});
+    ring_.push(TraceEvent{begin.ns(), (end - begin).ns(), ord, a, b, kind});
   }
 
   // RAII span: opens at the bound clock's now, records on destruction.
   [[nodiscard]] ScopedSpan span(TraceKind kind, std::uint64_t ord,
                                 std::uint64_t a = 0);
 
-  // All lanes' events merged into one deterministic stream: stable sort on
-  // (ts, ord, kind, a, b). Call at quiescent points (no concurrent
-  // recording), e.g. after parallel_for returned.
+  // The ring's events as one deterministic stream: stable sort on
+  // (ts, ord, kind, a, b).
   [[nodiscard]] std::vector<TraceEvent> merged() const;
 
-  [[nodiscard]] std::size_t total_events() const;
-  [[nodiscard]] std::uint64_t total_dropped() const;
-  void clear();
+  [[nodiscard]] std::size_t total_events() const { return ring_.size(); }
+  [[nodiscard]] std::uint64_t total_dropped() const { return ring_.dropped(); }
+  void clear() { ring_.clear(); }
 
  private:
   [[nodiscard]] bool accepts(TraceKind kind) const {
     return enabled_ && (mask_ & category_bit(category(kind))) != 0;
   }
-  TraceRing& local_ring();
 
   bool enabled_ = false;
   std::uint32_t mask_ = kAllCategories;
   const Time* clock_ = nullptr;
-  std::size_t per_lane_capacity_;
-  std::uint64_t id_;  // process-unique, keys the thread-local ring cache
-
-  mutable std::mutex lanes_mu_;  // guards ring registration, not recording
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  TraceRing ring_;
 
   friend class ScopedSpan;
 };

@@ -235,11 +235,9 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
   controller.set_plan_sink([&](const fleet::CampusPlanOutput& out) {
     res.plan_seconds.push_back(out.plan_seconds);
     res.netp_log_sum += out.netp_log;
-    if (cfg.attach_ctrl)
-      fanout.commit(out.campus_key, out.plan, out.netp_log, out.planned_at);
-    if (cfg.attach_telemetry)
-      ingest.ingest_plan(out.campus_key, out.planned_at, out.n_aps,
-                         out.netp_log, out.improved, out.plan_seconds);
+    fanout.commit(out.campus_key, out.plan, out.netp_log, out.planned_at);
+    ingest.ingest_plan(out.campus_key, out.planned_at, out.n_aps,
+                       out.netp_log, out.improved, out.plan_seconds);
   });
 
   // One local census is the single source of truth for both replay modes:
@@ -269,37 +267,33 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
     }
     controller.tick(t);
     last_at = t;
-    if (cfg.attach_telemetry) {
-      // Per-poll pipeline tick; queue high-waters and drop/defer counts
-      // are read from FleetController::health().
-      ingest.ingest_pipeline(controller.ingest_stats(),
-                             controller.output_stats(),
-                             controller.stats().jobs_deferred);
-    }
-    if (cfg.attach_telemetry) {
-      // O(churn) telemetry fan-out: only campuses the poll touched land
-      // rows this interval (the first full census polls everyone). The
-      // touched set is derived from the delta in *both* replay modes, so
-      // row counts match between them.
-      if (p == 0) {
-        controller.for_each_campus(
-            [&](std::uint32_t key, const std::vector<ApScan>& campus) {
-              ingest.ingest_scans(key, campus, t);
-            });
-      } else {
-        std::vector<std::uint32_t> touched;
-        const auto note = [&](ApId id) {
-          if (const auto key = controller.campus_of(id)) touched.push_back(*key);
-        };
-        for (const ApScan& s : delta.added) note(s.id);
-        for (const ApScan& s : delta.updated) note(s.id);
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
-        for (const std::uint32_t key : touched)
-          if (const std::vector<ApScan>* campus = controller.campus_scans(key))
-            ingest.ingest_scans(key, *campus, t);
-      }
+    // Per-poll pipeline tick; queue high-waters and drop/defer counts are
+    // read from FleetController::health().
+    ingest.ingest_pipeline(controller.ingest_stats(),
+                           controller.output_stats(),
+                           controller.stats().jobs_deferred);
+    // O(churn) telemetry fan-out: only campuses the poll touched land rows
+    // this interval (the first full census polls everyone). The touched set
+    // is derived from the delta in *both* replay modes, so row counts match
+    // between them.
+    if (p == 0) {
+      controller.for_each_campus(
+          [&](std::uint32_t key, const std::vector<ApScan>& campus) {
+            ingest.ingest_scans(key, campus, t);
+          });
+    } else {
+      std::vector<std::uint32_t> touched;
+      const auto note = [&](ApId id) {
+        if (const auto key = controller.campus_of(id)) touched.push_back(*key);
+      };
+      for (const ApScan& s : delta.added) note(s.id);
+      for (const ApScan& s : delta.updated) note(s.id);
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+      for (const std::uint32_t key : touched)
+        if (const std::vector<ApScan>* campus = controller.campus_scans(key))
+          ingest.ingest_scans(key, *campus, t);
     }
   }
 

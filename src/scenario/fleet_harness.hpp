@@ -84,8 +84,6 @@ struct FleetScenarioConfig {
   // ScanEpochs. The census trajectory is identical either way (the same
   // evolve_population stream drives both), so the plan digest must match.
   bool use_deltas = false;
-  bool attach_ctrl = true;       // fan plans out into per-campus PlanStores
-  bool attach_telemetry = true;  // batched per-campus LittleTable ingest
   Time telemetry_max_age{0};     // retention on the fleet AP table (0 = off)
 };
 

@@ -159,8 +159,7 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     fc.max_bundles = cfg.max_postmortems;
     recorder = std::make_unique<obs::FlightRecorder>(fc);
     recorder->attach_tracer(&trace);
-    // Fixed catalog: snapshot rows have this exact shape at any worker
-    // count, whatever order first-touch registration happened in.
+    // Fixed catalog: every snapshot row has this exact shape.
     recorder->attach_metrics(
         &flight_metrics,
         {"ctrl.applies", "ctrl.commands_sent", "ctrl.reverts", "ctrl.waves",
@@ -271,7 +270,7 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
           {"telemetry.records_dropped", coll.records_dropped()},
           {"telemetry.records_written", coll.records_written()}};
       for (const auto& [name, v] : totals)
-        flight_metrics.gauge(name).set(static_cast<double>(v));
+        flight_metrics.set(name, static_cast<double>(v));
       recorder->capture(now);
       const std::vector<obs::HealthEvent> hev = health->poll(now);
       for (const obs::HealthEvent& e : hev)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "obs/export.hpp"
@@ -13,18 +14,18 @@ namespace w11::scenario {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-// `name`.{count,sum,mean,p50,p95,max} of one sample set: the names a
-// registry histogram expands to, with the sample set's exact values.
+// `name`.{count,sum,mean,p50,p95,max} of one sample set, with its exact
+// values.
 void snapshot_samples(const std::string& name, const Samples& s,
                       obs::MetricsRegistry& reg) {
   double sum = 0.0;
   for (double x : s.sorted()) sum += x;
-  reg.gauge(name + ".count").set(static_cast<double>(s.count()));
-  reg.gauge(name + ".sum").set(sum);
-  reg.gauge(name + ".mean").set(s.mean());
-  reg.gauge(name + ".p50").set(s.empty() ? 0.0 : s.quantile(0.5));
-  reg.gauge(name + ".p95").set(s.empty() ? 0.0 : s.quantile(0.95));
-  reg.gauge(name + ".max").set(s.empty() ? 0.0 : s.max());
+  reg.set(name + ".count", static_cast<double>(s.count()));
+  reg.set(name + ".sum", sum);
+  reg.set(name + ".mean", s.mean());
+  reg.set(name + ".p50", s.empty() ? 0.0 : s.quantile(0.5));
+  reg.set(name + ".p95", s.empty() ? 0.0 : s.quantile(0.95));
+  reg.set(name + ".max", s.empty() ? 0.0 : s.max());
 }
 
 // The W11_TRACE metrics dump: a snapshot of one run's AP and FastACK Stats.
@@ -46,12 +47,14 @@ void snapshot_stats(const Testbed& tb, int n_aps, obs::MetricsRegistry& reg) {
   }
   snapshot_samples("mac.ampdu_bundles", bundles, reg);
   snapshot_samples("mac.ampdu_frames", frames, reg);
-  reg.counter("fastack.acks_synthesized").add(fa.fast_acks_sent);
-  reg.counter("fastack.acks_suppressed").add(fa.client_acks_suppressed);
-  reg.counter("fastack.cache_served_segments").add(fa.local_retransmits);
-  reg.counter("fastack.window_updates").add(fa.window_updates_sent);
-  reg.counter("fastack.hole_dupacks").add(fa.hole_dupacks_sent);
-  reg.counter("fastack.bypass_activations").add(fa.bypass_activations);
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"fastack.acks_synthesized", fa.fast_acks_sent},
+      {"fastack.acks_suppressed", fa.client_acks_suppressed},
+      {"fastack.cache_served_segments", fa.local_retransmits},
+      {"fastack.window_updates", fa.window_updates_sent},
+      {"fastack.hole_dupacks", fa.hole_dupacks_sent},
+      {"fastack.bypass_activations", fa.bypass_activations}};
+  for (const auto& [name, v] : counts) reg.set(name, static_cast<double>(v));
 }
 }  // namespace
 

@@ -120,8 +120,8 @@ class Testbed {
     double aggregate_mbps = 0.0;
     double client_min_mbps = 0.0;
     double client_max_mbps = 0.0;
-    std::uint64_t trace_events = 0;   // recorded this run (all lanes)
-    std::uint64_t trace_dropped = 0;  // lost to per-lane ring overflow
+    std::uint64_t trace_events = 0;   // recorded this run
+    std::uint64_t trace_dropped = 0;  // lost to ring overflow
   };
   [[nodiscard]] Health health() const;
 

@@ -250,10 +250,9 @@ TEST(FlightRecorder, BundleWindowCutsEntriesBeforeLookback) {
 
 TEST(FlightRecorder, CatalogFixesSnapshotShapeWithZeroFill) {
   obs::MetricsRegistry reg;
-  obs::Counter hit = reg.counter("b.hit");
-  hit.add(2);
+  reg.set("b.hit", 2.0);
   FlightRecorder fr(small_ring(8));
-  // "a.absent" is never registered: the catalog still emits it, at zero, so
+  // "a.absent" is never set: the catalog still emits it, at zero, so
   // bundle bytes never depend on which code paths happened to run first.
   fr.attach_metrics(&reg, {"a.absent", "b.hit"});
   fr.capture(time::seconds(5));

@@ -1,7 +1,8 @@
 // Observability layer (DESIGN.md §12): trace ring eviction, byte-stable
-// golden JSONL exports at any worker count, metrics merge semantics, the
-// telemetry bridge, and — the property everything else leans on — that
-// attaching tracing or the planner audit never perturbs execution.
+// golden JSONL exports whatever the record order, the metrics registry's
+// name -> value list, the telemetry bridge, and — the property everything
+// else leans on — that attaching tracing or the planner audit never
+// perturbs execution.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "flowsim/scan_index.hpp"
 #include "obs/audit.hpp"
 #include "obs/export.hpp"
+#include "obs/health/sliding_window.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
@@ -78,7 +80,7 @@ TEST(TraceRecorder, CategoryMaskFilters) {
 }
 
 TEST(TraceRecorder, PerLaneOverflowAccounting) {
-  TraceRecorder rec(/*per_lane_capacity=*/8);
+  TraceRecorder rec(/*capacity=*/8);
   rec.set_enabled(true);
   for (std::uint64_t i = 0; i < 20; ++i)
     rec.record_at(time::micros(static_cast<std::int64_t>(i)),
@@ -123,20 +125,19 @@ TEST(TraceRecorder, SpanOpenedWhileDisabledStaysInert) {
   EXPECT_EQ(rec.total_events(), 0u);
 }
 
-// The golden determinism property (satellite of DESIGN.md §12): the same
-// logical workload recorded through a 1-worker and a 4-worker pool must
-// export byte-identical JSONL and Chrome traces, even though events land in
-// different per-thread rings.
+// The golden determinism property (DESIGN.md §12): the same events
+// recorded in a different order export to byte-identical JSONL and Chrome
+// traces, because merged() sorts on (ts, ord, kind, a, b), never on record
+// order.
 struct Exports {
   std::string jsonl;
   std::string chrome;
 };
 
-Exports record_synthetic_workload(int workers) {
-  TraceRecorder rec(std::size_t{1} << 12);
-  rec.set_enabled(true);
-  exec::TaskPool pool(workers);
-  pool.parallel_for(500, [&rec](std::size_t i, int) {
+// Records synthetic event i for each i in `order`, exports, then clears.
+Exports record_synthetic_workload(TraceRecorder& rec,
+                                  const std::vector<std::size_t>& order) {
+  for (const std::size_t i : order) {
     const auto u = static_cast<std::uint64_t>(i);
     const Time ts = time::micros(static_cast<std::int64_t>((u * 31) % 97));
     switch (i % 4) {
@@ -150,16 +151,30 @@ Exports record_synthetic_workload(int workers) {
         break;
       default: rec.record_at(ts, TraceKind::kCollectorPoll, u, u % 5); break;
     }
-  });
-  return Exports{obs::trace_jsonl_string(rec), obs::chrome_trace_string(rec)};
+  }
+  Exports out{obs::trace_jsonl_string(rec), obs::chrome_trace_string(rec)};
+  rec.clear();
+  return out;
 }
 
 TEST(TraceRecorder, ExportBytesAreWorkerCountInvariant) {
-  const Exports serial = record_synthetic_workload(1);
-  const Exports threaded = record_synthetic_workload(4);
+  constexpr std::size_t kEvents = 500;
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kPerLane = kEvents / kLanes;
+  std::vector<std::size_t> in_order(kEvents);
+  std::vector<std::size_t> strided(kEvents);
+  for (std::size_t j = 0; j < kEvents; ++j) {
+    in_order[j] = j;
+    // Four lanes of consecutive indices taking turns: 0, 125, 250, 375, 1, ...
+    strided[j] = (j % kLanes) * kPerLane + j / kLanes;
+  }
+  TraceRecorder rec(std::size_t{1} << 12);
+  rec.set_enabled(true);
+  const Exports serial = record_synthetic_workload(rec, in_order);
+  const Exports interleaved = record_synthetic_workload(rec, strided);
   EXPECT_FALSE(serial.jsonl.empty());
-  EXPECT_EQ(serial.jsonl, threaded.jsonl);
-  EXPECT_EQ(serial.chrome, threaded.chrome);
+  EXPECT_EQ(serial.jsonl, interleaved.jsonl);
+  EXPECT_EQ(serial.chrome, interleaved.chrome);
   // Spot-check the formats without a JSON parser: JSONL is one object per
   // line; the Chrome export is a single traceEvents envelope.
   EXPECT_EQ(serial.jsonl[0], '{');
@@ -260,36 +275,39 @@ TEST(SimTracing, ReplacedRecorderIsUnboundFromTheClock) {
 
 // ----------------------------------------------------------------- Metrics
 
+// Concurrent runs each own a registry: every parallel_for task fills its
+// own, and the dumps, in index order, do not depend on the worker count.
 TEST(Metrics, CountersSumAcrossLanesAndWorkerCounts) {
-  auto json_at = [](int workers) {
-    MetricsRegistry reg;
-    const obs::Counter items = reg.counter("work.items");
-    const obs::Histogram sizes = reg.histogram("work.size", {1, 2, 4, 8});
+  auto dumps_at = [](int workers) {
+    std::vector<std::string> dumps(64);
     exec::TaskPool pool(workers);
-    pool.parallel_for(1000, [&](std::size_t i, int) {
-      items.add(1);
-      sizes.observe(static_cast<double>(i % 10));
+    pool.parallel_for(dumps.size(), [&dumps](std::size_t i, int) {
+      MetricsRegistry reg;
+      reg.set("work.items", static_cast<double>(i));
+      reg.set("work.size", static_cast<double>(i % 10));
+      dumps[i] = obs::metrics_json_string(reg);
     });
-    EXPECT_EQ(reg.counter_value(items), 1000u);
-    return obs::metrics_json_string(reg);
+    std::string all;
+    for (const std::string& d : dumps) all += d;
+    return all;
   };
-  const std::string serial = json_at(1);
-  const std::string threaded = json_at(4);
-  EXPECT_FALSE(serial.empty());
+  const std::string serial = dumps_at(1);
+  const std::string threaded = dumps_at(4);
+  EXPECT_NE(serial.find("{\"work.items\":13,\"work.size\":3}\n"),
+            std::string::npos);
   EXPECT_EQ(serial, threaded);
 }
 
 TEST(Metrics, DeclaredButNeverHitMetricsSnapshotAtZero) {
   // Absent-vs-zero: a metric the SLO sheet reads must be present (at zero)
   // in every snapshot even when its code path never ran this interval —
-  // otherwise a quiet poll is indistinguishable from a never-registered
-  // name and rate SLIs over it are undefined. declare_* registers eagerly.
+  // otherwise a quiet poll is indistinguishable from a never-set name and
+  // rate SLIs over it are undefined. Setting a name to 0 puts it there.
   MetricsRegistry reg;
-  reg.declare_counter("quiet.counter");
-  reg.declare_gauge("quiet.gauge");
-  reg.declare_histogram("quiet.hist");
-  const obs::Counter hot = reg.counter("hot.counter");
-  hot.add(3);
+  reg.set("quiet.counter", 0.0);
+  reg.set("quiet.gauge", 0.0);
+  reg.set("quiet.hist.count", 0.0);
+  reg.set("hot.counter", 3.0);
   const auto snap = reg.snapshot();
   auto value_of = [&](const std::string& name) -> const double* {
     for (const auto& s : snap)
@@ -306,39 +324,39 @@ TEST(Metrics, DeclaredButNeverHitMetricsSnapshotAtZero) {
   // The JSON dump carries them too (same snapshot underneath).
   const std::string json = obs::metrics_json_string(reg);
   EXPECT_NE(json.find("\"quiet.counter\":0"), std::string::npos);
-  // Declaring again is idempotent: same handle slot, no duplicate rows.
-  reg.declare_counter("quiet.counter");
+  // Setting again is idempotent: same row, no duplicates.
+  reg.set("quiet.counter", 0.0);
   EXPECT_EQ(reg.snapshot().size(), snap.size());
 }
 
 TEST(Metrics, GaugeLatestSetWins) {
   MetricsRegistry reg;
-  const obs::Gauge g = reg.gauge("queue.depth");
-  g.set(1.0);
-  g.set(2.5);
-  g.set(-3.0);
-  EXPECT_DOUBLE_EQ(reg.gauge_value(g), -3.0);
+  reg.set("queue.depth", 1.0);
+  reg.set("queue.depth", 2.5);
+  reg.set("queue.depth", -3.0);
+  ASSERT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_DOUBLE_EQ(reg.snapshot()[0].value, -3.0);
 }
 
+// The bucket and quantile rules SLIs read, on a SlidingWindow's aggregate.
 TEST(Metrics, HistogramViewCountsBucketsAndBounds) {
-  MetricsRegistry reg;
-  const obs::Histogram h = reg.histogram("lat", {1, 2, 4, 8});
-  for (double v : {0.5, 1.5, 3.0, 6.0, 6.0}) h.observe(v);
-  const auto view = reg.histogram_view(h);
+  obs::SlidingWindow w(time::seconds(1), 1, {1, 2, 4, 8});
+  for (double v : {0.5, 1.5, 3.0, 6.0, 6.0}) w.observe(Time{0}, v);
+  const obs::SlidingWindow::Agg& view = w.window(0);
   EXPECT_EQ(view.count, 5u);
   EXPECT_DOUBLE_EQ(view.sum, 17.0);
   EXPECT_DOUBLE_EQ(view.min, 0.5);
   EXPECT_DOUBLE_EQ(view.max, 6.0);
-  ASSERT_EQ(view.counts.size(), 5u);  // 4 bounds + overflow
-  EXPECT_EQ(view.counts[0], 1u);
-  EXPECT_EQ(view.counts[1], 1u);
-  EXPECT_EQ(view.counts[2], 1u);
-  EXPECT_EQ(view.counts[3], 2u);
-  EXPECT_EQ(view.counts[4], 0u);
+  ASSERT_EQ(view.buckets.size(), 5u);  // 4 bounds + overflow
+  EXPECT_EQ(view.buckets[0], 1u);
+  EXPECT_EQ(view.buckets[1], 1u);
+  EXPECT_EQ(view.buckets[2], 1u);
+  EXPECT_EQ(view.buckets[3], 2u);
+  EXPECT_EQ(view.buckets[4], 0u);
   // Quantiles are interpolated estimates: monotone and inside [min, max].
-  const double p25 = view.quantile(0.25);
-  const double p50 = view.quantile(0.50);
-  const double p95 = view.quantile(0.95);
+  const double p25 = w.quantile(view, 0.25);
+  const double p50 = w.quantile(view, 0.50);
+  const double p95 = w.quantile(view, 0.95);
   EXPECT_LE(view.min, p25);
   EXPECT_LE(p25, p50);
   EXPECT_LE(p50, p95);
@@ -347,24 +365,20 @@ TEST(Metrics, HistogramViewCountsBucketsAndBounds) {
 
 TEST(Metrics, RegistrationIsIdempotentAndKindChecked) {
   MetricsRegistry reg;
-  const obs::Counter a = reg.counter("dup.name");
-  const obs::Counter b = reg.counter("dup.name");
-  EXPECT_EQ(reg.metric_count(), 1u);
-  a.add(2);
-  b.add(3);
-  EXPECT_EQ(reg.counter_value(a), 5u) << "same name must alias one slot";
-  EXPECT_THROW((void)reg.gauge("dup.name"), std::logic_error);
-  EXPECT_THROW((void)reg.histogram("dup.name"), std::logic_error);
+  reg.set("dup.name", 2.0);
+  reg.set("dup.name", 5.0);
+  ASSERT_EQ(reg.snapshot().size(), 1u) << "same name must alias one row";
+  EXPECT_EQ(reg.snapshot()[0].value, 5.0);
 }
 
 TEST(Metrics, SnapshotExpandsHistogramsInRegistrationOrder) {
   MetricsRegistry reg;
-  const obs::Counter c = reg.counter("c");
-  const obs::Histogram h = reg.histogram("h", {10});
-  const obs::Gauge g = reg.gauge("g");
-  c.add(4);
-  h.observe(5.0);
-  g.set(1.25);
+  reg.set("c", 0.0);
+  for (const char* suffix : {"count", "sum", "mean", "p50", "p95", "max"})
+    reg.set(std::string("h.") + suffix, 5.0);
+  reg.set("h.count", 1.0);
+  reg.set("g", 1.25);
+  reg.set("c", 4.0);  // a later set keeps the name's first-set position
   const auto samples = reg.snapshot();
   std::vector<std::string> names;
   for (const auto& s : samples) names.push_back(s.name);
@@ -380,27 +394,23 @@ TEST(Metrics, SnapshotExpandsHistogramsInRegistrationOrder) {
 
 TEST(Metrics, ResetValuesKeepsRegistrations) {
   MetricsRegistry reg;
-  const obs::Counter c = reg.counter("c");
-  c.add(7);
-  reg.reset_values();
-  EXPECT_EQ(reg.metric_count(), 1u);
-  EXPECT_EQ(reg.counter_value(c), 0u);
-  c.add(1);
-  EXPECT_EQ(reg.counter_value(c), 1u);
+  reg.set("c", 7.0);
+  reg.set("c", 0.0);
+  ASSERT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_EQ(reg.snapshot()[0].value, 0.0);
+  reg.set("c", 1.0);
+  ASSERT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_EQ(reg.snapshot()[0].value, 1.0);
 }
 
-// A registry belongs to the run that fills it: two registries that register
-// the same metric name keep separate values, so one run's dump never holds
+// A registry belongs to the run that fills it: two registries that set the
+// same metric name keep separate values, so one run's dump never holds
 // another run's counts.
 TEST(Metrics, MacroGateRespectsRuntimeToggle) {
   MetricsRegistry first;
   MetricsRegistry second;
-  const obs::Counter a = first.counter("run.frames");
-  const obs::Counter b = second.counter("run.frames");
-  a.add(5);
-  b.add(2);
-  EXPECT_EQ(first.counter_value(a), 5u);
-  EXPECT_EQ(second.counter_value(b), 2u);
+  first.set("run.frames", 5.0);
+  second.set("run.frames", 2.0);
   EXPECT_EQ(obs::metrics_json_string(first), "{\"run.frames\":5}\n");
   EXPECT_EQ(obs::metrics_json_string(second), "{\"run.frames\":2}\n");
 }
@@ -425,10 +435,8 @@ TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
 
 TEST(TelemetryBridge, SnapshotLandsAsLittleTableRows) {
   MetricsRegistry reg;
-  const obs::Counter c = reg.counter("acks");
-  const obs::Gauge g = reg.gauge("depth");
-  c.add(5);
-  g.set(2.5);
+  reg.set("acks", 5.0);
+  reg.set("depth", 2.5);
 
   telemetry::LittleTable table = obs::make_metrics_table();
   const auto names = obs::snapshot_into(reg, table, time::seconds(1));

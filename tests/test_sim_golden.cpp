@@ -134,7 +134,7 @@ struct TestbedResult {
   std::uint64_t acks_suppressed;
 };
 
-// Enough per-lane capacity for the longest run (seed 3: 124,748 events).
+// Enough ring capacity for the longest run (seed 3: 124,748 events).
 constexpr std::size_t kTestbedTraceCapacity = std::size_t{1} << 18;
 
 TestbedResult run_testbed(std::uint64_t seed) {
