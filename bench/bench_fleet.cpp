@@ -13,7 +13,7 @@
 //                          two replays deliver byte-identical plan
 //                          streams. Writes BENCH_fleet_delta.json.
 //
-// The churn sweep throttles planning with a tiny output queue (jobs defer
+// The churn sweep throttles planning with a tiny output budget (jobs defer
 // deterministically), so the measured time is census adoption — partition,
 // dirty marking, state reconciliation — not TurboCA.
 
@@ -137,7 +137,7 @@ int run_worker_sweep() {
   bench::shape_check(
       "delivered plan stream is byte-identical at 1/2/4/8 workers",
       digest_identical);
-  bench::shape_check("no jobs deferred (output queue sized for the fleet)",
+  bench::shape_check("no jobs deferred (output budget sized for the fleet)",
                      runs.back().r.stats.jobs_deferred == 0);
   const double speedup = runs.front().wall_s / runs.back().wall_s;
   const unsigned hw = std::thread::hardware_concurrency();

@@ -26,19 +26,17 @@ FleetController::FleetController(Config cfg)
     : cfg_(cfg),
       shard_(cfg.seed),
       ingest_(cfg.ingest_capacity),
-      out_(cfg.output_capacity),
-      scheduler_(cfg.cadence, cfg.seed) {}
+      scheduler_(cfg.cadence, cfg.seed) {
+  W11_CHECK_MSG(cfg.output_capacity > 0,
+                "the per-tick output budget needs capacity >= 1");
+}
 
 bool FleetController::offer_epoch(ScanEpoch epoch) {
-  const bool accepted = ingest_.try_push(EpochUpdate{std::move(epoch)});
-  if (!accepted) offer_drops_.fetch_add(1, std::memory_order_relaxed);
-  return accepted;
+  return ingest_.try_push(EpochUpdate{std::move(epoch)});
 }
 
 bool FleetController::offer_delta(DeltaEpoch delta) {
-  const bool accepted = ingest_.try_push(EpochUpdate{std::move(delta)});
-  if (!accepted) offer_drops_.fetch_add(1, std::memory_order_relaxed);
-  return accepted;
+  return ingest_.try_push(EpochUpdate{std::move(delta)});
 }
 
 std::vector<std::uint32_t> FleetController::ghost_contenders_of(
@@ -334,7 +332,7 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
 
 void FleetController::tick(Time now) {
   ++stats_.ticks;
-  stats_.epochs_dropped = offer_drops_.load(std::memory_order_relaxed);
+  stats_.epochs_dropped = ingest_.stats().rejected;
 
   // Drain the ingest queue. Full epochs collapse to the newest (an older
   // census behind a newer one carries no information the planner should
@@ -343,6 +341,7 @@ void FleetController::tick(Time now) {
   // leapfrogged by a newer full census in the same batch) is rejected and
   // counted, and the producer recovers by sending a full epoch.
   std::vector<EpochUpdate> batch;
+  batch.reserve(ingest_.size());
   while (std::optional<EpochUpdate> e = ingest_.try_pop())
     batch.push_back(std::move(*e));
   int newest_full = -1;
@@ -378,14 +377,13 @@ void FleetController::tick(Time now) {
     apply_delta(std::move(*d), now);
   }
 
-  // Due jobs in priority order, cut to the output queue's free slots —
+  // Due jobs in priority order, cut to the per-tick output budget —
   // backpressure defers the tail deterministically (a deferred job keeps
   // its anchors and stays due next tick).
   std::vector<PlanJob> jobs = scheduler_.due(now);
-  const std::size_t budget = out_.free_slots();
-  if (jobs.size() > budget) {
-    stats_.jobs_deferred += jobs.size() - budget;
-    jobs.resize(budget);
+  if (jobs.size() > cfg_.output_capacity) {
+    stats_.jobs_deferred += jobs.size() - cfg_.output_capacity;
+    jobs.resize(cfg_.output_capacity);
   }
 
   if (!jobs.empty()) {
@@ -417,17 +415,24 @@ void FleetController::tick(Time now) {
           return run_job(*ctx[i].job, *ctx[i].cs, ctx[i].stream, now);
         });
 
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      // Space was reserved by the budget cut; a reject here is a logic bug.
-      const bool pushed = out_.try_push(std::move(outputs[i]));
-      W11_CHECK_MSG(pushed, "fleet output queue overflowed its budget");
-      scheduler_.fired(*ctx[i].job, now);
+    for (const JobCtx& c : ctx) {
+      scheduler_.fired(*c.job, now);
       ++stats_.jobs_run;
-      if (ctx[i].job->tier == Tier::kReplan) ++stats_.replans_run;
+      if (c.job->tier == Tier::kReplan) ++stats_.replans_run;
     }
-  }
 
-  drain_outputs();
+    // Deliver in job order: the assignment of record, the digest, the sink.
+    for (const CampusPlanOutput& out : outputs) {
+      for (const auto& [id, ch] : out.plan) planned_[id] = ch;
+      fold_digest(out);
+      ++stats_.plans_delivered;
+      if (out.improved) ++stats_.plans_improved;
+      stats_.aps_planned += out.n_aps;
+      if (sink_) sink_(out);
+    }
+    max_tick_delivery_ =
+        std::max<std::uint64_t>(max_tick_delivery_, outputs.size());
+  }
 
   // Roll the per-campus cache counters up into the controller stats.
   stats_.cache_hits = stats_.cache_misses = stats_.cache_evictions = 0;
@@ -436,17 +441,6 @@ void FleetController::tick(Time now) {
     stats_.cache_hits += cs.hits;
     stats_.cache_misses += cs.misses;
     stats_.cache_evictions += cs.evictions;
-  }
-}
-
-void FleetController::drain_outputs() {
-  while (std::optional<CampusPlanOutput> out = out_.try_pop()) {
-    for (const auto& [id, ch] : out->plan) planned_[id] = ch;
-    fold_digest(*out);
-    ++stats_.plans_delivered;
-    if (out->improved) ++stats_.plans_improved;
-    stats_.aps_planned += out->n_aps;
-    if (sink_) sink_(*out);
   }
 }
 

@@ -3,21 +3,25 @@
 //
 // One controller plans an entire AP population per cycle:
 //
-//   collector shards --offer_epoch/offer_delta--> [MPMC ingest queue, bounded]
+//   offer_epoch/offer_delta --> [ingest queue, bounded, drop-counted]
 //        tick(now):
 //          drain ingest (adopt the newest full epoch, count superseded;
 //                        then apply deltas in arrival order on top)
 //          partition_fleet  -> interference-isolated campuses. Full epochs
 //                              re-partition everything; deltas re-extract
 //                              only the dirty components (O(churn))
-//          CadenceScheduler -> due jobs (replans first), clamped to the
-//                              output queue's free slots (backpressure)
+//          CadenceScheduler -> due jobs (replans first), clamped to
+//                              output_capacity per tick (backpressure)
 //          TaskPool         -> one task per campus job: ScanIndex build +
 //                              TurboCA NBO at the tier's hop levels, with a
 //                              per-campus ShardRng stream and a per-campus
 //                              bounded ScanStatsCache
-//          [SPSC output queue, bounded] --drain--> plan sink (PlanFanout /
-//                              telemetry ingest), fleet plan digest
+//          deliver in job order -> plan sink (PlanFanout / telemetry
+//                              ingest), fleet plan digest
+//
+// Threading contract: one tick thread. offer_epoch/offer_delta, tick() and
+// every accessor run on it; TaskPool tasks run only inside tick(), on
+// disjoint campus state. Nothing here is safe to call from a second thread.
 //
 // The controller owns a *resident census*: each campus's canonical
 // (id-ascending) scan slice lives in CampusState and survives across
@@ -32,14 +36,13 @@
 // plan_digest() — is a pure function of (config seed, the sequence of
 // adopted epoch updates, the tick times). Campus jobs are independent by
 // the partition isolation argument, each draws from its own (campus key,
-// run ordinal) RNG stream, outputs are pushed in job order, and every
+// run ordinal) RNG stream, outputs are delivered in job order, and every
 // serial decision (adoption, delta application, partition, scheduling,
-// backpressure cuts) happens on the ticking thread. Worker count changes
+// backpressure cuts) happens on the tick thread. Worker count changes
 // wall-clock only. Replaying the same census trajectory as full epochs or
 // as deltas yields byte-identical plan streams (the FleetDelta golden
 // suite pins this).
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -73,7 +76,7 @@ struct ScanEpoch {
 // adopted one (fleet/delta.hpp).
 using EpochUpdate = std::variant<ScanEpoch, DeltaEpoch>;
 
-// One campus planning result, as drained from the output queue.
+// One campus planning result, as delivered by tick().
 struct CampusPlanOutput {
   std::uint32_t campus_key = 0;
   Tier tier = Tier::kFast;
@@ -94,7 +97,7 @@ class FleetController {
     CadenceScheduler::Cadence cadence;
     std::uint64_t seed = 1;
     std::size_t ingest_capacity = 16;    // epoch updates buffered
-    std::size_t output_capacity = 4096;  // campus plans buffered per tick
+    std::size_t output_capacity = 4096;  // campus plans delivered per tick
     // Request an out-of-band priority replan for every campus a delta
     // touches (for producers that push deltas faster than the fast
     // cadence). Off by default: replan jobs carry Tier::kReplan, so the
@@ -105,7 +108,7 @@ class FleetController {
   };
 
   // Condensed pipeline-health snapshot (plain types, derived from Stats +
-  // queue stats) for bench mains and the fleet health engine's SLIs.
+  // edge stats) for bench mains and the fleet health engine's SLIs.
   struct Health {
     double epochs_dropped_rate = 0.0;  // dropped / offered epochs
     double jobs_deferred_rate = 0.0;   // deferred / (run + deferred)
@@ -126,8 +129,8 @@ class FleetController {
     std::uint64_t epochs_superseded = 0;  // drained but older than the adopted
     // offer_epoch/offer_delta rejections (bounded ingest queue was full) —
     // the backpressure loss headless callers need next to the adoption
-    // counters. Synced from the producer-side counter at each tick, so it
-    // is current "as of the last tick".
+    // counters. Copied from the ingest queue at each tick, so it is current
+    // "as of the last tick".
     std::uint64_t epochs_dropped = 0;
     std::uint64_t deltas_adopted = 0;
     std::uint64_t deltas_rejected = 0;    // base mismatch or stale timestamp
@@ -150,20 +153,19 @@ class FleetController {
     std::uint64_t cache_evictions = 0;
   };
 
-  // Delivery hook for drained plans (rollout fanout, telemetry ingest).
-  // Called on the ticking thread, in job order.
+  // Delivery hook for plans (rollout fanout, telemetry ingest). Called
+  // inside tick(), in job order.
   using PlanSink = std::function<void(const CampusPlanOutput&)>;
 
   explicit FleetController(Config cfg);
 
-  // Producer side (thread-safe): offer one full scan epoch. False = the
-  // bounded ingest queue was full and the epoch was dropped (the next
-  // poll's census supersedes it anyway — dropping the oldest work is the
-  // right shedding).
+  // Offer one full scan epoch for the next tick. False = the bounded
+  // ingest queue was full and this epoch was dropped; the queued ones stay
+  // (the next poll's census supersedes the loss anyway).
   bool offer_epoch(ScanEpoch epoch);
 
-  // Producer side (thread-safe): offer one delta against the last adopted
-  // epoch. Same drop semantics; a dropped delta breaks the chain, so the
+  // Offer one delta against the last adopted epoch for the next tick.
+  // Same drop semantics; a dropped delta breaks the chain, so the
   // producer should fall back to a full epoch when this returns false.
   bool offer_delta(DeltaEpoch delta);
 
@@ -179,7 +181,15 @@ class FleetController {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] QueueStats ingest_stats() const { return ingest_.stats(); }
-  [[nodiscard]] QueueStats output_stats() const { return out_.stats(); }
+  // The output edge is tick()'s job-order delivery: every plan is pushed
+  // and popped in the tick that ran it, and the budget cut means none is
+  // ever rejected.
+  [[nodiscard]] QueueStats output_stats() const {
+    QueueStats s;
+    s.pushed = s.popped = stats_.plans_delivered;
+    s.high_water = max_tick_delivery_;
+    return s;
+  }
   [[nodiscard]] Health health() const {
     Health h;
     const QueueStats in_q = ingest_stats();
@@ -273,13 +283,11 @@ class FleetController {
   [[nodiscard]] CampusPlanOutput run_job(const PlanJob& job,
                                          const CampusState& cs,
                                          std::uint64_t stream, Time now) const;
-  void drain_outputs();
   void fold_digest(const CampusPlanOutput& out);
 
   Config cfg_;
   exec::ShardRng shard_;
-  MpmcQueue<EpochUpdate> ingest_;
-  SpscQueue<CampusPlanOutput> out_;
+  BoundedFifo<EpochUpdate> ingest_;
   CadenceScheduler scheduler_;
   std::map<std::uint32_t, CampusState> state_;  // key-ordered
   // Resident census lookup: AP id value -> owning campus key.
@@ -293,7 +301,7 @@ class FleetController {
   Time last_epoch_at_ = time::nanos(-1);  // newest adopted taken_at
   PlanSink sink_;
   std::uint64_t digest_ = fnv::kTruncatedOffsetBasis;
-  std::atomic<std::uint64_t> offer_drops_{0};  // producer-side, tick-synced
+  std::uint64_t max_tick_delivery_ = 0;  // largest plans delivered per tick
   Stats stats_;
 };
 

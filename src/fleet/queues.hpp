@@ -1,28 +1,16 @@
 #pragma once
-// Bounded streaming queues for the fleet pipeline (DESIGN.md §15).
+// Bounded, counted FIFO for the fleet controller's ingest edge
+// (DESIGN.md §15).
 //
-// The fleet controller is a streaming system: scan epochs flow in from
-// collector shards, plan outputs flow out to the rollout/telemetry sinks,
-// and both directions must be *bounded* — a wedged consumer shows up as
-// backpressure and drop counters, never as unbounded memory growth. Two
-// shapes cover the pipeline:
-//
-//   * SpscQueue — lock-free single-producer/single-consumer ring for the
-//     plan output stream (the controller produces inside its tick, the
-//     drain stage consumes on the same logical stream).
-//   * MpmcQueue — mutex-guarded bounded queue for scan-epoch ingest, where
-//     many collector shards push concurrently.
-//
-// Both are try-only: a full queue rejects the push (the caller decides
-// whether that is a drop or a deferral) and every rejection is counted.
-// Determinism note: the *controller's* outputs are a pure function of the
-// epochs it adopted — queue capacity shapes which work runs when (drops,
-// deferrals), and those decisions are made serially inside tick(), so equal
-// push histories give equal plans at any worker count.
+// The controller runs on one tick thread: producers offer on it and tick()
+// drains on it, so the edge needs no locks or atomics. What it does need is
+// a bound — a wedged consumer shows up as rejections, never as unbounded
+// memory growth. The queue is try-only: a full queue rejects the push (the
+// caller decides whether that is a drop or a deferral) and every rejection
+// is counted.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -38,123 +26,45 @@ struct QueueStats {
   std::uint64_t high_water = 0; // max resident size observed at push
 };
 
-// Single-producer/single-consumer bounded ring. One slot is sacrificed to
-// distinguish full from empty, so the ring holds exactly `capacity`
-// elements. Producer-side stats are written only by the producer and
-// consumer-side only by the consumer; snapshots use relaxed atomics, so a
-// cross-thread read is a consistent (if momentarily stale) count.
+// Ring of `capacity` slots; push and pop are O(1).
 template <class T>
-class SpscQueue {
+class BoundedFifo {
  public:
-  explicit SpscQueue(std::size_t capacity)
-      : slots_(capacity + 1), cap_(capacity) {
+  explicit BoundedFifo(std::size_t capacity) : slots_(capacity) {
     W11_CHECK_MSG(capacity > 0, "a bounded queue needs capacity >= 1");
   }
 
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-
-  // Resident elements. Exact from either end; advisory from elsewhere.
-  [[nodiscard]] std::size_t size() const {
-    const std::size_t h = head_.load(std::memory_order_acquire);
-    const std::size_t t = tail_.load(std::memory_order_acquire);
-    return t >= h ? t - h : slots_.size() - (h - t);
-  }
-  [[nodiscard]] std::size_t free_slots() const { return cap_ - size(); }
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   // False (and one rejection counted) when full.
   bool try_push(T v) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = (t + 1) % slots_.size();
-    if (next == head_.load(std::memory_order_acquire)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    slots_[t] = std::move(v);
-    tail_.store(next, std::memory_order_release);
-    const std::uint64_t resident =
-        pushed_.fetch_add(1, std::memory_order_relaxed) + 1 -
-        popped_.load(std::memory_order_relaxed);
-    if (resident > high_water_.load(std::memory_order_relaxed))
-      high_water_.store(resident, std::memory_order_relaxed);
-    return true;
-  }
-
-  [[nodiscard]] std::optional<T> try_pop() {
-    const std::size_t h = head_.load(std::memory_order_relaxed);
-    if (h == tail_.load(std::memory_order_acquire)) return std::nullopt;
-    std::optional<T> out(std::move(slots_[h]));
-    head_.store((h + 1) % slots_.size(), std::memory_order_release);
-    popped_.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-
-  [[nodiscard]] QueueStats stats() const {
-    QueueStats s;
-    s.pushed = pushed_.load(std::memory_order_relaxed);
-    s.popped = popped_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.high_water = high_water_.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  std::vector<T> slots_;
-  std::size_t cap_;
-  std::atomic<std::size_t> head_{0};
-  std::atomic<std::size_t> tail_{0};
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> popped_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> high_water_{0};
-};
-
-// Multi-producer/multi-consumer bounded queue. Ingest is not a hot path —
-// one scan epoch per campus poll, not per packet — so a mutex keeps it
-// simple and trivially TSAN-clean.
-template <class T>
-class MpmcQueue {
- public:
-  explicit MpmcQueue(std::size_t capacity) : cap_(capacity) {
-    W11_CHECK_MSG(capacity > 0, "a bounded queue needs capacity >= 1");
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  bool try_push(T v) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.size() >= cap_) {
+    if (size_ == slots_.size()) {
       ++stats_.rejected;
       return false;
     }
-    items_.push_back(std::move(v));
+    slots_[(head_ + size_) % slots_.size()] = std::move(v);
+    ++size_;
     ++stats_.pushed;
-    if (items_.size() > stats_.high_water) stats_.high_water = items_.size();
+    stats_.high_water = std::max<std::uint64_t>(stats_.high_water, size_);
     return true;
   }
 
   [[nodiscard]] std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> out(std::move(items_.front()));
-    items_.erase(items_.begin());
+    if (size_ == 0) return std::nullopt;
+    std::optional<T> out(std::move(slots_[head_]));
+    head_ = (head_ + 1) % slots_.size();
+    --size_;
     ++stats_.popped;
     return out;
   }
 
-  [[nodiscard]] QueueStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
+  [[nodiscard]] QueueStats stats() const { return stats_; }
 
  private:
-  std::size_t cap_;
-  mutable std::mutex mu_;
-  std::vector<T> items_;  // FIFO; erase-front is fine at these depths
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   QueueStats stats_;
 };
 

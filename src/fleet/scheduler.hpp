@@ -11,7 +11,7 @@
 //   * priority replans — request_replan(key) marks a campus for an
 //     out-of-band NBO(0) pass (the rollout coordinator asks for one after
 //     an auto-revert). Replans are sticky until a firing runs and sort
-//     ahead of cadence jobs when the output queue forces a cut.
+//     ahead of cadence jobs when the output budget forces a cut.
 //
 // due()/fired() are split so the controller can apply backpressure
 // deterministically: due(now) is a pure read (same state, same jobs, in

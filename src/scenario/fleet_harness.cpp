@@ -303,8 +303,6 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
   res.final_plan = controller.fleet_plan();
   res.stats = controller.stats();
   res.health = controller.health();
-  res.ingest_queue = controller.ingest_stats();
-  res.output_queue = controller.output_stats();
   res.plans_committed = fanout.stats().plans_committed;
   res.ctrl_campuses = fanout.stats().campuses_seen;
   res.telemetry_rows = ingest.rows_ingested();

@@ -95,8 +95,6 @@ struct FleetScenarioResult {
   double netp_log_sum = 0.0;      // folded in delivery order (deterministic)
   fleet::FleetController::Stats stats;
   fleet::FleetController::Health health;  // end-of-run pipeline health
-  fleet::QueueStats ingest_queue;
-  fleet::QueueStats output_queue;
   std::vector<double> plan_seconds;  // per delivered campus plan
   std::uint64_t plans_committed = 0;     // via PlanFanout
   std::uint64_t ctrl_campuses = 0;       // PlanStores created

@@ -1,5 +1,6 @@
 #include "scenario/rollout_harness.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -20,6 +21,20 @@
 #include "workload/topology.hpp"
 
 namespace w11::scenario {
+
+namespace {
+
+// The flight recorder's metric catalog: every snapshot row has this exact
+// shape, and each capture sets these totals in this order.
+constexpr std::array<const char*, 6> kFlightMetrics = {
+    "ctrl.applies",
+    "ctrl.commands_sent",
+    "ctrl.reverts",
+    "ctrl.waves",
+    "telemetry.records_dropped",
+    "telemetry.records_written"};
+
+}  // namespace
 
 RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   RolloutScenarioResult out;
@@ -159,11 +174,9 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     fc.max_bundles = cfg.max_postmortems;
     recorder = std::make_unique<obs::FlightRecorder>(fc);
     recorder->attach_tracer(&trace);
-    // Fixed catalog: every snapshot row has this exact shape.
     recorder->attach_metrics(
         &flight_metrics,
-        {"ctrl.applies", "ctrl.commands_sent", "ctrl.reverts", "ctrl.waves",
-         "telemetry.records_dropped", "telemetry.records_written"});
+        {kFlightMetrics.begin(), kFlightMetrics.end()});
     recorder->attach_source("rollout_audit",
                             [&coord](Time from, Time to, std::ostream& os) {
                               coord.audit().write_jsonl(os, from, to);
@@ -258,19 +271,19 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
                               static_cast<double>(rs.reverted));
       health->observe_counter("telemetry.dropped", now,
                               static_cast<double>(coll.records_dropped()));
-      // ctrl.reverts counts revert() calls; Stats::reverted only counts a
-      // revert once it is done.
-      const std::pair<const char*, std::uint64_t> totals[] = {
-          {"ctrl.applies", as.applied},
-          {"ctrl.commands_sent", as.commands_sent},
-          {"ctrl.reverts", rs.reverts_telemetry + rs.reverts_netp +
-                               rs.reverts_radar + rs.reverts_watchdog +
-                               rs.reverts_exhausted},
-          {"ctrl.waves", rs.waves_started},
-          {"telemetry.records_dropped", coll.records_dropped()},
-          {"telemetry.records_written", coll.records_written()}};
-      for (const auto& [name, v] : totals)
-        flight_metrics.set(name, static_cast<double>(v));
+      // In kFlightMetrics order. ctrl.reverts counts revert() calls;
+      // Stats::reverted only counts a revert once it is done.
+      const std::array<std::uint64_t, kFlightMetrics.size()> totals = {
+          as.applied,
+          as.commands_sent,
+          rs.reverts_telemetry + rs.reverts_netp + rs.reverts_radar +
+              rs.reverts_watchdog + rs.reverts_exhausted,
+          rs.waves_started,
+          coll.records_dropped(),
+          coll.records_written()};
+      for (std::size_t i = 0; i < totals.size(); ++i)
+        flight_metrics.set(kFlightMetrics[i],
+                           static_cast<double>(totals[i]));
       recorder->capture(now);
       const std::vector<obs::HealthEvent> hev = health->poll(now);
       for (const obs::HealthEvent& e : hev)

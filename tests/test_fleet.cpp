@@ -1,15 +1,14 @@
 // Fleet-scale sharded planning pipeline (DESIGN.md §15): campus
-// partitioning, bounded queues, cadence scheduling, and the controller's
-// worker-count byte-equivalence contract. Suites are named Fleet* so the CI
-// TSAN job picks them up (the SPSC queue and the pool-sharded planning path
-// are the threaded surfaces).
+// partitioning, the bounded ingest queue, cadence scheduling, and the
+// controller's worker-count byte-equivalence contract. Suites are named
+// Fleet* so the CI TSAN job picks them up (the pool-sharded planning path
+// is the threaded surface).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "exec/task_pool.hpp"
@@ -108,10 +107,10 @@ TEST(FleetPartitionTest, FloorRuleMatchesScanIndex) {
 // FleetQueue
 
 TEST(FleetQueueTest, SpscOverflowRejectsAndCounts) {
-  fleet::SpscQueue<int> q(4);
+  fleet::BoundedFifo<int> q(4);
   for (int i = 0; i < 6; ++i) q.try_push(i);
   EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.free_slots(), 0u);
+  EXPECT_EQ(q.capacity(), 4u);
   const fleet::QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 4u);
   EXPECT_EQ(s.rejected, 2u);
@@ -126,7 +125,7 @@ TEST(FleetQueueTest, SpscOverflowRejectsAndCounts) {
 }
 
 TEST(FleetQueueTest, SpscBackpressureRecoversAfterDrain) {
-  fleet::SpscQueue<int> q(2);
+  fleet::BoundedFifo<int> q(2);
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_FALSE(q.try_push(3));
@@ -137,30 +136,40 @@ TEST(FleetQueueTest, SpscBackpressureRecoversAfterDrain) {
 }
 
 TEST(FleetQueueTest, SpscTwoThreadStream) {
-  // Producer/consumer on separate threads: every accepted element arrives
-  // exactly once, in order (the TSAN job exercises the ring's atomics).
-  fleet::SpscQueue<int> q(64);
-  constexpr int kN = 5000;
+  // One thread interleaves pushes and pops in uneven bursts, so the ring
+  // wraps many times: every accepted element arrives exactly once, in
+  // order, and the counts add up.
+  fleet::BoundedFifo<int> q(5);
+  constexpr int kN = 200;
   std::vector<int> got;
-  got.reserve(kN);
-  std::thread consumer([&] {
-    while (got.size() < kN) {
-      if (auto v = q.try_pop())
-        got.push_back(*v);
+  int next = 0;
+  std::uint64_t refused = 0;
+  for (int burst = 0; next < kN || q.size() > 0; ++burst) {
+    for (int k = 0; k < burst % 7 && next < kN; ++k) {
+      if (q.try_push(next))
+        ++next;
       else
-        std::this_thread::yield();
+        ++refused;
     }
-  });
-  for (int i = 0; i < kN; ++i) {
-    while (!q.try_push(i)) std::this_thread::yield();
+    for (int k = 0; k < burst % 4; ++k) {
+      const auto v = q.try_pop();
+      if (!v.has_value()) break;
+      got.push_back(*v);
+    }
   }
-  consumer.join();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
   for (int i = 0; i < kN; ++i) ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
+  const fleet::QueueStats s = q.stats();
+  EXPECT_EQ(s.pushed, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(s.popped, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(s.rejected, refused);
+  EXPECT_GT(refused, 0u);  // the bursts outran the ring
+  EXPECT_EQ(s.high_water, 5u);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(FleetQueueTest, MpmcBoundedAndCounted) {
-  fleet::MpmcQueue<int> q(2);
+  fleet::BoundedFifo<int> q(2);
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_FALSE(q.try_push(3));
@@ -379,6 +388,99 @@ TEST(FleetControllerTest, PipelineMetricsCountDropsAndDeferralsOnce) {
   const fleet::FleetController::Health h = ctl.health();
   EXPECT_EQ(h.epochs_dropped, 2u);
   EXPECT_EQ(h.jobs_deferred, ctl.stats().jobs_deferred);
+}
+
+// The controller-level queue counts, pinned across one scripted offer
+// history: an overfilled ingest edge, a tick cut to output_capacity, and
+// the deferred backlog drained over further ticks. Every health() field
+// and both QueueStats snapshots are checked after each step.
+TEST(FleetControllerTest, HealthAndQueueStatsFollowOfferHistory) {
+  fleet::FleetController::Config cfg;
+  cfg.seed = 5;
+  cfg.ingest_capacity = 2;
+  cfg.output_capacity = 4;  // 10 campuses due -> 4 + 4 + 2 over three ticks
+  exec::TaskPool pool(2);
+  cfg.pool = &pool;
+  fleet::FleetController ctl(cfg);
+  const std::vector<ApScan> scans =
+      scenario::make_fleet_scans(small_population(), time::minutes(1));
+  const auto expect_queue = [](const fleet::QueueStats& q,
+                               std::uint64_t pushed, std::uint64_t popped,
+                               std::uint64_t rejected,
+                               std::uint64_t high_water) {
+    EXPECT_EQ(q.pushed, pushed);
+    EXPECT_EQ(q.popped, popped);
+    EXPECT_EQ(q.rejected, rejected);
+    EXPECT_EQ(q.high_water, high_water);
+  };
+
+  // Overfill the ingest edge: two fit, the third is dropped.
+  EXPECT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(1), scans}));
+  EXPECT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(2), scans}));
+  EXPECT_FALSE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(3), scans}));
+  expect_queue(ctl.ingest_stats(), 2, 0, 1, 2);
+  expect_queue(ctl.output_stats(), 0, 0, 0, 0);
+  EXPECT_EQ(ctl.stats().epochs_dropped, 0u);  // synced at tick
+  fleet::FleetController::Health h = ctl.health();
+  EXPECT_EQ(h.epochs_dropped, 1u);  // read live from the ingest edge
+  EXPECT_DOUBLE_EQ(h.epochs_dropped_rate, 1.0 / 3.0);
+  EXPECT_EQ(h.jobs_deferred, 0u);
+  EXPECT_DOUBLE_EQ(h.jobs_deferred_rate, 0.0);
+  EXPECT_DOUBLE_EQ(h.cache_hit_ratio, 0.0);
+  EXPECT_EQ(h.ingest_high_water, 2u);
+  EXPECT_EQ(h.output_high_water, 0u);
+  EXPECT_EQ(h.output_rejected, 0u);
+  EXPECT_EQ(h.plans_delivered, 0u);
+  EXPECT_EQ(h.campuses, 0u);
+  EXPECT_EQ(h.fleet_aps, 0u);
+
+  // First tick: adopt the newer epoch, cut 10 due jobs to the budget of 4.
+  ctl.tick(time::minutes(2));
+  EXPECT_EQ(ctl.stats().epochs_dropped, 1u);
+  EXPECT_EQ(ctl.stats().epochs_adopted, 1u);
+  EXPECT_EQ(ctl.stats().epochs_superseded, 1u);
+  EXPECT_EQ(ctl.stats().jobs_run, 4u);
+  EXPECT_EQ(ctl.stats().jobs_deferred, 6u);
+  expect_queue(ctl.ingest_stats(), 2, 2, 1, 2);
+  expect_queue(ctl.output_stats(), 4, 4, 0, 4);
+
+  // Drain the backlog: 4 more, then the last 2 (below the high water).
+  ctl.tick(time::minutes(2));
+  EXPECT_EQ(ctl.stats().jobs_run, 8u);
+  EXPECT_EQ(ctl.stats().jobs_deferred, 8u);
+  expect_queue(ctl.output_stats(), 8, 8, 0, 4);
+  ctl.tick(time::minutes(2));
+  EXPECT_EQ(ctl.stats().jobs_run, 10u);
+  EXPECT_EQ(ctl.stats().jobs_deferred, 8u);
+  expect_queue(ctl.output_stats(), 10, 10, 0, 4);
+
+  // The drained ingest edge accepts again; the drop count does not move.
+  EXPECT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{time::minutes(3), scans}));
+  ctl.tick(time::minutes(3));
+  expect_queue(ctl.ingest_stats(), 3, 3, 1, 2);
+  EXPECT_EQ(ctl.stats().epochs_dropped, 1u);
+  EXPECT_EQ(ctl.stats().epochs_adopted, 2u);
+
+  const fleet::FleetController::Stats& st = ctl.stats();
+  h = ctl.health();
+  EXPECT_EQ(h.epochs_dropped, 1u);
+  EXPECT_DOUBLE_EQ(h.epochs_dropped_rate, 1.0 / 4.0);
+  EXPECT_EQ(h.jobs_deferred, 8u);
+  EXPECT_DOUBLE_EQ(h.jobs_deferred_rate,
+                   8.0 / static_cast<double>(st.jobs_run + 8));
+  ASSERT_GT(st.cache_hits + st.cache_misses, 0u);
+  EXPECT_DOUBLE_EQ(h.cache_hit_ratio,
+                   static_cast<double>(st.cache_hits) /
+                       static_cast<double>(st.cache_hits + st.cache_misses));
+  EXPECT_EQ(h.ingest_high_water, 2u);
+  EXPECT_EQ(h.output_high_water, 4u);
+  EXPECT_EQ(h.output_rejected, 0u);
+  EXPECT_EQ(h.plans_delivered, st.plans_delivered);
+  EXPECT_EQ(h.plans_delivered, st.jobs_run);
+  expect_queue(ctl.output_stats(), st.plans_delivered, st.plans_delivered, 0,
+               4);
+  EXPECT_EQ(h.campuses, 10u);
+  EXPECT_EQ(h.fleet_aps, scans.size());
 }
 
 TEST(FleetControllerTest, RequestReplanRunsOutOfBand) {

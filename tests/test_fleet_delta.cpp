@@ -8,9 +8,8 @@
 // observable; the golden test does the same through the whole scenario
 // harness with member churn on.
 //
-// Suites are named FleetDelta* so the CI TSAN job picks them up (the MPMC
-// ingest queue and the pool-sharded planning path are the threaded
-// surfaces).
+// Suites are named FleetDelta* so the CI TSAN job picks them up (the
+// pool-sharded planning path is the threaded surface).
 
 #include <gtest/gtest.h>
 
