@@ -28,8 +28,8 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Child seed for (root seed, stream id). Shared by Rng::fork(stream_id) and
-// exec::ShardRng so both derive the identical per-stream generator.
+// Child seed for (root seed, stream id): Rng::fork(stream_id) seeds its
+// child with mix_seed(seed(), stream_id).
 constexpr std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(seed ^ splitmix64(stream ^ 0xa076'1d64'78bd'642fULL));
 }
@@ -112,7 +112,8 @@ class Rng {
   // (seed(), stream_id) — not on how many draws this generator has made —
   // so per-task streams are identical no matter when or on which worker a
   // task forks them. Distinct stream ids give decorrelated streams; the
-  // same id always gives the same stream (callers own id uniqueness).
+  // same id always gives the same stream (callers own id uniqueness). It
+  // reads only seed(), so pool tasks may fork one shared root concurrently.
   [[nodiscard]] Rng fork(std::uint64_t stream_id) const {
     return Rng(rng_detail::mix_seed(seed_, stream_id));
   }

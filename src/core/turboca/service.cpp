@@ -23,6 +23,36 @@ std::size_t drop_stale_scans(std::vector<ApScan>& scans, Time now,
   return before - scans.size();
 }
 
+// The degraded-scan gate both services share: skips (and counts) a firing
+// whose census is empty or entirely stale. A partially-fresh census still
+// plans for the fresh APs; only an all-stale census (a wedged collector
+// replaying its cache) skips. On success `scans` holds the fresh entries.
+template <class Stats>
+bool usable_scans(std::vector<ApScan>& scans, Time now, Time max_age,
+                  Stats& stats) {
+  if (scans.empty()) {
+    ++stats.empty_scan_skips;
+    return false;
+  }
+  drop_stale_scans(scans, now, max_age);
+  if (scans.empty()) {
+    ++stats.stale_scan_skips;
+    return false;
+  }
+  return true;
+}
+
+// APs whose channel in `plan` differs from `before` (or that `before`
+// lacks): the switches applying `plan` costs.
+int count_switches(const ChannelPlan& before, const ChannelPlan& plan) {
+  int switches = 0;
+  for (const auto& [id, ch] : plan) {
+    const auto it = before.find(id);
+    if (it == before.end() || it->second != ch) ++switches;
+  }
+  return switches;
+}
+
 }  // namespace
 
 TurboCaService::TurboCaService(Params params, Schedule schedule,
@@ -81,17 +111,7 @@ void TurboCaService::advance_to(Time now) {
 
 bool TurboCaService::run_now(const std::vector<int>& levels) {
   std::vector<ApScan> scans = hooks_.scan();
-  if (scans.empty()) {
-    ++stats_.empty_scan_skips;
-    return false;
-  }
-  // A partially-fresh census still plans for the fresh APs; only an
-  // all-stale census (a wedged collector replaying its cache) skips.
-  drop_stale_scans(scans, now_, schedule_.max_scan_age);
-  if (scans.empty()) {
-    ++stats_.stale_scan_skips;
-    return false;
-  }
+  if (!usable_scans(scans, now_, schedule_.max_scan_age, stats_)) return false;
   // One index per firing, shared across all hop tiers of the schedule; the
   // service-lifetime stats cache carries unchanged spectrum rows between
   // firings.
@@ -110,13 +130,7 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   ++stats_.runs;
   stats_.last_netp_log = netp;
   if (improved) {
-    const ChannelPlan before = hooks_.current_plan();
-    int switches = 0;
-    for (const auto& [id, ch] : plan) {
-      const auto it = before.find(id);
-      if (it == before.end() || it->second != ch) ++switches;
-    }
-    stats_.channel_switches += switches;
+    stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
     ++stats_.plans_applied;
     hooks_.apply_plan(plan);
   }
@@ -141,15 +155,7 @@ void ReservedCaService::advance_to(Time now) {
 
 bool ReservedCaService::run_now() {
   std::vector<ApScan> scans = hooks_.scan();
-  if (scans.empty()) {
-    ++stats_.empty_scan_skips;
-    return false;
-  }
-  drop_stale_scans(scans, now_, cfg_.max_scan_age);
-  if (scans.empty()) {
-    ++stats_.stale_scan_skips;
-    return false;
-  }
+  if (!usable_scans(scans, now_, cfg_.max_scan_age, stats_)) return false;
   const flowsim::ScanIndex index(std::move(scans),
                                  engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
@@ -192,13 +198,7 @@ bool ReservedCaService::run_now() {
   }
   const ChannelPlan plan = ctx.snapshot();
 
-  const ChannelPlan before = hooks_.current_plan();
-  int switches = 0;
-  for (const auto& [id, ch] : plan) {
-    const auto it = before.find(id);
-    if (it == before.end() || it->second != ch) ++switches;
-  }
-  stats_.channel_switches += switches;
+  stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
   ++stats_.runs;
   hooks_.apply_plan(plan);
   return true;

@@ -9,7 +9,7 @@
 namespace w11::ctrl {
 
 Time backoff_delay(const Backoff& b, std::uint32_t ap, int attempt,
-                   const exec::ShardRng& shards) {
+                   const Rng& root) {
   W11_CHECK(attempt >= 2);  // attempt 1 is the initial send, not a retry
   double delay_ns = static_cast<double>(b.initial.ns());
   for (int i = 2; i < attempt; ++i) {
@@ -18,11 +18,11 @@ Time backoff_delay(const Backoff& b, std::uint32_t ap, int attempt,
   }
   delay_ns = std::min(delay_ns, static_cast<double>(b.cap.ns()));
   if (b.jitter_frac > 0.0) {
-    // One independent stream per (AP, attempt): the derivation is
-    // Rng::fork(stream_id), so the jitter sequence for an AP is fixed by
-    // (root seed, AP) alone — independent of interleaving or worker count.
-    Rng rng = shards.rng_for((static_cast<std::uint64_t>(ap) << 32) |
-                             static_cast<std::uint32_t>(attempt));
+    // One independent stream per (AP, attempt), so the jitter sequence for
+    // an AP is fixed by (root seed, AP) alone — independent of interleaving
+    // or worker count.
+    Rng rng = root.fork((static_cast<std::uint64_t>(ap) << 32) |
+                        static_cast<std::uint32_t>(attempt));
     delay_ns *= rng.uniform(1.0 - b.jitter_frac, 1.0 + b.jitter_frac);
   }
   return time::nanos(static_cast<std::int64_t>(delay_ns));
@@ -31,7 +31,7 @@ Time backoff_delay(const Backoff& b, std::uint32_t ap, int attempt,
 PlanApplier::PlanApplier(Simulator& sim, ControlChannel& channel,
                          Backoff backoff, Hooks hooks, std::uint64_t seed)
     : sim_(sim), channel_(channel), backoff_(backoff),
-      hooks_(std::move(hooks)), shards_(seed) {
+      hooks_(std::move(hooks)), root_(seed) {
   W11_CHECK(hooks_.apply != nullptr);
   W11_CHECK(backoff_.multiplier >= 1.0);
   W11_CHECK(backoff_.jitter_frac >= 0.0 && backoff_.jitter_frac < 1.0);
@@ -116,7 +116,7 @@ void PlanApplier::on_timeout(std::uint64_t gen, std::size_t idx) {
     return;
   }
   t.state = ApState::kBackoff;
-  const Time delay = backoff_delay(backoff_, t.ap, t.attempts + 1, shards_);
+  const Time delay = backoff_delay(backoff_, t.ap, t.attempts + 1, root_);
   t.timer = sim_.schedule_after(delay, [this, gen, idx] {
     if (gen != gen_) return;
     if (tasks_[idx].state == ApState::kBackoff) attempt(idx);

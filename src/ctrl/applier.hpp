@@ -19,10 +19,10 @@
 // reappearing after a partition only ever applies the controller's *current*
 // intent, never a superseded plan version.
 //
-// Backoff jitter is drawn from an exec::ShardRng stream keyed by
-// (AP, attempt) — the Rng::fork(stream_id) derivation — so retry timing is a
-// pure function of (seed, AP, attempt): no wall clock, byte-identical
-// schedules at any worker count (tests/test_exec.cpp pins this).
+// Backoff jitter is drawn from the root Rng's fork(stream_id) stream keyed
+// by (AP, attempt), so retry timing is a pure function of (seed, AP,
+// attempt): no wall clock, byte-identical schedules at any worker count
+// (tests/test_exec.cpp pins this).
 
 #include <cstdint>
 #include <functional>
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "exec/shard_rng.hpp"
+#include "common/rng.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -48,10 +48,10 @@ struct Backoff {
 };
 
 // The retry delay before attempt `attempt` (attempt 2 is the first retry).
-// Pure function of (policy, shards.root_seed(), ap, attempt) — exposed so
-// the determinism tests exercise the exact production derivation.
+// Pure function of (policy, root.seed(), ap, attempt) — exposed so the
+// determinism tests exercise the exact production derivation.
 [[nodiscard]] Time backoff_delay(const Backoff& b, std::uint32_t ap,
-                                 int attempt, const exec::ShardRng& shards);
+                                 int attempt, const Rng& root);
 
 class PlanApplier {
  public:
@@ -137,7 +137,7 @@ class PlanApplier {
   ControlChannel& channel_;
   Backoff backoff_;
   Hooks hooks_;
-  exec::ShardRng shards_;
+  Rng root_;  // only forked, never drawn from
 
   std::uint64_t gen_ = 0;      // wave generation; stale acks check this
   std::uint64_t version_ = 0;  // plan version the wave carries

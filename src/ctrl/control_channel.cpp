@@ -6,7 +6,7 @@ namespace w11::ctrl {
 
 ControlChannel::ControlChannel(Simulator& sim, Config cfg, std::uint64_t seed,
                                int n_aps)
-    : sim_(sim), cfg_(cfg), shards_(seed),
+    : sim_(sim), cfg_(cfg), root_(seed),
       online_(static_cast<std::size_t>(n_aps), true),
       send_seq_(static_cast<std::size_t>(n_aps), 0) {
   W11_CHECK(n_aps > 0);
@@ -23,8 +23,8 @@ bool ControlChannel::send(std::uint32_t ap, std::function<void()> on_delivered) 
   }
   // One independent stream per (AP, send). The stream id packs the AP into
   // the high bits so distinct APs can never collide within 2^32 sends.
-  Rng rng = shards_.rng_for((static_cast<std::uint64_t>(ap) << 32) |
-                            send_seq_[ap]++);
+  Rng rng = root_.fork((static_cast<std::uint64_t>(ap) << 32) |
+                       send_seq_[ap]++);
   if (cfg_.loss > 0.0 && rng.bernoulli(cfg_.loss)) {
     ++stats_.lost;
     return false;

@@ -9,17 +9,17 @@
 // the command, and per-AP online state is toggled by fault injection
 // (FaultKind::kLinkDown/kLinkUp targeting the AP's control link).
 //
-// Determinism: every loss/delay draw comes from an exec::ShardRng stream
-// keyed by (AP index, per-AP send sequence) — the same derivation rule as
-// Rng::fork(stream_id) — so the channel's behavior is a pure function of
-// (seed, send sequence), independent of wall clock and worker count.
+// Determinism: every loss/delay draw comes from the root Rng's
+// fork(stream_id) stream keyed by (AP index, per-AP send sequence), so the
+// channel's behavior is a pure function of (seed, send sequence),
+// independent of wall clock and worker count.
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "common/time.hpp"
-#include "exec/shard_rng.hpp"
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace w11::ctrl {
@@ -66,7 +66,7 @@ class ControlChannel {
  private:
   Simulator& sim_;
   Config cfg_;
-  exec::ShardRng shards_;
+  Rng root_;  // only forked, never drawn from
   std::vector<bool> online_;
   std::vector<std::uint32_t> send_seq_;  // per-AP command counter
   std::function<void(std::uint32_t)> on_reconnect_;

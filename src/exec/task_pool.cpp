@@ -3,44 +3,64 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 
 #include "common/check.hpp"
 
 namespace w11::exec {
 
 namespace {
-// Set while a thread is executing a chunk of any pool; nested parallel
-// calls observe it and run inline.
+// Set while a thread is executing a chunk of any pool (for pool threads:
+// always); nested parallel calls observe it and run inline.
 thread_local bool tl_in_task = false;
 }  // namespace
 
-// One parallel_for invocation. Lives on the caller's stack; chunks hold a
-// pointer to it and the caller cannot return before remaining_ hits zero,
-// so the lifetime is safe.
+// One parallel_for invocation. Lives on the caller's stack; the caller does
+// not return before every worker that joined it has left (joined_ == 0 with
+// the batch unpublished), so no thread touches it after it dies.
 struct TaskPool::Batch {
-  std::function<void(std::size_t, std::size_t, int)> body;
-  std::atomic<std::size_t> remaining{0};
+  const std::function<void(std::size_t, std::size_t)>& body;
+  const std::size_t n;
+  const std::size_t grain;
+  // Next unclaimed chunk's begin index. The caller pre-claims chunk 0 (so
+  // it always takes part): the shared cursor starts at the second chunk.
+  std::atomic<std::size_t> cursor{grain};
 
   // Deterministic error propagation: keep the exception of the lowest chunk
   // begin-index; every chunk runs regardless of earlier failures.
-  std::mutex err_mu;
+  std::mutex err_mu{};
   std::size_t err_index = SIZE_MAX;
-  std::exception_ptr err;
+  std::exception_ptr err{};
+
+  void run_chunk(std::size_t begin) {
+    try {
+      body(begin, std::min(begin + grain, n));
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(err_mu);
+      if (begin < err_index) {
+        err_index = begin;
+        err = std::current_exception();
+      }
+    }
+  }
+
+  // Claim and run chunks until the cursor passes n.
+  void drain() {
+    for (std::size_t begin; (begin = cursor.fetch_add(grain)) < n;)
+      run_chunk(begin);
+  }
 };
 
 TaskPool::TaskPool(int workers) {
   n_lanes_ = workers >= 1 ? workers : default_workers();
-  lanes_.reserve(static_cast<std::size_t>(n_lanes_));
-  for (int i = 0; i < n_lanes_; ++i)
-    lanes_.push_back(std::make_unique<Lane>());
   threads_.reserve(static_cast<std::size_t>(n_lanes_ - 1));
-  for (int lane = 1; lane < n_lanes_; ++lane)
-    threads_.emplace_back([this, lane] { worker_loop(lane); });
+  for (int i = 1; i < n_lanes_; ++i)
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 TaskPool::~TaskPool() {
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
@@ -66,115 +86,58 @@ int TaskPool::default_workers() {
 
 bool TaskPool::in_task() { return tl_in_task; }
 
-void TaskPool::run_chunk(const Chunk& chunk, int lane) {
-  Batch& b = *chunk.batch;
-  const bool was_in_task = tl_in_task;
+void TaskPool::worker_loop() {
   tl_in_task = true;
-  try {
-    b.body(chunk.begin, chunk.end, lane);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(b.err_mu);
-    if (chunk.begin < b.err_index) {
-      b.err_index = chunk.begin;
-      b.err = std::current_exception();
-    }
-  }
-  tl_in_task = was_in_task;
-  // release: publishes this chunk's writes to the caller, who observes
-  // remaining == 0 with an acquire load before touching results.
-  //
-  // The completion mutex/cv are pool members, not Batch members: the Batch
-  // lives on the caller's stack and is destroyed the moment the caller sees
-  // remaining == 0, which can happen while this thread is still inside the
-  // signal below. The pool outlives every batch, so signalling through it
-  // is free of that destruction race. The empty critical section orders
-  // this signal against the caller's predicate-check-then-wait.
-  if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    { std::lock_guard<std::mutex> lk(done_mu_); }
-    done_cv_.notify_all();
-  }
-}
-
-bool TaskPool::try_run_one(int lane) {
-  // Own deque first (back = most recently pushed, cache-warm), then steal
-  // from the front of the others, scanning from the next lane over.
-  Chunk chunk;
-  {
-    Lane& own = *lanes_[static_cast<std::size_t>(lane)];
-    std::lock_guard<std::mutex> lk(own.mu);
-    if (!own.deque.empty()) {
-      chunk = own.deque.back();
-      own.deque.pop_back();
-    }
-  }
-  if (chunk.batch == nullptr) {
-    for (int d = 1; d < n_lanes_ && chunk.batch == nullptr; ++d) {
-      Lane& victim = *lanes_[static_cast<std::size_t>((lane + d) % n_lanes_)];
-      std::lock_guard<std::mutex> lk(victim.mu);
-      if (!victim.deque.empty()) {
-        chunk = victim.deque.front();
-        victim.deque.pop_front();
-      }
-    }
-  }
-  if (chunk.batch == nullptr) return false;
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    --queued_chunks_;
-  }
-  run_chunk(chunk, lane);
-  return true;
-}
-
-void TaskPool::worker_loop(int lane) {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    if (try_run_one(lane)) continue;
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.wait(lk, [this] { return queued_chunks_ > 0 || stop_; });
-    if (stop_ && queued_chunks_ == 0) return;
+    wake_cv_.wait(lk, [&] {
+      return stop_ || (batch_ != nullptr && generation_ != seen);
+    });
+    if (stop_) return;
+    seen = generation_;
+    Batch& batch = *batch_;
+    ++joined_;
+    lk.unlock();
+    batch.drain();
+    lk.lock();
+    // The unlock/lock pair publishes this worker's chunk writes to the
+    // caller, which reads joined_ under mu_ before touching results.
+    if (--joined_ == 0) idle_cv_.notify_all();
   }
 }
 
 void TaskPool::execute(
     std::size_t n,
-    const std::function<void(std::size_t, std::size_t, int)>& body) {
+    const std::function<void(std::size_t, std::size_t)>& body) {
   W11_CHECK(!tl_in_task);  // nested calls take the inline path
+  std::lock_guard<std::mutex> submit(submit_mu_);
 
-  Batch batch;
-  batch.body = body;
-
-  // Chunk small enough that stealing can balance uneven bodies, large
-  // enough that deque traffic stays off the critical path.
+  // About four chunks per lane: small enough that the shared cursor
+  // balances uneven bodies, large enough that claims stay off the critical
+  // path.
   const auto lanes = static_cast<std::size_t>(n_lanes_);
   const std::size_t grain = std::max<std::size_t>(1, n / (lanes * 4));
-  const std::size_t n_chunks = (n + grain - 1) / grain;
-  batch.remaining.store(n_chunks, std::memory_order_relaxed);
-
-  // Round-robin the chunks across lanes, caller's lane (0) first.
-  std::size_t lane_rr = 0;
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    const Chunk chunk{&batch, begin, std::min(begin + grain, n)};
-    Lane& l = *lanes_[lane_rr];
-    lane_rr = (lane_rr + 1) % lanes;
-    std::lock_guard<std::mutex> lk(l.mu);
-    l.deque.push_back(chunk);
-  }
+  Batch batch{body, n, grain};
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    queued_chunks_ += n_chunks;
+    std::lock_guard<std::mutex> lk(mu_);
+    batch_ = &batch;
+    ++generation_;
   }
   wake_cv_.notify_all();
 
-  // Help until the queues hold nothing this thread can run, then sleep
-  // until the in-flight chunks finish.
-  while (batch.remaining.load(std::memory_order_acquire) > 0) {
-    if (try_run_one(0)) continue;
-    std::unique_lock<std::mutex> lk(done_mu_);
-    done_cv_.wait(lk, [&batch] {
-      return batch.remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
+  tl_in_task = true;
+  batch.run_chunk(0);
+  batch.drain();
+  tl_in_task = false;
 
+  // Every chunk is claimed; unpublish, then wait out the workers still
+  // running theirs.
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    batch_ = nullptr;
+    idle_cv_.wait(lk, [this] { return joined_ == 0; });
+  }
   if (batch.err) std::rethrow_exception(batch.err);
 }
 

@@ -1,49 +1,43 @@
 #pragma once
 // TaskPool: the deterministic parallel execution layer (DESIGN.md §10).
 //
-// A fixed set of worker lanes with per-lane work-stealing deques. The design
-// constraint that shapes everything here is *determinism*: a computation run
-// on the pool must produce bit-for-bit the result it produces serially, at
-// any worker count. The pool guarantees its half of that contract:
+// One fork-join batch at a time: the calling thread and workers()-1 pool
+// threads claim fixed-size chunks of [0, n) from one shared cursor. The
+// design constraint that shapes everything here is *determinism*: a
+// computation run on the pool must produce bit-for-bit the result it
+// produces serially, at any worker count. The pool guarantees its half of
+// that contract:
 //
 //   * parallel_for(n, body) runs body(i) exactly once per i; the caller
 //     blocks (and helps execute) until every index has finished;
 //   * parallel_map writes result i to slot i, so the output vector's order
-//     is the index order, never the completion order;
-//   * reductions (parallel_reduce, or any caller folding a parallel_map
-//     result) happen on the calling thread in ascending index order, so the
-//     floating-point accumulation order is fixed;
+//     is the index order, never the completion order — a caller reducing
+//     the result folds it on its own thread in ascending index order, so
+//     the floating-point accumulation order is fixed;
 //   * if bodies throw, the exception propagated to the caller is the one
 //     raised by the *lowest* failing index (every chunk still runs), so
 //     error behavior does not depend on scheduling either.
 //
 // The caller's half: bodies for distinct indices must not write shared
 // state (write only to your own index's slot), and any RNG a task needs is
-// derived by stream id (Rng::fork(stream_id) / ShardRng), never drawn from
-// a shared generator.
+// derived by stream id (Rng::fork(stream_id)), never drawn from a shared
+// generator.
 //
 // Scheduling notes:
 //   * workers() is the number of execution lanes *including* the calling
 //     thread; TaskPool(1) executes everything inline and spawns nothing.
-//   * A nested parallel_for — a pool task calling back into its own pool —
-//     runs inline on the calling lane. Parallelism is spent at the
+//   * A nested parallel_for — a pool task calling back into any pool —
+//     runs inline on the calling thread. Parallelism is spent at the
 //     outermost level, which is where the grain is coarsest; nesting is
 //     legal everywhere and never deadlocks.
-//   * Bodies may optionally take a second `int lane` argument in [0,
-//     workers()) identifying the executing lane, for indexing per-lane
-//     scratch. Lane 0 is the calling thread. Per-lane scratch sized off one
-//     parallel_for call is private to it; concurrent *external* callers
-//     sharing one pool both present as lane 0 and must not share scratch.
+//   * Two external threads calling into one pool are serialized: the
+//     second waits until the first batch has finished.
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace w11::exec {
@@ -74,87 +68,50 @@ class TaskPool {
   // i.e. a parallel_for here would run inline.
   [[nodiscard]] static bool in_task();
 
-  // body(i) or body(i, lane) for every i in [0, n). Blocks until all
-  // indices completed; rethrows the lowest failing index's exception.
+  // body(i) for every i in [0, n). Blocks until all indices completed;
+  // rethrows the lowest failing index's exception.
   template <class F>
   void parallel_for(std::size_t n, F&& body) {
-    if (inline_eligible(n)) {
-      for (std::size_t i = 0; i < n; ++i) invoke_body(body, i, 0);
+    if (n_lanes_ == 1 || n < 2 || in_task()) {
+      for (std::size_t i = 0; i < n; ++i) body(i);
       return;
     }
-    execute(n, [&body](std::size_t begin, std::size_t end, int lane) {
-      for (std::size_t i = begin; i < end; ++i) invoke_body(body, i, lane);
+    execute(n, [&body](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) body(i);
     });
   }
 
-  // out[i] = body(i) (or body(i, lane)); output in index order regardless
-  // of completion order. T must be default-constructible.
+  // out[i] = body(i); output in index order regardless of completion
+  // order. T must be default-constructible.
   template <class T, class F>
   [[nodiscard]] std::vector<T> parallel_map(std::size_t n, F&& body) {
     std::vector<T> out(n);
-    parallel_for(n, [&out, &body](std::size_t i, int lane) {
-      out[i] = invoke_body(body, i, lane);
-    });
+    parallel_for(n, [&out, &body](std::size_t i) { out[i] = body(i); });
     return out;
-  }
-
-  // Ordered reduction: maps in parallel, folds on the calling thread in
-  // ascending index order (fixed FP accumulation order).
-  template <class T, class Map, class Reduce>
-  [[nodiscard]] T parallel_reduce(std::size_t n, T init, Map&& map,
-                                  Reduce&& reduce) {
-    std::vector<T> vals = parallel_map<T>(n, std::forward<Map>(map));
-    T acc = std::move(init);
-    for (T& v : vals) acc = reduce(std::move(acc), std::move(v));
-    return acc;
   }
 
  private:
   struct Batch;
-  struct Chunk {
-    Batch* batch = nullptr;
-    std::size_t begin = 0, end = 0;
-  };
-  struct Lane {
-    std::mutex mu;
-    std::deque<Chunk> deque;  // owner pops back, thieves steal front
-  };
 
-  template <class F>
-  static decltype(auto) invoke_body(F& body, std::size_t i, int lane) {
-    if constexpr (std::is_invocable_v<F&, std::size_t, int>) {
-      return body(i, lane);
-    } else {
-      return body(i);
-    }
-  }
-
-  [[nodiscard]] bool inline_eligible(std::size_t n) const {
-    return n_lanes_ == 1 || n < 2 || in_task();
-  }
-
-  // Split [0, n) into chunks, distribute across lanes, help until done.
+  // Publish one batch over [0, n), run chunks on the caller until the
+  // cursor is spent, then wait out the workers still inside the batch.
   void execute(std::size_t n,
-               const std::function<void(std::size_t, std::size_t, int)>& body);
-
-  void worker_loop(int lane);
-  bool try_run_one(int lane);
-  void run_chunk(const Chunk& chunk, int lane);
+               const std::function<void(std::size_t, std::size_t)>& body);
+  void worker_loop();
 
   int n_lanes_ = 1;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> threads_;
 
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::size_t queued_chunks_ = 0;  // guarded by wake_mu_
-  bool stop_ = false;              // guarded by wake_mu_
+  std::mutex submit_mu_;  // held by the one external caller in execute()
 
-  // Batch-completion signal. Pool-level (not per-Batch) because a Batch
-  // lives on its caller's stack and dies as soon as the caller observes
-  // completion — a stack-local mutex/cv would race its own destruction.
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // workers: new generation or stop_
+  std::condition_variable idle_cv_;  // caller: joined_ reached 0
+  Batch* batch_ = nullptr;           // guarded by mu_; the published batch
+  std::uint64_t generation_ = 0;     // guarded by mu_; bumped per batch
+  int joined_ = 0;                   // guarded by mu_; workers inside batch_
+  bool stop_ = false;                // guarded by mu_
+
+  std::vector<std::thread> threads_;  // after everything worker_loop reads
 };
 
 }  // namespace w11::exec

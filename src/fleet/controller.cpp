@@ -24,7 +24,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 FleetController::FleetController(Config cfg)
     : cfg_(cfg),
-      shard_(cfg.seed),
+      root_(cfg.seed),
       ingest_(cfg.ingest_capacity),
       scheduler_(cfg.cadence, cfg.seed) {
   W11_CHECK_MSG(cfg.output_capacity > 0,
@@ -314,7 +314,7 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
     current.emplace(s.id, it != planned_.end() ? it->second : s.current);
   }
 
-  turboca::TurboCA engine(cfg_.planner, shard_.rng_for(stream));
+  turboca::TurboCA engine(cfg_.planner, root_.fork(stream));
   // One index per firing, shared across the tier's hop levels; the stats
   // cache makes unchanged spectrum rows a copy instead of a recompute.
   flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,

@@ -14,7 +14,7 @@
 //                              output_capacity per tick (backpressure)
 //          TaskPool         -> one task per campus job: ScanIndex build +
 //                              TurboCA NBO at the tier's hop levels, with a
-//                              per-campus ShardRng stream and a per-campus
+//                              per-campus Rng::fork stream and a per-campus
 //                              bounded ScanStatsCache
 //          deliver in job order -> plan sink (PlanFanout / telemetry
 //                              ingest), fleet plan digest
@@ -53,9 +53,9 @@
 #include <vector>
 
 #include "common/fnv.hpp"
+#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "core/turboca/turboca.hpp"
-#include "exec/shard_rng.hpp"
 #include "exec/task_pool.hpp"
 #include "fleet/delta.hpp"
 #include "fleet/partition.hpp"
@@ -286,7 +286,7 @@ class FleetController {
   void fold_digest(const CampusPlanOutput& out);
 
   Config cfg_;
-  exec::ShardRng shard_;
+  Rng root_;  // only forked (run_job, from pool tasks), never drawn from
   BoundedFifo<EpochUpdate> ingest_;
   CadenceScheduler scheduler_;
   std::map<std::uint32_t, CampusState> state_;  // key-ordered

@@ -1,12 +1,23 @@
 #pragma once
 // Campus partitioner: interference-isolated planning units (DESIGN.md §15).
 //
-// A continental fleet is not one planning problem. The planner's coupling
-// structure (see flowsim/contention.hpp) makes connected components of the
-// contender graph *exactly* independent: no NodeP term crosses a component
-// boundary, so planning each component with its own RNG stream produces the
-// plan a fleet-wide run restricted to that component would produce. This
-// module turns one population-wide scan epoch into those units:
+// A continental fleet is not one planning problem. The isolation argument
+// rests on the planner's coupling structure: every NodeP term of AP a reads
+// only a's own spectrum aggregates plus the planned channels of a's
+// *contender* neighbors (rssi >= the contender floor — sub-floor neighbors
+// never enter a contention count, see PlanContext). So two APs in different
+// connected components of the symmetrized contender graph cannot influence
+// each other's scores: no NodeP term crosses a component boundary, and
+// planning each component with its own RNG stream produces exactly the plan
+// a fleet-wide run restricted to that component would produce.
+//
+// Edges here must match ScanIndex adjacency bit-for-bit: a directed
+// contender edge a->b exists when b appears in a's neighbor reports, b is
+// present in the epoch, and !(rssi < floor). Components are taken over the
+// undirected closure (if either side hears the other, their plans couple
+// through that listener's airtime term).
+//
+// This module turns one population-wide scan epoch into those units:
 //
 //   * campus key — the minimum ApId value among members. Stable across
 //     epochs as long as that AP stays present, independent of scan order
@@ -22,10 +33,11 @@
 //     *set* and their scan contents.
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "common/units.hpp"
-#include "flowsim/contention.hpp"
 #include "flowsim/scan.hpp"
 
 namespace w11::fleet {
@@ -44,11 +56,18 @@ struct FleetPartition {
 };
 
 // Reusable extraction buffers. The delta path runs one extraction per dirty
-// component pool per adopted delta, so the component output, the union-find
-// scratch and the sort keys are recycled across calls instead of reallocated.
+// component pool per adopted delta, so the union-find arrays, the id lookup,
+// the root-label map and the per-component member lists are recycled
+// across calls instead of reallocated. A default-constructed scratch is
+// always valid; contents between calls are meaningless to the caller.
 struct PartitionScratch {
-  flowsim::ContentionComponents components;
-  flowsim::ContentionScratch uf;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint32_t> size;
+  std::unordered_map<ApId, std::uint32_t> by_id;
+  std::unordered_map<std::uint32_t, std::uint32_t> label_of_root;
+  // members[c] = scan positions of component c, ascending; component
+  // ordinals are dense and assigned by first appearance in scan order.
+  std::vector<std::vector<std::uint32_t>> members;
 };
 
 // Partition one scan epoch with the same contender floor the planner will

@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/rng.hpp"
+
 namespace w11 {
 
 namespace {
 
+using rng_detail::splitmix64;
+
 // Deterministic per-link shadowing: hash the unordered endpoint pair into a
 // standard-normal-ish value via two rounds of splitmix64 + Box-Muller.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 double link_shadow_normal(const Position& a, const Position& b) {
   auto quantize = [](double v) {
     return static_cast<std::uint64_t>(static_cast<std::int64_t>(v * 100.0));

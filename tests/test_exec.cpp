@@ -1,4 +1,5 @@
-// Unit tests for exec/: deterministic TaskPool and ShardRng.
+// Unit tests for exec/: the deterministic TaskPool, plus the per-task seed
+// derivation (Rng::fork(stream_id)) pool-sharded work relies on.
 //
 // The load-bearing property is that every pool-based computation is
 // bit-for-bit identical to its serial execution at any worker count; these
@@ -13,11 +14,12 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "exec/shard_rng.hpp"
 #include "exec/task_pool.hpp"
 
 namespace w11::exec {
@@ -46,18 +48,24 @@ TEST(TaskPool, WorkersReportsLanesIncludingCaller) {
 }
 
 TEST(TaskPool, LaneArgumentIsInRangeAndLaneZeroIsCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // The serial pool executes everything on the caller.
+  TaskPool serial(1);
+  serial.parallel_for(8, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+
+  // A 4-lane pool runs bodies on at most 4 threads, the caller among them.
   TaskPool pool(4);
   constexpr std::size_t kN = 5'000;
-  std::vector<int> lane_of(kN, -1);
-  pool.parallel_for(kN, [&](std::size_t i, int lane) { lane_of[i] = lane; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_GE(lane_of[i], 0);
-    ASSERT_LT(lane_of[i], pool.workers());
-  }
-
-  // The serial pool executes everything on the caller, lane 0.
-  TaskPool serial(1);
-  serial.parallel_for(8, [&](std::size_t, int lane) { EXPECT_EQ(lane, 0); });
+  std::vector<std::thread::id> thread_of(kN);
+  pool.parallel_for(kN, [&](std::size_t i) {
+    thread_of[i] = std::this_thread::get_id();
+  });
+  const std::set<std::thread::id> used(thread_of.begin(), thread_of.end());
+  EXPECT_LE(used.size(), static_cast<std::size_t>(pool.workers()));
+  EXPECT_EQ(used.count(caller), 1u);
 }
 
 TEST(TaskPool, ParallelMapPreservesIndexOrder) {
@@ -71,9 +79,10 @@ TEST(TaskPool, ParallelMapPreservesIndexOrder) {
 
 // -------------------------------------------------------- determinism --
 
-// Sums whose value depends on FP accumulation order: if the reduction ever
-// folded in completion order, different worker counts would disagree in the
-// low bits. Require bitwise equality with the serial fold.
+// Sums whose value depends on FP accumulation order: if the parallel_map
+// result ever landed in completion order, folding it in index order would
+// disagree in the low bits across worker counts. Require bitwise equality
+// with the serial fold.
 TEST(TaskPool, OrderedReductionIsBitIdenticalAcrossWorkerCounts) {
   constexpr std::size_t kN = 20'000;
   auto term = [](std::size_t i) {
@@ -86,8 +95,8 @@ TEST(TaskPool, OrderedReductionIsBitIdenticalAcrossWorkerCounts) {
 
   for (int workers : {1, 2, 4, 8}) {
     TaskPool pool(workers);
-    const double got = pool.parallel_reduce<double>(
-        kN, 0.0, term, [](double a, double b) { return a + b; });
+    double got = 0.0;
+    for (const double v : pool.parallel_map<double>(kN, term)) got += v;
     ASSERT_EQ(serial, got) << "FP sum diverged at " << workers << " workers";
   }
 }
@@ -153,9 +162,9 @@ TEST(TaskPool, NestedParallelForRunsInlineWithoutDeadlock) {
 
 // -------------------------------------------------------------- stress --
 
-// Many small batches back to back: exercises enqueue/steal/wake paths under
-// contention. Run under TSAN in CI; any unsynchronized access to Batch or
-// lane deques shows up here.
+// Many small batches back to back: exercises the publish/claim/wake/join
+// paths under contention. Run under TSAN in CI; any unsynchronized access to
+// a Batch or the pool's publication state shows up here.
 TEST(TaskPoolStress, ManySmallBatchesAreCoherent) {
   TaskPool pool(4);
   for (int round = 0; round < 200; ++round) {
@@ -168,47 +177,80 @@ TEST(TaskPoolStress, ManySmallBatchesAreCoherent) {
   }
 }
 
+// Two external threads share one pool: their batches are serialized, never
+// interleaved into each other's outputs. Mixed sizes cover the one-chunk,
+// few-chunk and many-chunk cases; also run under TSAN in CI.
+TEST(TaskPool, ExternalCallersSharingOnePoolAreSerialized) {
+  TaskPool pool(4);
+  auto client = [&pool](std::uint64_t salt, bool* ok) {
+    for (int round = 0; round < 200; ++round) {
+      const std::size_t n = 1 + static_cast<std::size_t>((round * 37) % 300);
+      std::vector<std::uint64_t> want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = salt * 1'000'003 + i * i;
+      const std::vector<std::uint64_t> out = pool.parallel_map<std::uint64_t>(
+          n, [salt](std::size_t i) { return salt * 1'000'003 + i * i; });
+      if (out != want) *ok = false;
+    }
+  };
+  bool ok_a = true;
+  bool ok_b = true;
+  std::thread a(client, 1, &ok_a);
+  std::thread b(client, 2, &ok_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+  EXPECT_FALSE(TaskPool::in_task());
+}
+
 TEST(TaskPoolStress, LargeBatchReductionMatchesSerial) {
   TaskPool pool(8);
   constexpr std::size_t kN = 200'000;
-  const std::uint64_t got = pool.parallel_reduce<std::uint64_t>(
-      kN, std::uint64_t{0},
-      [](std::size_t i) { return static_cast<std::uint64_t>(i) ^ (i << 7); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  std::uint64_t got = 0;
+  for (const std::uint64_t v : pool.parallel_map<std::uint64_t>(
+           kN, [](std::size_t i) {
+             return static_cast<std::uint64_t>(i) ^ (i << 7);
+           }))
+    got += v;
   std::uint64_t want = 0;
   for (std::size_t i = 0; i < kN; ++i)
     want += static_cast<std::uint64_t>(i) ^ (i << 7);
   EXPECT_EQ(got, want);
 }
 
-// ------------------------------------------------------------ ShardRng --
+// ------------------------------------------------- per-task streams --
+// Pool-sharded work derives each task's generator with Rng::fork(stream_id)
+// from one root; the suite keeps its historical ShardRng name.
 
 TEST(ShardRng, MatchesRngFork) {
-  const std::uint64_t root = 0xDEADBEEFCAFEF00DULL;
-  ShardRng shards(root);
-  Rng reference(root);
+  // fork(stream) seeds its child with mix_seed(root seed, stream), whatever
+  // the root has drawn.
+  const std::uint64_t seed = 0xDEADBEEFCAFEF00DULL;
+  Rng root(seed);
   for (std::uint64_t stream : {0ULL, 1ULL, 7ULL, 1'000'000ULL}) {
-    Rng a = shards.rng_for(stream);
-    Rng b = reference.fork(stream);
+    Rng a = root.fork(stream);
+    Rng b(rng_detail::mix_seed(seed, stream));
+    EXPECT_EQ(a.seed(), rng_detail::mix_seed(seed, stream));
     for (int i = 0; i < 16; ++i) ASSERT_EQ(a.engine()(), b.engine()());
+    for (int i = 0; i < 100; ++i) root.engine()();
   }
 }
 
 TEST(ShardRng, StreamsAreIndependentOfDrawOrder) {
   // Task RNGs must depend only on (root seed, stream id) — never on how
   // many draws other streams made, or results would vary with scheduling.
-  ShardRng shards(42);
-  Rng first = shards.rng_for(3);
-  Rng burner = shards.rng_for(9);
+  const Rng root(42);
+  Rng first = root.fork(3);
+  Rng burner = root.fork(9);
   for (int i = 0; i < 1'000; ++i) burner.engine()();
-  Rng second = shards.rng_for(3);
+  Rng second = root.fork(3);
   for (int i = 0; i < 16; ++i) ASSERT_EQ(first.engine()(), second.engine()());
 }
 
 TEST(ShardRng, DistinctStreamsDiverge) {
-  ShardRng shards(7);
-  Rng a = shards.rng_for(0);
-  Rng b = shards.rng_for(1);
+  const Rng root(7);
+  Rng a = root.fork(0);
+  Rng b = root.fork(1);
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a.engine()() == b.engine()()) ? 1 : 0;
   EXPECT_LT(same, 4);
@@ -219,9 +261,9 @@ TEST(ShardRng, TasksDrawingFromOwnStreamsAreDeterministic) {
   // forked by index, results reduced in index order.
   auto run = [](int workers) {
     TaskPool pool(workers);
-    ShardRng shards(123);
+    const Rng root(123);
     return pool.parallel_map<double>(512, [&](std::size_t i) {
-      Rng r = shards.rng_for(i);
+      Rng r = root.fork(i);
       double acc = 0.0;
       for (int d = 0; d < 32; ++d) acc += r.uniform();
       return acc;
@@ -238,13 +280,13 @@ TEST(ShardRng, BackoffJitterStreamsAreWorkerCountInvariant) {
   // happen serially or race across any number of pool workers.
   constexpr std::uint32_t kAps = 64;
   constexpr int kAttempts = 8;
-  const ShardRng shards(0xC0FFEE);
+  const Rng root(0xC0FFEE);
   auto stream_of = [](std::uint32_t ap, int attempt) {
     return (static_cast<std::uint64_t>(ap) << 32) |
            static_cast<std::uint64_t>(attempt);
   };
   auto draw = [&](std::uint32_t ap, int attempt) {
-    Rng r = shards.rng_for(stream_of(ap, attempt));
+    Rng r = root.fork(stream_of(ap, attempt));
     return r.uniform(0.75, 1.25);  // the jitter scale draw
   };
   std::vector<double> serial;
@@ -267,10 +309,10 @@ TEST(ShardRng, BackoffJitterStreamsDoNotCollide) {
   // (ap, attempt) pairs map to distinct streams: neighboring APs at the
   // same attempt, and the same AP at successive attempts, never share a
   // jitter sequence (a collision would synchronize retry thundering herds).
-  const ShardRng shards(99);
+  const Rng root(99);
   auto first_draw = [&](std::uint32_t ap, int attempt) {
-    Rng r = shards.rng_for((static_cast<std::uint64_t>(ap) << 32) |
-                           static_cast<std::uint64_t>(attempt));
+    Rng r = root.fork((static_cast<std::uint64_t>(ap) << 32) |
+                      static_cast<std::uint64_t>(attempt));
     return r.uniform();
   };
   std::vector<double> seen;

@@ -281,7 +281,7 @@ TEST(Metrics, CountersSumAcrossLanesAndWorkerCounts) {
   auto dumps_at = [](int workers) {
     std::vector<std::string> dumps(64);
     exec::TaskPool pool(workers);
-    pool.parallel_for(dumps.size(), [&dumps](std::size_t i, int) {
+    pool.parallel_for(dumps.size(), [&dumps](std::size_t i) {
       MetricsRegistry reg;
       reg.set("work.items", static_cast<double>(i));
       reg.set("work.size", static_cast<double>(i % 10));

@@ -145,33 +145,33 @@ TEST(Backoff, DelayGrowsGeometricallyAndCaps) {
   b.multiplier = 2.0;
   b.cap = time::seconds(1);
   b.jitter_frac = 0.0;
-  const exec::ShardRng shards(1);
-  EXPECT_EQ(ctrl::backoff_delay(b, 0, 2, shards), time::millis(200));
-  EXPECT_EQ(ctrl::backoff_delay(b, 0, 3, shards), time::millis(400));
-  EXPECT_EQ(ctrl::backoff_delay(b, 0, 4, shards), time::millis(800));
-  EXPECT_EQ(ctrl::backoff_delay(b, 0, 5, shards), time::seconds(1));  // cap
-  EXPECT_EQ(ctrl::backoff_delay(b, 0, 20, shards), time::seconds(1));
+  const Rng root(1);
+  EXPECT_EQ(ctrl::backoff_delay(b, 0, 2, root), time::millis(200));
+  EXPECT_EQ(ctrl::backoff_delay(b, 0, 3, root), time::millis(400));
+  EXPECT_EQ(ctrl::backoff_delay(b, 0, 4, root), time::millis(800));
+  EXPECT_EQ(ctrl::backoff_delay(b, 0, 5, root), time::seconds(1));  // cap
+  EXPECT_EQ(ctrl::backoff_delay(b, 0, 20, root), time::seconds(1));
 }
 
 TEST(Backoff, JitterStaysInBandAndIsDeterministic) {
   ctrl::Backoff b;
   b.initial = time::millis(100);
   b.jitter_frac = 0.25;
-  const exec::ShardRng shards(42);
+  const Rng root(42);
   for (std::uint32_t ap = 0; ap < 16; ++ap) {
     for (int attempt = 2; attempt < 8; ++attempt) {
-      const Time d = ctrl::backoff_delay(b, ap, attempt, shards);
+      const Time d = ctrl::backoff_delay(b, ap, attempt, root);
       ctrl::Backoff nojit = b;
       nojit.jitter_frac = 0.0;
-      const Time base = ctrl::backoff_delay(nojit, ap, attempt, shards);
+      const Time base = ctrl::backoff_delay(nojit, ap, attempt, root);
       EXPECT_GE(d.ns(), static_cast<std::int64_t>(0.75 * base.ns()) - 1);
       EXPECT_LE(d.ns(), static_cast<std::int64_t>(1.25 * base.ns()) + 1);
-      EXPECT_EQ(d, ctrl::backoff_delay(b, ap, attempt, shards));
+      EXPECT_EQ(d, ctrl::backoff_delay(b, ap, attempt, root));
     }
   }
   // Distinct APs draw from distinct streams.
-  EXPECT_NE(ctrl::backoff_delay(b, 1, 2, shards),
-            ctrl::backoff_delay(b, 2, 2, shards));
+  EXPECT_NE(ctrl::backoff_delay(b, 1, 2, root),
+            ctrl::backoff_delay(b, 2, 2, root));
 }
 
 // -------------------------------------------------------------- applier --
