@@ -16,9 +16,11 @@
 //                           size means, FastACK counters); the metrics are
 //                           those the reference engine produced when both
 //                           engines could still drive the testbed.
-//   TestbedGolden.*       — testbed runs that fill and flap the wired links
-//                           must reproduce a pinned digest of their
-//                           throughput, drop counts and FastACK hole repairs.
+//   TestbedGolden.*       — testbed runs that fill and flap the wired links,
+//                           or take the datapath's other branches (baseline,
+//                           two APs, A-MSDU, UDP, bad hints, Snoop, roam,
+//                           crash), must reproduce a pinned digest of their
+//                           throughput, drop counts and MAC/AP counters.
 
 #include <gtest/gtest.h>
 
@@ -303,6 +305,136 @@ TEST(TestbedGolden, WireDropPathsDigest) {
     fnv::mix_value(h, r.digest);
   }
   EXPECT_EQ(h, kWireDropPathsDigest) << std::hex << "actual 0x" << h;
+}
+
+// --- datapath variants ------------------------------------------------------
+
+// The runs above are 1 AP x 4 FastACK clients over TCP without A-MSDU. These
+// take the datapath's other branches: no interceptor, two APs sharing one
+// medium, A-MSDU bundles, UDP saturation, bad hints, Snoop, and the
+// disassociate paths of a mid-run roam and a mid-run crash; "lossy" selects
+// rates above the PER threshold, so MPDUs exhaust their retries.
+struct DatapathVariant {
+  const char* name;
+  void (*configure)(scenario::TestbedConfig& cfg);
+  void (*schedule)(scenario::Testbed& tb);  // nullable
+};
+
+constexpr std::array<DatapathVariant, 9> kDatapathVariants{{
+    {"baseline", [](scenario::TestbedConfig&) {}, nullptr},
+    {"two_aps_mixed",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.n_aps = 2;
+       cfg.n_clients_per_ap = 3;
+       cfg.fastack = {true, false};
+     },
+     nullptr},
+    {"amsdu4",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.fastack = {true};
+       cfg.amsdu_max_msdus = 4;
+     },
+     nullptr},
+    {"udp",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.traffic = scenario::TrafficType::kUdpDownlink;
+     },
+     nullptr},
+    {"bad_hints",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.fastack = {true};
+       cfg.bad_hint_rate = 0.02;
+     },
+     nullptr},
+    {"snoop",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.accel = {scenario::TcpAccel::kSnoop};
+     },
+     nullptr},
+    {"roam",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.n_aps = 2;
+       cfg.n_clients_per_ap = 2;
+       cfg.fastack = {true};
+     },
+     [](scenario::Testbed& tb) {
+       tb.simulator().schedule_at(time::seconds(1), [&tb] { tb.roam(0, 0, 1); });
+     }},
+    {"lossy",
+     [](scenario::TestbedConfig& cfg) {
+       cfg.fastack = {true};
+       cfg.rate_control.selection_margin = -3.0;
+     },
+     nullptr},
+    {"crash",
+     [](scenario::TestbedConfig& cfg) { cfg.fastack = {true}; },
+     [](scenario::Testbed& tb) {
+       tb.simulator().schedule_at(time::seconds(1), [&tb] { tb.crash_ap(0); });
+     }},
+}};
+
+void mix_samples(std::uint64_t& h, const Samples& s) {
+  double sum = 0.0;
+  for (double x : s.sorted()) sum += x;
+  fnv::mix_value(h, s.count());
+  fnv::mix_value(h, sum);
+}
+
+std::uint64_t run_datapath_variant(const DatapathVariant& v) {
+  scenario::TestbedConfig cfg;
+  cfg.seed = 7;
+  cfg.n_aps = 1;
+  cfg.n_clients_per_ap = 4;
+  cfg.duration = time::millis(1500);
+  cfg.warmup = time::millis(300);
+  v.configure(cfg);
+  scenario::Testbed tb(cfg);
+  if (v.schedule != nullptr) v.schedule(tb);
+  tb.run();
+
+  std::uint64_t h = fnv::kOffsetBasis;
+  fnv::mix_value(h, tb.aggregate_throughput_mbps());
+  for (int a = 0; a < cfg.n_aps; ++a) {
+    for (int c = 0; c < cfg.n_clients_per_ap; ++c)
+      fnv::mix_value(h, tb.client(a, c).bytes_delivered());
+    const AccessPoint::Stats& st = tb.ap(a).stats();
+    fnv::mix_value(h, st.mpdus_acked_by_ac);
+    fnv::mix_value(h, st.mpdus_lost_by_ac);
+    fnv::mix_value(h, st.queue_drops);
+    fnv::mix_value(h, st.acks_suppressed);
+    fnv::mix_value(h, st.segments_forwarded);
+    mix_samples(h, st.tcp_latency);
+    for (const Samples& s : st.latency_80211_by_ac) mix_samples(h, s);
+  }
+  fnv::mix_value(h, tb.medium().txop_count());
+  fnv::mix_value(h, tb.medium().collision_count());
+  fnv::mix_value(h, tb.medium().total_busy_time().ns());
+  fnv::mix_value(h, tb.simulator().processed_events());
+  return h;
+}
+
+// One digest per variant, in kDatapathVariants order. Pinned before the
+// datapath's queues, PER evaluation and contender bookkeeping were
+// flattened: any change here is a change in what the datapath does.
+constexpr std::array<std::uint64_t, kDatapathVariants.size()>
+    kDatapathVariantDigests{{
+        0x497fe79c382688fdULL,  // baseline
+        0xa872c560984d1852ULL,  // two_aps_mixed
+        0xefe0f0281e258286ULL,  // amsdu4
+        0x55f2ebe9e33d31a1ULL,  // udp
+        0xdbe9465b65322a94ULL,  // bad_hints
+        0x5263328d512c503dULL,  // snoop
+        0xa8168b4d10de2bb9ULL,  // roam
+        0xe5393b7358e2f5f5ULL,  // lossy
+        0x15b0294587925880ULL,  // crash
+    }};
+
+TEST(TestbedGolden, DatapathVariantsDigest) {
+  for (std::size_t i = 0; i < kDatapathVariants.size(); ++i) {
+    const std::uint64_t got = run_datapath_variant(kDatapathVariants[i]);
+    EXPECT_EQ(got, kDatapathVariantDigests[i])
+        << kDatapathVariants[i].name << ": actual 0x" << std::hex << got;
+  }
 }
 
 }  // namespace
