@@ -170,10 +170,10 @@ int main() {
   const std::vector<SeedStats> per_seed = pool.parallel_map<SeedStats>(
       seeds.size(), [&](std::size_t i) {
         SeedStats s;
-        const Outcome t = run(Policy::kTurboCa, seeds[i]);
+        const Outcome tca = run(Policy::kTurboCa, seeds[i]);
         const Outcome c = run(Policy::kChase, seeds[i]);
-        s.turbo_fulfilment.add(t.mean_fulfilment);
-        s.turbo_disruption.add(t.disruption_client_s);
+        s.turbo_fulfilment.add(tca.mean_fulfilment);
+        s.turbo_disruption.add(tca.disruption_client_s);
         s.chase_fulfilment.add(c.mean_fulfilment);
         s.chase_disruption.add(c.disruption_client_s);
         return s;

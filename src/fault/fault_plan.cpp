@@ -78,14 +78,17 @@ FaultPlan& FaultPlan::clock_jump(Time at, Time backwards_by) {
 }
 
 const std::vector<FaultEvent>& FaultPlan::events() const {
-  if (!sorted_) {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const FaultEvent& a, const FaultEvent& b) {
-                       return a.at < b.at;
-                     });
-    sorted_ = true;
-  }
+  sort();
   return events_;
+}
+
+void FaultPlan::sort() const {
+  if (sorted_) return;
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.at < b.at;
+                   });
+  sorted_ = true;
 }
 
 FaultPlan FaultPlan::random(std::uint64_t seed, const RandomConfig& cfg) {
@@ -151,7 +154,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomConfig& cfg) {
         break;  // only ever emitted as the tail of an outage
     }
   }
-  plan.events();  // force the sort so plans compare bitwise-stable
+  plan.sort();
   return plan;
 }
 

@@ -117,6 +117,8 @@ class FaultPlan {
 
   // Events sorted by time; ties keep insertion order (stable).
   [[nodiscard]] const std::vector<FaultEvent>& events() const;
+  // Sorts now, so plans compare bitwise-stable; events() sorts lazily.
+  void sort() const;
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] const std::string& name() const { return name_; }

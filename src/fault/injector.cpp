@@ -6,7 +6,7 @@ namespace w11::fault {
 
 FaultInjector::FaultInjector(FaultPlan plan, FaultHandlers handlers)
     : plan_(std::move(plan)), handlers_(std::move(handlers)) {
-  plan_.events();  // force sort up front
+  plan_.sort();
 }
 
 void FaultInjector::advance_to(Time now) {

@@ -10,9 +10,8 @@ Medium::Medium(Simulator& sim, MediumConfig cfg, Rng rng)
     : sim_(sim), cfg_(cfg), rng_(std::move(rng)) {}
 
 Medium::Slot* Medium::find(Contender* c) {
-  for (auto& s : slots_)
-    if (s.contender == c) return &s;
-  return nullptr;
+  const std::size_t i = c->medium_slot_;
+  return i < slots_.size() && slots_[i].contender == c ? &slots_[i] : nullptr;
 }
 
 void Medium::attach(Contender* c) {
@@ -21,11 +20,20 @@ void Medium::attach(Contender* c) {
   Slot s;
   s.contender = c;
   s.cw = edca_params(c->access_category()).cw_min;
+  c->medium_slot_ = slots_.size();
   slots_.push_back(s);
 }
 
 void Medium::detach(Contender* c) {
-  std::erase_if(slots_, [c](const Slot& s) { return s.contender == c; });
+  const auto it = std::find_if(slots_.begin(), slots_.end(),
+                               [c](const Slot& s) { return s.contender == c; });
+  if (it == slots_.end()) return;
+  for (auto rest = slots_.erase(it); rest != slots_.end(); ++rest)
+    rest->contender->medium_slot_ =
+        static_cast<std::size_t>(rest - slots_.begin());
+  // A detached contender is neither granted nor told its exchange ended.
+  std::replace(drawn_.begin(), drawn_.end(), c, static_cast<Contender*>(nullptr));
+  std::replace(on_air_.begin(), on_air_.end(), c, static_cast<Contender*>(nullptr));
 }
 
 void Medium::set_backlogged(Contender* c, bool backlogged) {
@@ -43,43 +51,48 @@ void Medium::maybe_start_round() {
 void Medium::resolve_round() {
   // Draw deferrals for all backlogged contenders at the instant the medium
   // went idle; the earliest draw(s) win.
+  W11_CHECK(!busy_ && !round_pending_);
   Time best = time::kForever;
-  std::vector<std::size_t> winners;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
+  drawn_.clear();
+  for (Slot& s : slots_) {
     if (!s.backlogged) continue;
     const AccessCategory ac = s.contender->access_category();
     const Time deferral =
         aifs(ac) + kSlot * rng_.uniform_int(0, s.cw);
     if (deferral < best) {
       best = deferral;
-      winners.assign(1, i);
+      drawn_.assign(1, s.contender);
     } else if (deferral == best) {
-      winners.push_back(i);
+      drawn_.push_back(s.contender);
     }
   }
-  if (winners.empty()) return;
+  if (drawn_.empty()) return;
   round_pending_ = true;
-  sim_.schedule_after(best, [this, winners] {
+  sim_.schedule_after(best, [this] {
     round_pending_ = false;
-    grant(winners);
+    grant();
   });
 }
 
-void Medium::grant(const std::vector<std::size_t>& winner_idx) {
-  // Re-validate: a contender may have drained or detached since the draw.
-  std::vector<Slot*> winners;
-  for (std::size_t i : winner_idx)
-    if (i < slots_.size() && slots_[i].backlogged) winners.push_back(&slots_[i]);
-  if (winners.empty()) {
+void Medium::grant() {
+  W11_CHECK(!busy_);
+  // Re-validate: a drawn contender may have drained or detached (nulled)
+  // since the draw.
+  on_air_.clear();
+  for (Contender* c : drawn_)
+    if (c != nullptr && find(c)->backlogged) on_air_.push_back(c);
+  if (on_air_.empty()) {
     maybe_start_round();
     return;
   }
 
-  const bool collided = winners.size() > 1;
+  // Busy from here: a contender that re-declares backlog in begin_txop
+  // waits for the exchange to end, so no round is drawn under it.
+  busy_ = true;
+  const bool collided = on_air_.size() > 1;
   Time duration{};
-  for (Slot* s : winners) {
-    const TxDescriptor td = s->contender->begin_txop();
+  for (Contender* c : on_air_) {
+    const TxDescriptor td = c->begin_txop();
     W11_CHECK(td.duration > Time{0});
     duration = std::max(duration, td.duration);
   }
@@ -90,32 +103,31 @@ void Medium::grant(const std::vector<std::size_t>& winner_idx) {
     // longest colliding frame does.
     if (cfg_.rts_cts)
       duration = control_frame_airtime(kRtsBytes) + kSifs;
-    for (Slot* s : winners) {
-      const EdcaParams p = edca_params(s->contender->access_category());
-      s->cw = std::min(2 * s->cw + 1, p.cw_max);
+    for (Contender* c : on_air_) {
+      Slot& s = *find(c);
+      s.cw = std::min(2 * s.cw + 1, edca_params(c->access_category()).cw_max);
     }
   } else {
     ++txops_;
-    Slot* w = winners.front();
-    w->cw = edca_params(w->contender->access_category()).cw_min;
+    Contender* w = on_air_.front();
+    find(w)->cw = edca_params(w->access_category()).cw_min;
   }
 
-  busy_ = true;
   total_busy_ += duration;
-  for (Slot* s : winners) s->airtime += duration;
+  for (Contender* c : on_air_) find(c)->airtime += duration;
 
-  // Capture contender pointers (slots_ may reallocate if attach() runs
-  // mid-simulation; contender objects themselves are stable).
-  std::vector<Contender*> done;
-  done.reserve(winners.size());
-  for (Slot* s : winners) done.push_back(s->contender);
+  on_air_collided_ = collided;
+  sim_.schedule_after(duration + cfg_.slack, [this] { end_exchange(); });
+}
 
-  sim_.schedule_after(duration + cfg_.slack, [this, done, collided] {
-    busy_ = false;
-    for (Contender* c : done)
-      if (find(c) != nullptr) c->end_txop(collided);
-    maybe_start_round();
-  });
+void Medium::end_exchange() {
+  W11_CHECK(busy_);
+  busy_ = false;
+  // By index: end_txop may re-enter detach(), which nulls but never
+  // resizes; nothing else touches on_air_ until the next grant().
+  for (std::size_t i = 0; i < on_air_.size(); ++i)
+    if (Contender* c = on_air_[i]) c->end_txop(on_air_collided_);
+  maybe_start_round();
 }
 
 Time Medium::airtime_of(const Contender* c) const {

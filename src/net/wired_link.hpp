@@ -10,10 +10,10 @@
 // it, and only the front segment has an event queued — its delivery at the
 // end of serialization + propagation (DESIGN.md §11).
 
-#include <deque>
 #include <functional>
 
 #include "common/check.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "net/tcp_segment.hpp"
 #include "sim/simulator.hpp"
@@ -70,7 +70,7 @@ class WiredLink {
   Simulator& sim_;
   Config cfg_;
   DeliverFn deliver_;
-  std::deque<Slot> fifo_;  // ascending start; the front has always started
+  RingFifo<Slot> fifo_;   // ascending start; the front has always started
   Time free_at_{};         // when the NIC finishes the last segment
   bool up_ = true;
   std::uint64_t delivered_ = 0;

@@ -137,13 +137,21 @@ std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss) {
 }
 
 double packet_error_rate(McsIndex idx, Db snr, int mpdu_bytes) {
+  return PerCurve(idx, snr).at(mpdu_bytes);
+}
+
+PerCurve::PerCurve(McsIndex idx, Db snr) {
   // Sigmoid PER curve centred slightly below the selection threshold: at the
   // threshold a 1500 B MPDU sees ≈8 % PER, improving ~an order of magnitude
-  // per 2 dB. Longer frames are proportionally more exposed.
+  // per 2 dB.
   const double margin = snr - (min_snr(idx) - 1.0);
-  const double per_1500 = 1.0 / (1.0 + std::exp(1.35 * margin));
+  per_1500_ = 1.0 / (1.0 + std::exp(1.35 * margin));
+}
+
+double PerCurve::scale_to_length(int mpdu_bytes) const {
+  // Longer frames are proportionally more exposed.
   const double scale = std::max(1, mpdu_bytes) / 1500.0;
-  const double per = 1.0 - std::pow(1.0 - std::min(per_1500, 0.999), scale);
+  const double per = 1.0 - std::pow(1.0 - std::min(per_1500_, 0.999), scale);
   return std::clamp(per, 0.0, 1.0);
 }
 

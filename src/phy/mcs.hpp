@@ -7,6 +7,7 @@
 // A handful of (MCS, width, N_ss) combinations are invalid per the standard
 // and excluded here.
 
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -46,6 +47,30 @@ inline constexpr int kMaxNss = 4;
 // Packet error rate for an MPDU of `mpdu_bytes` sent with `idx` at `snr`.
 // Smooth sigmoid in SNR around the MCS threshold, scaled with frame length.
 [[nodiscard]] double packet_error_rate(McsIndex idx, Db snr, int mpdu_bytes);
+
+// packet_error_rate in its two steps, for the frames of one TXOP: they share
+// one MCS and one faded SNR, so the SNR step (the PER of a 1500 B MPDU, one
+// exp) runs once per TXOP, and the length step (one pow) once per run of
+// equal frame lengths. Every value is bit-identical to packet_error_rate's.
+class PerCurve {
+ public:
+  PerCurve(McsIndex idx, Db snr);
+
+  [[nodiscard]] double at(int mpdu_bytes) {
+    if (mpdu_bytes != last_bytes_) {
+      last_bytes_ = mpdu_bytes;
+      last_per_ = scale_to_length(mpdu_bytes);
+    }
+    return last_per_;
+  }
+
+ private:
+  [[nodiscard]] double scale_to_length(int mpdu_bytes) const;
+
+  double per_1500_;
+  int last_bytes_ = INT_MIN;  // no frame length is INT_MIN bytes
+  double last_per_ = 0.0;
+};
 
 // The maximum PHY rate two peers can use given both sides' capabilities.
 struct Capability {

@@ -90,19 +90,19 @@ void ClientStation::end_txop(bool collided) {
       uplink_.push_front(std::move(*it));
   } else {
     const int retry_limit = edca_params(AccessCategory::BE).retry_limit;
-    std::vector<PendingAck> retries;
+    retries_.clear();
+    // ACKs are 40 B or 52 B (with SACK), so the PER curve evaluates one
+    // exp per TXOP and one pow per change of length.
+    mcs::PerCurve per(txop_decision_.mcs, txop_decision_.snr);
     for (auto& pa : in_flight_) {
-      const double per = mcs::packet_error_rate(
-          txop_decision_.mcs, txop_decision_.snr,
-          static_cast<int>(pa.seg.wire_size().count()));
-      if (!rng_.bernoulli(per)) {
+      if (!rng_.bernoulli(per.at(static_cast<int>(pa.seg.wire_size().count())))) {
         ap_->uplink_receive(pa.seg);
       } else if (++pa.retries <= retry_limit) {
-        retries.push_back(std::move(pa));
+        retries_.push_back(std::move(pa));
       }
       // else: ACK lost for good; cumulative ACKs make this recoverable.
     }
-    for (auto it = retries.rbegin(); it != retries.rend(); ++it)
+    for (auto it = retries_.rbegin(); it != retries_.rend(); ++it)
       uplink_.push_front(std::move(*it));
   }
   in_flight_.clear();

@@ -9,11 +9,11 @@
 //   * Uplink ACK aggregation — clients also form A-MPDUs, so ACKs arrive at
 //     the AP in bursts.
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
 #include "common/ids.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "mac/aggregation.hpp"
@@ -89,8 +89,9 @@ class ClientStation : public mac::Contender {
   std::unique_ptr<RateController> uplink_rc_;
 
   std::unordered_map<FlowId, std::unique_ptr<TcpReceiver>> receivers_;
-  std::deque<PendingAck> uplink_;
+  RingFifo<PendingAck> uplink_;
   std::vector<PendingAck> in_flight_;  // batch for the current TXOP
+  std::vector<PendingAck> retries_;    // end_txop scratch
   RateController::Decision txop_decision_{};
   std::uint64_t udp_bytes_ = 0;
   bool attached_to_medium_ = false;

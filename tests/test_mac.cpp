@@ -275,6 +275,50 @@ TEST(Medium, DetachStopsService) {
   EXPECT_EQ(c.successes, before);
 }
 
+TEST(Medium, SetBackloggedFindsContenderAfterDetach) {
+  Simulator sim;
+  Medium medium(sim, MediumConfig{}, Rng(9));
+  FakeContender a(medium, AccessCategory::BE, time::millis(1));
+  FakeContender b(medium, AccessCategory::BE, time::millis(1));
+  FakeContender c(medium, AccessCategory::BE, time::millis(1));
+  medium.attach(&a);
+  medium.attach(&b);
+  medium.attach(&c);
+  medium.detach(&b);  // c moves into b's slot
+  c.give_frames(3);
+  a.give_frames(2);
+  sim.run_until(time::seconds(1));
+  EXPECT_EQ(c.successes, 3);
+  EXPECT_EQ(a.successes, 2);
+  EXPECT_EQ(b.grants, 0);
+  EXPECT_GT(medium.airtime_of(&c), Time{0});
+  EXPECT_EQ(medium.airtime_of(&b), Time{0});
+  EXPECT_THROW(b.give_frames(1), std::logic_error);  // no longer attached
+}
+
+TEST(Medium, DetachBetweenDrawAndGrantServesOnlyTheDrawnContender) {
+  Simulator sim;
+  Medium medium(sim, MediumConfig{}, Rng(10));
+  FakeContender a(medium, AccessCategory::BE, time::millis(1));
+  FakeContender b(medium, AccessCategory::BE, time::millis(1));
+  FakeContender c(medium, AccessCategory::BE, time::millis(1));
+  medium.attach(&a);
+  medium.attach(&b);
+  medium.attach(&c);
+  b.give_frames(1);  // b draws alone; the round is now pending
+  medium.detach(&a);  // shifts b and c down one slot
+  c.give_frames(1);  // backlogged, but it never drew
+  // The round fires within AIFS + 15 slots; b's 1 ms exchange is still on
+  // the air at 500 us.
+  sim.run_until(time::micros(500));
+  EXPECT_EQ(b.grants, 1);
+  EXPECT_EQ(c.grants, 0);
+  sim.run_until(time::seconds(1));
+  EXPECT_EQ(b.successes, 1);
+  EXPECT_EQ(c.successes, 1);
+  EXPECT_EQ(a.grants, 0);
+}
+
 TEST(Medium, AttachRejectsDuplicatesAndNull) {
   Simulator sim;
   Medium medium(sim, MediumConfig{}, Rng(7));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -299,6 +301,41 @@ TEST(Mcs, PerGrowsWithFrameLength) {
   const Db snr = mcs::min_snr(idx) + 1.0;
   EXPECT_LT(mcs::packet_error_rate(idx, snr, 100),
             mcs::packet_error_rate(idx, snr, 3000));
+}
+
+// packet_error_rate as one expression, verbatim from before it was split
+// into PerCurve's SNR step and length step.
+double per_one_expression(McsIndex idx, Db snr, int mpdu_bytes) {
+  const double margin = snr - (mcs::min_snr(idx) - 1.0);
+  const double per_1500 = 1.0 / (1.0 + std::exp(1.35 * margin));
+  const double scale = std::max(1, mpdu_bytes) / 1500.0;
+  const double per = 1.0 - std::pow(1.0 - std::min(per_1500, 0.999), scale);
+  return std::clamp(per, 0.0, 1.0);
+}
+
+TEST(Mcs, PerSplitMatchesPacketErrorRate) {
+  std::vector<Db> snrs;
+  for (int q = -40; q <= 240; ++q) snrs.push_back(q * 0.25);  // -10..60 dB
+  snrs.push_back(std::numeric_limits<double>::infinity());
+  snrs.push_back(-std::numeric_limits<double>::infinity());
+  snrs.push_back(std::numeric_limits<double>::quiet_NaN());
+  // Repeats and returns exercise the last-length memo.
+  const int lengths[] = {-1, 0, 1, 40, 52, 1554, 3000, 3000, 40, 52, 52, 0};
+  for (int m = 0; m <= mcs::kMaxMcs; ++m) {
+    for (int nss = 1; nss <= mcs::kMaxNss; ++nss) {
+      const McsIndex idx{m, nss};
+      for (const Db snr : snrs) {
+        mcs::PerCurve curve(idx, snr);  // one per TXOP, as the datapath uses it
+        for (const int bytes : lengths) {
+          const auto want = std::bit_cast<std::uint64_t>(per_one_expression(idx, snr, bytes));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(curve.at(bytes)), want)
+              << "mcs " << m << " nss " << nss << " snr " << snr << " bytes " << bytes;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(mcs::packet_error_rate(idx, snr, bytes)),
+                    want);
+        }
+      }
+    }
+  }
 }
 
 TEST(Mcs, MaxRateTakesPairwiseMinimum) {

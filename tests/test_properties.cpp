@@ -144,8 +144,9 @@ TEST_P(FastAckStressSweep, FlowsAdvanceAndInvariantsHold) {
     EXPECT_LE(fs->seq_fack, fs->seq_exp);
     EXPECT_LE(fs->seq_exp, fs->seq_high);
     // Cache only holds un-client-acked bytes.
-    if (!fs->retx_cache.empty())
+    if (!fs->retx_cache.empty()) {
       EXPECT_GE(fs->retx_cache.begin()->second.seq_end(), fs->seq_tcp);
+    }
     // Every flow made real progress.
     const auto* rx = tb.client(0, c).receiver(flow);
     ASSERT_NE(rx, nullptr);

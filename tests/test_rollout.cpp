@@ -494,7 +494,9 @@ TEST(RolloutCoordinator, RadarMidRolloutRevertsAndPinsTheStruckAp) {
   // The struck AP stays on its fallback — the revert never re-targets it.
   EXPECT_EQ(rig.current[1], ch149);
   for (std::uint32_t ap = 0; ap < 6; ++ap) {
-    if (ap != 1) EXPECT_EQ(rig.current[ap], ch36) << "ap " << ap;
+    if (ap != 1) {
+      EXPECT_EQ(rig.current[ap], ch36) << "ap " << ap;
+    }
   }
   EXPECT_EQ(rig.replans, 1);
   // A later rollout covering the AP unpins it.

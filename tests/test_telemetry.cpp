@@ -31,7 +31,7 @@ TEST(LittleTable, SchemaEnforced) {
 TEST(LittleTable, UnknownColumnThrows) {
   auto t = two_col();
   t.insert(0, Time{0}, {1.0, 2.0});
-  EXPECT_THROW(t.aggregate_scalar("zzz", LittleTable::Agg::kSum, Time{0}, Time{1}),
+  EXPECT_THROW((void)t.aggregate_scalar("zzz", LittleTable::Agg::kSum, Time{0}, Time{1}),
                std::logic_error);
 }
 

@@ -154,8 +154,8 @@ TEST(ApDatapath, FiniteTransferCompletesEndToEnd) {
   cfg.warmup = time::millis(1);
   scenario::Testbed tb(cfg);
   // Replace unlimited flow with a finite one by driving the sender directly.
-  tb.simulator();  // (Testbed starts unlimited flows in run(); accept that
-                   // and simply verify deterministic delivery accounting.)
+  (void)tb.simulator();  // (Testbed starts unlimited flows in run(); accept that
+                         // and simply verify deterministic delivery accounting.)
   tb.run();
   const auto* rx = tb.client(0, 0).receiver(FlowId{0});
   ASSERT_NE(rx, nullptr);

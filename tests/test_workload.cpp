@@ -46,11 +46,15 @@ TEST(DevicePopulation, GrowthDirectionsMatchPaper) {
 
 TEST(DevicePopulation, ConsistencyInvariants) {
   for (const auto& c : population(Era::k2017, 5'000, 5)) {
-    if (c.standard == WifiStandard::k80211ac) EXPECT_TRUE(c.supports_5ghz);
-    if (c.standard == WifiStandard::k80211g)
+    if (c.standard == WifiStandard::k80211ac) {
+      EXPECT_TRUE(c.supports_5ghz);
+    }
+    if (c.standard == WifiStandard::k80211g) {
       EXPECT_EQ(c.max_width, ChannelWidth::MHz20);
-    if (c.standard == WifiStandard::k80211n)
+    }
+    if (c.standard == WifiStandard::k80211n) {
       EXPECT_LE(c.max_width, ChannelWidth::MHz40);
+    }
     EXPECT_GE(c.max_nss, 1);
     EXPECT_LE(c.max_nss, 3);
   }
