@@ -118,7 +118,8 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   const flowsim::ScanIndex index(std::move(scans),
                                  engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
-  ChannelPlan plan = hooks_.current_plan();
+  const ChannelPlan before = hooks_.current_plan();
+  ChannelPlan plan = before;
   bool improved = false;
   double netp = 0.0;
   for (int level : levels) {
@@ -130,7 +131,7 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   ++stats_.runs;
   stats_.last_netp_log = netp;
   if (improved) {
-    stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
+    stats_.channel_switches += count_switches(before, plan);
     ++stats_.plans_applied;
     hooks_.apply_plan(plan);
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "common/check.hpp"
 #include "phy/mcs.hpp"
@@ -24,6 +26,22 @@ double overlap_fraction(const Channel& a, const Channel& b) {
   return shared <= 0.0 ? 0.0 : shared / (a_hi - a_lo);
 }
 
+// overlap_fraction over catalog ordinals, row-major with stride
+// catalog_size().
+const double* overlap_fraction_table() {
+  static const std::vector<double> table = [] {
+    const std::size_t n = channels::catalog_size();
+    std::vector<double> t(n * n);
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t c = 0; c < n; ++c)
+        t[a * n + c] =
+            overlap_fraction(channels::by_ordinal(static_cast<int>(a)),
+                             channels::by_ordinal(static_cast<int>(c)));
+    return t;
+  }();
+  return table.data();
+}
+
 }  // namespace
 
 const ApMetrics& Evaluation::of(ApId id) const {
@@ -44,8 +62,7 @@ ApId Network::add_ap(Position pos, ChannelWidth max_width, Channel initial,
   node.channel = initial;
   node.dfs_capable = dfs_capable;
   aps_.push_back(std::move(node));
-  budget_valid_ = false;
-  eval_valid_ = false;
+  drop(Memo::kTopology);
   return aps_.back().id;
 }
 
@@ -58,20 +75,18 @@ StationId Network::add_client(ApId ap, Position pos, ClientCapability cap,
   cl.offered_mbps = offered_mbps;
   cl.base_offered_mbps = offered_mbps;
   ap_of_mut(ap).clients.push_back(std::move(cl));
-  budget_valid_ = false;
-  eval_valid_ = false;
+  drop(Memo::kTopology);
   return ap_of(ap).clients.back().id;
 }
 
 void Network::add_interferer(ExternalInterferer intf) {
   W11_CHECK(intf.channel.band == cfg_.band);
   interferers_.push_back(intf);
-  budget_valid_ = false;
-  eval_valid_ = false;
+  drop(Memo::kTopology);
 }
 
 void Network::scale_offered_load(double factor) {
-  eval_valid_ = false;
+  drop(Memo::kEvaluation);
   for (auto& ap : aps_) {
     for (auto& cl : ap.clients) {
       cl.offered_mbps *= factor;
@@ -81,13 +96,13 @@ void Network::scale_offered_load(double factor) {
 }
 
 void Network::set_load_factor(double factor) {
-  eval_valid_ = false;
+  drop(Memo::kEvaluation);
   for (auto& ap : aps_)
     for (auto& cl : ap.clients) cl.offered_mbps = cl.base_offered_mbps * factor;
 }
 
 void Network::set_client_load(ApId ap, double per_client_mbps) {
-  eval_valid_ = false;
+  drop(Memo::kEvaluation);
   for (auto& cl : ap_of_mut(ap).clients) {
     cl.offered_mbps = per_client_mbps;
     cl.base_offered_mbps = per_client_mbps;
@@ -96,7 +111,7 @@ void Network::set_client_load(ApId ap, double per_client_mbps) {
 
 // Channel and duty only: positions and powers, hence the budget, stay.
 void Network::mutate_interferers(Rng& rng) {
-  eval_valid_ = false;
+  drop(Memo::kInterferers);
   const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
   for (auto& intf : interferers_) {
     intf.channel = catalog[rng.index(catalog.size())];
@@ -117,7 +132,7 @@ int Network::apply_plan(const ChannelPlan& plan) {
     refresh_dfs_fallback(ap);
   }
   total_switches_ += switches;
-  if (switches > 0) eval_valid_ = false;
+  if (switches > 0) drop(Memo::kPlan);
   return switches;
 }
 
@@ -128,7 +143,7 @@ bool Network::apply_channel(ApId id, const Channel& to) {
     return false;
   }
   ap.channel = to;
-  eval_valid_ = false;
+  drop(Memo::kPlan);
   ++total_switches_;
   account_switch_disruption(ap);
   refresh_dfs_fallback(ap);
@@ -189,7 +204,7 @@ void Network::radar_event(ApId id) {
     refresh_dfs_fallback(ap);
   ap.channel = ap.dfs_fallback.value_or(
       Channel{cfg_.band, 36, ChannelWidth::MHz20});
-  eval_valid_ = false;
+  drop(Memo::kPlan);
   ++total_switches_;
   if (duplicate) {
     ++radar_duplicates_;
@@ -214,20 +229,33 @@ ApNode& Network::ap_of_mut(ApId id) {
   return aps_[id.value()];
 }
 
+void Network::drop(Memo level) {
+  const auto kept = static_cast<Memo>(static_cast<std::uint8_t>(level) - 1);
+  memo_ = std::min(memo_, kept);
+}
+
 const Network::LinkBudget& Network::budget() const {
-  if (budget_valid_) return budget_;
+  if (memo_ >= Memo::kTopology) return budget_;
   const std::size_t n = aps_.size();
   const std::size_t m = interferers_.size();
   LinkBudget& b = budget_;
-  b.ap_ap.assign(n * n, 0.0);
+  b.rx_mw.assign(n * n, 0.0);
+  b.cs_aps.assign(n, {});
+  // Row i gains its neighbours j < i from earlier rows, then j > i from its
+  // own, so every list comes out in ascending index order.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const Db loss = cfg_.prop.path_loss(aps_[i].pos, aps_[j].pos, cfg_.band);
-      b.ap_ap[i * n + j] = loss;
-      b.ap_ap[j * n + i] = loss;
+      const Dbm rssi = kApTxPowerDbm -
+                       cfg_.prop.path_loss(aps_[i].pos, aps_[j].pos, cfg_.band);
+      b.rx_mw[i * n + j] = b.rx_mw[j * n + i] = dbm_to_mw(rssi);
+      if (rssi > cfg_.cs_threshold) {
+        b.cs_aps[i].push_back(CsNeighbor{static_cast<std::uint32_t>(j), rssi});
+        b.cs_aps[j].push_back(CsNeighbor{static_cast<std::uint32_t>(i), rssi});
+      }
     }
   }
   b.clients.assign(n, {});
+  b.client_begin.assign(n + 1, 0);
   b.intf_ap.assign(n * m, 0.0);
   b.cs_interferers.assign(n, {});
   for (std::size_t i = 0; i < n; ++i) {
@@ -235,6 +263,7 @@ const Network::LinkBudget& Network::budget() const {
     for (const ClientNode& cl : ap.clients) {
       ClientLink link;
       link.loss = cfg_.prop.path_loss(ap.pos, cl.pos, cfg_.band);
+      link.mcs_cap = cl.cap.to_mcs_capability().max_mcs;
       // The efficiency denominator is the max rate "supported by both for a
       // particular association" (§4.6.2): associations are established at
       // the AP's *operating* width, so the metric is width-neutral and
@@ -249,6 +278,8 @@ const Network::LinkBudget& Network::budget() const {
       }
       b.clients[i].push_back(link);
     }
+    b.client_begin[i + 1] =
+        b.client_begin[i] + static_cast<std::uint32_t>(ap.clients.size());
     for (std::size_t k = 0; k < m; ++k) {
       const ExternalInterferer& intf = interferers_[k];
       const Db loss = cfg_.prop.path_loss(intf.pos, ap.pos, cfg_.band);
@@ -257,34 +288,84 @@ const Network::LinkBudget& Network::budget() const {
         b.cs_interferers[i].push_back(k);
     }
   }
-  budget_valid_ = true;
+  for (std::size_t w = 0; w < b.noise_mw.size(); ++w) {
+    const Dbm floor = cfg_.prop.noise_floor(static_cast<ChannelWidth>(w));
+    b.noise_mw[w] = dbm_to_mw(floor);
+    b.noise_dbm[w] = mw_to_dbm(b.noise_mw[w]);
+  }
+  memo_ = Memo::kTopology;
   return budget_;
 }
 
-bool Network::in_cs_range(const LinkBudget& b, std::size_t i,
-                          std::size_t j) const {
-  return kApTxPowerDbm - b.ap_ap[i * aps_.size() + j] > cfg_.cs_threshold;
-}
-
-Network::Contention Network::contention(const LinkBudget& b) const {
+const Network::PlanCache& Network::plan_cache() const {
+  if (memo_ >= Memo::kPlan) return plan_;
+  const LinkBudget& b = budget();
   const std::size_t n = aps_.size();
-  std::vector<int> ord(n);
-  for (std::size_t i = 0; i < n; ++i) ord[i] = channels::ordinal(aps_[i].channel);
+  PlanCache& p = plan_;
+  p.ord.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    p.ord[i] = channels::ordinal(aps_[i].channel);
   const auto overlap = [&](std::size_t i, std::size_t j) {
-    return ord[i] >= 0 && ord[j] >= 0
-               ? channels::overlaps_ordinal(ord[i], ord[j])
+    return p.ord[i] >= 0 && p.ord[j] >= 0
+               ? channels::overlaps_ordinal(p.ord[i], p.ord[j])
                : aps_[i].channel.overlaps(aps_[j].channel);
   };
-  Contention c;
-  c.cs.resize(n);
-  c.hidden.resize(n);
+  p.cs.assign(n, {});
+  p.hidden.assign(n, {});
   for (std::size_t i = 0; i < n; ++i) {
+    // Walk i's CS list alongside j: both ascend.
+    auto sensed = b.cs_aps[i].begin();
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || !overlap(i, j)) continue;
-      (in_cs_range(b, i, j) ? c.cs : c.hidden)[i].push_back(j);
+      if (j == i) continue;
+      const bool in_cs = sensed != b.cs_aps[i].end() && sensed->index == j;
+      if (in_cs) ++sensed;
+      if (!overlap(i, j)) continue;
+      (in_cs ? p.cs : p.hidden)[i].push_back(static_cast<std::uint32_t>(j));
     }
   }
-  return c;
+  p.rate0.clear();
+  p.rate0.reserve(b.client_begin[n]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ApNode& ap = aps_[i];
+    for (std::size_t c = 0; c < ap.clients.size(); ++c) {
+      const ClientNode& cl = ap.clients[c];
+      const ChannelWidth width = std::min(ap.channel.width, cl.cap.max_width);
+      // No interference: noise_mw + 0.0 is noise_mw, so its dBm is cached.
+      p.rate0.push_back(client_phy_rate(
+          cl, b.clients[i][c], width,
+          b.noise_dbm[static_cast<std::size_t>(width)],
+          static_cast<int>(p.cs[i].size())));
+    }
+  }
+  memo_ = Memo::kPlan;
+  return p;
+}
+
+const Network::InterfererCache& Network::interferer_cache() const {
+  if (memo_ >= Memo::kInterferers) return intf_;
+  const LinkBudget& b = budget();
+  (void)plan_cache();  // the levels fill in order
+  const std::size_t n = aps_.size();
+  const std::size_t m = interferers_.size();
+  InterfererCache& x = intf_;
+  x.ext.resize(n);
+  x.terms.assign(n, {});
+  for (std::size_t i = 0; i < n; ++i) {
+    const Channel& on = aps_[i].channel;
+    x.ext[i] = external_duty_at(b, i, on);
+    // External interferers beyond carrier-sense range still radiate into
+    // the cell and erode client SINR.
+    for (std::size_t k = 0; k < m; ++k) {
+      const ExternalInterferer& intf = interferers_[k];
+      if (!intf.channel.overlaps(on)) continue;
+      const Dbm p = intf.tx_power - b.intf_ap[i * m + k];
+      if (p > cfg_.cs_threshold) continue;  // in range -> serialized
+      x.terms[i].push_back(dbm_to_mw(p) * intf.duty_cycle *
+                           overlap_fraction(on, intf.channel));
+    }
+  }
+  memo_ = Memo::kInterferers;
+  return x;
 }
 
 double Network::external_duty_at(const LinkBudget& b, std::size_t i,
@@ -298,14 +379,11 @@ double Network::external_duty_at(const LinkBudget& b, std::size_t i,
   return std::min(duty, 1.0);
 }
 
-double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
-                                const ClientLink& link,
-                                double interference_mw,
+double Network::client_phy_rate(const ClientNode& cl, const ClientLink& link,
+                                ChannelWidth width, Dbm noise_intf_dbm,
                                 int cochannel_contenders) const {
-  const ChannelWidth width = std::min(ap.channel.width, cl.cap.max_width);
   const Dbm rssi = kApTxPowerDbm - link.loss;
-  const double noise_mw = dbm_to_mw(cfg_.prop.noise_floor(width));
-  const Db sinr = rssi - mw_to_dbm(noise_mw + interference_mw);
+  const Db sinr = rssi - noise_intf_dbm;
   // Rate controllers back off under contention: collisions and retries on
   // a crowded channel look like loss, so Minstrel-style adaptation settles
   // on lower MCS (§4.6.2's "reduce medium contention ... use higher bit
@@ -315,9 +393,8 @@ double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
   const int nss = std::min(3, cl.cap.max_nss);  // 3x3 APs
   const auto pick = mcs::select(sinr - 2.0 - contention_backoff, width, nss);
   if (!pick) return 6.0;  // floor: lowest legacy rate
-  const int mcs_cap = cl.cap.to_mcs_capability().max_mcs;
   McsIndex idx = *pick;
-  if (idx.mcs > mcs_cap) idx.mcs = mcs_cap;
+  if (idx.mcs > link.mcs_cap) idx.mcs = link.mcs_cap;
   return mcs::rate(idx, width, cl.cap.short_gi)
       .value_or(RateMbps{6.0})
       .mbps();
@@ -326,9 +403,9 @@ double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
 Evaluation Network::evaluate() const { return evaluation(); }
 
 const Evaluation& Network::evaluation() const {
-  if (!eval_valid_) {
+  if (memo_ < Memo::kEvaluation) {
     eval_ = solve();
-    eval_valid_ = true;
+    memo_ = Memo::kEvaluation;
   }
   return eval_;
 }
@@ -336,42 +413,60 @@ const Evaluation& Network::evaluation() const {
 Evaluation Network::solve() const {
   const std::size_t n = aps_.size();
   const LinkBudget& b = budget();
+  const PlanCache& p = plan_cache();
+  const InterfererCache& x = interferer_cache();
+  // CS-coupled, channel-overlapping neighborhoods for the current plan.
+  const auto& nbrs = p.cs;
+  const std::vector<double>& ext = x.ext;
   Evaluation ev;
   ev.per_ap.resize(n);
 
-  // CS-coupled, channel-overlapping neighborhoods for the current plan.
-  const Contention con = contention(b);
-  const auto& nbrs = con.cs;
-
-  std::vector<double> ext(n);
-  for (std::size_t i = 0; i < n; ++i)
-    ext[i] = external_duty_at(b, i, aps_[i].channel);
-
   // Two passes: rates -> airtime -> interference-adjusted rates -> airtime.
-  std::vector<double> demand(n), share(n);
-  std::vector<std::vector<double>> client_rate(n);
+  // An AP whose clients see no interference keeps its first-pass rates.
+  std::vector<double> demand(n), share(n), last(n), pressure(n);
   std::vector<double> client_intf_mw(n, 0.0);  // per-AP mean interference
-  std::vector<double> pressure(n);
+  std::vector<double> rate1(b.client_begin[n]);
+  const auto client_rates = [&](std::size_t i) {
+    const std::vector<double>& rates =
+        client_intf_mw[i] == 0.0 ? p.rate0 : rate1;
+    return std::span<const double>(rates).subspan(
+        b.client_begin[i], aps_[i].clients.size());
+  };
 
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < n; ++i) {
       const ApNode& ap = aps_[i];
-      client_rate[i].clear();
-      double d = 0.0;
-      for (std::size_t c = 0; c < ap.clients.size(); ++c) {
-        const ClientNode& cl = ap.clients[c];
-        const double rate =
-            client_phy_rate(ap, cl, b.clients[i][c], client_intf_mw[i],
-                            static_cast<int>(nbrs[i].size()));
-        client_rate[i].push_back(rate);
-        d += cl.offered_mbps / std::max(rate * cfg_.mac_efficiency, 1.0);
+      if (pass == 1 && client_intf_mw[i] != 0.0) {
+        // A client's width is at most the AP's, and clients of one width
+        // share one noise-plus-interference power.
+        std::array<double, 4> noise_intf_dbm{};
+        for (std::size_t w = 0; w <= static_cast<std::size_t>(ap.channel.width);
+             ++w)
+          noise_intf_dbm[w] = mw_to_dbm(b.noise_mw[w] + client_intf_mw[i]);
+        for (std::size_t c = 0; c < ap.clients.size(); ++c) {
+          const ClientNode& cl = ap.clients[c];
+          const ChannelWidth width =
+              std::min(ap.channel.width, cl.cap.max_width);
+          rate1[b.client_begin[i] + c] = client_phy_rate(
+              cl, b.clients[i][c], width,
+              noise_intf_dbm[static_cast<std::size_t>(width)],
+              static_cast<int>(nbrs[i].size()));
+        }
       }
+      const std::span<const double> rate = client_rates(i);
+      double d = 0.0;
+      for (std::size_t c = 0; c < ap.clients.size(); ++c)
+        d += ap.clients[c].offered_mbps /
+             std::max(rate[c] * cfg_.mac_efficiency, 1.0);
       demand[i] = std::min(d + 0.003 /*beacons & mgmt*/, 4.0);
       share[i] = std::min(demand[i], std::max(0.0, 1.0 - ext[i]));
     }
 
-    // Damped water-filling on neighborhood constraints.
+    // Damped water-filling on neighborhood constraints. Each iteration is
+    // a function of `share` alone, so once one leaves it bit-for-bit
+    // unchanged, so would every later one.
     for (int it = 0; it < cfg_.solver_iterations; ++it) {
+      last = share;
       std::fill(pressure.begin(), pressure.end(), 1.0);
       for (std::size_t k = 0; k < n; ++k) {
         double load = share[k] + ext[k];
@@ -388,35 +483,29 @@ Evaluation Network::solve() const {
                        ? share[i] * std::pow(pressure[i], 0.6)
                        : std::min(demand[i], share[i] * 1.08 + 1e-4);
       }
+      if (std::memcmp(last.data(), share.data(), n * sizeof(double)) == 0)
+        break;
     }
 
     if (pass == 0) {
       // Interference at clients from co-channel transmitters the serving AP
       // cannot carrier-sense (concurrent transmissions).
+      const double* frac = overlap_fraction_table();
+      const std::size_t n_ord = channels::catalog_size();
       for (std::size_t i = 0; i < n; ++i) {
+        if (aps_[i].clients.empty()) continue;
         double mw = 0.0;
-        if (aps_[i].clients.empty()) {
-          client_intf_mw[i] = 0.0;
-          continue;
-        }
         // Use the AP's own position as a proxy for its clients' locations.
         // CS neighbours are serialized by CSMA; only hidden APs interfere.
-        for (const std::size_t j : con.hidden[i]) {
-          const Dbm p = kApTxPowerDbm - b.ap_ap[j * n + i];
-          mw += dbm_to_mw(p) * share[j] *
-                overlap_fraction(aps_[i].channel, aps_[j].channel);
+        for (const std::size_t j : p.hidden[i]) {
+          const double f =
+              p.ord[i] >= 0 && p.ord[j] >= 0
+                  ? frac[static_cast<std::size_t>(p.ord[i]) * n_ord +
+                         static_cast<std::size_t>(p.ord[j])]
+                  : overlap_fraction(aps_[i].channel, aps_[j].channel);
+          mw += b.rx_mw[j * n + i] * share[j] * f;
         }
-        // External interferers beyond carrier-sense range still radiate
-        // into the cell and erode client SINR.
-        const std::size_t m = interferers_.size();
-        for (std::size_t k = 0; k < m; ++k) {
-          const ExternalInterferer& intf = interferers_[k];
-          if (!intf.channel.overlaps(aps_[i].channel)) continue;
-          const Dbm p = intf.tx_power - b.intf_ap[i * m + k];
-          if (p > cfg_.cs_threshold) continue;  // in range -> serialized
-          mw += dbm_to_mw(p) * intf.duty_cycle *
-                overlap_fraction(aps_[i].channel, intf.channel);
-        }
+        for (const double term : x.terms[i]) mw += term;
         client_intf_mw[i] = mw;
       }
     }
@@ -440,13 +529,15 @@ Evaluation Network::solve() const {
         demand[i] > 1e-9 ? std::min(1.0, share[i] / demand[i]) : 1.0;
     m.throughput_mbps = offered * fulfil;
 
+    const std::span<const double> rate = client_rates(i);
     double rate_sum = 0.0, eff_sum = 0.0;
+    m.client_efficiency.reserve(ap.clients.size());
     for (std::size_t c = 0; c < ap.clients.size(); ++c) {
-      const double rate = client_rate[i][c];
-      rate_sum += rate;
+      rate_sum += rate[c];
       const double max_rate =
           b.clients[i][c].max_rate[static_cast<std::size_t>(ap.channel.width)];
-      const double eff = max_rate > 0.0 ? std::min(1.0, rate / max_rate) : 0.0;
+      const double eff =
+          max_rate > 0.0 ? std::min(1.0, rate[c] / max_rate) : 0.0;
       m.client_efficiency.push_back(eff);
       eff_sum += eff;
     }
@@ -498,12 +589,11 @@ std::vector<ApScan> Network::scan() const {
       s.load_by_width[w] += 1.0 + cl.offered_mbps / 5.0;
     }
 
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || !in_cs_range(b, i, j)) continue;
-      s.neighbors.push_back(
-          NeighborReport{aps_[j].id, kApTxPowerDbm - b.ap_ap[j * n + i]});
-    }
+    s.neighbors.reserve(b.cs_aps[i].size());
+    for (const CsNeighbor& nb : b.cs_aps[i])
+      s.neighbors.push_back(NeighborReport{aps_[nb.index].id, nb.rssi});
 
+    s.quality.reserve(catalog.size());
     for (const Channel& comp : catalog) {
       double u = external_duty_at(b, i, comp);
       if (cfg_.scan_noise_sigma > 0.0 && u > 0.0) {
@@ -567,7 +657,7 @@ Samples Network::sample_utilization(const Evaluation& ev) const {
 
 Samples Network::sample_cochannel_interferers() const {
   Samples out;
-  for (const auto& cs : contention(budget()).cs)
+  for (const auto& cs : plan_cache().cs)
     out.add(static_cast<double>(cs.size()));
   return out;
 }

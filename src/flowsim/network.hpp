@@ -19,6 +19,7 @@
 // plans are evaluated by an independent model, avoiding circularity.
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
@@ -80,9 +81,9 @@ struct Evaluation {
 };
 
 // Single-threaded: scan() draws measurement noise from the network's own
-// Rng, the first measurement after a topology change fills the link budget
-// and the first after any state change fills the evaluation memo, so const
-// calls on one Network must not run concurrently.
+// Rng, and the first measurement after a mutation refills the memos the
+// mutation dropped, so const calls on one Network must not run
+// concurrently.
 class Network {
  public:
   struct Config {
@@ -106,10 +107,9 @@ class Network {
   explicit Network(Config cfg);
 
   // --- topology ----------------------------------------------------------
-  // Positions never move once added, so every add_* only invalidates the
-  // link budget; the next measurement rebuilds it. Every mutator below
-  // (and apply_plan/apply_channel when a channel changes, radar_event)
-  // drops the memoised evaluation.
+  // Positions never move once added. Each mutator below (and
+  // apply_plan/apply_channel when a channel changes, radar_event) drops the
+  // memos that depend on what it changed; see Memo.
   ApId add_ap(Position pos, ChannelWidth max_width, Channel initial,
               bool dfs_capable = true);
   StationId add_client(ApId ap, Position pos, ClientCapability cap,
@@ -204,52 +204,86 @@ class Network {
   // §4.3.1 disruption accounting for one AP's active clients after a switch.
   void account_switch_disruption(const ApNode& ap);
 
-  // Everything that depends only on positions and transmit powers, in
-  // path-loss dB from PropagationModel::path_loss. Readers form RSSI as
-  // `tx - loss`, the expression PropagationModel::rssi evaluates, so every
-  // derived value is bit-identical to computing the link afresh.
+  // Inputs to solve() memoised at the level where they change (DESIGN.md
+  // §9). Each level depends on every level before it, so a mutation drops
+  // its own level and all later ones; the next measurement refills them in
+  // order. Every cached value is the expression the solver would evaluate
+  // afresh, so a refill changes no output bit.
+  enum class Memo : std::uint8_t {
+    kNone,
+    kTopology,     // LinkBudget: add_* drops it
+    kPlan,         // PlanCache: a channel change, radar_event
+    kInterferers,  // InterfererCache: mutate_interferers
+    kEvaluation,   // eval_: any load change
+  };
+  void drop(Memo level);
+
+  // Per topology: positions, transmit powers and client capabilities.
   struct ClientLink {
-    Db loss = 0.0;  // AP <-> client
+    Db loss = 0.0;    // AP <-> client path loss
+    int mcs_cap = 0;  // the client's highest MCS
     // mcs::max_rate of the association at each AP operating width, indexed
     // by ChannelWidth (the §4.6.2 efficiency denominator).
     std::array<double, 4> max_rate{};
   };
+  struct CsNeighbor {
+    std::uint32_t index;  // an AP this AP carrier-senses
+    Dbm rssi;             // kApTxPowerDbm - path loss, as scans report it
+  };
   struct LinkBudget {
-    std::vector<Db> ap_ap;  // n x n, row-major (path loss is symmetric)
+    // n x n, row-major, symmetric: dbm_to_mw(kApTxPowerDbm - path loss).
+    std::vector<double> rx_mw;
+    std::vector<std::vector<CsNeighbor>> cs_aps;  // ascending index
     std::vector<std::vector<ClientLink>> clients;  // [ap][client]
-    std::vector<Db> intf_ap;  // [ap * interferers + k]
+    // AP i's clients own [client_begin[i], client_begin[i + 1]) of the
+    // flat per-client arrays (PlanCache::rate0 and solve()'s).
+    std::vector<std::uint32_t> client_begin;
+    std::vector<Db> intf_ap;  // [ap * interferers + k], path loss
     // Interferers each AP carrier-senses, ascending index.
     std::vector<std::vector<std::size_t>> cs_interferers;
+    // Thermal noise per ChannelWidth in mW, and that power back in dBm.
+    std::array<double, 4> noise_mw{};
+    std::array<double, 4> noise_dbm{};
   };
-  // Co-channel APs under the current plan, ascending index: CS neighbours
-  // share airtime; hidden ones (out of CS range) interfere at the clients.
-  struct Contention {
-    std::vector<std::vector<std::size_t>> cs;
-    std::vector<std::vector<std::size_t>> hidden;
+  // Per plan: co-channel APs (ascending index) — CS neighbours share
+  // airtime, hidden ones (out of CS range) interfere at the clients — each
+  // AP's channel ordinal (-1 outside the catalog), and the client rates of
+  // the solver's first pass, which sees no interference.
+  struct PlanCache {
+    std::vector<std::vector<std::uint32_t>> cs;
+    std::vector<std::vector<std::uint32_t>> hidden;
+    std::vector<int> ord;
+    std::vector<double> rate0;  // flat, by LinkBudget::client_begin
+  };
+  // Per interferer state and plan: each AP's external duty on its own
+  // channel, and the interference terms of the overlapping interferers it
+  // cannot carrier-sense, in ascending interferer order.
+  struct InterfererCache {
+    std::vector<double> ext;
+    std::vector<std::vector<double>> terms;
   };
 
-  // The budget for the current topology, built on first use after add_*.
   [[nodiscard]] const LinkBudget& budget() const;
-  // The evaluation of the current state, solved on first use after a
-  // mutation (every mutator clears eval_valid_).
+  [[nodiscard]] const PlanCache& plan_cache() const;
+  [[nodiscard]] const InterfererCache& interferer_cache() const;
   [[nodiscard]] const Evaluation& evaluation() const;
   [[nodiscard]] Evaluation solve() const;
-  [[nodiscard]] bool in_cs_range(const LinkBudget& b, std::size_t i,
-                                 std::size_t j) const;
-  [[nodiscard]] Contention contention(const LinkBudget& b) const;
   [[nodiscard]] double external_duty_at(const LinkBudget& b, std::size_t i,
                                         const Channel& on) const;
-  [[nodiscard]] double client_phy_rate(const ApNode& ap, const ClientNode& cl,
+  // Client PHY rate at SINR `rssi - noise_intf_dbm` on `width`.
+  [[nodiscard]] double client_phy_rate(const ClientNode& cl,
                                        const ClientLink& link,
-                                       double interference_mw,
+                                       ChannelWidth width,
+                                       Dbm noise_intf_dbm,
                                        int cochannel_contenders) const;
 
   Config cfg_;
   mutable Rng rng_;
+  mutable Memo memo_ = Memo::kNone;  // the deepest level that is valid
   mutable LinkBudget budget_;
-  mutable bool budget_valid_ = false;
+  mutable PlanCache plan_;
+  mutable InterfererCache intf_;
   mutable Evaluation eval_;
-  mutable bool eval_valid_ = false;
   std::vector<ApNode> aps_;
   std::vector<ExternalInterferer> interferers_;
   int total_switches_ = 0;

@@ -8,7 +8,10 @@
 // sources, client load bucketed by supported channel width, and channel
 // quality (non-WiFi interference).
 
+#include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -17,6 +20,55 @@
 #include "phy/channel.hpp"
 
 namespace w11 {
+
+// A spectrum field of a scan: (key, value) pairs kept sorted by key in one
+// vector. It offers the std::map subset the fields' users call, with the
+// same key-ordered iteration, so every sum and digest over a field folds
+// the same values in the same order a map would. A scan carries a few
+// entries per field (at most one per 20 MHz channel), where a vector costs
+// one allocation and a map one node per entry.
+//
+// Keys must not be changed through iteration; values may.
+template <class Key>
+class SpectrumMap {
+ public:
+  using value_type = std::pair<Key, double>;
+  using iterator = typename std::vector<value_type>::iterator;
+  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+  // The value stored under `key`, inserted as 0.0 if absent.
+  double& operator[](Key key) {
+    const auto it =
+        std::ranges::lower_bound(items_, key, {}, &value_type::first);
+    if (it != items_.end() && it->first == key) return it->second;
+    return items_.insert(it, value_type{key, 0.0})->second;
+  }
+  [[nodiscard]] const_iterator find(Key key) const {
+    const auto it =
+        std::ranges::lower_bound(items_, key, {}, &value_type::first);
+    return it != items_.end() && it->first == key ? it : items_.end();
+  }
+  [[nodiscard]] const double& at(Key key) const {
+    const auto it = find(key);
+    if (it == items_.end()) throw std::out_of_range("SpectrumMap::at");
+    return it->second;
+  }
+  [[nodiscard]] bool contains(Key key) const { return find(key) != end(); }
+  void clear() { items_.clear(); }
+  void reserve(std::size_t n) { items_.reserve(n); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+
+  [[nodiscard]] iterator begin() { return items_.begin(); }
+  [[nodiscard]] iterator end() { return items_.end(); }
+  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
+  [[nodiscard]] const_iterator end() const { return items_.end(); }
+
+  // Equal keys with equal values: an absent key differs from a stored 0.0.
+  friend bool operator==(const SpectrumMap&, const SpectrumMap&) = default;
+
+ private:
+  std::vector<value_type> items_;
+};
 
 struct NeighborReport {
   ApId id;
@@ -37,7 +89,7 @@ struct ApScan {
   // load(b) of the NodeP formula: weight per channel-width class, driven by
   // the number of associated clients whose maximum width is b and their
   // usage (§4.4.1).
-  std::map<ChannelWidth, double> load_by_width;
+  SpectrumMap<ChannelWidth> load_by_width;
 
   // Same-network APs within carrier-sense range (any channel — the
   // scanning radio dwells on every channel).
@@ -45,10 +97,10 @@ struct ApScan {
 
   // Utilization from non-network sources per 20 MHz component channel
   // number (external APs, non-WiFi interferers).
-  std::map<int, double> external_util;
+  SpectrumMap<int> external_util;
 
   // Channel quality per 20 MHz component in (0, 1]; 1 = clean.
-  std::map<int, double> quality;
+  SpectrumMap<int> quality;
 
   // Measured utilization on the current channel (drives the §4.5.1
   // high-utilization switch-penalty rule).

@@ -16,12 +16,12 @@
 namespace w11::flowsim {
 
 // FNV-1a over the scan fields the aggregate row depends on (the
-// external_util and quality maps — compute_stats reads nothing else).
-// std::map iteration is key-ordered, so equal content hashes equally
+// external_util and quality fields — compute_stats reads nothing else).
+// SpectrumMap iteration is key-ordered, so equal content hashes equally
 // regardless of insertion history.
 std::uint64_t ScanStatsCache::content_hash(const ApScan& s) {
   std::uint64_t h = fnv::kTruncatedOffsetBasis;
-  auto mix_map = [&h](const std::map<int, double>& m) {
+  auto mix_map = [&h](const SpectrumMap<int>& m) {
     fnv::mix_value(h, m.size());
     for (const auto& [k, v] : m) {
       fnv::mix_value(h, k);
@@ -59,7 +59,7 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
     }
     r.nbr_end = static_cast<std::uint32_t>(nbr_flat_.size());
 
-    // load(b) per assigned channel width, accumulated in the same (map)
+    // load(b) per assigned channel width, accumulated in the same (key)
     // order the reference metric iterates so sums are bit-identical.
     r.total_load = s.total_load();
     for (int cw = 0; cw < 4; ++cw) {

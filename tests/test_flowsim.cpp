@@ -4,10 +4,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/fnv.hpp"
 #include "core/turboca/service.hpp"
+#include "fleet/delta.hpp"
 #include "flowsim/network.hpp"
+#include "flowsim/scan_index.hpp"
 #include "workload/topology.hpp"
 #include "workload/traffic.hpp"
 
@@ -600,6 +605,114 @@ TEST(Flowsim, EvaluationFollowsEveryMutator) {
         << name << " does not move the measurement";
     EXPECT_EQ(measurement_digest(memoised), measurement_digest(cold)) << name;
   }
+
+  // Every ordered pair, measured between the two mutations: a cache that
+  // the first mutator refills must still be dropped by the second.
+  for (const auto& [first_name, first] : mutators) {
+    for (const auto& [second_name, second] : mutators) {
+      Network measured = build();
+      Network cold = build();
+      first(measured);
+      (void)measurement_digest(measured);
+      second(measured);
+      first(cold);
+      second(cold);
+      EXPECT_EQ(measurement_digest(measured), measurement_digest(cold))
+          << first_name << " then " << second_name;
+    }
+  }
+
+  // A plan that switches nothing keeps every cache and every output bit.
+  Network net = build();
+  const std::uint64_t before = measurement_digest(net);
+  EXPECT_EQ(net.apply_plan(net.current_plan()), 0);
+  EXPECT_EQ(net.apply_plan({{b, ch36}}), 0);
+  EXPECT_EQ(measurement_digest(net), before);
+}
+
+TEST(ScanStatsCache, ContentHashIsPinned) {
+  // The cache key folds each spectrum field's size, then its (channel,
+  // value) pairs in ascending channel order, so insertion order and the
+  // container behind the fields cannot move it.
+  ApScan scan;
+  scan.external_util[149] = 0.25;
+  scan.external_util[52] = 0.5;
+  scan.external_util[36] = 0.125;
+  const auto catalog = channels::us_catalog(Band::G5, ChannelWidth::MHz20);
+  ASSERT_EQ(catalog.size(), 25u);
+  for (std::size_t k = 0; k < catalog.size(); ++k) {
+    const Channel& c = catalog[(k * 7) % catalog.size()];  // out of order
+    scan.quality[c.number] = 1.0 - 0.003 * c.number;
+  }
+  EXPECT_EQ(flowsim::ScanStatsCache::content_hash(scan),
+            0x736065fac2aacd5cULL);
+  EXPECT_EQ(flowsim::ScanStatsCache::content_hash(ApScan{}),
+            0xa31e272015f12c43ULL);
+}
+
+TEST(SpectrumMap, IteratesInAscendingKeyOrder) {
+  SpectrumMap<int> util;
+  for (const int ch : {149, 36, 100, 52, 36, 165, 40}) util[ch] += 0.25;
+  const std::vector<std::pair<int, double>> want = {
+      {36, 0.5}, {40, 0.25}, {52, 0.25}, {100, 0.25}, {149, 0.25}, {165, 0.25}};
+  const std::vector<std::pair<int, double>> got(util.begin(), util.end());
+  EXPECT_EQ(got, want);
+
+  SpectrumMap<ChannelWidth> load;
+  load[ChannelWidth::MHz80] = 3.0;
+  load[ChannelWidth::MHz20] = 1.0;
+  load[ChannelWidth::MHz40] = 2.0;
+  double expect = 1.0;
+  for (const auto& [w, l] : load) {
+    EXPECT_EQ(l, expect) << to_string(w);
+    expect += 1.0;
+  }
+}
+
+TEST(SpectrumMap, LookupsOfAbsentKeysFindNothing) {
+  SpectrumMap<int> util;
+  EXPECT_EQ(util.find(36), util.end());
+  EXPECT_FALSE(util.contains(36));
+  EXPECT_THROW((void)util.at(36), std::out_of_range);
+
+  util[52] = 0.5;
+  util[100] = 0.75;
+  for (const int absent : {36, 60, 165}) {  // before, between, after
+    EXPECT_EQ(util.find(absent), util.end()) << absent;
+    EXPECT_FALSE(util.contains(absent)) << absent;
+    EXPECT_THROW((void)util.at(absent), std::out_of_range) << absent;
+  }
+  EXPECT_EQ(util.size(), 2u) << "a lookup must not insert";
+  EXPECT_EQ(util.find(100)->second, 0.75);
+  EXPECT_EQ(util.at(52), 0.5);
+  EXPECT_TRUE(util.contains(52));
+  util.clear();
+  EXPECT_EQ(util.size(), 0u);
+  EXPECT_FALSE(util.contains(52));
+}
+
+TEST(SpectrumMap, EqualityTellsAnAbsentKeyFromAStoredZero) {
+  SpectrumMap<int> a;
+  SpectrumMap<int> b;
+  a[36] = 0.1;
+  b[36] = 0.1;
+  EXPECT_EQ(a, b);
+  b[40] = 0.0;
+  EXPECT_NE(a, b);
+  (void)a[40];  // inserts 0.0
+  EXPECT_EQ(a, b);
+
+  // The delta differ relies on it: a scan that gains a 0.0 entry changed.
+  ApScan base;
+  base.id = ApId{7};
+  base.external_util[36] = 0.2;
+  ApScan next = base;
+  next.external_util[44] = 0.0;
+  const fleet::DeltaEpoch d =
+      fleet::diff_epochs({base}, {next}, Time{1}, Time{2});
+  ASSERT_EQ(d.updated.size(), 1u);
+  EXPECT_EQ(d.updated[0].external_util, next.external_util);
+  EXPECT_TRUE(fleet::diff_epochs({base}, {base}, Time{1}, Time{2}).empty());
 }
 
 }  // namespace

@@ -27,7 +27,8 @@ RUN = [sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
 
 # workload -> witness fields that must appear verbatim on its witness line.
 WITNESSES = {
-    "planning_day": ["plan_digest=0xfb968cb0fae97c4f"],
+    "planning_day": ["plan_digest=0xfb968cb0fae97c4f",
+                     "mnet_peak_gain_pct=29.141870393055395"],
     "testbed_fig16": ["sim.events=7839939", "aggregate_mbps=2088.543626666667"],
     "fleet_cycle": ["first_tick_digest=0x14b9a43f50cca8b2",
                     "plan_digest=0xe4ce48a1db0a5298"],
