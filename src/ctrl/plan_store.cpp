@@ -35,17 +35,12 @@ const PlanVersion* PlanStore::last_known_good() const {
 void PlanStore::evict() {
   while (history_.size() > max_history_) {
     // Never evict the last-known-good: auto-revert must always have a
-    // target, no matter how many candidates churned past it.
-    if (history_.front().version == good_) {
-      if (history_.size() == 1) return;
-      // Pin the good version by rotating it past the next-oldest entry.
-      PlanVersion pinned = std::move(history_.front());
-      history_.pop_front();
-      history_.pop_front();  // the actual eviction victim
-      history_.push_front(std::move(pinned));
-    } else {
-      history_.pop_front();
-    }
+    // target, no matter how many candidates churned past it. A pinned good
+    // version takes the slot of the next-oldest entry, the actual victim.
+    if (history_.front().version == good_)
+      history_[1] = std::move(history_.front());
+    history_.front().plan.clear();  // now, not when a push reuses the slot
+    history_.pop_front();
   }
 }
 

@@ -12,8 +12,8 @@
 // and auto-revert targets whatever was good before the rollout started.
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.hpp"
 #include "common/time.hpp"
 #include "flowsim/scan.hpp"
 
@@ -53,7 +53,7 @@ class PlanStore {
   std::size_t max_history_;
   std::uint64_t next_ = 1;
   std::uint64_t good_ = 0;  // 0 = none yet
-  std::deque<PlanVersion> history_;  // ascending by version
+  common::RingFifo<PlanVersion> history_;  // ascending by version
 };
 
 }  // namespace w11::ctrl

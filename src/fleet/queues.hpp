@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
+#include "common/ring.hpp"
 
 namespace w11::fleet {
 
@@ -26,35 +26,35 @@ struct QueueStats {
   std::uint64_t high_water = 0; // max resident size observed at push
 };
 
-// Ring of `capacity` slots; push and pop are O(1).
+// The reject-and-count policy on a common::RingFifo of `capacity` slots,
+// all allocated up front; push and pop are O(1).
 template <class T>
 class BoundedFifo {
  public:
-  explicit BoundedFifo(std::size_t capacity) : slots_(capacity) {
+  explicit BoundedFifo(std::size_t capacity) {
     W11_CHECK_MSG(capacity > 0, "a bounded queue needs capacity >= 1");
+    items_.reserve(capacity);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return items_.capacity(); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
 
   // False (and one rejection counted) when full.
   bool try_push(T v) {
-    if (size_ == slots_.size()) {
+    if (items_.size() == items_.capacity()) {
       ++stats_.rejected;
       return false;
     }
-    slots_[(head_ + size_) % slots_.size()] = std::move(v);
-    ++size_;
+    items_.push_back(std::move(v));
     ++stats_.pushed;
-    stats_.high_water = std::max<std::uint64_t>(stats_.high_water, size_);
+    stats_.high_water = std::max<std::uint64_t>(stats_.high_water, size());
     return true;
   }
 
   [[nodiscard]] std::optional<T> try_pop() {
-    if (size_ == 0) return std::nullopt;
-    std::optional<T> out(std::move(slots_[head_]));
-    head_ = (head_ + 1) % slots_.size();
-    --size_;
+    if (items_.empty()) return std::nullopt;
+    std::optional<T> out(std::move(items_.front()));
+    items_.pop_front();
     ++stats_.popped;
     return out;
   }
@@ -62,9 +62,7 @@ class BoundedFifo {
   [[nodiscard]] QueueStats stats() const { return stats_; }
 
  private:
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  common::RingFifo<T> items_;  // never grows: try_push rejects when full
   QueueStats stats_;
 };
 

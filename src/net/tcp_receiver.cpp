@@ -6,7 +6,7 @@
 
 namespace w11 {
 
-TcpReceiver::TcpReceiver(Simulator& sim, FlowId flow, Config cfg, AckFn send_ack)
+TcpReceiver::TcpReceiver(Simulator& sim, FlowId flow, Config cfg, SegmentSink send_ack)
     : sim_(sim),
       flow_(flow),
       cfg_(cfg),

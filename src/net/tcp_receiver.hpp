@@ -8,7 +8,6 @@
 // bytes occupy the buffer — matching a saturating download client.
 
 #include <cstdint>
-#include <functional>
 
 #include "common/ids.hpp"
 #include "common/seq_containers.hpp"
@@ -34,9 +33,7 @@ class TcpReceiver {
     std::uint64_t dup_acks_sent = 0;
   };
 
-  using AckFn = std::function<void(TcpSegment)>;
-
-  TcpReceiver(Simulator& sim, FlowId flow, Config cfg, AckFn send_ack);
+  TcpReceiver(Simulator& sim, FlowId flow, Config cfg, SegmentSink send_ack);
   TcpReceiver(const TcpReceiver&) = delete;
   TcpReceiver& operator=(const TcpReceiver&) = delete;
 
@@ -53,7 +50,7 @@ class TcpReceiver {
   Simulator& sim_;
   FlowId flow_;
   Config cfg_;
-  AckFn send_ack_;
+  SegmentSink send_ack_;
 
   std::uint64_t rcv_nxt_ = 0;
   // Out-of-order byte ranges held in the buffer, as merged disjoint

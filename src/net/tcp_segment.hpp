@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 
 #include "common/ids.hpp"
@@ -88,6 +89,9 @@ struct TcpSegment {
 // queues by the million; trivial copyability is what makes those moves
 // memcpy-class and lets the flat containers relocate entries freely.
 static_assert(std::is_trivially_copyable_v<TcpSegment>);
+
+// Where a segment is handed on: a wire, an AP's uplink or a TCP endpoint.
+using SegmentSink = std::function<void(TcpSegment)>;
 
 // Helper: cumulative-ACK comparison — does `ack_no` acknowledge `seq_end`?
 [[nodiscard]] constexpr bool acks_through(std::uint64_t ack_no, std::uint64_t seq_end) {

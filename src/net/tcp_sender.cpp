@@ -14,7 +14,7 @@ constexpr double kCubicC = 0.4;
 }  // namespace
 
 TcpSender::TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg,
-                     SendFn send)
+                     SegmentSink send)
     : sim_(sim),
       flow_(flow),
       dst_(dst),

@@ -9,7 +9,6 @@
 // only lengths and sequence numbers are simulated.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -48,9 +47,7 @@ class TcpSender {
     std::uint64_t zero_window_probes = 0;
   };
 
-  using SendFn = std::function<void(TcpSegment)>;
-
-  TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg, SendFn send);
+  TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg, SegmentSink send);
   TcpSender(const TcpSender&) = delete;
   TcpSender& operator=(const TcpSender&) = delete;
 
@@ -104,7 +101,7 @@ class TcpSender {
   FlowId flow_;
   StationId dst_;
   Config cfg_;
-  SendFn send_;
+  SegmentSink send_;
 
   Bytes total_{};        // 0 = unlimited
   bool started_ = false;

@@ -10,10 +10,8 @@
 // it, and only the front segment has an event queued — its delivery at the
 // end of serialization + propagation (DESIGN.md §11).
 
-#include <functional>
-
 #include "common/check.hpp"
-#include "common/ring_fifo.hpp"
+#include "common/ring.hpp"
 #include "common/units.hpp"
 #include "net/tcp_segment.hpp"
 #include "sim/simulator.hpp"
@@ -22,15 +20,13 @@ namespace w11 {
 
 class WiredLink {
  public:
-  using DeliverFn = std::function<void(TcpSegment)>;
-
   struct Config {
     RateMbps rate{1000.0};           // 1 GbE by default
     Time propagation = time::micros(100);
     std::size_t queue_packets = 2048; // FIFO capacity; 0 = unlimited
   };
 
-  WiredLink(Simulator& sim, Config cfg, DeliverFn deliver)
+  WiredLink(Simulator& sim, Config cfg, SegmentSink deliver)
       : sim_(sim), cfg_(cfg), deliver_(std::move(deliver)) {
     W11_CHECK(deliver_ != nullptr);
   }
@@ -69,8 +65,8 @@ class WiredLink {
 
   Simulator& sim_;
   Config cfg_;
-  DeliverFn deliver_;
-  RingFifo<Slot> fifo_;   // ascending start; the front has always started
+  SegmentSink deliver_;
+  common::RingFifo<Slot> fifo_;  // ascending start; the front has always started
   Time free_at_{};         // when the NIC finishes the last segment
   bool up_ = true;
   std::uint64_t delivered_ = 0;

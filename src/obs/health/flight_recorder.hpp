@@ -21,7 +21,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/bounded_ring.hpp"
+#include "common/ring.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

@@ -16,14 +16,13 @@
 //   * One writer per recorder: record() appends to the ring without a
 //     lock, and merged()/exports read it once the run has stopped writing.
 //
-// The ring is a common::BoundedRing: overflow evicts the oldest event and
-// counts it (dropped()), never blocks, and storage grows with use, so an
-// unattached recorder allocates nothing.
+// The ring is a common::BoundedRing (common/ring.hpp): overflow evicts and
+// counts the oldest event, and an unattached recorder allocates nothing.
 
 #include <cstdint>
 #include <vector>
 
-#include "common/bounded_ring.hpp"
+#include "common/ring.hpp"
 #include "common/time.hpp"
 
 namespace w11::obs {
@@ -140,7 +139,6 @@ struct TraceEvent {
   friend constexpr bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-// The recorder's bounded ring (common::BoundedRing).
 using TraceRing = common::BoundedRing<TraceEvent>;
 
 class ScopedSpan;

@@ -17,13 +17,12 @@
 // §4.6.2), per-client A-MPDU sizes (Fig. 15), and per-AC loss.
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/ring_fifo.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/seq_containers.hpp"
 #include "common/stats.hpp"
@@ -72,15 +71,13 @@ class AccessPoint {
     std::uint64_t segments_forwarded = 0;
   };
 
-  using WireOutFn = std::function<void(TcpSegment)>;
-
   AccessPoint(Simulator& sim, mac::Medium& medium, Config cfg, Rng rng);
   ~AccessPoint();
   AccessPoint(const AccessPoint&) = delete;
   AccessPoint& operator=(const AccessPoint&) = delete;
 
   // Upstream path toward the TCP sender(s).
-  void set_wire_out(WireOutFn fn) { wire_out_ = std::move(fn); }
+  void set_wire_out(SegmentSink fn) { wire_out_ = std::move(fn); }
   // Install / remove the FastACK agent.
   void set_interceptor(TcpInterceptor* agent) { interceptor_ = agent; }
 
@@ -125,7 +122,7 @@ class AccessPoint {
   struct ClientCtx {
     ClientStation* station = nullptr;
     std::unique_ptr<RateController> rc;
-    std::array<RingFifo<QueuedMpdu>, 4> queues;
+    std::array<common::RingFifo<QueuedMpdu>, 4> queues;
     Samples ampdu_sizes;
     bool udp_saturate = false;
     Bytes udp_payload{1470};
@@ -168,7 +165,7 @@ class AccessPoint {
   mac::Medium& medium_;
   Config cfg_;
   Rng rng_;
-  WireOutFn wire_out_;
+  SegmentSink wire_out_;
   TcpInterceptor* interceptor_ = nullptr;
 
   std::array<std::unique_ptr<AcQueue>, 4> ac_queues_;

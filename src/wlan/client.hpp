@@ -13,7 +13,7 @@
 #include <unordered_map>
 
 #include "common/ids.hpp"
-#include "common/ring_fifo.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "mac/aggregation.hpp"
@@ -89,7 +89,7 @@ class ClientStation : public mac::Contender {
   std::unique_ptr<RateController> uplink_rc_;
 
   std::unordered_map<FlowId, std::unique_ptr<TcpReceiver>> receivers_;
-  RingFifo<PendingAck> uplink_;
+  common::RingFifo<PendingAck> uplink_;
   std::vector<PendingAck> in_flight_;  // batch for the current TXOP
   std::vector<PendingAck> retries_;    // end_txop scratch
   RateController::Decision txop_decision_{};

@@ -1,4 +1,6 @@
-// Unit tests for common/: strong types, statistics, RNG, BoundedRing.
+// Unit tests for common/: strong types, statistics, RNG, and the one ring
+// storage (RingFifo) with its oldest-evicting policy (BoundedRing). The
+// reject-and-count policy, fleet::BoundedFifo, is tested in test_fleet.cpp.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +11,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/bounded_ring.hpp"
 #include "common/check.hpp"
-#include "common/ring_fifo.hpp"
 #include "common/ids.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table_printer.hpp"
@@ -520,7 +521,7 @@ TEST(BoundedRing, TraversalAndBackFollowTheNewestEntry) {
 // ------------------------------------------------------------ RingFifo --
 
 // Pops the whole ring front-first into a vector.
-std::vector<int> drain(RingFifo<int>& q) {
+std::vector<int> drain(common::RingFifo<int>& q) {
   std::vector<int> out;
   while (!q.empty()) {
     out.push_back(q.front());
@@ -530,7 +531,7 @@ std::vector<int> drain(RingFifo<int>& q) {
 }
 
 TEST(RingFifo, PushFrontAcrossTheWrap) {
-  RingFifo<int> q;
+  common::RingFifo<int> q;
   q.push_back(0);
   q.push_back(1);  // slots 0 and 1 of the first 4
   q.push_front(-1);  // the front wraps below slot 0 to slot 3
@@ -543,7 +544,7 @@ TEST(RingFifo, PushFrontAcrossTheWrap) {
 }
 
 TEST(RingFifo, GrowsWhileHeadIsNotZero) {
-  RingFifo<int> q;
+  common::RingFifo<int> q;
   for (int i = 0; i < 4; ++i) q.push_back(i);
   q.pop_front();
   q.pop_front();
@@ -558,7 +559,7 @@ TEST(RingFifo, GrowsWhileHeadIsNotZero) {
 }
 
 TEST(RingFifo, PopBackTakesTheNewest) {
-  RingFifo<int> q;
+  common::RingFifo<int> q;
   for (int i = 0; i < 7; ++i) q.push_back(i);
   q.pop_back();
   q.pop_back();
@@ -572,7 +573,7 @@ TEST(RingFifo, PopBackTakesTheNewest) {
 
 // The wired link's queue_depth() binary-searches the ring by index.
 TEST(RingFifo, PartitionPointOverIndices) {
-  RingFifo<int> q;
+  common::RingFifo<int> q;
   for (int i = 0; i < 6; ++i) q.push_back(i);
   for (int i = 0; i < 4; ++i) q.pop_front();
   for (int i = 6; i < 12; ++i) q.push_back(i);  // live 4..11, wrapped
@@ -585,7 +586,7 @@ TEST(RingFifo, PartitionPointOverIndices) {
 }
 
 TEST(RingFifo, DrainToEmptyAndReuse) {
-  RingFifo<int> q;
+  common::RingFifo<int> q;
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 10; ++i) q.push_back(round * 10 + i);
     std::vector<int> want(10);
@@ -597,6 +598,22 @@ TEST(RingFifo, DrainToEmptyAndReuse) {
   EXPECT_EQ(q.front(), 7);
   EXPECT_EQ(q.back(), 7);
   EXPECT_EQ(drain(q), (std::vector<int>{7}));
+}
+
+TEST(RingFifo, ReserveRelaysFrontFirst) {
+  common::RingFifo<int> q;
+  for (int i = 0; i < 4; ++i) q.push_back(i);
+  q.pop_front();
+  q.push_back(4);  // wrapped: head at slot 1
+  q.reserve(3);    // no smaller than now: a no-op
+  EXPECT_EQ(q.capacity(), 4u);
+  q.reserve(10);
+  EXPECT_EQ(q.capacity(), 10u);
+  EXPECT_EQ(std::vector<int>(q.begin(), q.end()),
+            (std::vector<int>{1, 2, 3, 4}));
+  for (int i = 5; i < 11; ++i) q.push_back(i);  // fills without growing
+  EXPECT_EQ(q.capacity(), 10u);
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
 }
 
 }  // namespace

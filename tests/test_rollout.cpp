@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -60,9 +61,20 @@ TEST(PlanStore, LastKnownGoodSurvivesHistoryChurn) {
   ASSERT_NE(store.last_known_good(), nullptr);
   EXPECT_EQ(store.last_known_good()->version, v1);
   EXPECT_EQ(store.last_known_good()->plan.at(ApId{0}), ch36);
-  EXPECT_LE(store.size(), 4u);
+  // The window is exactly the pinned good version plus the three newest,
+  // though the evictions that moved the pin ran across the ring's wrap.
+  EXPECT_EQ(store.size(), 4u);
+  ASSERT_EQ(store.latest_version(), 21u);
+  for (const std::uint64_t v : {v1, std::uint64_t{19}, std::uint64_t{20},
+                                std::uint64_t{21}}) {
+    ASSERT_NE(store.get(v), nullptr) << "version " << v;
+    EXPECT_EQ(store.get(v)->version, v);
+  }
+  EXPECT_EQ(store.get(v1)->plan.at(ApId{0}), ch36);
+  EXPECT_EQ(store.get(21)->plan.at(ApId{0}), ch40);
   // The oldest non-good versions are gone.
   EXPECT_EQ(store.get(2), nullptr);
+  EXPECT_EQ(store.get(18), nullptr);
 }
 
 TEST(PlanStore, MarkGoodMovesThePin) {
