@@ -15,6 +15,7 @@
 #include "common/ids.hpp"
 #include "common/ring.hpp"
 #include "common/rng.hpp"
+#include "common/seq_containers.hpp"
 #include "common/stats.hpp"
 #include "common/table_printer.hpp"
 #include "common/time.hpp"
@@ -614,6 +615,132 @@ TEST(RingFifo, ReserveRelaysFrontFirst) {
   for (int i = 5; i < 11; ++i) q.push_back(i);  // fills without growing
   EXPECT_EQ(q.capacity(), 10u);
   EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+// ------------------------------------------------ SeqRing / RangeQueue --
+// The sorted flat rings behind the FastACK/Snoop retransmission cache, the
+// AP's TCP-latency table and FastACK's q_seq.
+
+struct TestRange {
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  friend constexpr auto operator<=>(const TestRange&, const TestRange&) = default;
+};
+
+template <typename Ring>
+std::vector<std::uint64_t> keys(const Ring& r) {
+  std::vector<std::uint64_t> out;
+  for (const auto& e : r) out.push_back(e.first);
+  return out;
+}
+
+TEST(SeqRing, AppendKeepsKeyOrder) {
+  SeqRing<int> r;
+  EXPECT_TRUE(r.empty());
+  for (int i = 0; i < 5; ++i) r.insert_or_assign(10u * static_cast<std::uint64_t>(i), i);
+  ASSERT_EQ(r.size(), 5u);
+  EXPECT_EQ(keys(r), (std::vector<std::uint64_t>{0, 10, 20, 30, 40}));
+  EXPECT_EQ(r.front().first, 0u);
+  EXPECT_EQ(r.front().second, 0);
+}
+
+TEST(SeqRing, OutOfOrderInsertLandsSorted) {
+  SeqRing<int> r;
+  for (std::uint64_t k : {50u, 10u, 30u, 40u, 0u, 20u}) {
+    r.insert_or_assign(k, static_cast<int>(k));
+  }
+  EXPECT_EQ(keys(r), (std::vector<std::uint64_t>{0, 10, 20, 30, 40, 50}));
+  for (const auto& [k, v] : r) EXPECT_EQ(static_cast<std::uint64_t>(v), k);
+}
+
+TEST(SeqRing, EqualKeyOverwritesValue) {
+  SeqRing<int> r;
+  r.insert_or_assign(10, 1);
+  r.insert_or_assign(20, 2);
+  r.insert_or_assign(10, 7);  // mid-ring key
+  r.insert_or_assign(20, 8);  // tail key: not an append
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r.begin()->second, 7);
+  EXPECT_EQ(std::next(r.begin())->second, 8);
+}
+
+TEST(RangeQueue, EqualRangeIsASetNoop) {
+  RangeQueue<TestRange> q;
+  q.insert(TestRange{0, 10});
+  q.insert(TestRange{10, 20});
+  q.insert(TestRange{0, 10});   // exact duplicate: collapsed
+  q.insert(TestRange{10, 20});  // duplicate of the tail: collapsed
+  q.insert(TestRange{0, 5});    // same start, different end: kept
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.front(), (TestRange{0, 5}));
+  q.pop_front();
+  EXPECT_EQ(q.front(), (TestRange{0, 10}));
+  q.pop_front();
+  EXPECT_EQ(q.front(), (TestRange{10, 20}));
+  q.pop_front();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(SeqRing, PopFrontAcrossCompactionThreshold) {
+  // 300 entries popped one by one cross every compaction point a dead-prefix
+  // rule may use; the live window must stay exact throughout, and appends
+  // interleaved with pops must land behind it.
+  SeqRing<int> r;
+  for (int i = 0; i < 300; ++i) r.insert_or_assign(static_cast<std::uint64_t>(i), i);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(r.size(), static_cast<std::size_t>(300 - i + (i + 2) / 3));
+    ASSERT_EQ(r.front().second, i);
+    ASSERT_EQ(r.begin()->first, static_cast<std::uint64_t>(i));
+    r.pop_front();
+    if (i % 3 == 0) r.insert_or_assign(1000u + static_cast<std::uint64_t>(i), -i);
+  }
+  ASSERT_EQ(r.size(), 100u);
+  EXPECT_EQ(r.front().first, 1000u);
+  EXPECT_EQ(std::prev(r.end())->first, 1297u);
+}
+
+TEST(RangeQueue, PopFrontAcrossCompactionThreshold) {
+  RangeQueue<TestRange> q;
+  for (std::uint64_t i = 0; i < 300; ++i) q.insert(TestRange{i, i + 1});
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    ASSERT_EQ(q.size(), 300 - i);
+    ASSERT_EQ(q.front(), (TestRange{i, i + 1}));
+    q.pop_front();
+    // A late range below the live front still sorts first.
+    if (i == 150) q.insert(TestRange{0, 1});
+    if (i == 150) {
+      ASSERT_EQ(q.front(), (TestRange{0, 1}));
+      q.pop_front();
+    }
+  }
+  EXPECT_TRUE(q.empty());
+  q.insert(TestRange{5, 6});
+  EXPECT_EQ(q.size(), 1u);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(SeqRing, BoundsAfterCompaction) {
+  SeqRing<int> r;
+  for (int i = 0; i < 200; ++i) r.insert_or_assign(10u * static_cast<std::uint64_t>(i), i);
+  for (int i = 0; i < 150; ++i) r.pop_front();  // live: keys 1500..1990
+  ASSERT_EQ(r.size(), 50u);
+  EXPECT_EQ(r.lower_bound(0), r.begin());
+  EXPECT_EQ(r.upper_bound(0), r.begin());
+  EXPECT_EQ(r.lower_bound(1500)->first, 1500u);
+  EXPECT_EQ(r.upper_bound(1500)->first, 1510u);
+  EXPECT_EQ(r.lower_bound(1505)->first, 1510u);
+  EXPECT_EQ(r.upper_bound(1505)->first, 1510u);
+  EXPECT_EQ(r.lower_bound(1990)->first, 1990u);
+  EXPECT_EQ(r.upper_bound(1990), r.end());
+  EXPECT_EQ(r.lower_bound(5000), r.end());
+  // An insert below the live front after compaction still lands first.
+  r.insert_or_assign(5, -1);
+  EXPECT_EQ(r.begin()->first, 5u);
+  EXPECT_EQ(r.upper_bound(5)->first, 1500u);
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.lower_bound(0), r.end());
 }
 
 }  // namespace
