@@ -9,31 +9,37 @@
 //   * evict a prefix (cumulative ACKs retire the oldest entries),
 //   * point/range lookup by sequence number.
 //
-// SeqRing serves exactly those: a sorted vector with a head offset, so
+// SortedRing serves exactly those: a sorted vector with a head offset, so
 // prefix eviction is a pointer bump and tail append is a push_back; the
 // occasional out-of-order insert (an end-to-end retransmission refreshing
 // an evicted range) pays a memmove, which is still cheaper than a rebalance
 // for the sizes involved. Storage is compacted lazily once the dead prefix
-// outweighs the live entries.
+// outweighs the live entries. Its two faces are SeqRing, keyed by sequence
+// number (the retransmission cache, the AP's TCP-latency table), and
+// RangeQueue, keyed by the whole range (the FastACK q_seq set).
 //
-// RangeQueue and IntervalVec are the same idea for range-valued state: the
-// FastACK q_seq set (ordered unique ranges consumed from the front) and the
-// TCP receiver's out-of-order reassembly map (disjoint merged intervals).
+// IntervalVec is the same idea for the TCP receiver's out-of-order
+// reassembly map (disjoint merged intervals).
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace w11 {
 
-// Sorted (sequence -> value) flat ring. Iterators are vector iterators over
-// the live [head, end) window; they invalidate on any mutation.
-template <typename V>
-class SeqRing {
+// Entries ordered by the key std::invoke(key_of, entry), unique by key:
+// inserting an equal key overwrites the entry. Iterators are vector
+// iterators over the live [head, end) window; they invalidate on any
+// mutation.
+template <typename T, auto key_of = std::identity{}>
+class SortedRing {
  public:
-  using Entry = std::pair<std::uint64_t, V>;
-  using const_iterator = typename std::vector<Entry>::const_iterator;
+  using const_iterator = typename std::vector<T>::const_iterator;
+  using Key =
+      std::remove_cvref_t<std::invoke_result_t<decltype(key_of), const T&>>;
 
   [[nodiscard]] std::size_t size() const { return v_.size() - head_; }
   [[nodiscard]] bool empty() const { return head_ == v_.size(); }
@@ -46,102 +52,69 @@ class SeqRing {
   [[nodiscard]] const_iterator begin() const { return v_.begin() + gap(); }
   [[nodiscard]] const_iterator end() const { return v_.end(); }
 
-  [[nodiscard]] const Entry& front() const { return v_[head_]; }
+  [[nodiscard]] const T& front() const { return v_[head_]; }
 
   void pop_front() {
     ++head_;
-    compact_if_stale();
-  }
-
-  // Insert `val` at `key`, overwriting an existing entry.
-  void insert_or_assign(std::uint64_t key, V val) {
-    if (v_.size() > head_ && v_.back().first < key) {  // common case: append
-      v_.emplace_back(key, std::move(val));
-      return;
-    }
-    auto it = lower_bound_mut(key);
-    if (it != v_.end() && it->first == key) {
-      it->second = std::move(val);
-    } else {
-      v_.insert(it, Entry{key, std::move(val)});
-    }
-  }
-
-  // First entry with key > `key` (std::map::upper_bound semantics).
-  [[nodiscard]] const_iterator upper_bound(std::uint64_t key) const {
-    return std::upper_bound(
-        begin(), end(), key,
-        [](std::uint64_t k, const Entry& e) { return k < e.first; });
-  }
-
-  [[nodiscard]] const_iterator lower_bound(std::uint64_t key) const {
-    return std::lower_bound(
-        begin(), end(), key,
-        [](const Entry& e, std::uint64_t k) { return e.first < k; });
-  }
-
- private:
-  [[nodiscard]] std::ptrdiff_t gap() const {
-    return static_cast<std::ptrdiff_t>(head_);
-  }
-
-  [[nodiscard]] typename std::vector<Entry>::iterator lower_bound_mut(
-      std::uint64_t key) {
-    return std::lower_bound(
-        v_.begin() + gap(), v_.end(), key,
-        [](const Entry& e, std::uint64_t k) { return e.first < k; });
-  }
-
-  void compact_if_stale() {
     if (head_ >= 64 && head_ * 2 >= v_.size()) {
       v_.erase(v_.begin(), v_.begin() + gap());
       head_ = 0;
     }
   }
 
-  std::vector<Entry> v_;
+  void insert(T e) {
+    if (!empty() && key(v_.back()) < key(e)) {  // common case: append
+      v_.push_back(std::move(e));
+      return;
+    }
+    const auto it = v_.begin() + (lower_bound(key(e)) - v_.cbegin());
+    if (it != v_.end() && !(key(e) < key(*it))) {
+      *it = std::move(e);
+    } else {
+      v_.insert(it, std::move(e));
+    }
+  }
+
+  // First entry with key > `k` (std::map::upper_bound semantics).
+  [[nodiscard]] const_iterator upper_bound(const Key& k) const {
+    return std::upper_bound(begin(), end(), k, [](const Key& a, const T& e) {
+      return a < key(e);
+    });
+  }
+
+  [[nodiscard]] const_iterator lower_bound(const Key& k) const {
+    return std::lower_bound(begin(), end(), k, [](const T& e, const Key& a) {
+      return key(e) < a;
+    });
+  }
+
+ private:
+  static const Key& key(const T& e) { return std::invoke(key_of, e); }
+  [[nodiscard]] std::ptrdiff_t gap() const {
+    return static_cast<std::ptrdiff_t>(head_);
+  }
+
+  std::vector<T> v_;
   std::size_t head_ = 0;
+};
+
+// Sorted (sequence -> value) ring.
+template <typename V>
+class SeqRing : public SortedRing<std::pair<std::uint64_t, V>,
+                                  &std::pair<std::uint64_t, V>::first> {
+ public:
+  using Entry = std::pair<std::uint64_t, V>;
+
+  void insert_or_assign(std::uint64_t key, V val) {
+    this->insert(Entry{key, std::move(val)});
+  }
 };
 
 // Ordered set of unique [start, end) ranges consumed strictly from the
 // front — std::set<Range> semantics for the FastACK pending-ack queue.
-// Ranges may overlap; exact duplicates are collapsed.
+// Ranges may overlap; an exact duplicate overwrites its equal, a no-op.
 template <typename Range>
-class RangeQueue {
- public:
-  [[nodiscard]] std::size_t size() const { return v_.size() - head_; }
-  [[nodiscard]] bool empty() const { return head_ == v_.size(); }
-
-  void clear() {
-    v_.clear();
-    head_ = 0;
-  }
-
-  [[nodiscard]] const Range& front() const { return v_[head_]; }
-
-  void pop_front() {
-    ++head_;
-    if (head_ >= 32 && head_ * 2 >= v_.size()) {
-      v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-
-  void insert(Range r) {
-    const auto live = v_.begin() + static_cast<std::ptrdiff_t>(head_);
-    if (v_.end() != live && v_.back() < r) {  // common case: append
-      v_.push_back(r);
-      return;
-    }
-    auto it = std::lower_bound(live, v_.end(), r);
-    if (it != v_.end() && *it == r) return;  // set semantics
-    v_.insert(it, r);
-  }
-
- private:
-  std::vector<Range> v_;
-  std::size_t head_ = 0;
-};
+using RangeQueue = SortedRing<Range>;
 
 // Sorted vector of disjoint byte intervals [start, end), merged on insert —
 // the TCP receiver's out-of-order reassembly state. Holes are few at any

@@ -83,9 +83,7 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   // Refresh the cache, clear any hole it fills, and forward with priority so
   // it jumps the queue (§5.4 case ii).
   if (seq_in < s.seq_exp) {
-    if (s.retx_cache.size() < cfg_.retx_cache_segments) {
-      s.retx_cache.insert_or_assign(seq_in, seg);
-    }
+    s.retx_cache.store(seg, cfg_.retx_cache_segments);
     std::erase_if(s.holes_vec,
                   [&](const Hole& h) { return h.start >= seq_in && h.end <= end; });
     ++stats_.e2e_retx_prioritized;
@@ -124,11 +122,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   }
 
   // Case (iii): in-order (or first-past-a-hole) data: cache and forward.
-  if (s.retx_cache.size() < cfg_.retx_cache_segments) {
-    s.retx_cache.insert_or_assign(seq_in, seg);
-  } else {
+  if (!s.retx_cache.store(seg, cfg_.retx_cache_segments))
     ++stats_.cache_overflow;
-  }
   s.seq_exp = end;
   s.seq_high = std::max(s.seq_high, end);
   trace(obs::TraceKind::kFastAckDataInOrder, seg.flow, seq_in, seg.payload);
@@ -191,13 +186,7 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     s.seq_tcp = ack.ack;
     s.last_client_ack = ack.ack;
     s.client_dupacks = 0;
-    // Evict acknowledged segments from the retransmission cache; the ring
-    // is seq-ordered, so retired entries form a strict prefix.
-    while (!s.retx_cache.empty() &&
-           s.retx_cache.front().second.seq_end() <= s.seq_tcp) {
-      s.retx_cache.pop_front();
-      ++stats_.cache_evictions;
-    }
+    stats_.cache_evictions += s.retx_cache.evict_acked(s.seq_tcp);
     // A suppressed client ACK may carry the window update that un-sticks a
     // stalled sender; re-advertise if the window meaningfully reopened.
     // Without it the sender could deadlock on a zero window, because the
@@ -224,9 +213,7 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     ++s.client_dupacks;
     trace(obs::TraceKind::kFastAckClientDupAck, ack.flow, ack.ack,
           static_cast<std::uint64_t>(s.client_dupacks));
-    if (s.client_dupacks >= cfg_.local_retx_dupack_threshold) {
-      local_retransmit(ack.flow, s, ack.ack);
-    }
+    local_retransmit(ack.flow, s, ack.ack);
   }
   if (s.client_dupacks == 0 && s.seq_tcp > s.seq_fack) {
     // Naive-mode bookkeeping: never let the fast-ACK point fall behind what
@@ -251,44 +238,22 @@ void FastAckAgent::on_mpdu_dropped(const TcpSegment& seg) {
   trace(obs::TraceKind::kFastAckMpduDropped, seg.flow, seg.seq, seg.payload);
 }
 
-bool FastAckAgent::retx_rate_limited(const FlowState& s,
-                                     std::uint64_t from_seq) const {
-  return from_seq < s.local_retx_horizon &&
-         sim_.now() - s.local_retx_at < cfg_.local_retx_holdoff;
-}
-
 void FastAckAgent::local_retransmit(FlowId flow, FlowState& s,
                                     std::uint64_t from_seq) {
-  if (retx_rate_limited(s, from_seq)) return;  // copies already in flight
-
-  // Find the cached segment covering `from_seq`.
-  auto it = s.retx_cache.upper_bound(from_seq);
-  if (it != s.retx_cache.begin()) {
-    const auto prev = std::prev(it);  // flat ring: random-access iterator
-    if (prev->second.seq_end() > from_seq) it = prev;
-  }
-  if (it == s.retx_cache.end() || it->first > from_seq) {
-    // Cache miss (overflow or the byte was never seen); the sender's own
-    // machinery must recover.
-    return;
-  }
-  // Re-inject a bounded burst of consecutive cached segments, but never
-  // past the fast-ACK point (beyond it the sender is still in charge).
-  int injected = 0;
-  for (; it != s.retx_cache.end() && injected < cfg_.local_retx_burst &&
-         it->first < s.seq_fack;
-       ++it) {
-    TcpSegment copy = it->second;
-    copy.dst_station = s.client;
-    ++stats_.local_retransmits;
-    ++injected;
-    s.local_retx_horizon = std::max(s.local_retx_horizon, copy.seq_end());
-    trace(obs::TraceKind::kFastAckLocalRetransmit, flow, copy.seq,
-          copy.payload);
-    ap_.inject_downlink(std::move(copy), /*priority=*/true);
-  }
+  // Re-inject a burst of consecutive cached segments from the one covering
+  // `from_seq`, but never past the fast-ACK point (beyond it the sender is
+  // still in charge). On a cache miss (overflow, or the byte was never
+  // seen) the sender's own machinery must recover.
+  const int injected = s.retx_cache.replay(
+      s.retx_cache.covering(from_seq), from_seq, s.seq_fack, sim_.now(),
+      [&](TcpSegment copy) {
+        copy.dst_station = s.client;
+        ++stats_.local_retransmits;
+        trace(obs::TraceKind::kFastAckLocalRetransmit, flow, copy.seq,
+              copy.payload);
+        ap_.inject_downlink(std::move(copy), /*priority=*/true);
+      });
   if (injected > 0) {
-    s.local_retx_at = sim_.now();
     trace(obs::TraceKind::kFastAckCacheServe, flow, from_seq,
           static_cast<std::uint64_t>(injected));
   }

@@ -9,8 +9,10 @@
 // receive window to account for bytes the AP holds, and emulates duplicate
 // ACKs for holes caused by upstream drops.
 //
-// Every knob the paper discusses — and every design decision DESIGN.md
-// marks as an ablation candidate — is switchable in Config.
+// Config switches the design decisions DESIGN.md marks as ablation
+// candidates (contiguity, suppression, rwnd rewriting) and sizes the flow
+// table and cache. The local-retransmission trigger and its limiter are
+// fixed: they live in the wlan::RetxCache FastACK shares with Snoop.
 
 #include <optional>
 #include <unordered_map>
@@ -30,7 +32,7 @@ class FastAckAgent : public TcpInterceptor {
   struct Config {
     // Cache at most this many segments per flow; overflow disables local
     // retransmission for the overflowed bytes (sender RTO covers them).
-    std::size_t retx_cache_segments = 4096;
+    std::size_t retx_cache_segments = RetxCache::kCapacity;
     // §5.5.2 receive-window rewriting: rx'win = rxwin − outbytes.
     bool rewrite_rwnd = true;
     // Suppress the client's own TCP ACKs (ablation D6).
@@ -39,13 +41,6 @@ class FastAckAgent : public TcpInterceptor {
     // false the agent naively acks every delivered MPDU's end, which can
     // acknowledge past holes.
     bool require_contiguity = true;
-    // Local retransmission fires after this many duplicate client ACKs.
-    int local_retx_dupack_threshold = 1;
-    // At most this many cached segments are re-injected per trigger, and a
-    // given byte range is not re-injected again within the holdoff — this
-    // keeps dup-ACK bursts from flooding the downlink queue with copies.
-    int local_retx_burst = 64;
-    Time local_retx_holdoff = time::millis(100);
     // Client receive window assumed until the first client ACK reveals the
     // real one (a deployed agent learns it from the SYN handshake, which
     // this model does not carry).
@@ -119,8 +114,6 @@ class FastAckAgent : public TcpInterceptor {
   void drain_q_seq(FlowId flow, FlowState& s);
   void emit_fast_ack(FlowId flow, FlowState& s, bool window_update_only);
   void local_retransmit(FlowId flow, FlowState& s, std::uint64_t from_seq);
-  [[nodiscard]] bool retx_rate_limited(const FlowState& s,
-                                       std::uint64_t from_seq) const;
   [[nodiscard]] std::uint64_t advertised_window(const FlowState& s) const;
 
   // Debug switches (paper fn. 9): every datapath event goes to the

@@ -19,6 +19,7 @@
 #include "common/seq_containers.hpp"
 #include "common/time.hpp"
 #include "net/tcp_segment.hpp"
+#include "wlan/retx_cache.hpp"
 
 namespace w11::fastack {
 
@@ -59,10 +60,10 @@ struct FlowState {
   // front-first.
   RangeQueue<AckedRange> q_seq;
 
-  // Retransmission cache: segment start -> cached copy, as a sorted flat
-  // ring of trivially-copyable segments. Entries are evicted front-first
-  // when the client's real TCP ACK (seq_tcp) passes them.
-  SeqRing<TcpSegment> retx_cache;
+  // Retransmission cache (wlan/retx_cache.hpp), with its replay limiter.
+  // Entries are evicted front-first when the client's real TCP ACK
+  // (seq_tcp) passes them.
+  RetxCache retx_cache;
 
   // Client-side flow-control bookkeeping (§5.5.2).
   std::uint64_t client_rwnd = 0;
@@ -71,10 +72,6 @@ struct FlowState {
   // Duplicate-ACK tracking for local retransmissions.
   std::uint64_t last_client_ack = 0;
   int client_dupacks = 0;
-  // Local-retransmission rate limiting: bytes already re-injected and when,
-  // so a dup-ACK burst cannot flood the downlink queue with copies.
-  std::uint64_t local_retx_horizon = 0;
-  Time local_retx_at{};
 
   [[nodiscard]] std::uint64_t outstanding_bytes() const {
     return seq_high > seq_tcp ? seq_high - seq_tcp : 0;

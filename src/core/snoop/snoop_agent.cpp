@@ -4,8 +4,7 @@
 
 namespace w11::snoop {
 
-SnoopAgent::SnoopAgent(Simulator& sim, AccessPoint& ap, Config cfg)
-    : sim_(sim), ap_(ap), cfg_(cfg) {}
+SnoopAgent::SnoopAgent(Simulator& sim, AccessPoint& ap) : sim_(sim), ap_(ap) {}
 
 TcpInterceptor::DataAction SnoopAgent::on_downlink_data(TcpSegment& seg) {
   SnoopFlow& f = flows_[seg.flow];
@@ -16,7 +15,7 @@ TcpInterceptor::DataAction SnoopAgent::on_downlink_data(TcpSegment& seg) {
     f.last_ack = seg.seq;
   }
   // Cache every (re)transmission not yet acknowledged by the client.
-  if (f.cache.size() < cfg_.cache_segments) f.cache[seg.seq] = seg;
+  f.cache.store(seg, RetxCache::kCapacity);
   const bool retransmission = seg.seq < f.seq_exp;
   f.seq_exp = std::max(f.seq_exp, seg.seq_end());
   // Sender retransmissions jump the queue, same as FastACK's case (ii).
@@ -31,51 +30,31 @@ bool SnoopAgent::on_uplink_ack(const TcpSegment& ack) {
   if (ack.ack > f.last_ack) {
     // New ACK: evict covered segments, pass it to the sender untouched.
     f.last_ack = ack.ack;
-    f.dupacks = 0;
-    for (auto c = f.cache.begin(); c != f.cache.end();) {
-      if (c->second.seq_end() <= ack.ack) {
-        c = f.cache.erase(c);
-        ++stats_.cache_evictions;
-      } else {
-        break;
-      }
-    }
+    stats_.cache_evictions += f.cache.evict_acked(ack.ack);
     ++stats_.acks_passed;
     return false;
   }
 
   if (ack.ack == f.last_ack && !ack.has_payload()) {
-    // Duplicate ACK for data we hold: retransmit locally and SUPPRESS it so
-    // the sender's congestion window never learns about the wireless loss —
-    // Snoop's whole trick.
-    ++f.dupacks;
-    if (f.dupacks >= cfg_.dupack_threshold && f.cache.contains(ack.ack)) {
-      local_retransmit(f, ack.ack);
+    // Duplicate ACK for a segment we hold (one that starts at the ACK
+    // point): retransmit locally and SUPPRESS it so the sender's congestion
+    // window never learns about the wireless loss — Snoop's whole trick.
+    // Snoop retransmits on the first dup-ACK, from there to the cache end.
+    const auto hit = f.cache.covering(ack.ack);
+    if (hit != f.cache.end() && hit->first == ack.ack) {
+      f.cache.replay(hit, ack.ack, UINT64_MAX, sim_.now(),
+                     [&](TcpSegment copy) {
+                       copy.dst_station = f.client;
+                       ++stats_.local_retransmits;
+                       ap_.inject_downlink(std::move(copy), /*priority=*/true);
+                     });
       ++stats_.dupacks_suppressed;
       return true;
     }
     // Dup-ACK for data we no longer hold: the sender must handle it.
-    ++stats_.acks_passed;
-    return false;
   }
   ++stats_.acks_passed;
   return false;
-}
-
-void SnoopAgent::local_retransmit(SnoopFlow& f, std::uint64_t from_seq) {
-  if (from_seq < f.retx_horizon && sim_.now() - f.retx_at < cfg_.retx_holdoff)
-    return;
-  auto it = f.cache.lower_bound(from_seq);
-  int injected = 0;
-  for (; it != f.cache.end() && injected < cfg_.retx_burst; ++it) {
-    TcpSegment copy = it->second;
-    copy.dst_station = f.client;
-    ++stats_.local_retransmits;
-    ++injected;
-    f.retx_horizon = std::max(f.retx_horizon, copy.seq_end());
-    ap_.inject_downlink(std::move(copy), /*priority=*/true);
-  }
-  if (injected > 0) f.retx_at = sim_.now();
 }
 
 void SnoopAgent::on_80211_delivered(const TcpSegment& seg) {

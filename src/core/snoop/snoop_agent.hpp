@@ -15,9 +15,9 @@
 //   * no fast ACKs, no rwnd rewriting, no hole dup-ACK emulation.
 //
 // Implemented against the same TcpInterceptor interface so benches can
-// swap baseline / Snoop / FastACK on an identical AP.
+// swap baseline / Snoop / FastACK on an identical AP, and on the same
+// retransmission cache and replay limiter as FastACK (wlan/retx_cache.hpp).
 
-#include <map>
 #include <unordered_map>
 
 #include "common/ids.hpp"
@@ -25,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "wlan/access_point.hpp"
 #include "wlan/interceptor.hpp"
+#include "wlan/retx_cache.hpp"
 
 namespace w11::snoop {
 
@@ -33,12 +34,7 @@ struct SnoopFlow {
   StationId client;
   std::uint64_t seq_exp = 0;   // next expected from the sender
   std::uint64_t last_ack = 0;  // client's cumulative ACK point
-  int dupacks = 0;
-  // Cache of un-ACKed segments: start seq -> copy.
-  std::map<std::uint64_t, TcpSegment> cache;
-  // Rate limiting, same motivation as FastACK's.
-  std::uint64_t retx_horizon = 0;
-  Time retx_at{};
+  RetxCache cache;             // un-ACKed segments
 };
 
 struct SnoopStats {
@@ -50,14 +46,7 @@ struct SnoopStats {
 
 class SnoopAgent : public TcpInterceptor {
  public:
-  struct Config {
-    std::size_t cache_segments = 4096;
-    int dupack_threshold = 1;   // Snoop retransmits on the first dup-ACK
-    int retx_burst = 64;
-    Time retx_holdoff = time::millis(100);
-  };
-
-  SnoopAgent(Simulator& sim, AccessPoint& ap, Config cfg);
+  SnoopAgent(Simulator& sim, AccessPoint& ap);
 
   DataAction on_downlink_data(TcpSegment& seg) override;
   bool on_uplink_ack(const TcpSegment& ack) override;
@@ -68,11 +57,8 @@ class SnoopAgent : public TcpInterceptor {
   [[nodiscard]] const SnoopFlow* flow(FlowId id) const;
 
  private:
-  void local_retransmit(SnoopFlow& f, std::uint64_t from_seq);
-
   Simulator& sim_;
   AccessPoint& ap_;
-  Config cfg_;
   std::unordered_map<FlowId, SnoopFlow> flows_;
   SnoopStats stats_;
 };

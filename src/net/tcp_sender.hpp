@@ -9,7 +9,6 @@
 // only lengths and sequence numbers are simulated.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>

@@ -7,6 +7,8 @@
 
 namespace w11::obs {
 
+void TraceRecorder::push(const TraceEvent& e) { ring_.push(e); }
+
 std::vector<TraceEvent> TraceRecorder::merged() const {
   std::vector<TraceEvent> out(ring_.begin(), ring_.end());
   std::stable_sort(out.begin(), out.end(),

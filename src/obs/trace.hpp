@@ -170,15 +170,16 @@ class TraceRecorder {
               std::uint64_t b = 0) {
     record_at(clock_now(), kind, ord, a, b);
   }
+  // The filter is inline; the ring push, with its growth path, is not, so
+  // a site costs an untraced hot path one predictable branch.
   void record_at(Time ts, TraceKind kind, std::uint64_t ord,
                  std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (!accepts(kind)) return;
-    ring_.push(TraceEvent{ts.ns(), 0, ord, a, b, kind});
+    if (accepts(kind)) push(TraceEvent{ts.ns(), 0, ord, a, b, kind});
   }
   void record_span(Time begin, Time end, TraceKind kind, std::uint64_t ord,
                    std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (!accepts(kind)) return;
-    ring_.push(TraceEvent{begin.ns(), (end - begin).ns(), ord, a, b, kind});
+    if (accepts(kind))
+      push(TraceEvent{begin.ns(), (end - begin).ns(), ord, a, b, kind});
   }
 
   // RAII span: opens at the bound clock's now, records on destruction.
@@ -197,6 +198,7 @@ class TraceRecorder {
   [[nodiscard]] bool accepts(TraceKind kind) const {
     return enabled_ && (mask_ & category_bit(category(kind))) != 0;
   }
+  void push(const TraceEvent& e);
 
   bool enabled_ = false;
   std::uint32_t mask_ = kAllCategories;

@@ -74,12 +74,14 @@ Db min_snr(McsIndex idx) {
 namespace {
 
 // The exhaustive search: highest-rate valid MCS whose threshold `snr`
-// meets (a NaN meets every threshold). Builds the staircases below.
-std::optional<McsIndex> search(Db snr, ChannelWidth width, int nss_cap) {
+// meets (a NaN meets every threshold). Builds the staircases below, and
+// serves the MCS-capped selections they do not cover.
+std::optional<McsIndex> search(Db snr, ChannelWidth width, int nss_cap,
+                               int mcs_cap = kMaxMcs) {
   std::optional<McsIndex> best;
   RateMbps best_rate{0.0};
   for (int nss = 1; nss <= nss_cap; ++nss) {
-    for (int m = 0; m <= kMaxMcs; ++m) {
+    for (int m = 0; m <= mcs_cap; ++m) {
       const McsIndex idx{m, nss};
       if (!valid(idx, width)) continue;
       if (snr < min_snr(idx)) continue;
@@ -126,14 +128,20 @@ const Staircase& staircase(ChannelWidth width, int nss_cap) {
 
 }  // namespace
 
-std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss) {
-  const Staircase& s = staircase(width, std::clamp(max_nss, 1, kMaxNss));
+std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss,
+                               int max_mcs) {
+  const int nss_cap = std::clamp(max_nss, 1, kMaxNss);
+  const Staircase& s = staircase(width, nss_cap);
   // First threshold above snr; a NaN compares above none, so it takes the
   // top step, as search() does.
   const auto above =
       std::upper_bound(s.thresholds.begin(), s.thresholds.end(), snr);
   if (above == s.thresholds.begin()) return std::nullopt;
-  return s.picks[static_cast<std::size_t>(above - s.thresholds.begin() - 1)];
+  const McsIndex pick =
+      s.picks[static_cast<std::size_t>(above - s.thresholds.begin() - 1)];
+  // The uncapped pick is the capped one too when the cap allows it.
+  if (pick.mcs <= max_mcs) return pick;
+  return search(snr, width, nss_cap, max_mcs);
 }
 
 double packet_error_rate(McsIndex idx, Db snr, int mpdu_bytes) {

@@ -40,9 +40,11 @@ inline constexpr int kMaxNss = 4;
 // floor, so the thresholds are width-invariant.
 [[nodiscard]] Db min_snr(McsIndex idx);
 
-// Highest-rate valid MCS supported at `snr` with at most `max_nss` streams;
-// std::nullopt if even MCS0/1ss is not sustainable (snr below threshold).
-[[nodiscard]] std::optional<McsIndex> select(Db snr, ChannelWidth width, int max_nss);
+// Highest-rate valid MCS supported at `snr` with at most `max_nss` streams
+// and MCS at most `max_mcs`; std::nullopt if even MCS0/1ss is not
+// sustainable (snr below threshold).
+[[nodiscard]] std::optional<McsIndex> select(Db snr, ChannelWidth width,
+                                             int max_nss, int max_mcs = kMaxMcs);
 
 // Packet error rate for an MPDU of `mpdu_bytes` sent with `idx` at `snr`.
 // Smooth sigmoid in SNR around the MCS threshold, scaled with frame length.

@@ -105,7 +105,7 @@ Testbed::Testbed(TestbedConfig cfg)
       case TcpAccel::kSnoop:
         agents_.push_back(nullptr);
         snoop_agents_.push_back(
-            std::make_unique<snoop::SnoopAgent>(sim_, *ap, cfg_.snoop_cfg));
+            std::make_unique<snoop::SnoopAgent>(sim_, *ap));
         ap->set_interceptor(snoop_agents_.back().get());
         break;
       case TcpAccel::kNone:

@@ -38,7 +38,6 @@ struct TestbedConfig {
   // Full acceleration selection; empty = derive from `fastack`.
   std::vector<TcpAccel> accel;
   fastack::FastAckAgent::Config agent;
-  snoop::SnoopAgent::Config snoop_cfg;
 
   std::uint64_t seed = 1;
   Time duration = time::seconds(10);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/stats.hpp"
 
 namespace w11::telemetry {
 
@@ -95,22 +96,10 @@ std::vector<std::pair<Time, double>> LittleTable::aggregate(
     double mn = std::numeric_limits<double>::infinity();
     double mx = -std::numeric_limits<double>::infinity();
     std::size_t n = 0;
-    std::vector<double> vals;  // only filled for quantile aggregates
+    Samples vals;  // only filled for quantile aggregates
   };
   Acc acc;
   Time bucket_start = from;
-
-  // Interpolated quantile over the bucket's values — the exact formula of
-  // common::Samples::quantile (pos = q·(n−1), linear between neighbors).
-  auto quantile_of = [](std::vector<double>& vals, double q) {
-    std::sort(vals.begin(), vals.end());
-    if (vals.size() == 1) return vals[0];
-    const double pos = q * static_cast<double>(vals.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, vals.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return vals[lo] * (1.0 - frac) + vals[hi] * frac;
-  };
 
   auto flush = [&] {
     if (acc.n == 0) return;
@@ -121,8 +110,8 @@ std::vector<std::pair<Time, double>> LittleTable::aggregate(
       case Agg::kMin: v = acc.mn; break;
       case Agg::kMax: v = acc.mx; break;
       case Agg::kCount: v = static_cast<double>(acc.n); break;
-      case Agg::kP50: v = quantile_of(acc.vals, 0.50); break;
-      case Agg::kP95: v = quantile_of(acc.vals, 0.95); break;
+      case Agg::kP50: v = acc.vals.quantile(0.50); break;
+      case Agg::kP95: v = acc.vals.quantile(0.95); break;
     }
     out.emplace_back(bucket_start, v);
     acc = Acc{};
@@ -141,7 +130,7 @@ std::vector<std::pair<Time, double>> LittleTable::aggregate(
     acc.mn = std::min(acc.mn, v);
     acc.mx = std::max(acc.mx, v);
     ++acc.n;
-    if (quantile_agg) acc.vals.push_back(v);
+    if (quantile_agg) acc.vals.add(v);
   }
   flush();
   return out;
@@ -168,16 +157,7 @@ void LittleTable::set_retention(Retention r) {
   retention_ = r;
   // Enforce immediately so shrinking the window takes effect without
   // waiting for the next ingest to cross the slack threshold.
-  if (retention_.max_age > Time{0} && !rows_.empty())
-    trim_before(newest_ - retention_.max_age);
-  if (retention_.max_rows > 0 && rows_.size() > retention_.max_rows) {
-    ensure_sorted();
-    const std::size_t drop = rows_.size() - retention_.max_rows;
-    rows_trimmed_ += drop;
-    rows_.erase(rows_.begin(),
-                rows_.begin() + static_cast<std::ptrdiff_t>(drop));
-    if (!rows_.empty()) oldest_ = rows_.front().at;
-  }
+  enforce_retention();
 }
 
 void LittleTable::maybe_compact() {
@@ -196,8 +176,11 @@ void LittleTable::maybe_compact() {
     // batch append must not force a sort just to ask "is anything old?".
     if (newest_ - oldest_ > budget) over = true;
   }
-  if (!over) return;
-  if (retention_.max_age > Time{0})
+  if (over) enforce_retention();
+}
+
+void LittleTable::enforce_retention() {
+  if (retention_.max_age > Time{0} && !rows_.empty())
     trim_before(newest_ - retention_.max_age);
   if (retention_.max_rows > 0 && rows_.size() > retention_.max_rows) {
     ensure_sorted();

@@ -25,9 +25,9 @@ class LittleTable {
     std::vector<double> values;
   };
 
-  // kP50/kP95 compute the bucket's interpolated quantile (same formula as
+  // kP50/kP95 compute the bucket's interpolated quantile with
   // common::Samples::quantile, so dashboard numbers and bench summaries
-  // agree); they buffer the bucket's values, unlike the streaming aggregates.
+  // agree; they buffer the bucket's values, unlike the streaming aggregates.
   enum class Agg { kSum, kMean, kMin, kMax, kCount, kP50, kP95 };
 
   LittleTable(std::string name, std::vector<std::string> columns);
@@ -99,6 +99,8 @@ class LittleTable {
   [[nodiscard]] std::size_t column_index(std::string_view column) const;
   void ensure_sorted() const;
   void maybe_compact();
+  // Trim to the retention window now: the age bound, then max_rows.
+  void enforce_retention();
 
   std::string name_;
   std::vector<std::string> columns_;

@@ -28,38 +28,13 @@ RateController::Decision RateController::decide_txop() {
   d.snr = mean_snr_ + (cfg_.fading_sigma > 0.0
                            ? rng_.normal(0.0, cfg_.fading_sigma)
                            : 0.0);
-  const auto pick = mcs::select(d.snr - cfg_.selection_margin, width_, nss_);
-  if (!pick || pick->mcs > max_mcs_) {
-    // Either no MCS fits or the capability caps modulation; degrade to the
-    // best capped choice at this SNR.
-    std::optional<McsIndex> best;
-    RateMbps best_rate{0.0};
-    for (int nss = 1; nss <= nss_; ++nss) {
-      for (int m = 0; m <= max_mcs_; ++m) {
-        const McsIndex idx{m, nss};
-        if (!mcs::valid(idx, width_)) continue;
-        if (d.snr - cfg_.selection_margin < mcs::min_snr(idx)) continue;
-        const auto r = mcs::rate(idx, width_, short_gi_);
-        if (r && *r > best_rate) {
-          best_rate = *r;
-          best = idx;
-        }
-      }
-    }
-    if (!best) {
-      d.viable = false;
-      d.mcs = McsIndex{0, 1};
-      d.rate = mcs::rate(d.mcs, width_, short_gi_).value_or(RateMbps{6.5});
-      return d;
-    }
-    d.mcs = *best;
-    d.rate = best_rate;
-    d.viable = true;
-    return d;
-  }
-  d.mcs = *pick;
-  d.rate = mcs::rate(*pick, width_, short_gi_).value_or(RateMbps{6.5});
-  d.viable = true;
+  // The best MCS at this SNR within the capability's modulation cap; when
+  // none fits, MCS0/1ss, marked not viable.
+  const auto pick =
+      mcs::select(d.snr - cfg_.selection_margin, width_, nss_, max_mcs_);
+  d.viable = pick.has_value();
+  d.mcs = pick.value_or(McsIndex{0, 1});
+  d.rate = mcs::rate(d.mcs, width_, short_gi_).value_or(RateMbps{6.5});
   return d;
 }
 

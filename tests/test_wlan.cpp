@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "mac/medium.hpp"
 #include "scenario/testbed.hpp"
 #include "wlan/access_point.hpp"
@@ -65,6 +69,82 @@ TEST(RateControl, N11ClientCappedAtMcs7) {
   cap.max_width = ChannelWidth::MHz40;
   auto rc = make_rc(2.0, cap);
   EXPECT_LE(rc.decide_txop().mcs.mcs, 7);
+}
+
+// The MCS-capped fallback RateController::decide_txop ran before it went
+// through mcs::select's cap, copied verbatim (the margin already applied
+// to `snr`, the controller's fields made parameters).
+RateController::Decision old_capped_decision(Db snr, ChannelWidth width_,
+                                             int nss_, int max_mcs_,
+                                             bool short_gi_) {
+  RateController::Decision d{};
+  const auto pick = mcs::select(snr, width_, nss_);
+  if (!pick || pick->mcs > max_mcs_) {
+    std::optional<McsIndex> best;
+    RateMbps best_rate{0.0};
+    for (int nss = 1; nss <= nss_; ++nss) {
+      for (int m = 0; m <= max_mcs_; ++m) {
+        const McsIndex idx{m, nss};
+        if (!mcs::valid(idx, width_)) continue;
+        if (snr < mcs::min_snr(idx)) continue;
+        const auto r = mcs::rate(idx, width_, short_gi_);
+        if (r && *r > best_rate) {
+          best_rate = *r;
+          best = idx;
+        }
+      }
+    }
+    if (!best) {
+      d.viable = false;
+      d.mcs = McsIndex{0, 1};
+      d.rate = mcs::rate(d.mcs, width_, short_gi_).value_or(RateMbps{6.5});
+      return d;
+    }
+    d.mcs = *best;
+    d.rate = best_rate;
+    d.viable = true;
+    return d;
+  }
+  d.mcs = *pick;
+  d.rate = mcs::rate(*pick, width_, short_gi_).value_or(RateMbps{6.5});
+  d.viable = true;
+  return d;
+}
+
+TEST(RateControl, CappedSelectMatchesOldFallbackLoop) {
+  std::vector<Db> snrs;
+  for (int q = -40; q <= 240; ++q) snrs.push_back(0.25 * q);  // -10..60 dB
+  snrs.push_back(std::numeric_limits<double>::quiet_NaN());
+  snrs.push_back(std::numeric_limits<double>::infinity());
+  snrs.push_back(-std::numeric_limits<double>::infinity());
+  int checked = 0;
+  for (int w = 0; w < 4; ++w) {
+    const auto width = static_cast<ChannelWidth>(w);
+    for (int nss = 1; nss <= mcs::kMaxNss; ++nss) {
+      for (int cap = 0; cap <= mcs::kMaxMcs; ++cap) {
+        for (const bool sgi : {true, false}) {
+          for (const Db snr : snrs) {
+            const auto want = old_capped_decision(snr, width, nss, cap, sgi);
+            // decide_txop's derivation from the capped selection.
+            const auto pick = mcs::select(snr, width, nss, cap);
+            const McsIndex got = pick.value_or(McsIndex{0, 1});
+            const RateMbps rate =
+                mcs::rate(got, width, sgi).value_or(RateMbps{6.5});
+            ASSERT_EQ(pick.has_value(), want.viable)
+                << "w=" << w << " nss=" << nss << " cap=" << cap
+                << " snr=" << snr;
+            ASSERT_EQ(got, want.mcs) << "w=" << w << " nss=" << nss
+                                     << " cap=" << cap << " snr=" << snr;
+            ASSERT_EQ(rate.mbps(), want.rate.mbps())
+                << "w=" << w << " nss=" << nss << " cap=" << cap
+                << " snr=" << snr;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 4 * 10 * 2 * 284);
 }
 
 TEST(RateControl, FadingVariesDecisions) {
