@@ -85,7 +85,8 @@ BENCHMARK(BM_NodePEvaluation);
 void BM_NboSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const turboca::Params params;
-  const flowsim::ScanIndex index(campus_scans(n), params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(n);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   turboca::TurboCA tca(params, Rng(2));
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
@@ -113,13 +114,13 @@ void BM_NboSweepReference(benchmark::State& state) {
 }
 BENCHMARK(BM_NboSweepReference)->Arg(40)->Arg(200)->Arg(600)->Complexity();
 
-// The batched SoA kernel's own-term pass (DESIGN.md §14): all candidates of
-// one AP scored in a single score block walk. Counters report the
+// The batched kernel's own-term pass (DESIGN.md §14): all candidates of
+// one AP scored in one walk over their memoised terms. Counters report the
 // per-candidate cost and throughput the tentpole claims.
 void BM_ScoreCandidates(benchmark::State& state) {
   const turboca::Params params;
-  const flowsim::ScanIndex index(campus_scans(200),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(200);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   const turboca::PlanContext ctx(index, params, {});
   std::vector<double> out;
   std::size_t i = 0;
@@ -146,8 +147,8 @@ BENCHMARK(BM_ScoreCandidates);
 // BM_NodePEvaluation (one scalar node_p_log call per iteration there).
 void BM_NodePBatch(benchmark::State& state) {
   const turboca::Params params;
-  const flowsim::ScanIndex index(campus_scans(200),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(200);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   const turboca::PlanContext ctx(index, params, {});
   std::vector<double> out;
   std::size_t i = 0;
@@ -174,8 +175,8 @@ BENCHMARK(BM_NodePBatch);
 // evaluated incrementally (mover + overlap-affected neighbors only).
 void BM_AccIncremental(benchmark::State& state) {
   const turboca::Params params;
-  const flowsim::ScanIndex index(campus_scans(200),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(200);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   turboca::TurboCA tca(params, Rng(3));
   turboca::PlanContext ctx(index, params, {});
   benchmark::DoNotOptimize(ctx.net_p_log());  // warm the term cache

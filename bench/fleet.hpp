@@ -20,13 +20,6 @@
 
 namespace w11::bench {
 
-// One planner-ready scan epoch of a network: census taken once, flattened
-// with the contender floor the evaluating engine will use.
-inline flowsim::ScanIndex snapshot_index(flowsim::Network& net,
-                                         Dbm contender_rssi_floor) {
-  return flowsim::ScanIndex(net.scan(), contender_rssi_floor);
-}
-
 struct FleetConfig {
   int networks = 30;
   Band band = Band::G5;

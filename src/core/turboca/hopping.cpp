@@ -1,9 +1,9 @@
 #include "core/turboca/hopping.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.hpp"
-#include "flowsim/scan_index.hpp"
 
 namespace w11::turboca {
 
@@ -16,11 +16,10 @@ HoppingCaService::HoppingCaService(Config cfg, NetworkHooks hooks, Rng rng)
 void HoppingCaService::build_sequences(const std::vector<ApScan>& scans) {
   for (const ApScan& s : scans) {
     if (sequences_.contains(s.id)) continue;
-    auto catalog = channels::candidate_set(s.band, cfg_.width, cfg_.allow_dfs);
-    std::erase_if(catalog,
-                  [&](const Channel& c) { return c.width != cfg_.width; });
-    if (catalog.empty())
-      catalog = channels::candidate_set(s.band, cfg_.width, cfg_.allow_dfs);
+    const std::span<const Channel> fixed =
+        channels::candidate_table(s.band, cfg_.width, cfg_.allow_dfs)
+            .at_width_or_all(cfg_.width);
+    std::vector<Channel> catalog(fixed.begin(), fixed.end());
     std::shuffle(catalog.begin(), catalog.end(), rng_.engine());
     const auto len = std::min<std::size_t>(
         catalog.size(), static_cast<std::size_t>(cfg_.sequence_length));
@@ -37,16 +36,14 @@ void HoppingCaService::advance_to(Time now) {
 }
 
 void HoppingCaService::hop_now() {
-  // One immutable index per hop epoch (hopping needs no contender floor —
-  // it never scores NodeP — but shares the epoch-ownership convention of
-  // the planner stack).
-  const flowsim::ScanIndex index(hooks_.scan());
-  if (index.size() == 0) return;
-  build_sequences(index.scans());
+  // Hopping never scores NodeP, so it reads the scans directly.
+  const std::vector<ApScan> scans = hooks_.scan();
+  if (scans.empty()) return;
+  build_sequences(scans);
 
   ChannelPlan plan = hooks_.current_plan();
   int switches = 0;
-  for (const ApScan& s : index.scans()) {
+  for (const ApScan& s : scans) {
     auto& seq = sequences_.at(s.id);
     auto& cur = cursor_.at(s.id);
     const Channel next = seq[cur % seq.size()];

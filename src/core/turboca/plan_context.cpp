@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -81,35 +82,17 @@ PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
     dirty_list_[i] = static_cast<std::uint32_t>(i);
   touched_.assign(n, 0);
 
-  // Plan-invariant kernel companions (see header): per-candidate switch
-  // penalties (hoisted out of the per-width loop they never vary across)
-  // and per-term effective loads (the empty-AP substitution folded in).
-  cand_penalty_.resize(index.candidate_slots());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<Channel>& cands = index.candidates(i);
-    const std::uint32_t base = index.candidate_base(i);
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      cand_penalty_[base + k] =
-          switch_penalty(index.scan(i), cands[k], params_);
-  }
-  {
-    const std::size_t slots = index.candidate_slots();
-    std::size_t total_terms = 0;
-    if (slots > 0) {
-      // Global sentinel: the final entry of the offset array.
-      total_terms = index.score_block(n - 1)
-                        .term_begin[index.candidates(n - 1).size()];
-    }
-    term_eff_load_.resize(total_terms);
-    for (std::size_t i = 0; i < n; ++i) {
-      const flowsim::ScanIndex::ScoreBlock blk = index.score_block(i);
-      const bool empty = index.total_load(i) <= 0.0;
-      const std::uint32_t tb = blk.term_begin[0];
-      const std::uint32_t te = blk.term_begin[index.candidates(i).size()];
-      for (std::uint32_t t = tb; t < te; ++t)
-        term_eff_load_[t] = empty ? params_.empty_ap_load : blk.load[t];
-    }
-  }
+  plan_slot_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) plan_slot_[i] = candidate_slot(i);
+  memo_.assign(index.term_count() * kMemoCounts,
+               std::numeric_limits<double>::quiet_NaN());
+}
+
+std::int32_t PlanContext::candidate_slot(std::size_t i) const {
+  if (plan_ord_[i] < 0) return -1;
+  const std::span<const int> ords = index_->candidate_ordinals(i);
+  const auto it = std::find(ords.begin(), ords.end(), plan_ord_[i]);
+  return it == ords.end() ? -1 : static_cast<std::int32_t>(it - ords.begin());
 }
 
 void PlanContext::mark_dirty(std::size_t i) {
@@ -130,6 +113,7 @@ void PlanContext::set(std::size_t i, const Channel& c) {
   plan_[i] = c;
   plan_ord_[i] = channels::ordinal(c);
   plan_mask_[i] = plan_mask(c, plan_ord_[i]);
+  plan_slot_[i] = candidate_slot(i);
   if (!psi_[i]) {
     spread(i, before & ~plan_mask_[i], -1);
     spread(i, plan_mask_[i] & ~before, +1);
@@ -264,11 +248,30 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
   return static_cast<double>(width_mhz(b)) * (airtime * st.quality - penalty);
 }
 
+double PlanContext::compute_term_log(std::size_t i, std::size_t k, int b,
+                                     int contenders) const {
+  const flowsim::ScanIndex& index = *index_;
+  const Channel& c = index.candidates(i)[k];
+  const auto bw = static_cast<ChannelWidth>(b);
+  double load = index.load_at(i, bw, c.width);
+  if (index.total_load(i) <= 0.0) load = params_.empty_ap_load;
+  if (load <= 0.0) return 0.0;
+  const int sub =
+      channels::sub_channel_ordinal(index.candidate_ordinals(i)[k], bw);
+  const flowsim::ScanIndex::ChannelStats& st = index.stats(i, sub);
+  const double airtime =
+      std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
+  const double penalty = switch_penalty(index.scan(i), c, params_);
+  const double metric =
+      static_cast<double>(width_mhz(bw)) * (airtime * st.quality - penalty);
+  return log_term(load, metric);
+}
+
 void PlanContext::score_candidates(std::size_t i,
                                    std::span<double> out) const {
   const flowsim::ScanIndex& index = *index_;
-  const std::vector<Channel>& cands = index.candidates(i);
-  const std::vector<int>& ords = index.candidate_ordinals(i);
+  const std::span<const Channel> cands = index.candidates(i);
+  const std::span<const int> ords = index.candidate_ordinals(i);
   W11_CHECK(out.size() == cands.size());
 
   // Scalar fallback slots: an AP reporting itself as a neighbor (degenerate
@@ -283,31 +286,25 @@ void PlanContext::score_candidates(std::size_t i,
     return;
   }
 
-  // The batched pass: per candidate, walk its contiguous term slice; every
-  // input is a flat array read (the contender count is i's live count of
-  // the term's sub-channel) and the arithmetic is the scalar metric's,
-  // expression for expression — bit-identical results, no neighbor walk,
-  // no geometry calls.
+  // The batched pass: per candidate, one memo read per width term, keyed by
+  // the term and i's live count of its sub-channel — no neighbor walk, no
+  // geometry calls, and bit-identical to the scalar sum (term_log).
   const std::int32_t* cnt = live_cnt_.data() + i * n_ord_;
-  const flowsim::ScanIndex::ScoreBlock blk = index.score_block(i);
-  const std::uint32_t base = index.candidate_base(i);
+  const std::uint32_t* term_begin = index.term_begin(i);
+  const std::int16_t* sub_table = channels::sub_channel_table();
+  const std::size_t stride = channels::sub_channel_stride();
   for (std::size_t k = 0; k < cands.size(); ++k) {
     if (ords[k] < 0) {
       out[k] = scalar(k);
       continue;
     }
-    const double penalty = cand_penalty_[base + k];
+    const std::int16_t* sub =
+        sub_table + static_cast<std::size_t>(ords[k]) * stride;
+    const int cw = static_cast<int>(cands[k].width);
     double log_p = 0.0;
-    const std::uint32_t te = blk.term_begin[k + 1];
-    for (std::uint32_t t = blk.term_begin[k]; t < te; ++t) {
-      const double load = term_eff_load_[t];
-      if (load <= 0.0) continue;
-      const int contenders = cnt[blk.sub[t]];
-      const double airtime =
-          std::clamp((1.0 - blk.ext[t]) / (1.0 + contenders), 0.0, 1.0);
-      const double metric = blk.width[t] * (airtime * blk.qual[t] - penalty);
-      log_p += log_term(load, metric);
-    }
+    for (int b = 0; b <= cw; ++b)
+      log_p += term_log(i, k, term_begin[k] + static_cast<std::uint32_t>(b), b,
+                        cnt[sub[b]]);
     out[k] = log_p;
   }
 }
@@ -331,15 +328,15 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
                                       int t_mult,
                                       std::span<double> inout) const {
   const flowsim::ScanIndex& index = *index_;
-  const std::vector<Channel>& cands = index.candidates(target);
-  const std::vector<int>& ords = index.candidate_ordinals(target);
+  const std::span<const Channel> cands = index.candidates(target);
+  const std::span<const int> ords = index.candidate_ordinals(target);
   W11_CHECK(inout.size() == cands.size());
 
-  const int nc_ord = plan_ord_[nb];
-  if (nb == target || nc_ord < 0) {
+  const std::int32_t slot = plan_slot_[nb];
+  if (nb == target || slot < 0) {
     // Scalar fallback: a self-affected AP (degenerate self-neighbor input,
     // where the evaluated channel is the trial channel itself) or a plan
-    // channel outside the catalog.
+    // channel outside nb's candidate set (off-catalog ones included).
     for (std::size_t k = 0; k < cands.size(); ++k) {
       const TrialMove trial{target, cands[k], ords[k]};
       const Channel& nc = nb == target ? cands[k] : plan_[nb];
@@ -348,52 +345,32 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
     return;
   }
 
-  // The neighbor's sub-channels and base contender counts: its live counts
-  // less target's share (a ψ target has none — its trial channel never
-  // counts either).
+  // nb's planned channel is its candidate `slot`: its width terms, and base
+  // contender counts from nb's live counts less target's share (a ψ target
+  // has none — its trial channel never counts either).
   if (psi_[target]) t_mult = 0;
-  const Channel& nc = plan_[nb];
-  const int cw = static_cast<int>(nc.width);
+  const auto k = static_cast<std::size_t>(slot);
+  const int nc_ord = plan_ord_[nb];
+  const int cw = static_cast<int>(plan_[nb].width);
   const std::int16_t* sub_row =
       channels::sub_channel_table() +
       static_cast<std::size_t>(nc_ord) * channels::sub_channel_stride();
   const std::int32_t* cnt = live_cnt_.data() + nb * n_ord_;
   const std::uint64_t target_mask = plan_mask_[target];
+  const std::uint32_t t0 = index.term_begin(nb)[k];
 
   // Per width term, the two possible log contributions: target's trial
   // channel overlapping this sub-channel (+t_mult contenders) or not.
-  // Exactly the scalar metric arithmetic; only the contender count varies.
-  const double penalty = switch_penalty(index.scan(nb), nc, params_);
-  const double total_load = index.total_load(nb);
   double lt_without[4];
   double lt_with[4];
-  bool live[4] = {false, false, false, false};
   for (int b = 0; b <= cw; ++b) {
-    double load = index.load_at(nb, static_cast<ChannelWidth>(b), nc.width);
-    if (total_load <= 0.0) load = params_.empty_ap_load;
-    if (load <= 0.0) continue;
-    live[b] = true;
     const int sub = sub_row[b];
     const int base_cnt =
         cnt[sub] - t_mult * static_cast<int>((target_mask >> sub) & 1u);
-    const flowsim::ScanIndex::ChannelStats& st = index.stats(nb, sub);
-    const double width =
-        static_cast<double>(width_mhz(static_cast<ChannelWidth>(b)));
-    {
-      const double airtime =
-          std::clamp((1.0 - st.external_util) / (1.0 + base_cnt), 0.0, 1.0);
-      const double metric = width * (airtime * st.quality - penalty);
-      lt_without[b] = log_term(load, metric);
-    }
-    if (t_mult > 0) {
-      const int contenders = base_cnt + t_mult;
-      const double airtime =
-          std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
-      const double metric = width * (airtime * st.quality - penalty);
-      lt_with[b] = log_term(load, metric);
-    } else {
-      lt_with[b] = lt_without[b];
-    }
+    const std::uint32_t t = t0 + static_cast<std::uint32_t>(b);
+    lt_without[b] = term_log(nb, k, t, b, base_cnt);
+    lt_with[b] =
+        t_mult > 0 ? term_log(nb, k, t, b, base_cnt + t_mult) : lt_without[b];
   }
 
   // One sum per overlap pattern (bit b: the trial overlaps sub-channel b),
@@ -403,23 +380,22 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
   double psum[16];
   for (unsigned p = 0; p < n_patterns; ++p) {
     double sum = 0.0;
-    for (int b = 0; b <= cw; ++b) {
-      if (!live[b]) continue;
+    for (int b = 0; b <= cw; ++b)
       sum += ((p >> b) & 1u) != 0 ? lt_with[b] : lt_without[b];
-    }
     psum[p] = sum;
   }
   const unsigned pattern_mask = n_patterns - 1;
   const std::uint8_t* pattern = channels::sub_overlap_patterns() +
                                 static_cast<std::size_t>(nc_ord) * n_ord_;
-  for (std::size_t k = 0; k < cands.size(); ++k) {
-    const int ord = ords[k];
+  const Channel& nc = plan_[nb];
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    const int ord = ords[c];
     if (ord < 0) {
-      const TrialMove trial{target, cands[k], ord};
-      inout[k] += node_p_log(nb, nc, &trial);
+      const TrialMove trial{target, cands[c], ord};
+      inout[c] += node_p_log(nb, nc, &trial);
       continue;
     }
-    inout[k] += psum[pattern[ord] & pattern_mask];
+    inout[c] += psum[pattern[ord] & pattern_mask];
   }
 }
 

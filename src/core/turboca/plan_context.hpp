@@ -11,8 +11,8 @@
 //
 // Ownership / invalidation rules:
 //   * ScanIndex outlives the PlanContext and never changes; a new scan
-//     epoch means a new index and new contexts (services rebuild both per
-//     firing).
+//     epoch means a new index and a new context (services build one of
+//     each per firing and run every hop level of the firing on them).
 //   * Only set() mutates the plan; it is the single invalidation point.
 //   * ψ (the APs ACC presumes are about to move) is context state too:
 //     presume_moving()/settle() add and remove members. NetP terms ignore
@@ -27,7 +27,10 @@
 //     rollback restores every channel the sweep touched (and re-dirties
 //     exactly those terms), which is how TurboCA::run discards a
 //     non-improving proposal without rescoring the network.
+//   * The memo of NodeP log terms needs no invalidation: each entry is a
+//     pure function of (index, params, term, contender count).
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -93,10 +96,11 @@ class PlanContext {
   [[nodiscard]] double node_p_log_terms(std::size_t i, const Channel& c,
                                         std::vector<obs::NodePTerm>* out) const;
 
-  // ---- batched SoA scoring kernel (DESIGN.md §14) -----------------------
-  // One pass over AP i's ScanIndex score block evaluating log NodeP for
-  // EVERY candidate channel at once, reading the contender count of each
-  // sub-channel from i's live counts. out[k] must equal — bit for bit —
+  // ---- batched scoring kernel (DESIGN.md §14) ---------------------------
+  // One pass over AP i's candidates evaluating log NodeP for EVERY
+  // candidate channel at once: per width term, the contender count of its
+  // sub-channel from i's live counts and the memoised log term for that
+  // count. out[k] must equal — bit for bit —
   //   node_p_log(i, candidates(i)[k], &TrialMove{i, cand_k, ord_k})
   // (the self-trial is what ACC passes; it only differs from a plain
   // node_p_log when an AP degenerately reports itself as a neighbor, in
@@ -130,6 +134,8 @@ class PlanContext {
                                       bool honor_psi, const TrialMove* trial,
                                       obs::NodePTerm* detail = nullptr) const;
   void mark_dirty(std::size_t i);
+  // Position of AP i's planned channel among its candidates, -1 if absent.
+  [[nodiscard]] std::int32_t candidate_slot(std::size_t i) const;
   // Add `delta` to every dependent's live count of each sub-channel in
   // `mask` (one row update per dependents() entry of i).
   void spread(std::size_t i, std::uint64_t mask, int delta);
@@ -138,11 +144,32 @@ class PlanContext {
   //   node_p_log(nb, channel_of(nb), &TrialMove{target, cand_k, ord_k})
   // to inout[k] for every candidate k of `target`. `t_mult` is how many of
   // nb's contender reports name target. The base contender counts come
-  // from nb's live counts with target's share taken out; the ≤4 per-width
-  // log terms with and without target fold into ≤16 pattern sums, and each
-  // candidate adds the one its sub_overlap_patterns() entry selects.
+  // from nb's live counts with target's share taken out; the ≤4 log terms
+  // of nb's planned channel with and without target fold into ≤16 pattern
+  // sums, and each candidate adds the one its sub_overlap_patterns() entry
+  // selects.
   void add_neighbor_scores(std::size_t nb, std::size_t target, int t_mult,
                            std::span<double> inout) const;
+
+  // Log term number t = term_begin(i)[k] + b of AP i (its candidate k's
+  // b-wide sub-channel) under `contenders` contenders: the scalar metric's
+  // arithmetic, expression for expression, and +0.0 for a term whose load
+  // the scalar loop skips (adding +0.0 to a sum that started at +0.0 leaves
+  // its bits unchanged). Counts below kMemoCounts are memoised.
+  [[nodiscard]] double term_log(std::size_t i, std::size_t k, std::uint32_t t,
+                                int b, int contenders) const {
+    if (static_cast<unsigned>(contenders) < kMemoCounts) {
+      double& m = memo_[t * kMemoCounts + static_cast<unsigned>(contenders)];
+      if (std::isnan(m)) m = compute_term_log(i, k, b, contenders);
+      return m;
+    }
+    return compute_term_log(i, k, b, contenders);
+  }
+  [[nodiscard]] double compute_term_log(std::size_t i, std::size_t k, int b,
+                                        int contenders) const;
+
+  // Contender counts 0..3 cover nearly every term evaluation.
+  static constexpr unsigned kMemoCounts = 4;
 
   const flowsim::ScanIndex* index_;
   Params params_;
@@ -158,12 +185,14 @@ class PlanContext {
   // acc_scores scratch: how many of each AP's contender reports name the
   // current target. Zero between calls; a PlanContext is single-threaded.
   mutable std::vector<std::int32_t> t_mult_;
-  // Kernel SoA companions, aligned to the index's candidate slots / term
-  // arrays: switch penalties depend only on (scan, params, candidate) and
-  // effective loads fold the empty-AP rule in — both are plan-invariant, so
-  // they are built once here and never touched by set().
-  std::vector<double> cand_penalty_;  // per candidate slot
-  std::vector<double> term_eff_load_;  // per term, empty_ap_load applied
+  // Which candidate of AP i its planned channel is, -1 when the plan is
+  // outside i's candidate set (the neighbor leg's scalar fallback).
+  std::vector<std::int32_t> plan_slot_;
+  // Memo of log terms, [term * kMemoCounts + contenders], NaN = not yet
+  // computed. Every value is a pure function of (index, params, term,
+  // count) — never of the plan or ψ — so it is never invalidated. A NaN
+  // result stays NaN and is recomputed on each read.
+  mutable std::vector<double> memo_;
   ChannelPlan extras_;  // initial-plan entries for APs not in the index
   std::vector<double> term_;
   std::vector<char> dirty_;

@@ -1,6 +1,8 @@
 #include "core/turboca/service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "common/check.hpp"
 #include "core/turboca/plan_context.hpp"
@@ -112,28 +114,19 @@ void TurboCaService::advance_to(Time now) {
 bool TurboCaService::run_now(const std::vector<int>& levels) {
   std::vector<ApScan> scans = hooks_.scan();
   if (!usable_scans(scans, now_, schedule_.max_scan_age, stats_)) return false;
-  // One index per firing, shared across all hop tiers of the schedule; the
-  // service-lifetime stats cache carries unchanged spectrum rows between
-  // firings.
-  const flowsim::ScanIndex index(std::move(scans),
-                                 engine_.params().neighbor_rssi_floor,
+  // One index and one plan context per firing, shared across all hop tiers
+  // of the schedule; the service-lifetime stats cache carries unchanged
+  // spectrum rows between firings.
+  const flowsim::ScanIndex index(scans, engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
   const ChannelPlan before = hooks_.current_plan();
-  ChannelPlan plan = before;
-  bool improved = false;
-  double netp = 0.0;
-  for (int level : levels) {
-    const TurboCA::RunResult r = engine_.run(index, plan, level);
-    plan = r.plan;
-    netp = r.netp_log;
-    improved = improved || r.improved;
-  }
+  const TurboCA::RunResult r = engine_.run(index, before, levels);
   ++stats_.runs;
-  stats_.last_netp_log = netp;
-  if (improved) {
-    stats_.channel_switches += count_switches(before, plan);
+  stats_.last_netp_log = r.netp_log;
+  if (r.improved) {
+    stats_.channel_switches += count_switches(before, r.plan);
     ++stats_.plans_applied;
-    hooks_.apply_plan(plan);
+    hooks_.apply_plan(r.plan);
   }
   return true;
 }
@@ -157,8 +150,7 @@ void ReservedCaService::advance_to(Time now) {
 bool ReservedCaService::run_now() {
   std::vector<ApScan> scans = hooks_.scan();
   if (!usable_scans(scans, now_, cfg_.max_scan_age, stats_)) return false;
-  const flowsim::ScanIndex index(std::move(scans),
-                                 engine_.params().neighbor_rssi_floor,
+  const flowsim::ScanIndex index(scans, engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
   PlanContext ctx(index, engine_.params(), hooks_.current_plan());
 
@@ -166,28 +158,25 @@ bool ReservedCaService::run_now() {
   // everyone else's *current* choice — the locally-optimal trap of §4.3.2.
   // Each score is evaluated against the plan *before* the AP's own trial
   // (no TrialMove), matching the isolated-decision model.
+  std::vector<Channel> with_current;
   for (std::size_t i = 0; i < index.size(); ++i) {
     const ApScan& s = index.scan(i);
     // Keep the width fixed: candidates at exactly the configured width
-    // (or 20 MHz on 2.4 GHz). The clamp only shapes candidate generation;
-    // NodeP never reads max_width.
+    // (20 MHz on 2.4 GHz), or the whole set when the DFS rule leaves none
+    // at that width. The clamp only shapes candidate generation; NodeP
+    // never reads max_width.
     const ChannelWidth fixed_width = std::min(s.max_width, cfg_.fixed_width);
+    std::span<const Channel> cands =
+        channels::candidate_table(s.band, fixed_width,
+                                  s.dfs_capable && !s.has_clients)
+            .at_width_or_all(fixed_width);
+    if (std::find(cands.begin(), cands.end(), s.current) == cands.end()) {
+      with_current.assign(cands.begin(), cands.end());
+      with_current.push_back(s.current);
+      cands = with_current;
+    }
     Channel best = s.current;
     double best_score = -std::numeric_limits<double>::infinity();
-    const bool allow_dfs = s.dfs_capable && !s.has_clients;
-    std::vector<Channel> cands;
-    if (s.band == Band::G2_4) {
-      cands = channels::us_catalog(Band::G2_4, ChannelWidth::MHz20);
-    } else {
-      cands = channels::us_catalog(Band::G5, fixed_width);
-      std::erase_if(cands, [&](const Channel& c) {
-        return !allow_dfs && c.is_dfs();
-      });
-      if (cands.empty())
-        cands = channels::candidate_set(Band::G5, fixed_width, allow_dfs);
-    }
-    if (std::find(cands.begin(), cands.end(), s.current) == cands.end())
-      cands.push_back(s.current);
     for (const Channel& c : cands) {
       const double score = ctx.node_p_log(i, c);
       if (score > best_score + 1e-9) {

@@ -18,7 +18,7 @@ TurboCA::TurboCA(Params params, Rng rng)
 Channel TurboCA::acc(const PlanContext& ctx, std::size_t target) const {
   const flowsim::ScanIndex& index = ctx.index();
   const ApScan& a = index.scan(target);
-  const std::vector<Channel>& cands = index.candidates(target);
+  const std::span<const Channel> cands = index.candidates(target);
 
   // All (channel, width) trials in batched kernel passes (DESIGN.md §14):
   // the target's own term for every candidate at once, then one pass per
@@ -187,17 +187,24 @@ ChannelPlan TurboCA::nbo(const flowsim::ScanIndex& index,
 }
 
 TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
-                                const ChannelPlan& current, int hop_limit) {
-  const int n = static_cast<int>(index.size());
+                                ChannelPlan current,
+                                const std::vector<int>& levels) {
+  PlanContext ctx(index, params_, current);
+  RunResult result;
+  for (const int level : levels)
+    result.improved =
+        run_level(ctx, level, result.netp_log) || result.improved;
+  result.plan = result.improved ? ctx.snapshot() : std::move(current);
+  return result;
+}
+
+bool TurboCA::run_level(PlanContext& ctx, int hop_limit, double& netp_log) {
+  const int n = static_cast<int>(ctx.index().size());
   const int rounds = std::clamp(n / params_.runs_divisor, params_.runs_min,
                                 params_.runs_max);
 
-  PlanContext ctx(index, params_, current);
-
-  RunResult result;
-  result.plan = current;
-  result.netp_log = ctx.net_p_log();
-
+  netp_log = ctx.net_p_log();
+  bool improved = false;
   for (int r = 0; r < rounds; ++r) {
     // §4.4.4: whenever a round improves NetP, the proposal becomes the
     // baseline for following rounds; otherwise it is rolled back in place
@@ -205,15 +212,15 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
     audit_round_ = static_cast<std::uint32_t>(r);
     round_picks_ = 0;
     round_switches_ = 0;
-    const double netp_before = result.netp_log;
+    const double netp_before = netp_log;
     ctx.begin_round();
     nbo_sweep(ctx, hop_limit);
     const double netp = ctx.net_p_log();
-    const bool accepted = netp > result.netp_log + 1e-9;
+    const bool accepted = netp > netp_log + 1e-9;
     if (accepted) {
       ctx.commit_round();
-      result.netp_log = netp;
-      result.improved = true;
+      netp_log = netp;
+      improved = true;
     } else {
       ctx.rollback_round();
     }
@@ -229,8 +236,7 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
       audit_->add_round(rr);
     }
   }
-  if (result.improved) result.plan = ctx.snapshot();
-  return result;
+  return improved;
 }
 
 }  // namespace w11::turboca

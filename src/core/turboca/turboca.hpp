@@ -109,17 +109,25 @@ class TurboCA {
   [[nodiscard]] ChannelPlan nbo(const flowsim::ScanIndex& index,
                                 const ChannelPlan& current, int hop_limit);
 
-  // Multiple NBO rounds at the given hop limit; returns the best plan found
-  // if it beats `current`, else `current` (§4.4.4). Non-improving rounds
-  // are rolled back in place — only touched NodeP terms are rescored.
+  // One firing (§4.4.4): multiple NBO rounds at each hop limit of `levels`
+  // in turn, all on one PlanContext — `current` is read once on entry and
+  // the plan snapshotted once on exit. Whenever a round improves NetP the
+  // proposal becomes the baseline; otherwise it is rolled back in place
+  // (only touched NodeP terms are rescored). Returns `current` unchanged
+  // when no level improved; netp_log is the last level's.
   [[nodiscard]] RunResult run(const flowsim::ScanIndex& index,
-                              const ChannelPlan& current, int hop_limit);
+                              ChannelPlan current,
+                              const std::vector<int>& levels);
 
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:
   // One NBO sweep applied to `ctx` in place.
   void nbo_sweep(PlanContext& ctx, int hop_limit);
+  // run()'s rounds at one hop limit on the firing's context: returns
+  // whether any round was accepted and leaves the level's NetP in
+  // `netp_log`.
+  bool run_level(PlanContext& ctx, int hop_limit, double& netp_log);
 
   // Per-commit bookkeeping (trace event, switch counting, audit record).
   // Called after ctx.set(); `from` is the channel the AP held before the

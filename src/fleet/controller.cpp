@@ -315,17 +315,16 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
   }
 
   turboca::TurboCA engine(cfg_.planner, root_.fork(stream));
-  // One index per firing, shared across the tier's hop levels; the stats
-  // cache makes unchanged spectrum rows a copy instead of a recompute.
-  flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,
-                           cfg_.pool, cs.cache.get());
-  for (const int level : tier_levels(job.tier)) {
-    turboca::TurboCA::RunResult r = engine.run(index, current, level);
-    out.improved = out.improved || r.improved;
-    out.netp_log = r.netp_log;
-    current = std::move(r.plan);
-  }
-  out.plan = std::move(current);
+  // One index over the resident scans and one plan context per firing,
+  // shared across the tier's hop levels; the stats cache makes unchanged
+  // spectrum rows a copy instead of a recompute.
+  const flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,
+                                 cfg_.pool, cs.cache.get());
+  turboca::TurboCA::RunResult r =
+      engine.run(index, std::move(current), tier_levels(job.tier));
+  out.improved = r.improved;
+  out.netp_log = r.netp_log;
+  out.plan = std::move(r.plan);
   out.plan_seconds = seconds_since(t0);
   return out;
 }

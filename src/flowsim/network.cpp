@@ -42,6 +42,12 @@ const double* overlap_fraction_table() {
   return table.data();
 }
 
+// The 20 MHz channels a scan reports on: the band's 20 MHz catalog, which
+// is its DFS-allowed 20 MHz candidate table.
+std::span<const Channel> scan_catalog(Band band) {
+  return channels::candidate_table(band, ChannelWidth::MHz20, true).channels;
+}
+
 }  // namespace
 
 const ApMetrics& Evaluation::of(ApId id) const {
@@ -232,6 +238,8 @@ ApNode& Network::ap_of_mut(ApId id) {
 void Network::drop(Memo level) {
   const auto kept = static_cast<Memo>(static_cast<std::uint8_t>(level) - 1);
   memo_ = std::min(memo_, kept);
+  if (level == Memo::kTopology || level == Memo::kInterferers)
+    scan_duty_.valid = false;
 }
 
 const Network::LinkBudget& Network::budget() const {
@@ -366,6 +374,25 @@ const Network::InterfererCache& Network::interferer_cache() const {
   }
   memo_ = Memo::kInterferers;
   return x;
+}
+
+const Network::ScanDuty& Network::scan_duty() const {
+  if (scan_duty_.valid) return scan_duty_;
+  const LinkBudget& b = budget();
+  const std::span<const Channel> catalog = scan_catalog(cfg_.band);
+  ScanDuty& d = scan_duty_;
+  d.begin.assign(1, 0);
+  d.duty.clear();
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    for (std::size_t c = 0; c < catalog.size(); ++c) {
+      // A zero duty reads back as 0.0, which scan() treats alike.
+      const double u = external_duty_at(b, i, catalog[c]);
+      if (u != 0.0) d.duty.emplace_back(static_cast<std::uint32_t>(c), u);
+    }
+    d.begin.push_back(static_cast<std::uint32_t>(d.duty.size()));
+  }
+  d.valid = true;
+  return d;
 }
 
 double Network::external_duty_at(const LinkBudget& b, std::size_t i,
@@ -563,7 +590,8 @@ Evaluation Network::solve() const {
 std::vector<ApScan> Network::scan() const {
   const Evaluation& ev = evaluation();
   const LinkBudget& b = budget();
-  const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
+  const std::span<const Channel> catalog = scan_catalog(cfg_.band);
+  const ScanDuty& duty = scan_duty();
   const std::size_t n = aps_.size();
   std::vector<ApScan> scans;
   scans.reserve(n);
@@ -594,8 +622,12 @@ std::vector<ApScan> Network::scan() const {
       s.neighbors.push_back(NeighborReport{aps_[nb.index].id, nb.rssi});
 
     s.quality.reserve(catalog.size());
-    for (const Channel& comp : catalog) {
-      double u = external_duty_at(b, i, comp);
+    std::uint32_t e = duty.begin[i];
+    for (std::size_t c = 0; c < catalog.size(); ++c) {
+      const Channel& comp = catalog[c];
+      double u = 0.0;
+      if (e < duty.begin[i + 1] && duty.duty[e].first == c)
+        u = duty.duty[e++].second;
       if (cfg_.scan_noise_sigma > 0.0 && u > 0.0) {
         // Scanning-radio sampling error (150 ms dwells, §2.1).
         u = std::clamp(u + rng_.normal(0.0, cfg_.scan_noise_sigma), 0.0, 1.0);

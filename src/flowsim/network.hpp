@@ -266,6 +266,19 @@ class Network {
   [[nodiscard]] const LinkBudget& budget() const;
   [[nodiscard]] const PlanCache& plan_cache() const;
   [[nodiscard]] const InterfererCache& interferer_cache() const;
+  // What scan() reports before noise: each AP's nonzero external duty on
+  // the 20 MHz catalog channels, as (catalog position, duty) entries in
+  // ascending position, AP i's being [begin[i], begin[i + 1]). It depends
+  // on the topology and the interferers but not on the plan, so it sits
+  // beside the memo levels: add_* and mutate_interferers drop it, a channel
+  // change does not. Sparse because few channels carry a sensed
+  // interferer.
+  struct ScanDuty {
+    std::vector<std::uint32_t> begin;
+    std::vector<std::pair<std::uint32_t, double>> duty;
+    bool valid = false;
+  };
+  [[nodiscard]] const ScanDuty& scan_duty() const;
   [[nodiscard]] const Evaluation& evaluation() const;
   [[nodiscard]] Evaluation solve() const;
   [[nodiscard]] double external_duty_at(const LinkBudget& b, std::size_t i,
@@ -283,6 +296,7 @@ class Network {
   mutable LinkBudget budget_;
   mutable PlanCache plan_;
   mutable InterfererCache intf_;
+  mutable ScanDuty scan_duty_;
   mutable Evaluation eval_;
   std::vector<ApNode> aps_;
   std::vector<ExternalInterferer> interferers_;

@@ -33,20 +33,20 @@ std::uint64_t ScanStatsCache::content_hash(const ApScan& s) {
   return h;
 }
 
-ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
-                     exec::TaskPool* pool, ScanStatsCache* stats_cache)
-    : scans_(std::move(scans)), floor_(contender_rssi_floor) {
-  const std::size_t n = scans_.size();
+ScanIndex::ScanIndex(const std::vector<ApScan>& scans,
+                     Dbm contender_rssi_floor, exec::TaskPool* pool,
+                     ScanStatsCache* stats_cache)
+    : scans_(&scans), floor_(contender_rssi_floor) {
+  const std::size_t n = scans.size();
   n_ordinals_ = channels::catalog_size();
   by_id_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    by_id_.emplace(scans_[i].id, static_cast<std::uint32_t>(i));
+    by_id_.emplace(scans[i].id, static_cast<std::uint32_t>(i));
 
   recs_.resize(n);
   stats_.resize(n * n_ordinals_);
-  std::size_t n_terms = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const ApScan& s = scans_[i];
+    const ApScan& s = scans[i];
     ApRecord& r = recs_[i];
 
     // Adjacency restricted to APs present in this epoch, scan-report order.
@@ -75,24 +75,29 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
     // Candidate set (§4.5.2: an AP with connected clients must not move to
     // a DFS channel; DFS-incapable hardware never can). The current channel
     // is always a candidate.
-    const bool allow_dfs = s.dfs_capable && !s.has_clients;
-    r.candidates = channels::candidate_set(s.band, s.max_width, allow_dfs);
-    if (std::find(r.candidates.begin(), r.candidates.end(), s.current) ==
-        r.candidates.end())
-      r.candidates.push_back(s.current);
-    r.candidate_ordinals.reserve(r.candidates.size());
-    for (const Channel& c : r.candidates)
-      r.candidate_ordinals.push_back(channels::ordinal(c));
-
-    // Slot layout of the SoA scoring block: each catalog candidate expands
-    // to (width levels) terms; non-catalog candidates contribute none.
-    r.cand_begin = static_cast<std::uint32_t>(cand_slots_);
-    cand_slots_ += r.candidates.size();
-    for (int ord : r.candidate_ordinals)
-      if (ord >= 0)
-        n_terms += static_cast<std::size_t>(
-            static_cast<int>(channels::by_ordinal(ord).width) + 1);
+    const channels::CandidateTable& table = channels::candidate_table(
+        s.band, s.max_width, s.dfs_capable && !s.has_clients);
+    r.cand_begin = static_cast<std::uint32_t>(cand_.size());
+    cand_.insert(cand_.end(), table.channels.begin(), table.channels.end());
+    cand_ord_.insert(cand_ord_.end(), table.ordinals.begin(),
+                     table.ordinals.end());
+    const int current_ord = channels::ordinal(s.current);
+    if (!table.contains(current_ord)) {
+      cand_.push_back(s.current);
+      cand_ord_.push_back(current_ord);
+    }
+    r.cand_end = static_cast<std::uint32_t>(cand_.size());
   }
+
+  // Term numbering: each catalog candidate owns (width level + 1) terms.
+  cand_term_begin_.resize(cand_.size() + 1);
+  std::uint32_t term = 0;
+  for (std::size_t k = 0; k < cand_.size(); ++k) {
+    cand_term_begin_[k] = term;
+    if (cand_ord_[k] >= 0)
+      term += static_cast<std::uint32_t>(cand_[k].width) + 1;
+  }
+  cand_term_begin_.back() = term;
 
   // Cross-epoch aggregate reuse: probe the cache serially (it is not
   // thread-safe), remember per-AP hits, and insert freshly computed rows
@@ -106,7 +111,7 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
   if (stats_cache != nullptr) {
     row_hash.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      row_hash[i] = ScanStatsCache::content_hash(scans_[i]);
+      row_hash[i] = ScanStatsCache::content_hash(scans[i]);
       const auto it = stats_cache->rows_.find(row_hash[i]);
       if (it != stats_cache->rows_.end()) {
         cached_row[i] = it->second.row.data();
@@ -119,64 +124,19 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
     }
   }
 
-  // Flat term arrays: per-candidate offsets first (serial prefix sums), the
-  // fill itself rides the per-AP parallel tasks below.
-  cand_term_begin_.resize(cand_slots_ + 1);
-  term_load_.resize(n_terms);
-  term_ext_.resize(n_terms);
-  term_qual_.resize(n_terms);
-  term_width_.resize(n_terms);
-  term_sub_.resize(n_terms);
-  {
-    std::uint32_t term = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const ApRecord& r = recs_[i];
-      for (std::size_t k = 0; k < r.candidates.size(); ++k) {
-        cand_term_begin_[r.cand_begin + k] = term;
-        const int ord = r.candidate_ordinals[k];
-        if (ord >= 0)
-          term += static_cast<std::uint32_t>(
-              static_cast<int>(channels::by_ordinal(ord).width) + 1);
-      }
-    }
-    cand_term_begin_[cand_slots_] = term;
-  }
-
-  // Per-catalog-channel aggregates + SoA term fill: the dominant build
-  // cost, fanned out one AP per task. Task i writes only row i's slice of
-  // stats_ and its own term-array slice, and each cell is a pure function
-  // of (scan i, catalog channel), so the fill is race-free and
-  // bit-identical at any worker count.
-  const std::int16_t* sub_table = channels::sub_channel_table();
-  const std::size_t sub_stride = channels::sub_channel_stride();
+  // Per-catalog-channel aggregates: the dominant build cost, fanned out
+  // one AP per task. Task i writes only row i of stats_, and each cell is
+  // a pure function of (scan i, catalog channel), so the fill is race-free
+  // and bit-identical at any worker count.
   exec::TaskPool& tp = pool ? *pool : exec::TaskPool::global();
   tp.parallel_for(n, [&, this](std::size_t i) {
-    const ApScan& s = scans_[i];
     ChannelStats* row = stats_.data() + i * n_ordinals_;
     if (cached_row[i] != nullptr) {
       std::memcpy(row, cached_row[i], n_ordinals_ * sizeof(ChannelStats));
     } else {
       for (std::size_t ord = 0; ord < n_ordinals_; ++ord)
-        row[ord] = compute_stats(s, channels::by_ordinal(static_cast<int>(ord)));
-    }
-
-    const ApRecord& r = recs_[i];
-    for (std::size_t k = 0; k < r.candidates.size(); ++k) {
-      const int ord = r.candidate_ordinals[k];
-      if (ord < 0) continue;
-      const int cw = static_cast<int>(channels::by_ordinal(ord).width);
-      std::uint32_t t = cand_term_begin_[r.cand_begin + k];
-      for (int b = 0; b <= cw; ++b, ++t) {
-        const std::int16_t sub =
-            sub_table[static_cast<std::size_t>(ord) * sub_stride +
-                      static_cast<std::size_t>(b)];
-        term_load_[t] = r.load_at[b][cw];
-        term_ext_[t] = row[sub].external_util;
-        term_qual_[t] = row[sub].quality;
-        term_width_[t] =
-            static_cast<double>(width_mhz(static_cast<ChannelWidth>(b)));
-        term_sub_[t] = sub;
-      }
+        row[ord] =
+            compute_stats(scans[i], channels::by_ordinal(static_cast<int>(ord)));
     }
   });
 

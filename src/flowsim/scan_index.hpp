@@ -11,15 +11,15 @@
 //   * adjacency lists restricted to APs present in the epoch, with the
 //     contender RSSI floor pre-applied, plus the reverse ("who counts me
 //     as a contender") edges that bound the invalidation set of a move;
-//   * per-AP candidate channel sets (band/max-width/DFS rule, current
-//     channel always included);
+//   * per-AP candidate channel sets (the interned band/max-width/DFS
+//     table, current channel always included) in one flat slot array;
 //   * per-(AP, catalog channel) external-utilization / quality aggregates,
 //     folded with exactly the arithmetic the NodeP metric uses so indexed
 //     evaluation is bit-for-bit identical to the reference path.
 //
-// A ScanIndex owns its scans and is immutable after construction: when a
-// new census arrives, build a new index (services build one per firing and
-// share it across all hop tiers of that firing).
+// A ScanIndex borrows its scans and is immutable after construction: when
+// a new census arrives, build a new index (services build one per firing
+// and share it across all hop tiers of that firing).
 
 #include <cstdint>
 #include <limits>
@@ -115,14 +115,25 @@ class ScanIndex {
   // worker count. An optional ScanStatsCache (owned by the caller, one per
   // long-lived service) lets APs whose spectrum content is unchanged across
   // epochs copy their aggregate row instead of recomputing it.
+  //
+  // The index borrows `scans`: the vector must outlive the index and stay
+  // unchanged while it lives. Building from a temporary would dangle, so
+  // that overload is deleted.
   explicit ScanIndex(
-      std::vector<ApScan> scans,
+      const std::vector<ApScan>& scans,
       Dbm contender_rssi_floor = -std::numeric_limits<double>::infinity(),
       exec::TaskPool* pool = nullptr, ScanStatsCache* stats_cache = nullptr);
+  explicit ScanIndex(
+      std::vector<ApScan>&& scans,
+      Dbm contender_rssi_floor = -std::numeric_limits<double>::infinity(),
+      exec::TaskPool* pool = nullptr,
+      ScanStatsCache* stats_cache = nullptr) = delete;
 
-  [[nodiscard]] std::size_t size() const { return scans_.size(); }
-  [[nodiscard]] const std::vector<ApScan>& scans() const { return scans_; }
-  [[nodiscard]] const ApScan& scan(std::size_t i) const { return scans_[i]; }
+  [[nodiscard]] std::size_t size() const { return scans_->size(); }
+  [[nodiscard]] const std::vector<ApScan>& scans() const { return *scans_; }
+  [[nodiscard]] const ApScan& scan(std::size_t i) const {
+    return (*scans_)[i];
+  }
   [[nodiscard]] Dbm contender_rssi_floor() const { return floor_; }
 
   [[nodiscard]] std::optional<std::size_t> find(ApId id) const;
@@ -141,14 +152,16 @@ class ScanIndex {
     return {dep_flat_.data() + r.dep_begin, r.dep_end - r.dep_begin};
   }
 
-  // Candidate channels for AP i (catalog set under the DFS rule of §4.5.2,
-  // with the current channel always included) and their catalog ordinals.
-  [[nodiscard]] const std::vector<Channel>& candidates(std::size_t i) const {
-    return recs_[i].candidates;
+  // Candidate channels for AP i (the interned catalog set under the DFS
+  // rule of §4.5.2, with the current channel always included) and their
+  // catalog ordinals (-1 for a non-catalog current channel).
+  [[nodiscard]] std::span<const Channel> candidates(std::size_t i) const {
+    const ApRecord& r = recs_[i];
+    return {cand_.data() + r.cand_begin, r.cand_end - r.cand_begin};
   }
-  [[nodiscard]] const std::vector<int>& candidate_ordinals(
-      std::size_t i) const {
-    return recs_[i].candidate_ordinals;
+  [[nodiscard]] std::span<const int> candidate_ordinals(std::size_t i) const {
+    const ApRecord& r = recs_[i];
+    return {cand_ord_.data() + r.cand_begin, r.cand_end - r.cand_begin};
   }
 
   // Aggregates of catalog channel `ord` as seen by AP i.
@@ -168,38 +181,19 @@ class ScanIndex {
     return recs_[i].total_load;
   }
 
-  // ---- SoA candidate scoring block (DESIGN.md §14) ----------------------
-  // Every catalog candidate k of AP i expands to one (b = 20MHz..width)
-  // term per sub-channel width, laid out contiguously in flat parallel
-  // arrays; a candidate whose channel is outside the catalog contributes
-  // zero terms (term_begin[k] == term_begin[k+1]) and must be scored on the
-  // scalar path. The batched NodeP kernel walks these arrays with no
-  // geometry calls and no map lookups.
-  struct ScoreBlock {
-    // Half-open per-candidate term ranges: candidate k owns global term
-    // indices [term_begin[k], term_begin[k+1]). Size candidates(i)+1.
-    const std::uint32_t* term_begin = nullptr;
-    const double* load = nullptr;        // raw load(b) for the (b, cw) pair
-    const double* ext = nullptr;         // sub-channel external utilization
-    const double* qual = nullptr;        // sub-channel quality
-    const double* width = nullptr;       // width_mhz(b) as double
-    const std::int16_t* sub = nullptr;   // sub-channel catalog ordinal
-  };
-  [[nodiscard]] ScoreBlock score_block(std::size_t i) const {
-    const ApRecord& r = recs_[i];
-    return ScoreBlock{cand_term_begin_.data() + r.cand_begin,
-                      term_load_.data(), term_ext_.data(), term_qual_.data(),
-                      term_width_.data(), term_sub_.data()};
+  // ---- NodeP term numbering (DESIGN.md §14) -----------------------------
+  // Every catalog candidate k of AP i expands to one NodeP term per
+  // sub-channel width b = 20 MHz..its width, numbered term_begin(i)[k] + b;
+  // numbers are dense over the whole index. A non-catalog candidate owns no
+  // terms and is scored on the scalar path. PlanContext keys its memo of
+  // log terms by these numbers.
+  [[nodiscard]] const std::uint32_t* term_begin(std::size_t i) const {
+    return cand_term_begin_.data() + recs_[i].cand_begin;
   }
-  // First slot of AP i's candidates in per-candidate flat arrays (the
-  // PlanContext aligns its per-candidate penalty table to these slots).
-  [[nodiscard]] std::uint32_t candidate_base(std::size_t i) const {
-    return recs_[i].cand_begin;
+  [[nodiscard]] std::size_t term_count() const {
+    return cand_term_begin_.back();
   }
-  // Total candidate slots across all APs.
-  [[nodiscard]] std::size_t candidate_slots() const {
-    return cand_slots_;
-  }
+
   // True if AP i reports itself as a neighbor (degenerate input); the
   // kernel bails to the scalar path for such APs.
   [[nodiscard]] bool has_self_neighbor(std::size_t i) const {
@@ -210,31 +204,26 @@ class ScanIndex {
   struct ApRecord {
     std::uint32_t nbr_begin = 0, nbr_end = 0;
     std::uint32_t dep_begin = 0, dep_end = 0;
-    std::uint32_t cand_begin = 0;  // into cand_term_begin_ (slot space)
+    std::uint32_t cand_begin = 0, cand_end = 0;  // candidate slot range
     double total_load = 0.0;
     double load_at[4][4] = {};  // [b][cw]
     bool self_neighbor = false;
-    std::vector<Channel> candidates;
-    std::vector<int> candidate_ordinals;
   };
 
-  std::vector<ApScan> scans_;
+  const std::vector<ApScan>* scans_;
   Dbm floor_;
   std::size_t n_ordinals_ = 0;
-  std::size_t cand_slots_ = 0;
   std::unordered_map<ApId, std::uint32_t> by_id_;
   std::vector<ApRecord> recs_;
   std::vector<Neighbor> nbr_flat_;
   std::vector<std::uint32_t> dep_flat_;
   std::vector<ChannelStats> stats_;
-  // SoA scoring block storage (see ScoreBlock): one sentinel-terminated
-  // per-candidate offset array plus flat parallel term arrays.
+  // Every AP's candidates, one slot each: its interned table copied in,
+  // plus its current channel when the table lacks it.
+  std::vector<Channel> cand_;
+  std::vector<int> cand_ord_;
+  // First term of each candidate slot, plus a sentinel (the term count).
   std::vector<std::uint32_t> cand_term_begin_;
-  std::vector<double> term_load_;
-  std::vector<double> term_ext_;
-  std::vector<double> term_qual_;
-  std::vector<double> term_width_;
-  std::vector<std::int16_t> term_sub_;
 };
 
 }  // namespace w11::flowsim

@@ -34,7 +34,7 @@ struct NodePTerm {
 };
 
 // The log NodeP a term breakdown describes, folded in breakdown order —
-// the same b-ascending accumulation node_p_log and the batched SoA kernel
+// the same b-ascending accumulation node_p_log and the batched kernel
 // use, so for a full breakdown the result is bit-for-bit the score the
 // optimizer acted on (tests/test_score_kernel.cpp pins all three equal).
 // Any other summation order is NOT guaranteed to reproduce the bits.

@@ -148,6 +148,41 @@ std::vector<Channel> candidate_set(Band band, ChannelWidth max_width, bool allow
   return out;
 }
 
+std::span<const Channel> CandidateTable::at_width_or_all(ChannelWidth w) const {
+  const auto first = std::find_if(channels.begin(), channels.end(),
+                                  [w](const Channel& c) { return c.width == w; });
+  const auto last = std::find_if(first, channels.end(),
+                                 [w](const Channel& c) { return c.width != w; });
+  if (first == last) return channels;
+  return {first, last};
+}
+
+const CandidateTable& candidate_table(Band band, ChannelWidth max_width,
+                                      bool allow_dfs) {
+  const auto key = [](Band b, ChannelWidth w, bool dfs) {
+    return (b == Band::G5 ? 8u : 0u) + static_cast<unsigned>(w) * 2u +
+           (dfs ? 1u : 0u);
+  };
+  // Built on first use; immutable after.
+  static const auto tables = [&key] {
+    std::array<CandidateTable, 16> out;
+    for (Band b : {Band::G2_4, Band::G5})
+      for (ChannelWidth w : {ChannelWidth::MHz20, ChannelWidth::MHz40,
+                             ChannelWidth::MHz80, ChannelWidth::MHz160})
+        for (bool dfs : {false, true}) {
+          CandidateTable& t = out[key(b, w, dfs)];
+          t.channels = candidate_set(b, w, dfs);
+          for (const Channel& c : t.channels) {
+            const int o = ordinal(c);
+            t.ordinals.push_back(o);
+            t.mask |= std::uint64_t{1} << o;
+          }
+        }
+    return out;
+  }();
+  return tables[key(band, max_width, allow_dfs)];
+}
+
 namespace {
 
 constexpr int kMaxNumber = 165;

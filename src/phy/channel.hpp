@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <compare>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,27 @@ namespace channels {
 // 20..max on 5 GHz, or 1/6/11 on 2.4 GHz. `allow_dfs`=false filters DFS.
 [[nodiscard]] std::vector<Channel> candidate_set(Band band, ChannelWidth max_width,
                                                  bool allow_dfs);
+
+// candidate_set interned: one immutable table per (band, max width, DFS
+// allowed) key, built once from candidate_set and never changed, so
+// planners read a shared table instead of generating a fresh vector per AP.
+struct CandidateTable {
+  std::vector<Channel> channels;  // candidate_set order (width-ascending)
+  std::vector<int> ordinals;      // ordinal() of each channel
+  std::uint64_t mask = 0;         // bit o set iff ordinal o is in the table
+
+  [[nodiscard]] bool contains(int ord) const {
+    return ord >= 0 && ((mask >> ord) & 1u) != 0;
+  }
+  // The run of channels exactly `w` wide (contiguous: tables ascend in
+  // width), or every channel when none is — the fixed-width planners'
+  // candidate rule.
+  [[nodiscard]] std::span<const Channel> at_width_or_all(ChannelWidth w) const;
+};
+
+[[nodiscard]] const CandidateTable& candidate_table(Band band,
+                                                    ChannelWidth max_width,
+                                                    bool allow_dfs);
 
 // True if the 20 MHz 5 GHz channel number lies in a DFS range (52–64,
 // 100–144 in the US).

@@ -14,10 +14,11 @@
 namespace w11 {
 
 struct PlanEpoch {
-  PlanEpoch(std::vector<ApScan> scans, const ChannelPlan& plan,
+  PlanEpoch(std::vector<ApScan> scans_in, const ChannelPlan& plan,
             const turboca::Params& params = {},
             exec::TaskPool* pool = nullptr)
-      : index(std::move(scans), params.neighbor_rssi_floor, pool),
+      : scans(std::move(scans_in)),
+        index(scans, params.neighbor_rssi_floor, pool),
         ctx(index, params, plan) {}
   PlanEpoch(const PlanEpoch&) = delete;
   PlanEpoch& operator=(const PlanEpoch&) = delete;
@@ -40,6 +41,7 @@ struct PlanEpoch {
     return pick;
   }
 
+  std::vector<ApScan> scans;  // the epoch the index borrows
   flowsim::ScanIndex index;
   turboca::PlanContext ctx;
 };

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -123,6 +124,44 @@ TEST(Channels, CandidateSetFiltersDfsAndWidth) {
 
   const auto g24 = channels::candidate_set(Band::G2_4, ChannelWidth::MHz80, true);
   EXPECT_EQ(g24.size(), 3u);
+}
+
+// Every interned table is its generator's output, in the generator's order
+// (the planner's candidate order decides ACC's tie-breaks), with matching
+// ordinals and membership mask; its fixed-width run is the fixed-width
+// planners' old rule (exact width, DFS-filtered, else the whole set).
+TEST(Channels, InternedCandidateTablesMatchTheGenerator) {
+  int tables = 0;
+  for (Band band : {Band::G2_4, Band::G5})
+    for (ChannelWidth w : {ChannelWidth::MHz20, ChannelWidth::MHz40,
+                           ChannelWidth::MHz80, ChannelWidth::MHz160})
+      for (bool dfs : {false, true}) {
+        SCOPED_TRACE(testing::Message() << to_string(band) << " "
+                                        << to_string(w) << " dfs=" << dfs);
+        ++tables;
+        const channels::CandidateTable& t =
+            channels::candidate_table(band, w, dfs);
+        const std::vector<Channel> want = channels::candidate_set(band, w, dfs);
+        EXPECT_EQ(t.channels, want);
+        ASSERT_EQ(t.ordinals.size(), want.size());
+        std::uint64_t mask = 0;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(t.ordinals[k], channels::ordinal(want[k]));
+          mask |= std::uint64_t{1} << t.ordinals[k];
+        }
+        EXPECT_EQ(t.mask, mask);
+        EXPECT_FALSE(t.contains(-1));
+        // Same key, same table: interned, not rebuilt.
+        EXPECT_EQ(&channels::candidate_table(band, w, dfs), &t);
+
+        std::vector<Channel> fixed;
+        for (const Channel& c : channels::us_catalog(band, w))
+          if (dfs || !c.is_dfs()) fixed.push_back(c);
+        if (fixed.empty()) fixed = want;
+        const std::span<const Channel> got = t.at_width_or_all(w);
+        EXPECT_EQ(std::vector<Channel>(got.begin(), got.end()), fixed);
+      }
+  EXPECT_EQ(tables, 16);
 }
 
 TEST(Channels, WidthsUpTo) {

@@ -62,7 +62,7 @@ void expect_golden(int n_aps, std::uint64_t seed) {
     TurboCA indexed(p, Rng(seed + 100 * hop));
     ReferenceEvaluator reference(p, Rng(seed + 100 * hop));
 
-    const TurboCA::RunResult fast = indexed.run(epoch.index, plan, hop);
+    const TurboCA::RunResult fast = indexed.run(epoch.index, plan, {hop});
     const TurboCA::RunResult slow = reference.run(scans, plan, hop);
 
     EXPECT_TRUE(fast.plan == slow.plan)
@@ -71,6 +71,24 @@ void expect_golden(int n_aps, std::uint64_t seed) {
     EXPECT_NEAR(fast.netp_log, slow.netp_log, 1e-9)
         << "n=" << n_aps << " hop=" << hop;
   }
+
+  // A daily firing's hop levels {2, 1, 0} share one plan context; the
+  // reference chains them level by level through plan maps.
+  TurboCA firing(p, Rng(seed + 1000));
+  ReferenceEvaluator chained(p, Rng(seed + 1000));
+  ChannelPlan want = plan;
+  bool improved = false;
+  double netp = 0.0;
+  for (int hop : {2, 1, 0}) {
+    TurboCA::RunResult r = chained.run(scans, want, hop);
+    want = std::move(r.plan);
+    improved = improved || r.improved;
+    netp = r.netp_log;
+  }
+  const TurboCA::RunResult got = firing.run(epoch.index, plan, {2, 1, 0});
+  EXPECT_TRUE(got.plan == want) << "firing plan diverged: n=" << n_aps;
+  EXPECT_EQ(got.improved, improved) << "n=" << n_aps;
+  EXPECT_NEAR(got.netp_log, netp, 1e-9) << "n=" << n_aps;
 }
 
 TEST(PlannerGolden, Campus40MatchesReference) { expect_golden(40, 11); }
@@ -112,7 +130,7 @@ TEST(PlannerGolden, WorkerCountNeverChangesThePlan) {
       TurboCA indexed(p, Rng(seed + 100 * hop));
       indexed.set_pool(&pool);
       const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor, &pool);
-      const TurboCA::RunResult got = indexed.run(index, plan, hop);
+      const TurboCA::RunResult got = indexed.run(index, plan, {hop});
 
       EXPECT_TRUE(got.plan == want.plan)
           << "plan diverged: workers=" << workers << " hop=" << hop;
@@ -128,7 +146,8 @@ TEST(PlannerGolden, WorkerCountNeverChangesThePlan) {
 // NetP (dirty mover + dependents only) equals a full from-scratch recompute.
 TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
   const Params p;
-  const flowsim::ScanIndex index(campus_scans(60, 3), p.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(60, 3);
+  const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
   PlanContext ctx(index, p, {});
   Rng rng(99);
 
@@ -150,7 +169,8 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
 // Rolling back a round restores both the plan and the cached NetP terms.
 TEST(PlannerGolden, RollbackRestoresPlanAndNetP) {
   const Params p;
-  const flowsim::ScanIndex index(campus_scans(40, 13), p.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(40, 13);
+  const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
   PlanContext ctx(index, p, {});
   const ChannelPlan before_plan = ctx.snapshot();
   const double before_netp = ctx.net_p_log();

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/turboca/plan_context.hpp"
@@ -26,6 +29,14 @@ namespace {
 using turboca::Params;
 using turboca::PlanContext;
 
+// An index borrows its scans, so building one from a temporary must not
+// compile.
+static_assert(!std::is_constructible_v<flowsim::ScanIndex, std::vector<ApScan>&&,
+                                       Dbm>);
+static_assert(!std::is_constructible_v<flowsim::ScanIndex, std::vector<ApScan>>);
+static_assert(
+    std::is_constructible_v<flowsim::ScanIndex, const std::vector<ApScan>&, Dbm>);
+
 std::vector<ApScan> campus_scans(int n_aps, std::uint64_t seed) {
   workload::CampusConfig cc;
   cc.n_aps = n_aps;
@@ -37,8 +48,11 @@ std::vector<ApScan> campus_scans(int n_aps, std::uint64_t seed) {
 // A deliberately hostile random fleet: mixed bands and widths, loads that
 // straddle zero (empty-AP rule), qualities/external utils spanning the
 // metric floor, RSSIs straddling the contender floor, non-catalog current
-// channels, and (optionally) an AP that reports itself as a neighbor.
-std::vector<ApScan> hostile_scans(int n_aps, Rng& rng, bool self_neighbor) {
+// channels, and (optionally) an AP that reports itself as a neighbor and
+// NaN, ±inf and negative external utils, qualities and loads — a NaN log
+// term must be recomputed on every read, never served as a memo hit.
+std::vector<ApScan> hostile_scans(int n_aps, Rng& rng, bool self_neighbor,
+                                  bool nonfinite = false) {
   std::vector<ApScan> scans;
   scans.reserve(static_cast<std::size_t>(n_aps));
   const auto cat20 = channels::us_catalog(Band::G5, ChannelWidth::MHz20);
@@ -86,6 +100,21 @@ std::vector<ApScan> hostile_scans(int n_aps, Rng& rng, bool self_neighbor) {
                          rng.uniform(-100.0, -40.0)});
     if (self_neighbor && i == 0)
       s.neighbors.push_back(NeighborReport{s.id, -50.0});
+    if (nonfinite && rng.uniform() < 0.5) {
+      constexpr double kSpecial[] = {
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), -0.5, -3.0};
+      const auto special = [&] { return kSpecial[rng.index(5)]; };
+      for (int k = 0; k < 4; ++k) {
+        const int comp = 36 + 4 * static_cast<int>(rng.uniform_int(0, 32));
+        s.external_util[comp] = special();
+        s.quality[comp + 4 * static_cast<int>(rng.uniform_int(0, 3))] =
+            special();
+      }
+      s.load_by_width[static_cast<ChannelWidth>(
+          rng.uniform_int(0, static_cast<int>(s.max_width)))] = special();
+    }
     scans.push_back(std::move(s));
   }
   return scans;
@@ -129,6 +158,11 @@ void expect_ctx_parity(const PlanContext& ctx) {
             nb.index == i ? index.candidates(i)[k] : ctx.channel_of(nb.index);
         want += ctx.node_p_log(nb.index, nc, &trial);
       }
+      // When two different NaNs meet in one add, x86 keeps the first
+      // operand's payload and the compiler may order a commutative add
+      // either way, so the payload of a NaN sum is not a property of the
+      // arithmetic: any two NaNs match here, every other value to the bit.
+      if (std::isnan(got[k]) && std::isnan(want)) continue;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
                 std::bit_cast<std::uint64_t>(want))
           << "acc-sum mismatch ap=" << i << " cand=" << k;
@@ -146,23 +180,34 @@ void expect_kernel_parity(const flowsim::ScanIndex& index, const Params& params,
 
 TEST(ScoreKernel, MatchesScalarOnCampusFleet) {
   const Params params;
-  const flowsim::ScanIndex index(campus_scans(60, 5),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(60, 5);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
   expect_kernel_parity(index, params, plan);
 }
 
+// Seeds 9-12 add non-finite and negative spectrum values and loads, and
+// plan some APs onto catalog channels outside their candidate sets (the
+// neighbor leg's scalar fallback).
 TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+  const std::vector<Channel> outside = {
+      Channel{Band::G5, 58, ChannelWidth::MHz80},    // DFS
+      Channel{Band::G5, 50, ChannelWidth::MHz160},   // DFS, widest
+      Channel{Band::G5, 120, ChannelWidth::MHz20}};  // DFS
+  int outside_plans = 0;
+  std::ptrdiff_t nan_scores = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed * 977);
     const bool self_nb = seed % 3 == 0;
+    const bool nonfinite = seed > 8;
     Params params;
     params.switch_penalty = rng.uniform(0.0, 0.3);
     params.empty_ap_load = rng.uniform(0.0, 0.5);
     params.high_util_threshold = rng.uniform(0.3, 0.95);
-    const flowsim::ScanIndex index(hostile_scans(24, rng, self_nb),
-                                   params.neighbor_rssi_floor);
+    const std::vector<ApScan> scans =
+        hostile_scans(24, rng, self_nb, nonfinite);
+    const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
 
     // Random plan: most APs stay, some move to a random candidate.
     ChannelPlan plan;
@@ -173,6 +218,13 @@ TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
                        ? s.current
                        : cands[static_cast<std::size_t>(rng.uniform_int(
                              0, static_cast<std::int64_t>(cands.size()) - 1))];
+      if (nonfinite && rng.uniform() < 0.3) {
+        plan[s.id] = outside[rng.index(outside.size())];
+        const auto ords = index.candidate_ordinals(i);
+        if (std::find(ords.begin(), ords.end(),
+                      channels::ordinal(plan[s.id])) == ords.end())
+          ++outside_plans;
+      }
     }
 
     // Random ψ overlay (the in-flight set ACC excludes from contention).
@@ -182,25 +234,79 @@ TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
 
     expect_kernel_parity(index, params, plan);
     expect_kernel_parity(index, params, plan, psi);
+
+    const PlanContext ctx(index, params, plan);
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      std::vector<double> got(index.candidates(i).size());
+      ctx.score_candidates(i, got);
+      nan_scores += std::count_if(got.begin(), got.end(),
+                                  [](double v) { return std::isnan(v); });
+    }
   }
+  EXPECT_GT(outside_plans, 0);
+  EXPECT_GT(nan_scores, 0);  // the non-finite seeds reach NaN log terms
+}
+
+// A fully meshed campus on one channel: every sub-channel has up to 15
+// contenders, far past the memo's 4 count slots, so counts above the cap
+// take the direct computation. Scoring twice on one context also reads
+// back every memoised term.
+TEST(ScoreKernel, MatchesScalarPastTheMemoCountCap) {
+  std::vector<ApScan> scans;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    ApScan s;
+    s.id = ApId{i};
+    s.max_width = ChannelWidth::MHz80;
+    s.current = i % 2 == 0 ? Channel{Band::G5, 36, ChannelWidth::MHz20}
+                           : Channel{Band::G5, 42, ChannelWidth::MHz80};
+    s.has_clients = i % 3 != 0;
+    if (s.has_clients) {
+      s.load_by_width[ChannelWidth::MHz20] = 1.0 + i;
+      s.load_by_width[ChannelWidth::MHz80] = 0.5 * i;
+    }
+    s.external_util[36 + 4 * static_cast<int>(i % 4)] = 0.1 * (i % 5);
+    for (std::uint32_t j = 0; j < 16; ++j)
+      if (j != i) s.neighbors.push_back(NeighborReport{ApId{j}, -60.0});
+    scans.push_back(std::move(s));
+  }
+  const Params params;
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
+  ChannelPlan plan;
+  for (const auto& s : scans) plan[s.id] = s.current;
+  PlanContext ctx(index, params, plan);
+
+  std::vector<obs::NodePTerm> terms;
+  (void)ctx.node_p_log_terms(0, scans[0].current, &terms);
+  ASSERT_FALSE(terms.empty());
+  EXPECT_EQ(terms.front().contenders, 15);
+
+  expect_ctx_parity(ctx);
+  expect_ctx_parity(ctx);
+  ctx.presume_moving(3);
+  ctx.presume_moving(8);
+  expect_ctx_parity(ctx);
 }
 
 // The live contender counts must follow any history of plan moves, ψ
 // presumes/settles and round rollbacks: after every operation, every AP's
 // kernel scores still equal the scalar sums (which walk the neighbor lists
-// afresh). Plans include off-catalog channels, and some fleets hold an AP
-// that reports itself.
+// afresh). Plans include off-catalog channels and catalog channels outside
+// an AP's candidate set, some fleets hold an AP that reports itself, and
+// seeds 7-9 carry non-finite spectrum values and loads.
 TEST(ScoreKernel, LiveCountsMatchRecountUnderRandomMoves) {
   const std::vector<Channel> off_catalog = {
       Channel{Band::G5, 33, ChannelWidth::MHz20},
       Channel{Band::G5, 40, ChannelWidth::MHz80},  // not an 80 MHz centre
       Channel{Band::G2_4, 3, ChannelWidth::MHz20},
-      Channel{Band::G2_4, 9, ChannelWidth::MHz20}};
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Channel{Band::G2_4, 9, ChannelWidth::MHz20},
+      Channel{Band::G5, 58, ChannelWidth::MHz80},     // catalog, DFS
+      Channel{Band::G5, 50, ChannelWidth::MHz160}};  // catalog, DFS
+  for (std::uint64_t seed = 1; seed <= 9; ++seed) {
     Rng rng(seed * 7919);
     const Params params;
-    const flowsim::ScanIndex index(hostile_scans(24, rng, seed % 2 == 0),
-                                   params.neighbor_rssi_floor);
+    const std::vector<ApScan> scans =
+        hostile_scans(24, rng, seed % 2 == 0, /*nonfinite=*/seed > 6);
+    const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
     ChannelPlan plan;
     for (const auto& s : index.scans()) plan[s.id] = s.current;
     PlanContext ctx(index, params, plan);
@@ -249,7 +355,7 @@ TEST(ScoreKernel, FloorClampMatchesScalarBitForBit) {
       s.quality[comp] = 0.0;
     }
   const Params params;
-  const flowsim::ScanIndex index(std::move(scans), params.neighbor_rssi_floor);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
   const PlanContext ctx(index, params, plan);
@@ -271,8 +377,8 @@ TEST(ScoreKernel, AuditTermBreakdownSumsToKernelScore) {
   // the same (AP, channel) when no trial interferes (no self-neighbors on
   // the campus fleet, and the self-trial is a no-op there).
   const Params params;
-  const flowsim::ScanIndex index(campus_scans(40, 11),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(40, 11);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
   PlanContext ctx(index, params, plan);
@@ -406,8 +512,8 @@ TEST(ScoreKernel, StatsCacheLruEvictionIsDeterministic) {
 // libm's log() rounding; the CI toolchain pins one implementation.
 TEST(ScoreKernel, GoldenNetPDigest) {
   const Params params;
-  const flowsim::ScanIndex index(campus_scans(60, 5),
-                                 params.neighbor_rssi_floor);
+  const std::vector<ApScan> scans = campus_scans(60, 5);
+  const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
   PlanContext ctx(index, params, plan);

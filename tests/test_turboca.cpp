@@ -214,7 +214,7 @@ TEST(Run, NeverReturnsWorsePlan) {
   for (const auto& s : scans) current[s.id] = s.current;
   PlanEpoch epoch(scans, current);
   const double before = epoch.ctx.net_p_log();
-  const auto result = tca.run(epoch.index, current, 0);
+  const auto result = tca.run(epoch.index, current, {0});
   EXPECT_GE(result.netp_log, before);
   // Everyone on channel 36 is clearly improvable.
   EXPECT_TRUE(result.improved);
