@@ -230,6 +230,91 @@ TEST(FleetDeltaTest, MemberChurnTrajectoryMatchesFullReplay) {
   expect_twin_equivalence(std::move(censuses), &pool);
 }
 
+TEST(FleetDeltaTest, AssignmentOfRecordFollowsApsAcrossRepartition) {
+  // A shadow assignment of record kept from outside the controller: seeded
+  // from scan currents, overwritten by every delivered plan, pruned of
+  // removed APs. It must equal fleet_plan() after every tick of a delta
+  // sequence that merges, splits, removes, adds and updates spectrum, and
+  // fleet_plan() must cover exactly the resident census.
+  exec::TaskPool pool(2);
+  fleet::FleetController::Config cfg = controller_config(&pool);
+  cfg.cadence.fast = time::minutes(1);  // every campus fires every tick
+  fleet::FleetController ctl(cfg);
+  ChannelPlan shadow;
+  ctl.set_plan_sink([&shadow](const fleet::CampusPlanOutput& out) {
+    for (const auto& [id, ch] : out.plan) shadow[id] = ch;
+  });
+
+  std::vector<std::vector<ApScan>> censuses;
+  // Campuses {0,1}, {10,11} and the chain 20-21-22.
+  std::vector<ApScan> s = {ap(0, {{1, -60.0}}),
+                           ap(1, {{0, -60.0}}),
+                           ap(10, {{11, -62.0}}),
+                           ap(11, {{10, -62.0}}),
+                           ap(20, {{21, -61.0}}),
+                           ap(21, {{20, -61.0}, {22, -63.0}}),
+                           ap(22, {{21, -63.0}})};
+  censuses.push_back(s);
+  // AP 30 bridges {0,1} and {10,11} (merge); AP 21's spectrum changes.
+  s.push_back(ap(30, {{1, -58.0}, {10, -59.0}}));
+  s[5].external_util[36] = 0.35;
+  censuses.push_back(s);
+  // Remove the chain's middle (split), add a loner, touch AP 0's spectrum.
+  s.erase(s.begin() + 5);
+  s.push_back(ap(40));
+  s[0].external_util[36] = 0.27;
+  censuses.push_back(s);
+  // Remove the bridge (split the merged campus again), add a neighbor of
+  // the loner (merge), update AP 11's spectrum.
+  s.erase(std::find_if(s.begin(), s.end(),
+                       [](const ApScan& a) { return a.id == ApId(30); }));
+  s.push_back(ap(41, {{40, -57.0}}));
+  s[3].external_util[36] = 0.44;
+  censuses.push_back(s);
+  // Spectrum-only updates across several campuses.
+  for (ApScan& a : s) a.external_util[36] += 0.05;
+  censuses.push_back(s);
+
+  const auto expect_record_matches = [&](std::size_t poll) {
+    const ChannelPlan record = ctl.fleet_plan();
+    EXPECT_EQ(record, shadow) << "poll " << poll;
+    std::vector<ApId> census;
+    ctl.for_each_campus([&](std::uint32_t, const std::vector<ApScan>& scans) {
+      for (const ApScan& a : scans) census.push_back(a.id);
+    });
+    std::sort(census.begin(), census.end());
+    std::vector<ApId> keys;
+    for (const auto& [id, ch] : record) keys.push_back(id);
+    EXPECT_EQ(keys, census) << "poll " << poll;
+  };
+
+  Time prev{};
+  for (std::size_t p = 0; p < censuses.size(); ++p) {
+    const Time t = time::minutes(static_cast<std::int64_t>(p + 1) * 15);
+    std::vector<ApId> present;
+    for (const ApScan& a : censuses[p]) {
+      present.push_back(a.id);
+      shadow.emplace(a.id, a.current);
+    }
+    std::erase_if(shadow, [&](const auto& entry) {
+      return std::find(present.begin(), present.end(), entry.first) ==
+             present.end();
+    });
+    if (p == 0) {
+      ASSERT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{t, censuses[p]}));
+    } else {
+      ASSERT_TRUE(ctl.offer_delta(
+          fleet::diff_epochs(censuses[p - 1], censuses[p], prev, t)));
+    }
+    ctl.tick(t);
+    prev = t;
+    expect_record_matches(p);
+  }
+  EXPECT_EQ(ctl.stats().deltas_adopted, censuses.size() - 1);
+  EXPECT_EQ(ctl.stats().deltas_rejected, 0u);
+  EXPECT_GT(ctl.stats().plans_improved, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Chain discipline and normalization
 
