@@ -15,6 +15,7 @@
 
 #include "bench_util.hpp"
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "core/turboca/service.hpp"
 #include "exec/task_pool.hpp"
 #include "flowsim/scan_index.hpp"
@@ -71,11 +72,11 @@ void d1_product_vs_sum() {
   // One ScanIndex for the whole ablation; both metrics evaluate against it.
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   auto netp_log = [&](const ChannelPlan& p) {
-    turboca::PlanContext ctx(index, params, p);
+    turboca::PlanContext ctx(index, params, turboca::dense_plan(index, p));
     return ctx.net_p_log();
   };
   auto netp_sum = [&](const ChannelPlan& p) {
-    turboca::PlanContext ctx(index, params, p);
+    turboca::PlanContext ctx(index, params, turboca::dense_plan(index, p));
     double sum = 0.0;
     for (std::size_t i = 0; i < index.size(); ++i)
       sum += std::exp(ctx.node_p_log(i, p.at(index.scan(i).id)) / 2.0);

@@ -13,6 +13,7 @@
 #include "bench_main.hpp"
 #include "core/fastack/agent.hpp"
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/network.hpp"
 #include "flowsim/scan_index.hpp"
@@ -88,8 +89,7 @@ void BM_NboSweep(benchmark::State& state) {
   const std::vector<ApScan> scans = campus_scans(n);
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   turboca::TurboCA tca(params, Rng(2));
-  ChannelPlan plan;
-  for (const auto& s : index.scans()) plan[s.id] = s.current;
+  const std::vector<Channel> plan = turboca::dense_plan(index, {});
   for (auto _ : state) {
     benchmark::DoNotOptimize(tca.nbo(index, plan, 0));
   }
@@ -121,7 +121,8 @@ void BM_ScoreCandidates(benchmark::State& state) {
   const turboca::Params params;
   const std::vector<ApScan> scans = campus_scans(200);
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
-  const turboca::PlanContext ctx(index, params, {});
+  const turboca::PlanContext ctx(index, params,
+                                 turboca::dense_plan(index, {}));
   std::vector<double> out;
   std::size_t i = 0;
   std::int64_t cands_scored = 0;
@@ -149,7 +150,8 @@ void BM_NodePBatch(benchmark::State& state) {
   const turboca::Params params;
   const std::vector<ApScan> scans = campus_scans(200);
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
-  const turboca::PlanContext ctx(index, params, {});
+  const turboca::PlanContext ctx(index, params,
+                                 turboca::dense_plan(index, {}));
   std::vector<double> out;
   std::size_t i = 0;
   std::int64_t terms_scored = 0;  // (candidate, AP-term) evaluations
@@ -178,7 +180,7 @@ void BM_AccIncremental(benchmark::State& state) {
   const std::vector<ApScan> scans = campus_scans(200);
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   turboca::TurboCA tca(params, Rng(3));
-  turboca::PlanContext ctx(index, params, {});
+  turboca::PlanContext ctx(index, params, turboca::dense_plan(index, {}));
   benchmark::DoNotOptimize(ctx.net_p_log());  // warm the term cache
   std::size_t i = 0;
   for (auto _ : state) {

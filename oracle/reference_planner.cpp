@@ -15,7 +15,6 @@
 namespace w11::oracle {
 
 using turboca::kNodePLogFloor;
-using turboca::TurboCA;
 
 namespace {
 
@@ -222,14 +221,14 @@ ChannelPlan ReferenceEvaluator::nbo(const std::vector<ApScan>& scans,
   return pcp;
 }
 
-TurboCA::RunResult ReferenceEvaluator::run(const std::vector<ApScan>& scans,
-                                           const ChannelPlan& current,
-                                           int hop_limit) {
+ReferenceEvaluator::RunResult ReferenceEvaluator::run(
+    const std::vector<ApScan>& scans, const ChannelPlan& current,
+    int hop_limit) {
   const int n = static_cast<int>(scans.size());
   const int rounds = std::clamp(n / params_.runs_divisor, params_.runs_min,
                                 params_.runs_max);
 
-  TurboCA::RunResult result;
+  RunResult result;
   result.plan = current;
   result.netp_log = oracle::net_p_log(params_, scans, current);
 

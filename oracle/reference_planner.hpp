@@ -44,15 +44,21 @@ using turboca::Params;
 
 class ReferenceEvaluator {
  public:
+  // The original engine's run result: the plan as an ApId-keyed map.
+  struct RunResult {
+    ChannelPlan plan;
+    double netp_log = 0.0;
+    bool improved = false;
+  };
+
   ReferenceEvaluator(Params params, Rng rng)
       : params_(params), rng_(std::move(rng)) {}
 
   [[nodiscard]] ChannelPlan nbo(const std::vector<ApScan>& scans,
                                 const ChannelPlan& current, int hop_limit);
 
-  [[nodiscard]] turboca::TurboCA::RunResult run(
-      const std::vector<ApScan>& scans, const ChannelPlan& current,
-      int hop_limit);
+  [[nodiscard]] RunResult run(const std::vector<ApScan>& scans,
+                              const ChannelPlan& current, int hop_limit);
 
  private:
   Params params_;

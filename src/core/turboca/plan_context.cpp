@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -48,25 +49,20 @@ inline double log_term(double load, double metric) {
 }  // namespace
 
 PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
-                         const ChannelPlan& initial)
-    : index_(&index), params_(params) {
+                         std::vector<Channel> initial)
+    : index_(&index), params_(params), plan_(std::move(initial)) {
   // The contender floor is baked into the index's adjacency; a mismatched
   // pairing would silently mis-count contenders.
   W11_CHECK(index.contender_rssi_floor() == params_.neighbor_rssi_floor);
+  W11_CHECK(plan_.size() == index.size());
 
   const std::size_t n = index.size();
-  plan_.reserve(n);
   plan_ord_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ApScan& s = index.scan(i);
-    const auto it = initial.find(s.id);
-    plan_.push_back(it != initial.end() ? it->second : s.current);
-    plan_ord_.push_back(channels::ordinal(plan_.back()));
-  }
-  for (const auto& [id, c] : initial)
-    if (!index.find(id)) extras_.emplace(id, c);
+  for (const Channel& c : plan_) plan_ord_.push_back(channels::ordinal(c));
 
   n_ord_ = channels::catalog_size();
+  sub_table_ = channels::sub_channel_table();
+  sub_stride_ = channels::sub_channel_stride();
   plan_mask_.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     plan_mask_[i] = plan_mask(plan_[i], plan_ord_[i]);
@@ -134,18 +130,25 @@ void PlanContext::spread(std::size_t i, std::uint64_t mask, int delta) {
 void PlanContext::presume_moving(std::size_t i) {
   if (psi_[i]) return;
   psi_[i] = 1;
+  ++psi_size_;
   spread(i, plan_mask_[i], -1);
 }
 
 void PlanContext::settle(std::size_t i) {
   if (!psi_[i]) return;
   psi_[i] = 0;
+  --psi_size_;
   spread(i, plan_mask_[i], +1);
 }
 
 double PlanContext::net_p_log() {
+  // NetP terms ignore ψ, so the live counts (which exclude ψ) serve them
+  // only while ψ is empty — true after every sweep and on entry to a level.
   for (std::uint32_t i : dirty_list_) {
-    term_[i] = log_node_p(i, plan_[i], /*honor_psi=*/false, nullptr);
+    const std::int32_t slot = plan_slot_[i];
+    term_[i] = psi_size_ == 0 && slot >= 0 && !index_->has_self_neighbor(i)
+                   ? own_term(i, static_cast<std::size_t>(slot))
+                   : log_node_p(i, plan_[i], /*honor_psi=*/false, nullptr);
     dirty_[i] = 0;
   }
   dirty_list_.clear();
@@ -256,8 +259,10 @@ double PlanContext::compute_term_log(std::size_t i, std::size_t k, int b,
   double load = index.load_at(i, bw, c.width);
   if (index.total_load(i) <= 0.0) load = params_.empty_ap_load;
   if (load <= 0.0) return 0.0;
-  const int sub =
-      channels::sub_channel_ordinal(index.candidate_ordinals(i)[k], bw);
+  const int sub = sub_table_[static_cast<std::size_t>(
+                                 index.candidate_ordinals(i)[k]) *
+                                 sub_stride_ +
+                             static_cast<std::size_t>(b)];
   const flowsim::ScanIndex::ChannelStats& st = index.stats(i, sub);
   const double airtime =
       std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
@@ -289,24 +294,8 @@ void PlanContext::score_candidates(std::size_t i,
   // The batched pass: per candidate, one memo read per width term, keyed by
   // the term and i's live count of its sub-channel — no neighbor walk, no
   // geometry calls, and bit-identical to the scalar sum (term_log).
-  const std::int32_t* cnt = live_cnt_.data() + i * n_ord_;
-  const std::uint32_t* term_begin = index.term_begin(i);
-  const std::int16_t* sub_table = channels::sub_channel_table();
-  const std::size_t stride = channels::sub_channel_stride();
-  for (std::size_t k = 0; k < cands.size(); ++k) {
-    if (ords[k] < 0) {
-      out[k] = scalar(k);
-      continue;
-    }
-    const std::int16_t* sub =
-        sub_table + static_cast<std::size_t>(ords[k]) * stride;
-    const int cw = static_cast<int>(cands[k].width);
-    double log_p = 0.0;
-    for (int b = 0; b <= cw; ++b)
-      log_p += term_log(i, k, term_begin[k] + static_cast<std::uint32_t>(b), b,
-                        cnt[sub[b]]);
-    out[k] = log_p;
-  }
+  for (std::size_t k = 0; k < cands.size(); ++k)
+    out[k] = ords[k] < 0 ? scalar(k) : own_term(i, k);
 }
 
 void PlanContext::acc_scores(std::size_t target,
@@ -353,8 +342,7 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
   const int nc_ord = plan_ord_[nb];
   const int cw = static_cast<int>(plan_[nb].width);
   const std::int16_t* sub_row =
-      channels::sub_channel_table() +
-      static_cast<std::size_t>(nc_ord) * channels::sub_channel_stride();
+      sub_table_ + static_cast<std::size_t>(nc_ord) * sub_stride_;
   const std::int32_t* cnt = live_cnt_.data() + nb * n_ord_;
   const std::uint64_t target_mask = plan_mask_[target];
   const std::uint32_t t0 = index.term_begin(nb)[k];
@@ -419,13 +407,6 @@ void PlanContext::rollback_round() {
   undo_.clear();
   for (std::uint32_t i : touched_list_) touched_[i] = 0;
   touched_list_.clear();
-}
-
-ChannelPlan PlanContext::snapshot() const {
-  ChannelPlan out = extras_;
-  for (std::size_t i = 0; i < plan_.size(); ++i)
-    out[index_->scan(i).id] = plan_[i];
-  return out;
 }
 
 }  // namespace w11::turboca

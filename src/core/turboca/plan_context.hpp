@@ -2,12 +2,13 @@
 // PlanContext: the incremental NetP evaluation layer TurboCA runs on.
 //
 // A PlanContext binds one ScanIndex (a scan epoch) to one evolving channel
-// plan, stored densely by AP index. It caches every AP's NodeP term and,
-// on a single-AP move, invalidates only the mover and the APs whose
-// contention counts can change (the index's reverse contender edges), so
-// the ΔNetP of a move costs O(degree) term recomputes instead of a full
-// network rescan. Summation always runs over all cached terms in scan
-// order, so results stay bit-for-bit identical to the reference evaluator.
+// plan, stored densely by AP index (plan_map.hpp converts at the edges).
+// It caches every AP's NodeP term and, on a single-AP move, invalidates
+// only the mover and the APs whose contention counts can change (the
+// index's reverse contender edges), so the ΔNetP of a move costs O(degree)
+// term recomputes instead of a full network rescan. Summation always runs
+// over all cached terms in scan order, so results stay bit-for-bit
+// identical to the reference evaluator.
 //
 // Ownership / invalidation rules:
 //   * ScanIndex outlives the PlanContext and never changes; a new scan
@@ -52,8 +53,9 @@ class PlanContext {
     int ordinal;  // channels::ordinal(channel), -1 if non-catalog
   };
 
+  // `initial` holds one channel per indexed AP, in index order.
   PlanContext(const flowsim::ScanIndex& index, const Params& params,
-              const ChannelPlan& initial);
+              std::vector<Channel> initial);
 
   [[nodiscard]] const flowsim::ScanIndex& index() const { return *index_; }
   [[nodiscard]] const Params& params() const { return params_; }
@@ -61,6 +63,8 @@ class PlanContext {
   [[nodiscard]] const Channel& channel_of(std::size_t i) const {
     return plan_[i];
   }
+  // The whole plan, dense by index position.
+  [[nodiscard]] const std::vector<Channel>& plan() const { return plan_; }
 
   // Assign AP i's channel; no-op when unchanged. Marks the mover and every
   // dependent NodeP term dirty, updates the dependents' live counts (unless
@@ -78,7 +82,9 @@ class PlanContext {
 
   // log NetP of the current plan: recomputes only dirty terms, then sums
   // all cached terms in scan order (bit-identical to a full rescore). The
-  // terms ignore ψ.
+  // terms ignore ψ. With ψ empty, a dirty term whose AP is planned on one
+  // of its candidates (and does not report itself) is the kernel's own
+  // term at the live counts; any other term takes the scalar path.
   [[nodiscard]] double net_p_log();
 
   // log NodeP of AP i operating on channel c against the current plan,
@@ -118,10 +124,6 @@ class PlanContext {
   void begin_round();
   void commit_round();
   void rollback_round();
-
-  // The plan as a ChannelPlan map: every indexed AP's dense entry plus any
-  // entries of the initial plan whose APs are absent from this epoch.
-  [[nodiscard]] ChannelPlan snapshot() const;
 
  private:
   // node_p_log with ψ honoured or ignored (NetP terms ignore it), appending
@@ -167,6 +169,23 @@ class PlanContext {
   }
   [[nodiscard]] double compute_term_log(std::size_t i, std::size_t k, int b,
                                         int contenders) const;
+  // Log NodeP of AP i on its catalog candidate k, ψ excluded from the
+  // counts: one term_log per width term at i's live count of its
+  // sub-channel. score_candidates' batched pass and net_p_log's fast path.
+  [[nodiscard]] double own_term(std::size_t i, std::size_t k) const {
+    const std::int32_t* cnt = live_cnt_.data() + i * n_ord_;
+    const std::int16_t* sub =
+        sub_table_ +
+        static_cast<std::size_t>(index_->candidate_ordinals(i)[k]) *
+            sub_stride_;
+    const std::uint32_t t0 = index_->term_begin(i)[k];
+    const int cw = static_cast<int>(index_->candidates(i)[k].width);
+    double log_p = 0.0;
+    for (int b = 0; b <= cw; ++b)
+      log_p += term_log(i, k, t0 + static_cast<std::uint32_t>(b), b,
+                        cnt[sub[b]]);
+    return log_p;
+  }
 
   // Contender counts 0..3 cover nearly every term evaluation.
   static constexpr unsigned kMemoCounts = 4;
@@ -179,9 +198,13 @@ class PlanContext {
   // plan_[i].overlaps(by_ordinal(s))), off-catalog plans included.
   std::vector<std::uint64_t> plan_mask_;
   std::vector<char> psi_;
+  std::size_t psi_size_ = 0;
   // Live contender counts, row-major [AP][catalog ordinal].
   std::vector<std::int32_t> live_cnt_;
   std::size_t n_ord_ = 0;
+  // channels::sub_channel_table() and its stride.
+  const std::int16_t* sub_table_ = nullptr;
+  std::size_t sub_stride_ = 0;
   // acc_scores scratch: how many of each AP's contender reports name the
   // current target. Zero between calls; a PlanContext is single-threaded.
   mutable std::vector<std::int32_t> t_mult_;
@@ -193,7 +216,6 @@ class PlanContext {
   // count) — never of the plan or ψ — so it is never invalidated. A NaN
   // result stays NaN and is recomputed on each read.
   mutable std::vector<double> memo_;
-  ChannelPlan extras_;  // initial-plan entries for APs not in the index
   std::vector<double> term_;
   std::vector<char> dirty_;
   std::vector<std::uint32_t> dirty_list_;

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "flowsim/scan_index.hpp"
 
 namespace w11::turboca {
@@ -120,13 +121,16 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   const flowsim::ScanIndex index(scans, engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
   const ChannelPlan before = hooks_.current_plan();
-  const TurboCA::RunResult r = engine_.run(index, before, levels);
+  const TurboCA::RunResult r =
+      engine_.run(index, dense_plan(index, before), levels);
   ++stats_.runs;
   stats_.last_netp_log = r.netp_log;
   if (r.improved) {
-    stats_.channel_switches += count_switches(before, r.plan);
+    // APs outside this firing's census (stale scans) keep their channel.
+    const ChannelPlan plan = plan_map(index, r.plan, before);
+    stats_.channel_switches += count_switches(before, plan);
     ++stats_.plans_applied;
-    hooks_.apply_plan(r.plan);
+    hooks_.apply_plan(plan);
   }
   return true;
 }
@@ -152,7 +156,8 @@ bool ReservedCaService::run_now() {
   if (!usable_scans(scans, now_, cfg_.max_scan_age, stats_)) return false;
   const flowsim::ScanIndex index(scans, engine_.params().neighbor_rssi_floor,
                                  engine_.pool(), &stats_cache_);
-  PlanContext ctx(index, engine_.params(), hooks_.current_plan());
+  const ChannelPlan before = hooks_.current_plan();
+  PlanContext ctx(index, engine_.params(), dense_plan(index, before));
 
   // Sequential sweep: each AP takes its isolated best channel given
   // everyone else's *current* choice — the locally-optimal trap of §4.3.2.
@@ -186,9 +191,9 @@ bool ReservedCaService::run_now() {
     }
     ctx.set(i, best);
   }
-  const ChannelPlan plan = ctx.snapshot();
+  const ChannelPlan plan = plan_map(index, ctx.plan(), before);
 
-  stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
+  stats_.channel_switches += count_switches(before, plan);
   ++stats_.runs;
   hooks_.apply_plan(plan);
   return true;

@@ -47,78 +47,76 @@ Channel TurboCA::acc(const PlanContext& ctx, std::size_t target) const {
   return best;
 }
 
-void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
-                         std::vector<std::uint32_t>& order,
-                         std::vector<std::uint32_t>& group_end) {
+void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit) {
   // Algorithm 1's control flow, drawing the exact RNG sequence of the
   // reference NBO. Group membership and drain order depend only on the
   // epoch's adjacency and loads — never on the evolving plan — so the whole
   // schedule can be fixed up front and the ACC decisions executed after.
   const std::size_t n = index.size();
-  order.clear();
-  order.reserve(n);
-  group_end.assign(n, 0);
+  order_.clear();
+  group_end_.assign(n, 0);
 
-  std::vector<std::uint32_t> s_set(n);  // S <- V
-  for (std::size_t i = 0; i < n; ++i) s_set[i] = static_cast<std::uint32_t>(i);
+  s_set_.resize(n);  // S <- V
+  for (std::size_t i = 0; i < n; ++i) s_set_[i] = static_cast<std::uint32_t>(i);
 
-  // Token-stamped BFS scratch (one allocation per sweep, O(1) reset).
-  std::vector<std::uint32_t> visited(n, 0);
+  // Token-stamped BFS scratch (O(1) reset per group).
+  visited_.assign(n, 0);
   std::uint32_t token = 0;
-  std::vector<std::pair<std::uint32_t, int>> frontier;
 
-  std::vector<std::uint32_t> group;
-  std::vector<double> weights;
-
-  while (!s_set.empty()) {
+  while (!s_set_.empty()) {
     // line 4: random unassigned AP n.
-    const std::size_t pick = rng_.index(s_set.size());
-    const std::uint32_t seed = s_set[pick];
+    const std::size_t pick = rng_.index(s_set_.size());
+    const std::uint32_t seed = s_set_[pick];
 
     // line 5: hop-limited neighborhood of the seed (BFS over the epoch's
     // adjacency; absent neighbor ids can never enter S, so skipping them
     // here matches the id-based reference BFS).
     ++token;
-    frontier.clear();
-    visited[seed] = token;
-    frontier.emplace_back(seed, 0);
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const auto [v, depth] = frontier[head];
+    frontier_.clear();
+    visited_[seed] = token;
+    frontier_.emplace_back(seed, 0);
+    for (std::size_t head = 0; head < frontier_.size(); ++head) {
+      const auto [v, depth] = frontier_[head];
       if (depth >= hop_limit) continue;
       for (const flowsim::ScanIndex::Neighbor& nb : index.neighbors(v)) {
-        if (visited[nb.index] != token) {
-          visited[nb.index] = token;
-          frontier.emplace_back(nb.index, depth + 1);
+        if (visited_[nb.index] != token) {
+          visited_[nb.index] = token;
+          frontier_.emplace_back(nb.index, depth + 1);
         }
       }
     }
 
-    // line 5/6: S_group = S ∩ hood, S -= S_group.
-    group.clear();
-    for (std::uint32_t i : s_set)
-      if (visited[i] == token) group.push_back(i);
-    std::erase_if(s_set, [&](std::uint32_t i) { return visited[i] == token; });
+    // line 5/6: S_group = S ∩ hood, S -= S_group (one stable pass).
+    group_.clear();
+    std::size_t kept = 0;
+    for (std::uint32_t i : s_set_) {
+      if (visited_[i] == token) {
+        group_.push_back(i);
+      } else {
+        s_set_[kept++] = i;
+      }
+    }
+    s_set_.resize(kept);
 
     // lines 7-11: fix the group's drain order, load-weighted (§4.4.3:
     // heavily loaded APs pick earlier and get first choice of clean
     // channels — the weights come from the static per-epoch loads).
-    const std::size_t gb = order.size();
-    while (!group.empty()) {
+    const std::size_t gb = order_.size();
+    while (!group_.empty()) {
       std::size_t mi;
       if (params_.load_weighted_pick) {
-        weights.clear();
-        weights.reserve(group.size());
-        for (std::uint32_t i : group)
-          weights.push_back(0.05 + index.total_load(i));
-        mi = rng_.weighted_index(weights);
+        weights_.clear();
+        for (std::uint32_t i : group_)
+          weights_.push_back(0.05 + index.total_load(i));
+        mi = rng_.weighted_index(weights_);
       } else {
-        mi = rng_.index(group.size());
+        mi = rng_.index(group_.size());
       }
-      order.push_back(group[mi]);
-      group.erase(group.begin() + static_cast<std::ptrdiff_t>(mi));
+      order_.push_back(group_[mi]);
+      group_.erase(group_.begin() + static_cast<std::ptrdiff_t>(mi));
     }
-    for (std::size_t t = gb; t < order.size(); ++t)
-      group_end[t] = static_cast<std::uint32_t>(order.size());
+    for (std::size_t t = gb; t < order_.size(); ++t)
+      group_end_[t] = static_cast<std::uint32_t>(order_.size());
   }
 }
 
@@ -127,28 +125,25 @@ void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
   // (all of the sweep's RNG), then execute the ACC decisions in drain
   // order — bit-for-bit identical to the reference sweep.
   const flowsim::ScanIndex& index = ctx.index();
-  const std::size_t n = index.size();
-  if (n == 0) return;
-
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> group_end;
-  plan_sweep(index, hop_limit, order, group_end);
+  if (index.size() == 0) return;
+  plan_sweep(index, hop_limit);
 
   // ψ (the still-undrained members of the current group) starts as the
   // whole group and shrinks by one settle per pick; every group is fully
   // settled before the next one forms.
   std::size_t group_until = 0;
-  for (std::size_t t = 0; t < order.size(); ++t) {
+  for (std::size_t t = 0; t < order_.size(); ++t) {
+    const std::uint32_t ap = order_[t];
     if (t == group_until) {
-      group_until = group_end[t];
+      group_until = group_end_[t];
       for (std::size_t u = t; u < group_until; ++u)
-        ctx.presume_moving(order[u]);
+        ctx.presume_moving(order_[u]);
     }
-    ctx.settle(order[t]);
-    const Channel from = ctx.channel_of(order[t]);
-    const Channel to = acc(ctx, order[t]);
-    ctx.set(order[t], to);
-    note_pick(ctx, order[t], t, from, to);
+    ctx.settle(ap);
+    const Channel from = ctx.channel_of(ap);
+    const Channel to = acc(ctx, ap);
+    ctx.set(ap, to);
+    note_pick(ctx, ap, t, from, to);
   }
 }
 
@@ -179,22 +174,23 @@ void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
   audit_->add_pick(std::move(r));
 }
 
-ChannelPlan TurboCA::nbo(const flowsim::ScanIndex& index,
-                         const ChannelPlan& current, int hop_limit) {
-  PlanContext ctx(index, params_, current);
+std::vector<Channel> TurboCA::nbo(const flowsim::ScanIndex& index,
+                                  std::vector<Channel> current,
+                                  int hop_limit) {
+  PlanContext ctx(index, params_, std::move(current));
   nbo_sweep(ctx, hop_limit);
-  return ctx.snapshot();
+  return ctx.plan();
 }
 
 TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
-                                ChannelPlan current,
+                                std::vector<Channel> current,
                                 const std::vector<int>& levels) {
-  PlanContext ctx(index, params_, current);
+  PlanContext ctx(index, params_, std::move(current));
   RunResult result;
   for (const int level : levels)
     result.improved =
         run_level(ctx, level, result.netp_log) || result.improved;
-  result.plan = result.improved ? ctx.snapshot() : std::move(current);
+  result.plan = ctx.plan();
   return result;
 }
 

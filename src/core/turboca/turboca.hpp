@@ -24,11 +24,15 @@
 //
 // Evaluation runs on the PlanContext layer (plan_context.hpp): the caller
 // builds one flowsim::ScanIndex per scan epoch and every ACC/NBO/run call
-// evaluates NodeP terms incrementally against it. The pre-index planner
-// lives on as the reference evaluator of the test-only oracle/ library;
-// the two are bit-for-bit equivalent (tests/test_planner_golden).
+// evaluates NodeP terms incrementally against it. Plans in and out are
+// dense: one Channel per indexed AP, in index order (plan_map.hpp converts
+// to and from ApId-keyed maps where a plan leaves the planner). The
+// pre-index planner lives on as the reference evaluator of the test-only
+// oracle/ library; the two are bit-for-bit equivalent
+// (tests/test_planner_golden).
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,7 +80,7 @@ class TurboCA {
   TurboCA(Params params, Rng rng);
 
   struct RunResult {
-    ChannelPlan plan;
+    std::vector<Channel> plan;  // dense, index order
     double netp_log = 0.0;
     bool improved = false;
   };
@@ -106,17 +110,17 @@ class TurboCA {
 
   // NBO (Algorithm 1): one full sweep with hop limit `i`. `current`
   // supplies channels for APs not yet assigned in the proposed plan.
-  [[nodiscard]] ChannelPlan nbo(const flowsim::ScanIndex& index,
-                                const ChannelPlan& current, int hop_limit);
+  [[nodiscard]] std::vector<Channel> nbo(const flowsim::ScanIndex& index,
+                                         std::vector<Channel> current,
+                                         int hop_limit);
 
   // One firing (§4.4.4): multiple NBO rounds at each hop limit of `levels`
-  // in turn, all on one PlanContext — `current` is read once on entry and
-  // the plan snapshotted once on exit. Whenever a round improves NetP the
-  // proposal becomes the baseline; otherwise it is rolled back in place
-  // (only touched NodeP terms are rescored). Returns `current` unchanged
-  // when no level improved; netp_log is the last level's.
+  // in turn, all on one PlanContext seeded with `current`. Whenever a round
+  // improves NetP the proposal becomes the baseline; otherwise it is rolled
+  // back in place (only touched NodeP terms are rescored), so the plan
+  // equals `current` when no level improved; netp_log is the last level's.
   [[nodiscard]] RunResult run(const flowsim::ScanIndex& index,
-                              ChannelPlan current,
+                              std::vector<Channel> current,
                               const std::vector<int>& levels);
 
   [[nodiscard]] const Params& params() const { return params_; }
@@ -137,12 +141,10 @@ class TurboCA {
 
   // Algorithm 1's control flow without the ACC calls: draws the exact RNG
   // sequence of the reference sweep and emits the drain schedule.
-  // order[t] is the t-th AP to pick a channel; group_end[t] is the end
-  // (exclusive, as a position in `order`) of t's group, so ψ at pick t is
-  // order[t+1 .. group_end[t]). Groups occupy contiguous position runs.
-  void plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
-                  std::vector<std::uint32_t>& order,
-                  std::vector<std::uint32_t>& group_end);
+  // order_[t] is the t-th AP to pick a channel; group_end_[t] is the end
+  // (exclusive, as a position in order_) of t's group, so ψ at pick t is
+  // order_[t+1 .. group_end_[t]). Groups occupy contiguous position runs.
+  void plan_sweep(const flowsim::ScanIndex& index, int hop_limit);
 
   Params params_;
   Rng rng_;
@@ -151,6 +153,14 @@ class TurboCA {
   std::uint32_t audit_round_ = 0;   // NBO round within the current run()
   std::uint32_t round_picks_ = 0;   // picks committed in the current round
   std::uint32_t round_switches_ = 0;
+  // Sweep buffers, reused across rounds and firings.
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> group_end_;
+  std::vector<std::uint32_t> s_set_;
+  std::vector<std::uint32_t> visited_;
+  std::vector<std::pair<std::uint32_t, int>> frontier_;
+  std::vector<std::uint32_t> group_;
+  std::vector<double> weights_;
 };
 
 }  // namespace w11::turboca

@@ -62,9 +62,15 @@ std::vector<std::uint32_t> FleetController::ghost_contenders_of(
 }
 
 void FleetController::install_campus(
-    Campus&& campus, std::map<std::uint32_t, CampusState>* prior, Time) {
+    Campus&& campus, std::map<std::uint32_t, CampusState>* prior,
+    const CarriedPlan& carried) {
   CampusState st;
   st.scans = std::move(campus.scans);
+  st.planned.reserve(st.scans.size());
+  for (const ApScan& s : st.scans) {
+    const auto it = carried.find(s.id.value());
+    st.planned.push_back(it != carried.end() ? it->second : s.current);
+  }
   st.ghost_contenders = ghost_contenders_of(st.scans);
   if (prior != nullptr) {
     // Carry the stats cache and firing ordinal of a campus whose key
@@ -100,13 +106,19 @@ void FleetController::adopt_epoch(ScanEpoch epoch, Time now) {
   const auto t0 = std::chrono::steady_clock::now();
   FleetPartition part = partition_fleet(
       epoch.scans, cfg_.planner.neighbor_rssi_floor, &scratch_);
-  fleet_aps_ = part.total_aps;
   last_epoch_at_ = epoch.taken_at;
 
   // Rebuild the resident census wholesale. Keys absent from this epoch drop
-  // their state; persisting keys carry cache + firing ordinal through
-  // install_campus.
+  // their state; persisting keys carry cache + firing ordinal, and every AP
+  // that stays in the fleet its channel of record, through install_campus.
+  // APs that left the fleet drop theirs with their campus.
   std::map<std::uint32_t, CampusState> prior = std::move(state_);
+  CarriedPlan carried;
+  carried.reserve(fleet_aps_);
+  for (const auto& [key, st] : prior)
+    for (std::size_t k = 0; k < st.scans.size(); ++k)
+      carried.emplace(st.scans[k].id.value(), st.planned[k]);
+  fleet_aps_ = part.total_aps;
   state_.clear();
   owner_.clear();
   ghost_rev_.clear();
@@ -114,20 +126,9 @@ void FleetController::adopt_epoch(ScanEpoch epoch, Time now) {
   keys.reserve(part.campuses.size());
   for (Campus& campus : part.campuses) {
     keys.push_back(campus.key);
-    install_campus(std::move(campus), &prior, now);
+    install_campus(std::move(campus), &prior, carried);
   }
   scheduler_.sync(keys, now);
-
-  // Prune assignments for APs that left the fleet, and seed currents for
-  // APs never planned, so fleet_plan() always covers exactly this epoch.
-  ChannelPlan pruned;
-  for (const auto& [key, st] : state_) {
-    for (const ApScan& s : st.scans) {
-      const auto it = planned_.find(s.id);
-      pruned.emplace(s.id, it != planned_.end() ? it->second : s.current);
-    }
-  }
-  planned_ = std::move(pruned);
 
   ++stats_.epochs_adopted;
   stats_.aps_repartitioned += part.total_aps;
@@ -228,31 +229,30 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
   }
 
   // Assemble the dirty pool: every member of a dirty campus that survives
-  // the delta, plus the added scans. Everything else keeps its cached
-  // partition slice untouched — this is the O(churn) claim.
+  // the delta, with its channel of record, plus the added scans (seeded
+  // with their currents by install_campus). Everything else keeps its
+  // cached partition slice untouched — this is the O(churn) claim.
   std::vector<std::uint32_t> removed_sorted = removed;
   std::sort(removed_sorted.begin(), removed_sorted.end());
   std::vector<ApScan> pool;
+  CarriedPlan carried;
   std::map<std::uint32_t, CampusState> prior;
   for (const std::uint32_t key : dirty) {
     const auto it = state_.find(key);
     W11_CHECK_MSG(it != state_.end(), "dirty campus vanished from the census");
-    unregister_campus(key, it->second);
-    for (ApScan& s : it->second.scans) {
-      if (std::binary_search(removed_sorted.begin(), removed_sorted.end(),
-                             s.id.value()))
+    CampusState& cs = it->second;
+    unregister_campus(key, cs);
+    for (std::size_t k = 0; k < cs.scans.size(); ++k) {
+      const std::uint32_t id = cs.scans[k].id.value();
+      if (std::binary_search(removed_sorted.begin(), removed_sorted.end(), id))
         continue;
-      pool.push_back(std::move(s));
+      carried.emplace(id, cs.planned[k]);
+      pool.push_back(std::move(cs.scans[k]));
     }
-    prior.emplace(key, std::move(it->second));
+    prior.emplace(key, std::move(cs));
     state_.erase(it);
   }
-  for (const std::uint32_t r : removed_sorted) {
-    owner_.erase(r);
-    planned_.erase(ApId(r));
-  }
-  // Seed the assignment of record for new APs before their scans move.
-  for (const ApScan& a : added) planned_.emplace(a.id, a.current);
+  for (const std::uint32_t r : removed_sorted) owner_.erase(r);
   for (ApScan& a : added) pool.push_back(std::move(a));
 
   // Re-extract only the dirty components; splits, merges and re-keys all
@@ -263,7 +263,7 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
   new_keys.reserve(part.campuses.size());
   for (Campus& campus : part.campuses) {
     new_keys.push_back(campus.key);
-    install_campus(std::move(campus), &prior, now);
+    install_campus(std::move(campus), &prior, carried);
   }
 
   // Reconcile the scheduler in O(churn): keys that no longer exist are
@@ -296,7 +296,7 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
 }
 
 CampusPlanOutput FleetController::run_job(const PlanJob& job,
-                                          const CampusState& cs,
+                                          CampusState& cs,
                                           std::uint64_t stream,
                                           Time now) const {
   const auto t0 = std::chrono::steady_clock::now();
@@ -306,25 +306,24 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
   out.planned_at = now;
   out.n_aps = static_cast<std::uint32_t>(cs.scans.size());
 
-  // The campus's slice of the fleet assignment of record (fallback to the
-  // scanned current for APs the record somehow misses).
-  ChannelPlan current;
-  for (const ApScan& s : cs.scans) {
-    const auto it = planned_.find(s.id);
-    current.emplace(s.id, it != planned_.end() ? it->second : s.current);
-  }
-
   turboca::TurboCA engine(cfg_.planner, root_.fork(stream));
   // One index over the resident scans and one plan context per firing,
-  // shared across the tier's hop levels; the stats cache makes unchanged
-  // spectrum rows a copy instead of a recompute.
+  // shared across the tier's hop levels, seeded with the campus's
+  // assignment of record; the stats cache makes unchanged spectrum rows a
+  // copy instead of a recompute.
   const flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,
                                  cfg_.pool, cs.cache.get());
   turboca::TurboCA::RunResult r =
-      engine.run(index, std::move(current), tier_levels(job.tier));
+      engine.run(index, cs.planned, tier_levels(job.tier));
   out.improved = r.improved;
   out.netp_log = r.netp_log;
-  out.plan = std::move(r.plan);
+  // The map the plan leaves the planner as: scans are id-ascending, so
+  // every entry lands at the end.
+  for (std::size_t k = 0; k < r.plan.size(); ++k)
+    out.plan.emplace_hint(out.plan.end(), cs.scans[k].id, r.plan[k]);
+  // The campus's new assignment of record. A tick runs at most one job per
+  // campus, so no other task reads or writes this campus's record.
+  cs.planned = std::move(r.plan);
   out.plan_seconds = seconds_since(t0);
   return out;
 }
@@ -391,7 +390,7 @@ void FleetController::tick(Time now) {
     // history, independent of worker count and interleaving.
     struct JobCtx {
       const PlanJob* job = nullptr;
-      const CampusState* cs = nullptr;
+      CampusState* cs = nullptr;
       std::uint64_t stream = 0;
     };
     std::vector<JobCtx> ctx;
@@ -407,8 +406,10 @@ void FleetController::tick(Time now) {
       ctx.push_back(c);
     }
 
-    // One pool task per campus job. Tasks touch disjoint campus state
-    // (scans, stats cache) plus read-only shared state (config, planned_).
+    // One pool task per campus job (due() yields at most one per campus).
+    // Tasks touch disjoint campus state — they read the scans and update
+    // the stats cache and the assignment of record — plus read-only
+    // shared state (config).
     std::vector<CampusPlanOutput> outputs =
         pool().parallel_map<CampusPlanOutput>(ctx.size(), [&](std::size_t i) {
           return run_job(*ctx[i].job, *ctx[i].cs, ctx[i].stream, now);
@@ -420,9 +421,8 @@ void FleetController::tick(Time now) {
       if (c.job->tier == Tier::kReplan) ++stats_.replans_run;
     }
 
-    // Deliver in job order: the assignment of record, the digest, the sink.
+    // Deliver in job order: the digest, the sink.
     for (const CampusPlanOutput& out : outputs) {
-      for (const auto& [id, ch] : out.plan) planned_[id] = ch;
       fold_digest(out);
       ++stats_.plans_delivered;
       if (out.improved) ++stats_.plans_improved;
@@ -441,6 +441,14 @@ void FleetController::tick(Time now) {
     stats_.cache_misses += cs.misses;
     stats_.cache_evictions += cs.evictions;
   }
+}
+
+ChannelPlan FleetController::fleet_plan() const {
+  ChannelPlan plan;
+  for (const auto& [key, st] : state_)
+    for (std::size_t k = 0; k < st.scans.size(); ++k)
+      plan.emplace(st.scans[k].id, st.planned[k]);
+  return plan;
 }
 
 void FleetController::fold_digest(const CampusPlanOutput& out) {

@@ -25,8 +25,10 @@
 //
 // The controller owns a *resident census*: each campus's canonical
 // (id-ascending) scan slice lives in CampusState and survives across
-// epochs. A full ScanEpoch replaces it wholesale; a DeltaEpoch edits it in
-// place and re-extracts only campuses the delta touched — everything else
+// epochs, next to the campus's assignment of record (one channel per
+// member, aligned with the slice; AP ids are unique in a census). A full
+// ScanEpoch replaces it wholesale; a DeltaEpoch edits it in place and
+// re-extracts only campuses the delta touched — everything else
 // keeps its cached partition slice, scheduler anchors, firing ordinals and
 // spectrum-aggregate cache. See apply_delta() for the dirty-marking rules
 // (including the ghost-contender index that catches an added AP activating
@@ -243,8 +245,9 @@ class FleetController {
   [[nodiscard]] std::uint64_t plan_digest() const { return digest_; }
 
   // The fleet-wide assignment of record (last delivered channel per AP,
-  // seeded from scan currents for never-planned APs).
-  [[nodiscard]] const ChannelPlan& fleet_plan() const { return planned_; }
+  // seeded from scan currents for never-planned APs), assembled from every
+  // campus's record. O(fleet): for tests and harness reports, not per tick.
+  [[nodiscard]] ChannelPlan fleet_plan() const;
 
   // Visit every tracked campus (ascending key) with its latest epoch slice
   // — the per-campus telemetry poll reads through this.
@@ -256,6 +259,9 @@ class FleetController {
  private:
   struct CampusState {
     std::vector<ApScan> scans;  // resident slice, canonical id-ascending
+    // Assignment of record, planned[k] for scans[k]: the last delivered
+    // channel, or the scanned current of a never-planned AP.
+    std::vector<Channel> planned;
     // Ids reported at contender-grade RSSI by members but absent from the
     // fleet (sorted, unique). If such an id is later *added*, the report
     // becomes a live contender edge and this campus must merge — the
@@ -271,17 +277,24 @@ class FleetController {
 
   void adopt_epoch(ScanEpoch epoch, Time now);
   void apply_delta(DeltaEpoch delta, Time now);
+  // AP id value -> channel of record, for APs whose campus is dissolved
+  // while they stay in the fleet.
+  using CarriedPlan = std::unordered_map<std::uint32_t, Channel>;
   // Install one freshly extracted campus, carrying cache/runs from `prior`
-  // when its key persisted, and registering owner_/ghost_rev_ entries.
+  // when its key persisted and each member's channel from `carried` (its
+  // scanned current when absent), and registering owner_/ghost_rev_
+  // entries.
   void install_campus(Campus&& campus,
-                      std::map<std::uint32_t, CampusState>* prior, Time now);
+                      std::map<std::uint32_t, CampusState>* prior,
+                      const CarriedPlan& carried);
   // Remove a campus's owner_/ghost_rev_ registrations (state_ erase is the
   // caller's job — the dirty pool still needs the scans).
   void unregister_campus(std::uint32_t key, const CampusState& st);
   [[nodiscard]] std::vector<std::uint32_t> ghost_contenders_of(
       const std::vector<ApScan>& scans) const;
-  [[nodiscard]] CampusPlanOutput run_job(const PlanJob& job,
-                                         const CampusState& cs,
+  // Plans one campus from its assignment of record and stores the result
+  // back into that record (a pool task; see tick()).
+  [[nodiscard]] CampusPlanOutput run_job(const PlanJob& job, CampusState& cs,
                                          std::uint64_t stream, Time now) const;
   void fold_digest(const CampusPlanOutput& out);
 
@@ -296,7 +309,6 @@ class FleetController {
   // report it at contender-grade RSSI.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> ghost_rev_;
   PartitionScratch scratch_;
-  ChannelPlan planned_;
   std::size_t fleet_aps_ = 0;
   Time last_epoch_at_ = time::nanos(-1);  // newest adopted taken_at
   PlanSink sink_;

@@ -8,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/scan_index.hpp"
 
@@ -19,7 +20,7 @@ struct PlanEpoch {
             exec::TaskPool* pool = nullptr)
       : scans(std::move(scans_in)),
         index(scans, params.neighbor_rssi_floor, pool),
-        ctx(index, params, plan) {}
+        ctx(index, params, turboca::dense_plan(index, plan)) {}
   PlanEpoch(const PlanEpoch&) = delete;
   PlanEpoch& operator=(const PlanEpoch&) = delete;
 

@@ -474,12 +474,14 @@ TEST(PlanAuditTest, AttachingAuditDoesNotPerturbThePlan) {
   const PlanEpoch epoch(scans, plan, p);
 
   turboca::TurboCA bare(p, Rng(5));
-  const auto without = bare.run(epoch.index, plan, {1});
+  const auto without =
+      bare.run(epoch.index, turboca::dense_plan(epoch.index, plan), {1});
 
   turboca::TurboCA audited(p, Rng(5));
   PlanAudit audit;
   audited.set_audit(&audit);
-  const auto with = audited.run(epoch.index, plan, {1});
+  const auto with =
+      audited.run(epoch.index, turboca::dense_plan(epoch.index, plan), {1});
 
   EXPECT_TRUE(without.plan == with.plan);
   EXPECT_EQ(without.improved, with.improved);
@@ -531,7 +533,7 @@ TEST(PlanAuditTest, AuditRecordsAreWorkerCountInvariant) {
     turboca::TurboCA tca(p, Rng(13));
     PlanAudit audit;
     tca.set_audit(&audit);
-    (void)tca.run(epoch.index, plan, {0});
+    (void)tca.run(epoch.index, turboca::dense_plan(epoch.index, plan), {0});
     std::ostringstream os;
     audit.write_jsonl(os);
     return os.str();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "core/turboca/turboca.hpp"
 #include "exec/task_pool.hpp"
 #include "flowsim/scan_index.hpp"
@@ -20,7 +21,9 @@ namespace w11 {
 namespace {
 
 using oracle::ReferenceEvaluator;
+using turboca::dense_plan;
 using turboca::Params;
+using turboca::plan_map;
 using turboca::PlanContext;
 using turboca::TurboCA;
 
@@ -62,10 +65,11 @@ void expect_golden(int n_aps, std::uint64_t seed) {
     TurboCA indexed(p, Rng(seed + 100 * hop));
     ReferenceEvaluator reference(p, Rng(seed + 100 * hop));
 
-    const TurboCA::RunResult fast = indexed.run(epoch.index, plan, {hop});
-    const TurboCA::RunResult slow = reference.run(scans, plan, hop);
+    const TurboCA::RunResult fast =
+        indexed.run(epoch.index, dense_plan(epoch.index, plan), {hop});
+    const ReferenceEvaluator::RunResult slow = reference.run(scans, plan, hop);
 
-    EXPECT_TRUE(fast.plan == slow.plan)
+    EXPECT_TRUE(plan_map(epoch.index, fast.plan) == slow.plan)
         << "plan diverged: n=" << n_aps << " hop=" << hop;
     EXPECT_EQ(fast.improved, slow.improved) << "n=" << n_aps << " hop=" << hop;
     EXPECT_NEAR(fast.netp_log, slow.netp_log, 1e-9)
@@ -80,13 +84,15 @@ void expect_golden(int n_aps, std::uint64_t seed) {
   bool improved = false;
   double netp = 0.0;
   for (int hop : {2, 1, 0}) {
-    TurboCA::RunResult r = chained.run(scans, want, hop);
+    ReferenceEvaluator::RunResult r = chained.run(scans, want, hop);
     want = std::move(r.plan);
     improved = improved || r.improved;
     netp = r.netp_log;
   }
-  const TurboCA::RunResult got = firing.run(epoch.index, plan, {2, 1, 0});
-  EXPECT_TRUE(got.plan == want) << "firing plan diverged: n=" << n_aps;
+  const TurboCA::RunResult got =
+      firing.run(epoch.index, dense_plan(epoch.index, plan), {2, 1, 0});
+  EXPECT_TRUE(plan_map(epoch.index, got.plan) == want)
+      << "firing plan diverged: n=" << n_aps;
   EXPECT_EQ(got.improved, improved) << "n=" << n_aps;
   EXPECT_NEAR(got.netp_log, netp, 1e-9) << "n=" << n_aps;
 }
@@ -104,7 +110,9 @@ TEST(PlannerGolden, SingleSweepMatchesReference) {
   for (int hop = 0; hop <= 2; ++hop) {
     TurboCA indexed({}, Rng(42 + hop));
     ReferenceEvaluator reference({}, Rng(42 + hop));
-    EXPECT_TRUE(indexed.nbo(epoch.index, plan, hop) ==
+    EXPECT_TRUE(plan_map(epoch.index, indexed.nbo(epoch.index,
+                                                  dense_plan(epoch.index, plan),
+                                                  hop)) ==
                 reference.nbo(scans, plan, hop))
         << "hop=" << hop;
   }
@@ -123,16 +131,18 @@ TEST(PlannerGolden, WorkerCountNeverChangesThePlan) {
 
   for (int hop = 0; hop <= 2; ++hop) {
     ReferenceEvaluator reference(p, Rng(seed + 100 * hop));
-    const TurboCA::RunResult want = reference.run(scans, plan, hop);
+    const ReferenceEvaluator::RunResult want =
+        reference.run(scans, plan, hop);
 
     for (int workers : {1, 2, 4, 8}) {
       exec::TaskPool pool(workers);
       TurboCA indexed(p, Rng(seed + 100 * hop));
       indexed.set_pool(&pool);
       const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor, &pool);
-      const TurboCA::RunResult got = indexed.run(index, plan, {hop});
+      const TurboCA::RunResult got =
+          indexed.run(index, dense_plan(index, plan), {hop});
 
-      EXPECT_TRUE(got.plan == want.plan)
+      EXPECT_TRUE(plan_map(index, got.plan) == want.plan)
           << "plan diverged: workers=" << workers << " hop=" << hop;
       EXPECT_EQ(got.improved, want.improved)
           << "workers=" << workers << " hop=" << hop;
@@ -148,11 +158,11 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
   const Params p;
   const std::vector<ApScan> scans = campus_scans(60, 3);
   const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
-  PlanContext ctx(index, p, {});
+  PlanContext ctx(index, p, dense_plan(index, {}));
   Rng rng(99);
 
   ASSERT_NEAR(ctx.net_p_log(),
-              oracle::net_p_log(p, index.scans(), ctx.snapshot()),
+              oracle::net_p_log(p, index.scans(), plan_map(index, ctx.plan())),
               1e-9);
 
   for (int move = 0; move < 120; ++move) {
@@ -161,7 +171,7 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
     ctx.set(i, cands[rng.index(cands.size())]);
     const double incremental = ctx.net_p_log();
     const double full =
-        oracle::net_p_log(p, index.scans(), ctx.snapshot());
+        oracle::net_p_log(p, index.scans(), plan_map(index, ctx.plan()));
     ASSERT_NEAR(incremental, full, 1e-9) << "move " << move << " ap " << i;
   }
 }
@@ -171,8 +181,8 @@ TEST(PlannerGolden, RollbackRestoresPlanAndNetP) {
   const Params p;
   const std::vector<ApScan> scans = campus_scans(40, 13);
   const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
-  PlanContext ctx(index, p, {});
-  const ChannelPlan before_plan = ctx.snapshot();
+  PlanContext ctx(index, p, dense_plan(index, {}));
+  const ChannelPlan before_plan = plan_map(index, ctx.plan());
   const double before_netp = ctx.net_p_log();
 
   Rng rng(7);
@@ -184,7 +194,7 @@ TEST(PlannerGolden, RollbackRestoresPlanAndNetP) {
   }
   ctx.rollback_round();
 
-  EXPECT_TRUE(ctx.snapshot() == before_plan);
+  EXPECT_TRUE(plan_map(index, ctx.plan()) == before_plan);
   EXPECT_EQ(ctx.net_p_log(), before_netp);
 }
 

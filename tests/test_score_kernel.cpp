@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/turboca/plan_context.hpp"
+#include "core/turboca/plan_map.hpp"
 #include "core/turboca/turboca.hpp"
 #include "flowsim/scan_index.hpp"
 #include "obs/audit.hpp"
@@ -26,6 +27,7 @@
 namespace w11 {
 namespace {
 
+using turboca::dense_plan;
 using turboca::Params;
 using turboca::PlanContext;
 
@@ -170,10 +172,24 @@ void expect_ctx_parity(const PlanContext& ctx) {
   }
 }
 
+// net_p_log() against the scalar sum of every AP's NetP term
+// (node_p_log_terms on its planned channel, scan order), bit for bit; any
+// two NaNs match (see expect_ctx_parity).
+void expect_netp_parity(PlanContext& ctx, const char* where) {
+  double want = 0.0;
+  for (std::size_t i = 0; i < ctx.index().size(); ++i)
+    want += ctx.node_p_log_terms(i, ctx.channel_of(i), nullptr);
+  const double got = ctx.net_p_log();
+  if (std::isnan(got) && std::isnan(want)) return;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << where << " got=" << got << " want=" << want;
+}
+
 void expect_kernel_parity(const flowsim::ScanIndex& index, const Params& params,
                           const ChannelPlan& plan,
                           const std::vector<std::size_t>& psi = {}) {
-  PlanContext ctx(index, params, plan);
+  PlanContext ctx(index, params, dense_plan(index, plan));
   for (std::size_t i : psi) ctx.presume_moving(i);
   expect_ctx_parity(ctx);
 }
@@ -235,13 +251,36 @@ TEST(ScoreKernel, MatchesScalarOnRandomizedHostileFleets) {
     expect_kernel_parity(index, params, plan);
     expect_kernel_parity(index, params, plan, psi);
 
-    const PlanContext ctx(index, params, plan);
+    PlanContext ctx(index, params, dense_plan(index, plan));
     for (std::size_t i = 0; i < index.size(); ++i) {
       std::vector<double> got(index.candidates(i).size());
       ctx.score_candidates(i, got);
       nan_scores += std::count_if(got.begin(), got.end(),
                                   [](double v) { return std::isnan(v); });
     }
+
+    // NetP: every term dirty, then after random moves (ψ empty: the
+    // memoised fast path), under ψ (the scalar path), and settled again.
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_netp_parity(ctx, "initial");
+    for (int move = 0; move < 8; ++move) {
+      const std::size_t i = rng.index(index.size());
+      const auto cands = index.candidates(i);
+      ctx.set(i, rng.uniform() < 0.2 && nonfinite
+                     ? outside[rng.index(outside.size())]
+                     : cands[rng.index(cands.size())]);
+    }
+    expect_netp_parity(ctx, "moved");
+    const auto move_one = [&] {
+      const std::size_t i = rng.index(index.size());
+      ctx.set(i, index.candidates(i).back());
+    };
+    for (std::size_t i : psi) ctx.presume_moving(i);
+    move_one();
+    expect_netp_parity(ctx, "psi");
+    for (std::size_t i : psi) ctx.settle(i);
+    move_one();
+    expect_netp_parity(ctx, "settled");
   }
   EXPECT_GT(outside_plans, 0);
   EXPECT_GT(nan_scores, 0);  // the non-finite seeds reach NaN log terms
@@ -273,7 +312,7 @@ TEST(ScoreKernel, MatchesScalarPastTheMemoCountCap) {
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : scans) plan[s.id] = s.current;
-  PlanContext ctx(index, params, plan);
+  PlanContext ctx(index, params, dense_plan(index, plan));
 
   std::vector<obs::NodePTerm> terms;
   (void)ctx.node_p_log_terms(0, scans[0].current, &terms);
@@ -309,7 +348,7 @@ TEST(ScoreKernel, LiveCountsMatchRecountUnderRandomMoves) {
     const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
     ChannelPlan plan;
     for (const auto& s : index.scans()) plan[s.id] = s.current;
-    PlanContext ctx(index, params, plan);
+    PlanContext ctx(index, params, dense_plan(index, plan));
     const auto pick_ap = [&] {
       return static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(index.size()) - 1));
@@ -358,7 +397,7 @@ TEST(ScoreKernel, FloorClampMatchesScalarBitForBit) {
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
-  const PlanContext ctx(index, params, plan);
+  const PlanContext ctx(index, params, dense_plan(index, plan));
   for (std::size_t i = 0; i < index.size(); ++i) {
     std::vector<double> got(index.candidates(i).size());
     ctx.score_candidates(i, got);
@@ -381,7 +420,7 @@ TEST(ScoreKernel, AuditTermBreakdownSumsToKernelScore) {
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
-  PlanContext ctx(index, params, plan);
+  PlanContext ctx(index, params, dense_plan(index, plan));
   for (std::size_t i = 0; i < index.size(); ++i) {
     ASSERT_FALSE(index.has_self_neighbor(i));
     std::vector<double> got(index.candidates(i).size());
@@ -516,7 +555,7 @@ TEST(ScoreKernel, GoldenNetPDigest) {
   const flowsim::ScanIndex index(scans, params.neighbor_rssi_floor);
   ChannelPlan plan;
   for (const auto& s : index.scans()) plan[s.id] = s.current;
-  PlanContext ctx(index, params, plan);
+  PlanContext ctx(index, params, dense_plan(index, plan));
   const double netp = ctx.net_p_log();
   constexpr std::uint64_t kGoldenDigest = 0x4077e0e9ad303ae6ULL;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(netp), kGoldenDigest)
