@@ -209,7 +209,6 @@ int run_worker_sweep() {
       w.field("cache_hit_ratio", run.r.health.cache_hit_ratio);
       w.field("cache_hits", run.r.stats.cache_hits);
       w.field("cache_misses", run.r.stats.cache_misses);
-      w.field("cache_evictions", run.r.stats.cache_evictions);
       w.field("digest", hex64(run.r.digest));
       w.end_object();
     }

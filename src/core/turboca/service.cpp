@@ -13,6 +13,9 @@ namespace w11::turboca {
 
 namespace {
 
+// The one width ReservedCA plans at.
+constexpr ChannelWidth kReservedCaWidth = ChannelWidth::MHz40;
+
 // Drop scans whose snapshot is older than `max_age` relative to `now`.
 // Unstamped scans (taken_at == 0, e.g. hand-built or recorded data) are
 // always kept. Returns how many entries were removed.
@@ -166,11 +169,11 @@ bool ReservedCaService::run_now() {
   std::vector<Channel> with_current;
   for (std::size_t i = 0; i < index.size(); ++i) {
     const ApScan& s = index.scan(i);
-    // Keep the width fixed: candidates at exactly the configured width
-    // (20 MHz on 2.4 GHz), or the whole set when the DFS rule leaves none
-    // at that width. The clamp only shapes candidate generation; NodeP
-    // never reads max_width.
-    const ChannelWidth fixed_width = std::min(s.max_width, cfg_.fixed_width);
+    // Keep the width fixed: candidates at exactly kReservedCaWidth (20 MHz
+    // on 2.4 GHz), or the whole set when the DFS rule leaves none at that
+    // width. The clamp only shapes candidate generation; NodeP never reads
+    // max_width.
+    const ChannelWidth fixed_width = std::min(s.max_width, kReservedCaWidth);
     std::span<const Channel> cands =
         channels::candidate_table(s.band, fixed_width,
                                   s.dfs_capable && !s.has_clients)

@@ -105,13 +105,13 @@ class TurboCaService {
 };
 
 // ReservedCA (§4.6.1): sequential, per-AP isolated maximization at a fixed
-// channel width, every 5 hours. Its key limitations — no neighbor-aware
-// NetP, no width adaptation, slow cadence — are exactly what TurboCA fixes.
+// 40 MHz channel width (20 MHz on 2.4 GHz), every 5 hours. Its key
+// limitations — no neighbor-aware NetP, no width adaptation, slow cadence —
+// are exactly what TurboCA fixes.
 class ReservedCaService {
  public:
   struct Config {
     Time period = time::hours(5);
-    ChannelWidth fixed_width = ChannelWidth::MHz40;
     Time max_scan_age = time::kForever;  // see TurboCaService::Schedule
   };
 

@@ -12,9 +12,6 @@ namespace w11::fleet {
 
 namespace {
 
-// Per-campus spectrum-aggregate cache bound.
-constexpr std::size_t kStatsCacheCapacity = 256;
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -62,7 +59,7 @@ std::vector<std::uint32_t> FleetController::ghost_contenders_of(
 }
 
 void FleetController::install_campus(
-    Campus&& campus, std::map<std::uint32_t, CampusState>* prior,
+    Campus&& campus, std::map<std::uint32_t, CampusState>& prior,
     const CarriedPlan& carried) {
   CampusState st;
   st.scans = std::move(campus.scans);
@@ -72,19 +69,14 @@ void FleetController::install_campus(
     st.planned.push_back(it != carried.end() ? it->second : s.current);
   }
   st.ghost_contenders = ghost_contenders_of(st.scans);
-  if (prior != nullptr) {
-    // Carry the stats cache and firing ordinal of a campus whose key
-    // persisted (the cross-epoch aggregate reuse is the point of the
-    // cache); a re-keyed campus starts fresh, exactly as the full path
-    // treats it.
-    const auto p = prior->find(campus.key);
-    if (p != prior->end()) {
-      st.cache = std::move(p->second.cache);
-      st.runs = p->second.runs;
-    }
+  // Carry the stats cache and firing ordinal of a campus whose key
+  // persisted (the cross-epoch aggregate reuse is the point of the cache);
+  // a re-keyed campus starts fresh.
+  const auto p = prior.find(campus.key);
+  if (p != prior.end()) {
+    st.cache = std::move(p->second.cache);
+    st.runs = p->second.runs;
   }
-  if (!st.cache)
-    st.cache = std::make_unique<flowsim::ScanStatsCache>(kStatsCacheCapacity);
   for (const ApScan& s : st.scans) owner_[s.id.value()] = campus.key;
   for (const std::uint32_t g : st.ghost_contenders)
     ghost_rev_[g].push_back(campus.key);
@@ -102,10 +94,27 @@ void FleetController::unregister_campus(std::uint32_t key,
   }
 }
 
+std::size_t FleetController::repartition(
+    std::vector<ApScan> pool, std::map<std::uint32_t, CampusState>& prior,
+    const CarriedPlan& carried, Time now) {
+  FleetPartition part = partition_fleet(
+      std::move(pool), cfg_.planner.neighbor_rssi_floor, &scratch_);
+  std::vector<std::uint32_t> added_keys;
+  for (Campus& campus : part.campuses) {
+    if (!prior.contains(campus.key)) added_keys.push_back(campus.key);
+    install_campus(std::move(campus), prior, carried);
+  }
+  // Reconcile the scheduler: a prior key that no campus took back is
+  // dropped; keys outside `prior` and the new campuses are untouched.
+  std::vector<std::uint32_t> dropped_keys;
+  for (const auto& [key, st] : prior)
+    if (!state_.contains(key)) dropped_keys.push_back(key);
+  scheduler_.apply_delta(added_keys, dropped_keys, now);
+  return part.campuses.size();
+}
+
 void FleetController::adopt_epoch(ScanEpoch epoch, Time now) {
   const auto t0 = std::chrono::steady_clock::now();
-  FleetPartition part = partition_fleet(
-      epoch.scans, cfg_.planner.neighbor_rssi_floor, &scratch_);
   last_epoch_at_ = epoch.taken_at;
 
   // Rebuild the resident census wholesale. Keys absent from this epoch drop
@@ -118,21 +127,15 @@ void FleetController::adopt_epoch(ScanEpoch epoch, Time now) {
   for (const auto& [key, st] : prior)
     for (std::size_t k = 0; k < st.scans.size(); ++k)
       carried.emplace(st.scans[k].id.value(), st.planned[k]);
-  fleet_aps_ = part.total_aps;
+  fleet_aps_ = epoch.scans.size();
   state_.clear();
   owner_.clear();
   ghost_rev_.clear();
-  std::vector<std::uint32_t> keys;
-  keys.reserve(part.campuses.size());
-  for (Campus& campus : part.campuses) {
-    keys.push_back(campus.key);
-    install_campus(std::move(campus), &prior, carried);
-  }
-  scheduler_.sync(keys, now);
 
   ++stats_.epochs_adopted;
-  stats_.aps_repartitioned += part.total_aps;
-  stats_.campuses_repartitioned += part.campuses.size();
+  stats_.aps_repartitioned += epoch.scans.size();
+  stats_.campuses_repartitioned +=
+      repartition(std::move(epoch.scans), prior, carried, now);
   stats_.ingest_seconds += seconds_since(t0);
 }
 
@@ -202,18 +205,13 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
 
   // Apply scan updates in place (canonical slices: binary search by id),
   // classifying each as spectrum-only or topology-changing as it lands.
-  // Campuses of content-only updates still need an out-of-band replan when
-  // the producer asked for one — tracked by their (stable) key.
-  std::set<std::uint32_t> content_touched;
   for (ApScan& u : updated) {
     const std::uint32_t key = owner_.at(u.id.value());
     CampusState& cs = state_.at(key);
     const auto it = std::lower_bound(
         cs.scans.begin(), cs.scans.end(), u.id,
         [](const ApScan& s, ApId id) { return s.id < id; });
-    if (it->neighbors == u.neighbors) {
-      if (cfg_.replan_on_delta) content_touched.insert(key);
-    } else {
+    if (it->neighbors != u.neighbors) {
       dirty.insert(key);
       for (const NeighborReport& nb : u.neighbors)
         if (!(nb.rssi < floor)) mark_owner_of(nb.id.value());
@@ -257,41 +255,15 @@ void FleetController::apply_delta(DeltaEpoch delta, Time now) {
 
   // Re-extract only the dirty components; splits, merges and re-keys all
   // fall out of the same partition pass the full path uses.
-  FleetPartition part =
-      partition_fleet(pool, floor, &scratch_);
-  std::vector<std::uint32_t> new_keys;
-  new_keys.reserve(part.campuses.size());
-  for (Campus& campus : part.campuses) {
-    new_keys.push_back(campus.key);
-    install_campus(std::move(campus), &prior, carried);
-  }
-
-  // Reconcile the scheduler in O(churn): keys that no longer exist are
-  // dropped, keys that did not exist before fire a first-sighting pass.
-  std::vector<std::uint32_t> dropped_keys;
-  for (const std::uint32_t key : dirty)
-    if (!std::binary_search(new_keys.begin(), new_keys.end(), key))
-      dropped_keys.push_back(key);
-  std::vector<std::uint32_t> added_keys;
-  for (const std::uint32_t key : new_keys)
-    if (!dirty.contains(key)) added_keys.push_back(key);
-  scheduler_.apply_delta(added_keys, dropped_keys, now);
-  if (cfg_.replan_on_delta) {
-    // Every campus the delta touched: re-extracted ones under their new
-    // keys, spectrum-only ones under their stable keys (a stale key — the
-    // campus was also re-extracted — is silently ignored; its new home is
-    // in new_keys).
-    for (const std::uint32_t key : new_keys) scheduler_.request_replan(key);
-    for (const std::uint32_t key : content_touched)
-      scheduler_.request_replan(key);
-  }
+  const std::size_t pool_aps = pool.size();
+  repartition(std::move(pool), prior, carried, now);
 
   fleet_aps_ += added.size();
   fleet_aps_ -= removed.size();
   last_epoch_at_ = delta.taken_at;
   ++stats_.deltas_adopted;
   stats_.campuses_repartitioned += dirty.size();
-  stats_.aps_repartitioned += pool.size();
+  stats_.aps_repartitioned += pool_aps;
   stats_.ingest_seconds += seconds_since(t0);
 }
 
@@ -312,7 +284,7 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
   // assignment of record; the stats cache makes unchanged spectrum rows a
   // copy instead of a recompute.
   const flowsim::ScanIndex index(cs.scans, cfg_.planner.neighbor_rssi_floor,
-                                 cfg_.pool, cs.cache.get());
+                                 cfg_.pool, &cs.cache);
   turboca::TurboCA::RunResult r =
       engine.run(index, cs.planned, tier_levels(job.tier));
   out.improved = r.improved;
@@ -397,7 +369,7 @@ void FleetController::tick(Time now) {
     ctx.reserve(jobs.size());
     for (const PlanJob& job : jobs) {
       const auto it = state_.find(job.campus_key);
-      if (it == state_.end()) continue;  // dropped between sync and now
+      if (it == state_.end()) continue;  // dropped since the scheduler saw it
       JobCtx c;
       c.job = &job;
       c.cs = &it->second;
@@ -434,12 +406,11 @@ void FleetController::tick(Time now) {
   }
 
   // Roll the per-campus cache counters up into the controller stats.
-  stats_.cache_hits = stats_.cache_misses = stats_.cache_evictions = 0;
+  stats_.cache_hits = stats_.cache_misses = 0;
   for (const auto& [key, st] : state_) {
-    const flowsim::ScanStatsCache::Stats& cs = st.cache->stats();
+    const flowsim::ScanStatsCache::Stats& cs = st.cache.stats();
     stats_.cache_hits += cs.hits;
     stats_.cache_misses += cs.misses;
-    stats_.cache_evictions += cs.evictions;
   }
 }
 

@@ -15,7 +15,7 @@
 //          TaskPool         -> one task per campus job: ScanIndex build +
 //                              TurboCA NBO at the tier's hop levels, with a
 //                              per-campus Rng::fork stream and a per-campus
-//                              bounded ScanStatsCache
+//                              ScanStatsCache
 //          deliver in job order -> plan sink (PlanFanout / telemetry
 //                              ingest), fleet plan digest
 //
@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <variant>
@@ -100,12 +99,6 @@ class FleetController {
     std::uint64_t seed = 1;
     std::size_t ingest_capacity = 16;    // epoch updates buffered
     std::size_t output_capacity = 4096;  // campus plans delivered per tick
-    // Request an out-of-band priority replan for every campus a delta
-    // touches (for producers that push deltas faster than the fast
-    // cadence). Off by default: replan jobs carry Tier::kReplan, so the
-    // delivered tier stream — and the digest — diverges from a full-epoch
-    // replay of the same censuses, which only replans on cadence.
-    bool replan_on_delta = false;
     exec::TaskPool* pool = nullptr;  // nullptr = TaskPool::global()
   };
 
@@ -152,7 +145,6 @@ class FleetController {
     std::uint64_t aps_planned = 0;  // summed over delivered plans
     std::uint64_t cache_hits = 0;   // summed over campus stats caches
     std::uint64_t cache_misses = 0;
-    std::uint64_t cache_evictions = 0;
   };
 
   // Delivery hook for plans (rollout fanout, telemetry ingest). Called
@@ -267,7 +259,7 @@ class FleetController {
     // becomes a live contender edge and this campus must merge — the
     // ghost reverse index below finds it in O(1).
     std::vector<std::uint32_t> ghost_contenders;
-    std::unique_ptr<flowsim::ScanStatsCache> cache;
+    flowsim::ScanStatsCache cache;
     std::uint64_t runs = 0;  // firing ordinal (RNG stream derivation)
   };
 
@@ -280,12 +272,19 @@ class FleetController {
   // AP id value -> channel of record, for APs whose campus is dissolved
   // while they stay in the fleet.
   using CarriedPlan = std::unordered_map<std::uint32_t, Channel>;
+  // The one adoption step both paths end in: partition `pool`, install its
+  // campuses, and reconcile the scheduler — keys of `prior` (the campuses
+  // the pool was taken from) that did not come back are dropped, keys new
+  // to it get a first-sighting pass. Returns the campus count.
+  std::size_t repartition(std::vector<ApScan> pool,
+                          std::map<std::uint32_t, CampusState>& prior,
+                          const CarriedPlan& carried, Time now);
   // Install one freshly extracted campus, carrying cache/runs from `prior`
   // when its key persisted and each member's channel from `carried` (its
   // scanned current when absent), and registering owner_/ghost_rev_
   // entries.
   void install_campus(Campus&& campus,
-                      std::map<std::uint32_t, CampusState>* prior,
+                      std::map<std::uint32_t, CampusState>& prior,
                       const CarriedPlan& carried);
   // Remove a campus's owner_/ghost_rev_ registrations (state_ erase is the
   // caller's job — the dirty pool still needs the scans).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace w11::fleet {
 
@@ -73,7 +74,7 @@ std::size_t contender_components(const std::vector<ApScan>& scans,
 
 }  // namespace
 
-FleetPartition partition_fleet(const std::vector<ApScan>& scans,
+FleetPartition partition_fleet(std::vector<ApScan> scans,
                                Dbm contender_rssi_floor,
                                PartitionScratch* scratch) {
   FleetPartition out;
@@ -89,7 +90,8 @@ FleetPartition partition_fleet(const std::vector<ApScan>& scans,
     Campus& campus = out.campuses[c];
     const std::vector<std::uint32_t>& members = s.members[c];
     campus.scans.reserve(members.size());
-    for (const std::uint32_t pos : members) campus.scans.push_back(scans[pos]);
+    for (const std::uint32_t pos : members)
+      campus.scans.push_back(std::move(scans[pos]));
     // Canonical slice order: ascending ApId, whatever order the input had.
     std::sort(campus.scans.begin(), campus.scans.end(),
               [](const ApScan& a, const ApScan& b) { return a.id < b.id; });

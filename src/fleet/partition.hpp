@@ -73,8 +73,10 @@ struct PartitionScratch {
 // Partition one scan epoch with the same contender floor the planner will
 // use. Equal member sets with equal scan contents give byte-equal partitions
 // at any worker count and for ANY input order (the component pass is serial;
-// extraction emits canonical id-ascending slices). `scratch` may be nullptr.
-[[nodiscard]] FleetPartition partition_fleet(const std::vector<ApScan>& scans,
+// extraction emits canonical id-ascending slices). The scans are moved into
+// their campuses; a caller that keeps its census passes a copy. `scratch`
+// may be nullptr.
+[[nodiscard]] FleetPartition partition_fleet(std::vector<ApScan> scans,
                                              Dbm contender_rssi_floor,
                                              PartitionScratch* scratch = nullptr);
 

@@ -1,7 +1,5 @@
 #include "fleet/scheduler.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
@@ -71,24 +69,6 @@ void CadenceScheduler::add_campus(std::uint32_t key, Time now) {
                             cadence_.slow);
   campuses_.emplace(key, st);
   ++stats_.campuses_added;
-}
-
-void CadenceScheduler::sync(const std::vector<std::uint32_t>& keys, Time now) {
-  // Drop campuses absent from this epoch (their APs left the fleet or were
-  // re-partitioned under a different key).
-  for (auto it = campuses_.begin(); it != campuses_.end();) {
-    const bool present = std::binary_search(keys.begin(), keys.end(), it->first);
-    if (present) {
-      ++it;
-    } else {
-      it = campuses_.erase(it);
-      ++stats_.campuses_dropped;
-    }
-  }
-  for (const std::uint32_t key : keys) {
-    if (campuses_.contains(key)) continue;
-    add_campus(key, now);
-  }
 }
 
 void CadenceScheduler::apply_delta(const std::vector<std::uint32_t>& added,

@@ -57,20 +57,12 @@ class CadenceScheduler {
   // (seed, campus key) — worker-count and arrival-order invariant).
   CadenceScheduler(Cadence cadence, std::uint64_t seed);
 
-  // Reconcile the tracked campus set with this epoch's partition keys
-  // (must be ascending — partition_fleet emits them that way). New campuses
-  // get staggered anchors and are due for a full kSlow pass immediately
-  // (first sighting plans now); absent campuses are dropped with their
-  // pending state.
-  void sync(const std::vector<std::uint32_t>& keys, Time now);
-
-  // O(churn) reconcile for the delta-epoch path: only the keys named are
-  // touched — `added` campuses get the same staggered anchors and
-  // first-sighting kSlow pass sync() would give them (a re-keyed campus is
+  // Reconcile the tracked campus set in O(churn): only the keys named are
+  // touched. `added` campuses get staggered anchors and are due for a full
+  // kSlow pass immediately (first sighting plans now; a re-keyed campus is
   // a first sighting: its identity, RNG streams and anchors all hang off
-  // the key), `dropped` campuses lose their pending state. Keys in neither
-  // list are untouched, so for equal resulting key sets at equal times the
-  // scheduler state is byte-identical to a full sync().
+  // the key); `dropped` campuses lose their pending state. Keys in neither
+  // list are untouched.
   void apply_delta(const std::vector<std::uint32_t>& added,
                    const std::vector<std::uint32_t>& dropped, Time now);
 

@@ -100,26 +100,35 @@ ScanIndex::ScanIndex(const std::vector<ApScan>& scans,
   cand_term_begin_.back() = term;
 
   // Cross-epoch aggregate reuse: probe the cache serially (it is not
-  // thread-safe), remember per-AP hits, and insert freshly computed rows
-  // after the parallel fill. Hit rows are copied inside the task — reads of
-  // immutable cached rows are race-free. A probe hit also refreshes the
-  // row's LRU position; probes run in scan order, so recency is
-  // deterministic. No map insertion happens between here and the fill, so
-  // the row data pointers stay valid.
+  // thread-safe), mark and remember per-AP hits, then sweep out every row
+  // this build did not hit while the probed nodes are still hot. Fresh rows
+  // are inserted after the parallel fill, so the cache ends the build
+  // holding exactly this build's rows. Hit rows are copied inside the task
+  // — reads of immutable cached rows are race-free. The sweep erases only
+  // unhit rows and nothing is inserted before the fill, so the row data
+  // pointers stay valid.
   std::vector<const ChannelStats*> cached_row(n, nullptr);
   std::vector<std::uint64_t> row_hash;
   if (stats_cache != nullptr) {
+    auto& rows = stats_cache->rows_;
     row_hash.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       row_hash[i] = ScanStatsCache::content_hash(scans[i]);
-      const auto it = stats_cache->rows_.find(row_hash[i]);
-      if (it != stats_cache->rows_.end()) {
+      const auto it = rows.find(row_hash[i]);
+      if (it != rows.end()) {
         cached_row[i] = it->second.row.data();
-        stats_cache->lru_.splice(stats_cache->lru_.begin(), stats_cache->lru_,
-                                 it->second.lru_pos);
+        it->second.used = true;
         ++stats_cache->stats_.hits;
       } else {
         ++stats_cache->stats_.misses;
+      }
+    }
+    for (auto it = rows.begin(); it != rows.end();) {
+      if (it->second.used) {
+        it->second.used = false;
+        ++it;
+      } else {
+        it = rows.erase(it);
       }
     }
   }
@@ -140,35 +149,17 @@ ScanIndex::ScanIndex(const std::vector<ApScan>& scans,
     }
   });
 
-  if (stats_cache != nullptr && stats_cache->capacity_ > 0) {
-    // Retain the freshly computed rows, evicting least-recently-touched
-    // entries once the bound is hit. Inserts run in scan order on this
-    // thread, so what survives is a pure function of the probe/insert
-    // history — deterministic at any worker count. Duplicate content
-    // within the epoch (two APs with identical spectrum maps) collapses to
-    // one row; the repeat just refreshes recency.
+  if (stats_cache != nullptr) {
+    // Retain the fresh rows; two APs with identical spectrum maps collapse
+    // to one row.
     for (std::size_t i = 0; i < n; ++i) {
       if (cached_row[i] != nullptr) continue;
-      const auto it = stats_cache->rows_.find(row_hash[i]);
-      if (it != stats_cache->rows_.end()) {
-        stats_cache->lru_.splice(stats_cache->lru_.begin(), stats_cache->lru_,
-                                 it->second.lru_pos);
-        continue;
-      }
-      while (stats_cache->rows_.size() >= stats_cache->capacity_) {
-        stats_cache->rows_.erase(stats_cache->lru_.back());
-        stats_cache->lru_.pop_back();
-        ++stats_cache->stats_.evictions;
-      }
-      stats_cache->lru_.push_front(row_hash[i]);
-      stats_cache->rows_.emplace(
-          row_hash[i],
-          ScanStatsCache::Entry{
-              std::vector<ChannelStats>(
-                  stats_.begin() + static_cast<std::ptrdiff_t>(i * n_ordinals_),
-                  stats_.begin() +
-                      static_cast<std::ptrdiff_t>((i + 1) * n_ordinals_)),
-              stats_cache->lru_.begin()});
+      const auto [it, inserted] = stats_cache->rows_.try_emplace(row_hash[i]);
+      if (!inserted) continue;
+      const auto row =
+          stats_.begin() + static_cast<std::ptrdiff_t>(i * n_ordinals_);
+      it->second.row.assign(row,
+                            row + static_cast<std::ptrdiff_t>(n_ordinals_));
     }
   }
 

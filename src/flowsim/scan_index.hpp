@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -55,28 +54,22 @@ struct ScanChannelStats {
 // recomputed. Rows are immutable once inserted, so a hit is bit-identical
 // to a recompute of the same content.
 //
-// Bounded by deterministic LRU eviction: a fleet of thousands of distinct
-// campus epochs must not grow the cache without limit, and which rows
-// survive must not depend on scheduling. Probes and inserts happen serially
-// on the index-building thread in scan order, so the recency list — probed
-// rows move to the front, inserts evict from the back once `capacity` rows
-// are resident — is a pure function of the probe/insert history. A row's
-// *contents* never change while resident; eviction only forgets, so a later
-// rebuild recomputes the identical bytes.
+// Last-build retention: after each ScanIndex build the cache holds exactly
+// the distinct rows that build used — hit rows and freshly computed ones —
+// and nothing else. Between two firings an AP's spectrum is either
+// unchanged or new; it does not return to an older state, so older rows
+// would never hit again. Retention is a pure function of the last build's
+// scans, so it cannot depend on scheduling, and a row that returns after a
+// gap is recomputed to the identical bytes.
 //
-// Not thread-safe; probe/insert happen on the index-building thread only
-// (the parallel stats fill reads rows, which is safe — they never mutate).
+// Not thread-safe; probe/sweep/insert happen on the index-building thread
+// only (the parallel stats fill reads rows, which is safe — they never
+// mutate).
 class ScanStatsCache {
  public:
-  // capacity = max resident rows; 0 disables retention entirely (every
-  // probe misses, nothing is stored).
-  explicit ScanStatsCache(std::size_t capacity = 65536)
-      : capacity_(capacity) {}
-
   struct Stats {
-    std::uint64_t hits = 0;       // AP rows served from the cache
-    std::uint64_t misses = 0;     // AP rows computed fresh
-    std::uint64_t evictions = 0;  // rows dropped to admit newer ones
+    std::uint64_t hits = 0;    // AP rows served from the cache
+    std::uint64_t misses = 0;  // AP rows computed fresh
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -86,17 +79,14 @@ class ScanStatsCache {
   // reuse: equal hash ⇔ the cached row is byte-valid for this scan.
   [[nodiscard]] static std::uint64_t content_hash(const ApScan& scan);
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   friend class ScanIndex;
   struct Entry {
     std::vector<ScanChannelStats> row;
-    std::list<std::uint64_t>::iterator lru_pos;
+    bool used = false;  // hit by the build in progress (until its sweep)
   };
-  std::size_t capacity_;
   std::unordered_map<std::uint64_t, Entry> rows_;
-  std::list<std::uint64_t> lru_;  // front = most recently touched hash
   Stats stats_;
 };
 

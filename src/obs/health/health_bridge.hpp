@@ -1,8 +1,8 @@
 #pragma once
 // health -> telemetry glue: land HealthEvents in a LittleTable so SLO
-// breaches query/aggregate exactly like AP statistics. Header-only for the
-// same layering reason as obs/telemetry_bridge.hpp: w11_obs sits below
-// w11_telemetry, so the glue lives where both are visible.
+// breaches query/aggregate exactly like AP statistics. Header-only on
+// purpose: w11_obs sits below w11_telemetry in the library order, so the
+// glue lives where both are visible.
 
 #include "obs/health/health.hpp"
 #include "telemetry/littletable.hpp"

@@ -187,7 +187,7 @@ TEST(FleetQueueTest, MpmcBoundedAndCounted) {
 
 TEST(FleetSchedulerTest, FirstSightingPlansImmediatelyAtSlowTier) {
   fleet::CadenceScheduler sched({}, 1);
-  sched.sync({10, 20, 30}, time::minutes(1));
+  sched.apply_delta({10, 20, 30}, {}, time::minutes(1));
   const std::vector<fleet::PlanJob> jobs = sched.due(time::minutes(1));
   ASSERT_EQ(jobs.size(), 3u);
   for (const fleet::PlanJob& j : jobs) EXPECT_EQ(j.tier, fleet::Tier::kSlow);
@@ -197,7 +197,7 @@ TEST(FleetSchedulerTest, FirstSightingPlansImmediatelyAtSlowTier) {
 
 TEST(FleetSchedulerTest, DeferredJobStaysDue) {
   fleet::CadenceScheduler sched({}, 1);
-  sched.sync({7}, Time{});
+  sched.apply_delta({7}, {}, Time{});
   ASSERT_EQ(sched.due(Time{}).size(), 1u);
   // Not fired (backpressure deferred it): still due, same tier.
   const auto again = sched.due(Time{});
@@ -212,7 +212,7 @@ TEST(FleetSchedulerTest, FastTierRefiresWithinOnePeriodAndStaggers) {
   fleet::CadenceScheduler sched(cad, 99);
   std::vector<std::uint32_t> keys;
   for (std::uint32_t k = 0; k < 8; ++k) keys.push_back(k * 100);
-  sched.sync(keys, Time{});
+  sched.apply_delta(keys, {}, Time{});
   for (const fleet::PlanJob& j : sched.due(Time{})) sched.fired(j, Time{});
   EXPECT_TRUE(sched.due(Time{}).empty());
 
@@ -235,7 +235,7 @@ TEST(FleetSchedulerTest, FastTierRefiresWithinOnePeriodAndStaggers) {
 
 TEST(FleetSchedulerTest, ReplanLeadsTheQueueAndClearsOnFiring) {
   fleet::CadenceScheduler sched({}, 1);
-  sched.sync({5, 6, 7}, Time{});
+  sched.apply_delta({5, 6, 7}, {}, Time{});
   for (const fleet::PlanJob& j : sched.due(Time{})) sched.fired(j, Time{});
   sched.request_replan(6);
   const auto jobs = sched.due(Time{});
@@ -251,9 +251,9 @@ TEST(FleetSchedulerTest, ReplanLeadsTheQueueAndClearsOnFiring) {
 
 TEST(FleetSchedulerTest, AbsentCampusIsDropped) {
   fleet::CadenceScheduler sched({}, 1);
-  sched.sync({1, 2}, Time{});
+  sched.apply_delta({1, 2}, {}, Time{});
   EXPECT_EQ(sched.campus_count(), 2u);
-  sched.sync({2}, time::minutes(1));
+  sched.apply_delta({}, {1}, time::minutes(1));
   EXPECT_EQ(sched.campus_count(), 1u);
   sched.request_replan(1);  // unknown now: ignored
   for (const fleet::PlanJob& j : sched.due(time::minutes(1)))

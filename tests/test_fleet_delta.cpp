@@ -19,7 +19,6 @@
 #include "exec/task_pool.hpp"
 #include "fleet/controller.hpp"
 #include "fleet/delta.hpp"
-#include "flowsim/scan_index.hpp"
 #include "scenario/fleet_harness.hpp"
 
 using namespace w11;
@@ -386,32 +385,6 @@ TEST(FleetDeltaTest, IngestOverflowSurfacesAsEpochsDropped) {
   EXPECT_EQ(ctl.stats().epochs_superseded, 1u);
 }
 
-TEST(FleetDeltaTest, ReplanOnDeltaFiresOutOfCadence) {
-  exec::TaskPool pool(1);
-  fleet::FleetController::Config cfg = controller_config(&pool);
-  cfg.replan_on_delta = true;
-  cfg.cadence.fast = time::hours(1);  // nothing comes due on its own
-  cfg.cadence.medium = time::hours(3);
-  cfg.cadence.slow = time::hours(24);
-  fleet::FleetController ctl(cfg);
-  std::vector<ApScan> s0 = {ap(0, {{1, -60.0}}), ap(1, {{0, -60.0}}),
-                            ap(10, {{11, -62.0}}), ap(11, {{10, -62.0}})};
-  ctl.offer_epoch(fleet::ScanEpoch{time::minutes(1), s0});
-  ctl.tick(time::minutes(1));
-  const std::uint64_t first_pass = ctl.stats().jobs_run;
-  EXPECT_EQ(first_pass, 2u);
-
-  std::vector<ApScan> s1 = s0;
-  s1[0].external_util[36] = 0.5;
-  ctl.offer_delta(
-      fleet::diff_epochs(s0, s1, time::minutes(1), time::minutes(2)));
-  ctl.tick(time::minutes(2));
-  // Only the touched campus replanned, out of band, minutes after the
-  // first pass — the untouched campus stayed on cadence.
-  EXPECT_EQ(ctl.stats().jobs_run, first_pass + 1);
-  EXPECT_EQ(ctl.stats().replans_run, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // ScanStatsCache across delta epochs
 
@@ -472,32 +445,6 @@ TEST(FleetDeltaCacheTest, RemovedCampusReleasesItsCacheEntries) {
   // misses plus 2 fresh hits — the removed campus's counters are gone.
   EXPECT_EQ(ctl.stats().cache_misses, 2u);
   EXPECT_EQ(ctl.stats().cache_hits, 2u);
-}
-
-TEST(FleetDeltaCacheTest, EvictionIsBoundedAndDeterministic) {
-  // Three distinct-content rows through a capacity-2 cache, twice: the
-  // cache never exceeds its bound, evicts the same rows both times, and a
-  // re-probe of evicted content misses (recomputes) rather than serving
-  // stale bytes.
-  const auto run_once = [] {
-    flowsim::ScanStatsCache cache(2);
-    std::vector<ApScan> scans = {ap(0, {}, 0.1), ap(1, {}, 0.2),
-                                 ap(2, {}, 0.3)};
-    flowsim::ScanIndex first(scans, kFloor, nullptr, &cache);
-    flowsim::ScanIndex second(scans, kFloor, nullptr, &cache);
-    EXPECT_LE(cache.size(), 2u);
-    return cache.stats();
-  };
-  const flowsim::ScanStatsCache::Stats a = run_once();
-  const flowsim::ScanStatsCache::Stats b = run_once();
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.misses, 3u + 1u);  // all three fresh, then the evicted one
-  EXPECT_GE(a.evictions, 1u);
-  // Distinct content must hash distinctly (the reuse keys are honest).
-  EXPECT_NE(flowsim::ScanStatsCache::content_hash(ap(0, {}, 0.1)),
-            flowsim::ScanStatsCache::content_hash(ap(0, {}, 0.2)));
 }
 
 // ---------------------------------------------------------------------------

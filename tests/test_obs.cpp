@@ -1,8 +1,7 @@
 // Observability layer (DESIGN.md §12): trace ring eviction, byte-stable
 // golden JSONL exports whatever the record order, the metrics registry's
-// name -> value list, the telemetry bridge, and — the property everything
-// else leans on — that attaching tracing or the planner audit never
-// perturbs execution.
+// name -> value list, and — the property everything else leans on — that
+// attaching tracing or the planner audit never perturbs execution.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +21,9 @@
 #include "obs/export.hpp"
 #include "obs/health/sliding_window.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
 #include "plan_epoch.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/littletable.hpp"
 #include "workload/topology.hpp"
 
 namespace w11 {
@@ -429,25 +426,6 @@ TEST(ObsEnv, EnableFromEnvHonorsW11Trace) {
   EXPECT_STREQ(obs::trace_out_path("default.json"), "/tmp/custom.json");
   ::unsetenv("W11_TRACE_OUT");
   EXPECT_STREQ(obs::trace_out_path("default.json"), "default.json");
-}
-
-// ---------------------------------------------------------------- Bridge
-
-TEST(TelemetryBridge, SnapshotLandsAsLittleTableRows) {
-  MetricsRegistry reg;
-  reg.set("acks", 5.0);
-  reg.set("depth", 2.5);
-
-  telemetry::LittleTable table = obs::make_metrics_table();
-  const auto names = obs::snapshot_into(reg, table, time::seconds(1));
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "acks");
-  EXPECT_EQ(names[1], "depth");
-  EXPECT_EQ(table.row_count(), 2u);
-  const auto rows = table.query(Time{0}, time::seconds(2));
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].values[0], 5.0);
-  EXPECT_DOUBLE_EQ(rows[1].values[0], 2.5);
 }
 
 // ------------------------------------------------------------ Planner audit

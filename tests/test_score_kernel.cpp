@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <type_traits>
 #include <vector>
 
@@ -484,63 +485,73 @@ TEST(ScoreKernel, StatsCacheMissesOnContentChangeOnly) {
   EXPECT_EQ(cache.stats().misses, scans.size() + 1);
 }
 
-TEST(ScoreKernel, StatsCacheRespectsCapacity) {
+TEST(ScoreKernel, StatsCacheKeepsOnlyTheLastBuild) {
   const Params params;
-  // Hostile fleet: every AP's spectrum content is distinct (random maps),
-  // so 20 APs want 20 cache rows against a capacity of 4. LRU eviction
-  // keeps the bound: exactly 4 rows resident, the 16 overflow rows evicted
-  // oldest-first.
+  const Dbm floor = params.neighbor_rssi_floor;
+  const auto distinct_hashes = [](const std::vector<ApScan>& scans) {
+    std::set<std::uint64_t> h;
+    for (const ApScan& s : scans)
+      h.insert(flowsim::ScanStatsCache::content_hash(s));
+    return h;
+  };
+  const auto expect_same_rows = [](const flowsim::ScanIndex& x,
+                                   const flowsim::ScanIndex& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      for (std::size_t o = 0; o < channels::catalog_size(); ++o) {
+        const auto& a = x.stats(i, static_cast<int>(o));
+        const auto& b = y.stats(i, static_cast<int>(o));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.external_util),
+                  std::bit_cast<std::uint64_t>(b.external_util));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.quality),
+                  std::bit_cast<std::uint64_t>(b.quality));
+      }
+  };
+
+  // Two APs with the same spectrum in one epoch share one row: the cache
+  // holds exactly the distinct hashes of the build.
   Rng rng(23);
-  const std::vector<ApScan> scans = hostile_scans(20, rng, false);
-  flowsim::ScanStatsCache cache(/*capacity=*/4);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions, 16u);
-  // Still correct, just smaller: a second build hits on the retained rows
-  // (the most recently inserted ones — APs 16..19).
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
-  EXPECT_EQ(cache.stats().hits, 4u);
-  EXPECT_EQ(cache.size(), 4u);
-}
+  std::vector<ApScan> dup = hostile_scans(12, rng, false);
+  dup[1].external_util = dup[0].external_util;
+  dup[1].quality = dup[0].quality;
+  flowsim::ScanStatsCache cache;
+  { const flowsim::ScanIndex i0(dup, floor, nullptr, &cache); }
+  EXPECT_EQ(cache.size(), distinct_hashes(dup).size());
+  EXPECT_EQ(cache.size(), dup.size() - 1);
 
-TEST(ScoreKernel, StatsCacheLruEvictionIsDeterministic) {
-  const Params params;
-  Rng rng(29);
-  const std::vector<ApScan> scans = hostile_scans(12, rng, false);
-  // Two caches fed the identical probe/insert history hold the identical
-  // survivor set — eviction is a pure function of the access sequence.
-  flowsim::ScanStatsCache a(/*capacity=*/5), b(/*capacity=*/5);
+  // Two disjoint hostile epochs that alternate: each build's rows replace
+  // the last build's, so every probe misses and the cache never holds more
+  // than one epoch's rows. Each return after a gap recomputes the rows the
+  // uncached index computes, bit for bit.
+  const std::vector<ApScan> a = hostile_scans(20, rng, false);
+  const std::vector<ApScan> b = hostile_scans(20, rng, false);
+  const std::set<std::uint64_t> ha = distinct_hashes(a);
+  const std::set<std::uint64_t> hb = distinct_hashes(b);
+  for (const std::uint64_t h : ha) ASSERT_FALSE(hb.contains(h));
+  const flowsim::ScanIndex ref_a(a, floor);
+  const flowsim::ScanIndex ref_b(b, floor);
   for (int round = 0; round < 3; ++round) {
-    const flowsim::ScanIndex ia(scans, params.neighbor_rssi_floor, nullptr, &a);
-    const flowsim::ScanIndex ib(scans, params.neighbor_rssi_floor, nullptr, &b);
+    {
+      const flowsim::ScanIndex ia(a, floor, nullptr, &cache);
+      EXPECT_EQ(cache.size(), ha.size());
+      expect_same_rows(ia, ref_a);
+    }
+    {
+      const flowsim::ScanIndex ib(b, floor, nullptr, &cache);
+      EXPECT_EQ(cache.size(), hb.size());
+      expect_same_rows(ib, ref_b);
+    }
   }
-  EXPECT_EQ(a.stats().hits, b.stats().hits);
-  EXPECT_EQ(a.stats().misses, b.stats().misses);
-  EXPECT_EQ(a.stats().evictions, b.stats().evictions);
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.size(), 5u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, dup.size() + 6 * a.size());
 
-  // A probed row is MRU: with capacity == fleet size, re-building keeps
-  // every row resident and evicts nothing further.
-  flowsim::ScanStatsCache c(/*capacity=*/12);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &c); }
-  const std::uint64_t evictions_cold = c.stats().evictions;
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &c); }
-  EXPECT_EQ(c.stats().evictions, evictions_cold);
-  EXPECT_EQ(c.stats().hits, 12u);
-
-  // capacity 0 disables retention: every probe misses, nothing resident.
-  flowsim::ScanStatsCache off(/*capacity=*/0);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &off); }
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &off); }
-  EXPECT_EQ(off.stats().hits, 0u);
-  EXPECT_EQ(off.size(), 0u);
+  // Distinct content must hash distinctly (the reuse keys are honest).
+  ApScan x = a[0];
+  ApScan y = a[0];
+  x.external_util[36] = 0.1;
+  y.external_util[36] = 0.2;
+  EXPECT_NE(flowsim::ScanStatsCache::content_hash(x),
+            flowsim::ScanStatsCache::content_hash(y));
 }
 
 // Golden NetP digest (determinism guard): the exact bits of net_p_log on a

@@ -372,9 +372,7 @@ TEST(ReservedCaService, FixedWidthIsRespected) {
   cc.n_aps = 15;
   cc.seed = 17;
   auto net = workload::make_campus(cc);
-  turboca::ReservedCaService::Config rcfg;
-  rcfg.fixed_width = ChannelWidth::MHz40;
-  turboca::ReservedCaService svc(rcfg, {}, hooks_for(*net), Rng(12));
+  turboca::ReservedCaService svc({}, {}, hooks_for(*net), Rng(12));
   svc.run_now();
   for (const auto& ap : net->aps())
     EXPECT_LE(ap.channel.width, ChannelWidth::MHz40);
