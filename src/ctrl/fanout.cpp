@@ -22,9 +22,4 @@ const PlanStore* PlanFanout::store(std::uint32_t campus_key) const {
   return it == stores_.end() ? nullptr : &it->second;
 }
 
-PlanStore* PlanFanout::store_mut(std::uint32_t campus_key) {
-  const auto it = stores_.find(campus_key);
-  return it == stores_.end() ? nullptr : &it->second;
-}
-
 }  // namespace w11::ctrl

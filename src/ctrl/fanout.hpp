@@ -33,8 +33,6 @@ class PlanFanout {
 
   // nullptr until the campus's first commit.
   [[nodiscard]] const PlanStore* store(std::uint32_t campus_key) const;
-  [[nodiscard]] PlanStore* store_mut(std::uint32_t campus_key);
-  [[nodiscard]] std::size_t campus_count() const { return stores_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

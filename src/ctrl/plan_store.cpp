@@ -39,7 +39,7 @@ void PlanStore::evict() {
     // version takes the slot of the next-oldest entry, the actual victim.
     if (history_.front().version == good_)
       history_[1] = std::move(history_.front());
-    history_.front().plan.clear();  // now, not when a push reuses the slot
+    history_.front().plan = {};  // now, not when a push reuses the slot
     history_.pop_front();
   }
 }

@@ -289,10 +289,11 @@ CampusPlanOutput FleetController::run_job(const PlanJob& job,
       engine.run(index, cs.planned, tier_levels(job.tier));
   out.improved = r.improved;
   out.netp_log = r.netp_log;
-  // The map the plan leaves the planner as: scans are id-ascending, so
-  // every entry lands at the end.
+  // The plan as it leaves the planner: scans are id-ascending, so every
+  // entry appends.
+  out.plan.reserve(r.plan.size());
   for (std::size_t k = 0; k < r.plan.size(); ++k)
-    out.plan.emplace_hint(out.plan.end(), cs.scans[k].id, r.plan[k]);
+    out.plan[cs.scans[k].id] = r.plan[k];
   // The campus's new assignment of record. A tick runs at most one job per
   // campus, so no other task reads or writes this campus's record.
   cs.planned = std::move(r.plan);
@@ -415,11 +416,12 @@ void FleetController::tick(Time now) {
 }
 
 ChannelPlan FleetController::fleet_plan() const {
-  ChannelPlan plan;
+  // Campus-key order is not id order: collect the rows, then sort once.
+  std::vector<ChannelPlan::value_type> rows;
   for (const auto& [key, st] : state_)
     for (std::size_t k = 0; k < st.scans.size(); ++k)
-      plan.emplace(st.scans[k].id, st.planned[k]);
-  return plan;
+      rows.emplace_back(st.scans[k].id, st.planned[k]);
+  return ChannelPlan(std::move(rows));
 }
 
 void FleetController::fold_digest(const CampusPlanOutput& out) {

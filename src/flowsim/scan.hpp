@@ -9,7 +9,7 @@
 // quality (non-WiFi interference).
 
 #include <algorithm>
-#include <map>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,39 +21,47 @@
 
 namespace w11 {
 
-// A spectrum field of a scan: (key, value) pairs kept sorted by key in one
-// vector. It offers the std::map subset the fields' users call, with the
-// same key-ordered iteration, so every sum and digest over a field folds
-// the same values in the same order a map would. A scan carries a few
-// entries per field (at most one per 20 MHz channel), where a vector costs
-// one allocation and a map one node per entry.
-//
-// Keys must not be changed through iteration; values may.
-template <class Key>
-class SpectrumMap {
+// (key, value) pairs kept sorted by key in one vector: the std::map subset
+// its users call, with the same key-ordered iteration, so every sum and
+// digest over it folds what a map would, at one allocation where a map
+// takes one node per entry. An insert out of key order shifts the tail, so
+// build a large map in key order or from pairs. Keys must not be changed
+// through iteration; values may.
+template <class Key, class Value>
+class SortedMap {
  public:
-  using value_type = std::pair<Key, double>;
+  using value_type = std::pair<Key, Value>;
   using iterator = typename std::vector<value_type>::iterator;
   using const_iterator = typename std::vector<value_type>::const_iterator;
 
-  // The value stored under `key`, inserted as 0.0 if absent.
-  double& operator[](Key key) {
+  SortedMap() = default;
+  // From pairs in any order; of equal keys the first wins, as in std::map.
+  explicit SortedMap(std::vector<value_type> items) : items_(std::move(items)) {
+    std::ranges::stable_sort(items_, {}, &value_type::first);
+    const auto dups = std::ranges::unique(items_, {}, &value_type::first);
+    items_.erase(dups.begin(), dups.end());
+  }
+  SortedMap(std::initializer_list<value_type> l) : SortedMap(std::vector(l)) {}
+
+  // The value stored under `key`, inserted as Value{} if absent.
+  Value& operator[](Key key) {
     const auto it =
         std::ranges::lower_bound(items_, key, {}, &value_type::first);
     if (it != items_.end() && it->first == key) return it->second;
-    return items_.insert(it, value_type{key, 0.0})->second;
+    return items_.insert(it, value_type{key, Value{}})->second;
   }
   [[nodiscard]] const_iterator find(Key key) const {
     const auto it =
         std::ranges::lower_bound(items_, key, {}, &value_type::first);
     return it != items_.end() && it->first == key ? it : items_.end();
   }
-  [[nodiscard]] const double& at(Key key) const {
+  [[nodiscard]] const Value& at(Key key) const {
     const auto it = find(key);
-    if (it == items_.end()) throw std::out_of_range("SpectrumMap::at");
+    if (it == items_.end()) throw std::out_of_range("SortedMap::at");
     return it->second;
   }
   [[nodiscard]] bool contains(Key key) const { return find(key) != end(); }
+  [[nodiscard]] std::size_t count(Key key) const { return contains(key); }
   void clear() { items_.clear(); }
   void reserve(std::size_t n) { items_.reserve(n); }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
@@ -63,12 +71,16 @@ class SpectrumMap {
   [[nodiscard]] const_iterator begin() const { return items_.begin(); }
   [[nodiscard]] const_iterator end() const { return items_.end(); }
 
-  // Equal keys with equal values: an absent key differs from a stored 0.0.
-  friend bool operator==(const SpectrumMap&, const SpectrumMap&) = default;
+  // Equal keys with equal values: an absent key differs from a stored Value{}.
+  friend bool operator==(const SortedMap&, const SortedMap&) = default;
 
  private:
   std::vector<value_type> items_;
 };
+
+// A spectrum field of a scan: a few entries, at most one per 20 MHz channel.
+template <class Key>
+using SpectrumMap = SortedMap<Key, double>;
 
 struct NeighborReport {
   ApId id;
@@ -122,7 +134,7 @@ struct ApScan {
   friend bool operator==(const ApScan&, const ApScan&) = default;
 };
 
-// A channel plan: assignment for every AP in the network.
-using ChannelPlan = std::map<ApId, Channel>;
+// A channel plan: assignment for every AP in the network, id-ascending.
+using ChannelPlan = SortedMap<ApId, Channel>;
 
 }  // namespace w11

@@ -290,15 +290,13 @@ TEST(FleetDeltaTest, AssignmentOfRecordFollowsApsAcrossRepartition) {
   Time prev{};
   for (std::size_t p = 0; p < censuses.size(); ++p) {
     const Time t = time::minutes(static_cast<std::int64_t>(p + 1) * 15);
-    std::vector<ApId> present;
+    // Seed new APs from their scan currents; removed APs drop out.
+    ChannelPlan seeded;
     for (const ApScan& a : censuses[p]) {
-      present.push_back(a.id);
-      shadow.emplace(a.id, a.current);
+      const auto it = shadow.find(a.id);
+      seeded[a.id] = it != shadow.end() ? it->second : a.current;
     }
-    std::erase_if(shadow, [&](const auto& entry) {
-      return std::find(present.begin(), present.end(), entry.first) ==
-             present.end();
-    });
+    shadow = std::move(seeded);
     if (p == 0) {
       ASSERT_TRUE(ctl.offer_epoch(fleet::ScanEpoch{t, censuses[p]}));
     } else {

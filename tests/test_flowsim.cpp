@@ -667,6 +667,25 @@ TEST(SpectrumMap, IteratesInAscendingKeyOrder) {
     EXPECT_EQ(l, expect) << to_string(w);
     expect += 1.0;
   }
+
+  // A plan inserted out of id order iterates id-ascending, as a map would.
+  const Channel c36{Band::G5, 36, ChannelWidth::MHz20};
+  const Channel c149{Band::G5, 149, ChannelWidth::MHz20};
+  ChannelPlan plan;
+  for (const std::uint32_t id : {7u, 2u, 11u, 0u}) plan[ApId{id}] = c36;
+  plan[ApId{2}] = c149;
+  const std::vector<std::pair<ApId, Channel>> want_plan = {
+      {ApId{0}, c36}, {ApId{2}, c149}, {ApId{7}, c36}, {ApId{11}, c36}};
+  EXPECT_EQ(std::vector(plan.begin(), plan.end()), want_plan);
+  // From pairs in any order: of two equal ids the first wins, as in a
+  // std::map built from the same list.
+  const ChannelPlan built(std::vector<std::pair<ApId, Channel>>{
+      {ApId{11}, c36}, {ApId{2}, c149}, {ApId{7}, c36}, {ApId{0}, c36},
+      {ApId{2}, c36}});
+  EXPECT_EQ(built, plan);
+  const ChannelPlan listed = {{ApId{7}, c36}, {ApId{2}, c149}, {ApId{0}, c36},
+                              {ApId{2}, c36}, {ApId{11}, c36}};
+  EXPECT_EQ(listed, plan);
 }
 
 TEST(SpectrumMap, LookupsOfAbsentKeysFindNothing) {
@@ -689,6 +708,17 @@ TEST(SpectrumMap, LookupsOfAbsentKeysFindNothing) {
   util.clear();
   EXPECT_EQ(util.size(), 0u);
   EXPECT_FALSE(util.contains(52));
+
+  ChannelPlan plan;
+  EXPECT_EQ(plan.count(ApId{3}), 0u);
+  plan[ApId{3}] = Channel{};
+  plan[ApId{9}] = Channel{};
+  for (const std::uint32_t absent : {0u, 5u, 12u}) {  // before, between, after
+    EXPECT_EQ(plan.count(ApId{absent}), 0u) << absent;
+    EXPECT_THROW((void)plan.at(ApId{absent}), std::out_of_range) << absent;
+  }
+  EXPECT_EQ(plan.count(ApId{9}), 1u);
+  EXPECT_EQ(plan.size(), 2u) << "a lookup must not insert";
 }
 
 TEST(SpectrumMap, EqualityTellsAnAbsentKeyFromAStoredZero) {
@@ -701,6 +731,14 @@ TEST(SpectrumMap, EqualityTellsAnAbsentKeyFromAStoredZero) {
   EXPECT_NE(a, b);
   (void)a[40];  // inserts 0.0
   EXPECT_EQ(a, b);
+
+  // Likewise an absent AP differs from one stored as Channel{}.
+  ChannelPlan p = {{ApId{1}, Channel{Band::G5, 149, ChannelWidth::MHz80}}};
+  ChannelPlan q = p;
+  q[ApId{4}] = Channel{};
+  EXPECT_NE(p, q);
+  (void)p[ApId{4}];  // inserts Channel{}
+  EXPECT_EQ(p, q);
 
   // The delta differ relies on it: a scan that gains a 0.0 entry changed.
   ApScan base;

@@ -1,18 +1,20 @@
-// src/ctrl/ rollout pipeline tests: the versioned plan store, the lossy
-// control channel, the retry/backoff applier, the staged coordinator with
-// auto-revert, and the end-to-end chaos soak whose one invariant is "no AP
-// is ever left half-applied" — plus byte-identical rollout audits at any
-// worker count.
+// src/ctrl/ rollout pipeline tests: the versioned plan store and its
+// per-campus fanout, the lossy control channel, the retry/backoff applier,
+// the staged coordinator with auto-revert, and the end-to-end chaos soak
+// whose one invariant is "no AP is ever left half-applied" — plus
+// byte-identical rollout audits at any worker count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "ctrl/applier.hpp"
 #include "ctrl/control_channel.hpp"
+#include "ctrl/fanout.hpp"
 #include "ctrl/plan_store.hpp"
 #include "ctrl/rollout.hpp"
 #include "exec/task_pool.hpp"
@@ -88,6 +90,38 @@ TEST(PlanStore, MarkGoodMovesThePin) {
   EXPECT_EQ(store.get(v1), nullptr);  // the old good is no longer pinned
   ASSERT_NE(store.last_known_good(), nullptr);
   EXPECT_EQ(store.last_known_good()->version, v2);
+}
+
+// ----------------------------------------------------------- PlanFanout --
+
+TEST(PlanFanout, InterleavedCampusesKeepTheirOwnVersions) {
+  // Two campuses commit in turn: each gets its own version stream 1..n,
+  // its newest plan as last-known-good, and a history window of four.
+  ctrl::PlanFanout fanout;
+  EXPECT_EQ(fanout.store(7), nullptr);
+  const std::vector<Channel> chans = {ch36, ch40, ch44, ch149};
+  constexpr std::uint64_t kCommits = 6;
+  for (std::uint64_t v = 1; v <= kCommits; ++v) {
+    const Time at = time::seconds(static_cast<std::int64_t>(v));
+    EXPECT_EQ(fanout.commit(7, plan_all(2, chans[v % 4]), -1.0, at), v);
+    EXPECT_EQ(fanout.commit(3, plan_all(3, chans[(v + 1) % 4]), -2.0, at), v);
+  }
+  for (const auto& [key, n, shift] : {std::tuple{7u, 2, 0u},
+                                      std::tuple{3u, 3, 1u}}) {
+    const ctrl::PlanStore* store = fanout.store(key);
+    ASSERT_NE(store, nullptr) << "campus " << key;
+    EXPECT_EQ(store->latest_version(), kCommits) << "campus " << key;
+    EXPECT_EQ(store->size(), 4u) << "campus " << key;
+    ASSERT_NE(store->last_known_good(), nullptr) << "campus " << key;
+    EXPECT_EQ(store->last_known_good()->version, kCommits);
+    EXPECT_EQ(store->last_known_good()->plan,
+              plan_all(n, chans[(kCommits + shift) % 4]))
+        << "campus " << key;
+    EXPECT_EQ(store->get(kCommits - 4), nullptr) << "campus " << key;
+  }
+  EXPECT_EQ(fanout.store(5), nullptr);
+  EXPECT_EQ(fanout.stats().plans_committed, 2 * kCommits);
+  EXPECT_EQ(fanout.stats().campuses_seen, 2u);
 }
 
 // ------------------------------------------------------- ControlChannel --
