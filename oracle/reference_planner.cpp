@@ -15,6 +15,7 @@
 namespace w11::oracle {
 
 using turboca::kNodePLogFloor;
+using turboca::kRunsDivisor;
 
 namespace {
 
@@ -225,7 +226,7 @@ ReferenceEvaluator::RunResult ReferenceEvaluator::run(
     const std::vector<ApScan>& scans, const ChannelPlan& current,
     int hop_limit) {
   const int n = static_cast<int>(scans.size());
-  const int rounds = std::clamp(n / params_.runs_divisor, params_.runs_min,
+  const int rounds = std::clamp(n / kRunsDivisor, params_.runs_min,
                                 params_.runs_max);
 
   RunResult result;

@@ -6,6 +6,20 @@
 
 namespace w11::fastack {
 
+namespace {
+// Client receive window assumed until the first client ACK reveals the real
+// one (a deployed agent learns it from the SYN handshake, which this model
+// does not carry).
+constexpr std::uint64_t kInitialClientRwnd = 1 << 20;
+// Stall-heal trigger: a client ACK that advances while still behind the
+// fast-ACK point, with the rewritten (sender-visible) window collapsed below
+// this, is wedged on bytes only the cache still has — the sender believes
+// them delivered and its window is shut, so the dup-ACK path will starve (no
+// new arrivals means no new client ACKs). Each such ACK pulls the next
+// cached burst, making recovery self-clocking (§5.5.1).
+constexpr std::uint64_t kStallRwndBytes = 3 * 1460;
+}  // namespace
+
 FastAckAgent::FastAckAgent(Simulator& sim, AccessPoint& ap, Config cfg)
     : sim_(sim), ap_(ap), cfg_(cfg) {}
 
@@ -24,7 +38,7 @@ FlowState& FastAckAgent::state_for(const TcpSegment& seg) {
     s.client = seg.dst_station;
     s.seq_exp = s.seq_fack = s.seq_tcp = s.last_client_ack = seg.seq;
     s.seq_high = seg.seq;
-    s.client_rwnd = cfg_.initial_client_rwnd;
+    s.client_rwnd = kInitialClientRwnd;
     trace(obs::TraceKind::kFastAckFlowCreated, seg.flow, seg.seq);
   }
   s.last_activity = sim_.now();
@@ -203,7 +217,7 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     // trigger starves; chain the next cached burst off this ACK instead so
     // recovery clocks itself until the window reopens.
     if (s.seq_tcp < s.seq_fack &&
-        advertised_window(s) < cfg_.stall_rwnd_bytes) {
+        advertised_window(s) < kStallRwndBytes) {
       local_retransmit(ack.flow, s, s.seq_tcp);
     }
   } else if (ack.ack == s.last_client_ack && !ack.has_payload()) {

@@ -41,10 +41,6 @@ class FastAckAgent : public TcpInterceptor {
     // false the agent naively acks every delivered MPDU's end, which can
     // acknowledge past holes.
     bool require_contiguity = true;
-    // Client receive window assumed until the first client ACK reveals the
-    // real one (a deployed agent learns it from the SYN handshake, which
-    // this model does not carry).
-    std::uint64_t initial_client_rwnd = 1 << 20;
     // --- graceful degradation (§5.5.4 corner cases) ----------------------
     // On an invariant anomaly (corrupt imported state, bookkeeping gone
     // wrong) the flow drops to bypass: plain forwarding, sender-driven
@@ -59,13 +55,6 @@ class FastAckAgent : public TcpInterceptor {
     // client roamed away, the connection closed — the agent never sees FIN
     // in this model) and is collected by gc_idle_flows().
     Time flow_idle_timeout = time::seconds(60);
-    // Stall-heal trigger: a client ACK that advances while still behind the
-    // fast-ACK point, with the rewritten (sender-visible) window collapsed
-    // below this, is wedged on bytes only the cache still has — the sender
-    // believes them delivered and its window is shut, so the dup-ACK path
-    // will starve (no new arrivals means no new client ACKs). Each such ACK
-    // pulls the next cached burst, making recovery self-clocking (§5.5.1).
-    std::uint64_t stall_rwnd_bytes = 3 * 1460;
   };
 
   FastAckAgent(Simulator& sim, AccessPoint& ap, Config cfg);

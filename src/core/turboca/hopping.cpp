@@ -7,6 +7,11 @@
 
 namespace w11::turboca {
 
+namespace {
+// Every AP hops on this fixed period (the 15-minute cadence of §4.4.4).
+constexpr Time kHopPeriod = time::minutes(15);
+}  // namespace
+
 HoppingCaService::HoppingCaService(Config cfg, NetworkHooks hooks, Rng rng)
     : cfg_(cfg), hooks_(std::move(hooks)), rng_(std::move(rng)) {
   W11_CHECK(hooks_.scan && hooks_.current_plan && hooks_.apply_plan);
@@ -30,7 +35,7 @@ void HoppingCaService::build_sequences(const std::vector<ApScan>& scans) {
 }
 
 void HoppingCaService::advance_to(Time now) {
-  if (last_hop_ >= Time{0} && now - last_hop_ < cfg_.hop_period) return;
+  if (last_hop_ >= Time{0} && now - last_hop_ < kHopPeriod) return;
   last_hop_ = now;
   hop_now();
 }

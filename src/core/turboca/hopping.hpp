@@ -21,7 +21,6 @@ namespace w11::turboca {
 class HoppingCaService {
  public:
   struct Config {
-    Time hop_period = time::minutes(15);
     ChannelWidth width = ChannelWidth::MHz20;
     bool allow_dfs = false;
     // Sequence length per AP; every AP permutes the catalog independently.

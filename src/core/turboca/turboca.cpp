@@ -196,7 +196,7 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
 
 bool TurboCA::run_level(PlanContext& ctx, int hop_limit, double& netp_log) {
   const int n = static_cast<int>(ctx.index().size());
-  const int rounds = std::clamp(n / params_.runs_divisor, params_.runs_min,
+  const int rounds = std::clamp(n / kRunsDivisor, params_.runs_min,
                                 params_.runs_max);
 
   netp_log = ctx.net_p_log();

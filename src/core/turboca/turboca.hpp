@@ -52,6 +52,9 @@ class PlanContext;
 // log of an effectively-zero metric (shared with the oracle's reference
 // evaluator — the two must stay bit-identical).
 inline constexpr double kNodePLogFloor = -40.0;
+// NBO rounds per schedule run: clamp(n_aps / kRunsDivisor, runs_min,
+// runs_max) (shared with the oracle's reference evaluator).
+inline constexpr int kRunsDivisor = 25;
 
 struct Params {
   // Penalty subtracted from channel_metric when c differs from the current
@@ -66,8 +69,7 @@ struct Params {
   double empty_ap_load = 0.1;
   // Neighbors weaker than this RSSI are not counted as contenders.
   Dbm neighbor_rssi_floor = -85.0;
-  // NBO rounds per schedule run: clamp(n_aps / divisor, min, max).
-  int runs_divisor = 25;
+  // Bounds on the NBO rounds per schedule run (see kRunsDivisor).
   int runs_min = 3;
   int runs_max = 12;
   // Algorithm 1 line 8: weight the group-drain pick by AP load so heavily

@@ -106,11 +106,9 @@ class PlanApplier {
   void cancel_ap(std::uint32_t ap);
 
   [[nodiscard]] bool wave_active() const { return active_ > 0; }
-  [[nodiscard]] std::uint64_t wave_version() const { return version_; }
   // Terminal tallies for the current/last wave.
   [[nodiscard]] int wave_applied() const { return wave_applied_; }
   [[nodiscard]] int wave_exhausted() const { return wave_exhausted_; }
-  [[nodiscard]] std::size_t wave_size() const { return tasks_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   // APs the current wave has driven to kApplied (ascending AP order).

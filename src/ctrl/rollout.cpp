@@ -9,6 +9,15 @@
 
 namespace w11::ctrl {
 
+namespace {
+// Wave n is canary * kWaveGrowth^n APs.
+constexpr std::size_t kWaveGrowth = 3;
+// A wave fails if mean utilization rose by more than this (absolute) ...
+constexpr double kUtilRegressionTol = 0.10;
+// ... or log-NetP dropped by more than this.
+constexpr double kNetpRegressionTol = 1.0;
+}  // namespace
+
 const char* to_string(RolloutState s) {
   switch (s) {
     case RolloutState::kIdle: return "idle";
@@ -120,7 +129,6 @@ RolloutCoordinator::RolloutCoordinator(Simulator& sim, PlanApplier& applier,
     : sim_(sim), applier_(applier), store_(store), cfg_(cfg),
       hooks_(std::move(hooks)) {
   W11_CHECK(cfg_.canary >= 1);
-  W11_CHECK(cfg_.wave_growth >= 1);
   W11_CHECK(hooks_.netp_log != nullptr);
   W11_CHECK(hooks_.mean_utilization != nullptr);
   W11_CHECK(hooks_.channel_of != nullptr);
@@ -179,7 +187,7 @@ bool RolloutCoordinator::start(std::uint64_t version) {
                         switches.begin() +
                             static_cast<std::ptrdiff_t>(next + n));
     next += n;
-    wave_cap *= static_cast<std::size_t>(cfg_.wave_growth);
+    wave_cap *= kWaveGrowth;
   }
 
   watchdog_.cancel();
@@ -245,8 +253,8 @@ void RolloutCoordinator::validate() {
   // beyond tolerance. Missing telemetry (kTelemetryDrop faults) skips the
   // utilization gate rather than failing it — absence of evidence.
   const bool util_bad =
-      util_checked && (util_now - baseline_util_ > cfg_.util_regression_tol);
-  const bool netp_bad = baseline_netp_ - netp_now > cfg_.netp_regression_tol;
+      util_checked && (util_now - baseline_util_ > kUtilRegressionTol);
+  const bool netp_bad = baseline_netp_ - netp_now > kNetpRegressionTol;
   const bool ok = !util_bad && !netp_bad;
 
   RolloutAudit::Record r{RolloutAudit::Record::Kind::kValidate, sim_.now().ns(),

@@ -109,14 +109,9 @@ class RolloutAudit {
 class RolloutCoordinator {
  public:
   struct Config {
-    int canary = 2;       // wave 0 size (clamped to the switch set)
-    int wave_growth = 3;  // wave n is canary * growth^n APs
+    int canary = 2;  // wave 0 size (clamped to the switch set)
     // Telemetry soak per wave before the regression gate fires.
     Time validate_window = time::seconds(30);
-    // Wave fails if mean utilization rose by more than this (absolute).
-    double util_regression_tol = 0.10;
-    // ... or log-NetP dropped by more than this.
-    double netp_regression_tol = 1.0;
     // Forward-progress deadline: a rollout still applying/validating when
     // this expires is reverted. (A revert in progress is exempt — it always
     // converges once the control channel heals, and aborting it is the one
@@ -185,7 +180,6 @@ class RolloutCoordinator {
   }
   [[nodiscard]] RolloutOutcome outcome() const { return outcome_; }
   [[nodiscard]] RevertReason revert_reason() const { return revert_reason_; }
-  [[nodiscard]] std::uint64_t target_version() const { return version_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] Health health() const {
     Health h;

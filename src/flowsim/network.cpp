@@ -12,6 +12,17 @@ namespace w11::flowsim {
 
 namespace {
 
+constexpr Dbm kCsThreshold = -82.0;     // carrier-sense coupling threshold
+constexpr double kMacEfficiency = 0.75; // CSMA overhead factor on PHY rates
+constexpr int kSolverIterations = 30;
+// A client demanding less than this is "idle" for the DFS rule — overnight
+// lulls free APs to take the CAC hit and move to DFS channels (§4.5.2),
+// which is where the wide-channel capacity lives.
+constexpr double kActiveClientThresholdMbps = 0.5;
+// Fraction of CSA announcements missed even by CSA-capable clients
+// (§4.3.1: "beacons might be missed even by clients that do support CSAs").
+constexpr double kCsaMissRate = 0.10;
+
 double dbm_to_mw(Dbm dbm) { return std::pow(10.0, dbm / 10.0); }
 double mw_to_dbm(double mw) { return 10.0 * std::log10(std::max(mw, 1e-12)); }
 
@@ -165,16 +176,15 @@ ChannelPlan Network::current_plan() const {
 void Network::account_switch_disruption(const ApNode& ap) {
   // §4.3.1 disruption accounting for this AP's active clients.
   for (const auto& cl : ap.clients) {
-    if (cl.offered_mbps <= cfg_.active_client_threshold_mbps) continue;
+    if (cl.offered_mbps <= kActiveClientThresholdMbps) continue;
     const bool follows_csa =
-        cl.cap.supports_csa && !rng_.bernoulli(csa_miss_rate);
+        cl.cap.supports_csa && !rng_.bernoulli(kCsaMissRate);
     if (follows_csa) continue;
     // Detect + rescan + re-associate: ~5 s laptops, ~8 s mobiles; the
     // 1-stream population skews mobile.
     const double secs =
         cl.cap.max_nss >= 2 ? rng_.uniform(4.0, 6.0) : rng_.uniform(7.0, 9.0);
     disruption_client_seconds_ += secs;
-    ++clients_disrupted_;
   }
 }
 
@@ -256,7 +266,7 @@ const Network::LinkBudget& Network::budget() const {
       const Dbm rssi = kApTxPowerDbm -
                        cfg_.prop.path_loss(aps_[i].pos, aps_[j].pos, cfg_.band);
       b.rx_mw[i * n + j] = b.rx_mw[j * n + i] = dbm_to_mw(rssi);
-      if (rssi > cfg_.cs_threshold) {
+      if (rssi > kCsThreshold) {
         b.cs_aps[i].push_back(CsNeighbor{static_cast<std::uint32_t>(j), rssi});
         b.cs_aps[j].push_back(CsNeighbor{static_cast<std::uint32_t>(i), rssi});
       }
@@ -292,7 +302,7 @@ const Network::LinkBudget& Network::budget() const {
       const ExternalInterferer& intf = interferers_[k];
       const Db loss = cfg_.prop.path_loss(intf.pos, ap.pos, cfg_.band);
       b.intf_ap[i * m + k] = loss;
-      if (intf.tx_power - loss > cfg_.cs_threshold)
+      if (intf.tx_power - loss > kCsThreshold)
         b.cs_interferers[i].push_back(k);
     }
   }
@@ -367,7 +377,7 @@ const Network::InterfererCache& Network::interferer_cache() const {
       const ExternalInterferer& intf = interferers_[k];
       if (!intf.channel.overlaps(on)) continue;
       const Dbm p = intf.tx_power - b.intf_ap[i * m + k];
-      if (p > cfg_.cs_threshold) continue;  // in range -> serialized
+      if (p > kCsThreshold) continue;  // in range -> serialized
       x.terms[i].push_back(dbm_to_mw(p) * intf.duty_cycle *
                            overlap_fraction(on, intf.channel));
     }
@@ -484,7 +494,7 @@ Evaluation Network::solve() const {
       double d = 0.0;
       for (std::size_t c = 0; c < ap.clients.size(); ++c)
         d += ap.clients[c].offered_mbps /
-             std::max(rate[c] * cfg_.mac_efficiency, 1.0);
+             std::max(rate[c] * kMacEfficiency, 1.0);
       demand[i] = std::min(d + 0.003 /*beacons & mgmt*/, 4.0);
       share[i] = std::min(demand[i], std::max(0.0, 1.0 - ext[i]));
     }
@@ -492,7 +502,7 @@ Evaluation Network::solve() const {
     // Damped water-filling on neighborhood constraints. Each iteration is
     // a function of `share` alone, so once one leaves it bit-for-bit
     // unchanged, so would every later one.
-    for (int it = 0; it < cfg_.solver_iterations; ++it) {
+    for (int it = 0; it < kSolverIterations; ++it) {
       last = share;
       std::fill(pressure.begin(), pressure.end(), 1.0);
       for (std::size_t k = 0; k < n; ++k) {
@@ -607,7 +617,7 @@ std::vector<ApScan> Network::scan() const {
     // and move to a DFS channel.
     s.has_clients = false;
     for (const auto& cl : ap.clients)
-      if (cl.offered_mbps > cfg_.active_client_threshold_mbps)
+      if (cl.offered_mbps > kActiveClientThresholdMbps)
         s.has_clients = true;
     s.dfs_capable = ap.dfs_capable;
     s.utilization_current = ev.per_ap[i].utilization;

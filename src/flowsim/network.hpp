@@ -89,18 +89,11 @@ class Network {
   struct Config {
     Band band = Band::G5;
     PropagationModel prop;
-    Dbm cs_threshold = -82.0;          // carrier-sense coupling threshold
     RateMbps uplink_capacity{0.0};     // WAN uplink; 0 = unconstrained
-    double mac_efficiency = 0.75;      // CSMA overhead factor on PHY rates
-    int solver_iterations = 30;
     // The dedicated scanning radio (§2.1) dwells 150 ms per channel, so its
     // utilization estimates are samples, not truth; this sigma adds
     // deterministic-seeded measurement noise to every scan() (0 = oracle).
     double scan_noise_sigma = 0.0;
-    // A client demanding less than this is "idle" for the DFS rule —
-    // overnight lulls free APs to take the CAC hit and move to DFS
-    // channels (§4.5.2), which is where the wide-channel capacity lives.
-    double active_client_threshold_mbps = 0.5;
     std::uint64_t seed = 1;
   };
 
@@ -122,7 +115,6 @@ class Network {
   // RF churn: re-roll every external interferer's channel and duty cycle
   // (neighbouring deployments change, microwaves come and go).
   void mutate_interferers(Rng& rng);
-  [[nodiscard]] std::size_t interferer_count() const { return interferers_.size(); }
 
   [[nodiscard]] const std::vector<ApNode>& aps() const { return aps_; }
   [[nodiscard]] std::size_t ap_count() const { return aps_.size(); }
@@ -147,12 +139,6 @@ class Network {
   [[nodiscard]] double disruption_client_seconds() const {
     return disruption_client_seconds_;
   }
-  [[nodiscard]] std::uint64_t clients_disrupted() const {
-    return clients_disrupted_;
-  }
-  // Fraction of CSA announcements missed even by CSA-capable clients
-  // (§4.3.1: "beacons might be missed even by clients that do support CSAs").
-  double csa_miss_rate = 0.10;
 
   // Radar event on a DFS channel: the AP vacates to its fallback (§4.5.2)
   // and the fallback is recomputed afterwards, so repeated strikes walk the
@@ -305,7 +291,6 @@ class Network {
   int radar_duplicates_ = 0;
   std::set<Channel> radar_struck_;  // struck this epoch (cleared by rearm)
   double disruption_client_seconds_ = 0.0;
-  std::uint64_t clients_disrupted_ = 0;
   std::uint32_t next_station_ = 0;
 };
 

@@ -6,6 +6,11 @@
 
 namespace w11 {
 
+namespace {
+// Immediate ACK after this many unacked in-order segments (delayed ACK).
+constexpr int kAckEvery = 2;
+}  // namespace
+
 TcpReceiver::TcpReceiver(Simulator& sim, FlowId flow, Config cfg, SegmentSink send_ack)
     : sim_(sim),
       flow_(flow),
@@ -62,7 +67,7 @@ void TcpReceiver::on_data(const TcpSegment& seg) {
     return;
   }
 
-  if (++unacked_segments_ >= cfg_.ack_every) {
+  if (++unacked_segments_ >= kAckEvery) {
     emit_ack(/*duplicate=*/false);
   } else if (!delack_timer_.armed()) {
     delack_timer_.arm_after(cfg_.delayed_ack);

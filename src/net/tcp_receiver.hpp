@@ -22,7 +22,6 @@ class TcpReceiver {
   struct Config {
     Bytes buffer{1'048'576};  // 1 MiB receive buffer
     Time delayed_ack = time::millis(40);
-    int ack_every = 2;  // immediate ACK after this many unacked segments
   };
 
   struct Stats {

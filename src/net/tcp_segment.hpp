@@ -93,9 +93,4 @@ static_assert(std::is_trivially_copyable_v<TcpSegment>);
 // Where a segment is handed on: a wire, an AP's uplink or a TCP endpoint.
 using SegmentSink = std::function<void(TcpSegment)>;
 
-// Helper: cumulative-ACK comparison — does `ack_no` acknowledge `seq_end`?
-[[nodiscard]] constexpr bool acks_through(std::uint64_t ack_no, std::uint64_t seq_end) {
-  return ack_no >= seq_end;
-}
-
 }  // namespace w11

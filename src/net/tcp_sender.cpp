@@ -11,6 +11,8 @@ namespace {
 // CUBIC constants (RFC 8312): multiplicative decrease and growth scale.
 constexpr double kCubicBeta = 0.7;
 constexpr double kCubicC = 0.4;
+// Initial congestion window, in segments (RFC 6928).
+constexpr std::uint64_t kInitialCwndSegments = 10;
 }  // namespace
 
 TcpSender::TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg,
@@ -24,7 +26,7 @@ TcpSender::TcpSender(Simulator& sim, FlowId flow, StationId dst, Config cfg,
       rto_timer_(sim, [this] { on_rto(); }) {
   W11_CHECK(send_ != nullptr);
   W11_CHECK(cfg_.mss > Bytes{0});
-  cwnd_ = static_cast<double>(cfg_.initial_cwnd_segments * cfg_.mss.count());
+  cwnd_ = static_cast<double>(kInitialCwndSegments * cfg_.mss.count());
   ssthresh_ = static_cast<double>(cfg_.max_cwnd_segments * cfg_.mss.count());
   // Until the first ACK reveals the peer's window, assume it is open.
   peer_rwnd_ = cfg_.max_cwnd_segments * static_cast<std::uint64_t>(cfg_.mss.count());

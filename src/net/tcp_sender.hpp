@@ -29,7 +29,6 @@ class TcpSender {
     // OS cap on the congestion window, in segments; the paper's hosts
     // default to 770 (§5.6.2, fn. 13).
     std::uint64_t max_cwnd_segments = 770;
-    std::uint64_t initial_cwnd_segments = 10;
     CcAlgo algo = CcAlgo::kReno;
     Time min_rto = time::millis(200);
     Time initial_rto = time::seconds(1);
@@ -63,7 +62,6 @@ class TcpSender {
   [[nodiscard]] std::uint64_t snd_una() const { return snd_una_; }
   [[nodiscard]] std::uint64_t snd_nxt() const { return snd_nxt_; }
   [[nodiscard]] std::uint64_t peer_rwnd() const { return peer_rwnd_; }
-  [[nodiscard]] bool in_recovery() const { return in_recovery_; }
   [[nodiscard]] Time smoothed_rtt() const { return srtt_; }
   [[nodiscard]] Time current_rto() const { return rto_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }

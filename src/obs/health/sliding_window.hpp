@@ -75,8 +75,6 @@ class SlidingWindow {
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
   [[nodiscard]] std::uint64_t dropped_late() const { return dropped_late_; }
-  // Index of the newest window (floor(now / width)); -1 before first use.
-  [[nodiscard]] std::int64_t newest_index() const { return newest_; }
 
  private:
   [[nodiscard]] std::int64_t index_of(Time t) const {

@@ -158,7 +158,6 @@ class TraceRecorder {
   // Restrict recording to a category bitmask (category_bit()); kSim's
   // per-event firehose is the usual candidate for masking out.
   void set_category_mask(std::uint32_t mask) { mask_ = mask; }
-  [[nodiscard]] std::uint32_t category_mask() const { return mask_; }
 
   // Bind the sim-time source for record()/span() sites that do not pass an
   // explicit timestamp (the pointee must outlive the binding; the Simulator

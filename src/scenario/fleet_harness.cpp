@@ -117,20 +117,6 @@ std::vector<ApScan> make_fleet_scans(const FleetPopulationConfig& cfg,
   return scans;
 }
 
-void churn_spectrum(std::vector<ApScan>& scans, double fraction,
-                    std::uint64_t seed) {
-  if (fraction <= 0.0) return;
-  const Rng root(seed);
-  const std::vector<Channel> comps = scans.empty()
-      ? std::vector<Channel>{}
-      : channels::us_catalog(scans.front().band, ChannelWidth::MHz20);
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    Rng arng = root.fork(i);
-    if (!arng.bernoulli(fraction)) continue;
-    roll_spectrum(scans[i], comps, arng);
-  }
-}
-
 fleet::DeltaEpoch evolve_population(std::vector<ApScan>& scans,
                                     const FleetPopulationConfig& pop,
                                     double spectrum_fraction,
@@ -228,9 +214,6 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
   fleet::FleetController controller(cfg.controller);
   ctrl::PlanFanout fanout;
   telemetry::FleetIngest ingest;
-  if (cfg.telemetry_max_age > Time{0})
-    ingest.ap_stats().set_retention(
-        telemetry::LittleTable::Retention{cfg.telemetry_max_age, 0});
 
   controller.set_plan_sink([&](const fleet::CampusPlanOutput& out) {
     res.plan_seconds.push_back(out.plan_seconds);
@@ -306,7 +289,6 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& cfg) {
   res.plans_committed = fanout.stats().plans_committed;
   res.ctrl_campuses = fanout.stats().campuses_seen;
   res.telemetry_rows = ingest.rows_ingested();
-  res.telemetry_trimmed = ingest.ap_stats().rows_trimmed();
   return res;
 }
 

@@ -45,13 +45,6 @@ struct FleetPopulationConfig {
 [[nodiscard]] std::vector<ApScan> make_fleet_scans(
     const FleetPopulationConfig& cfg, Time taken_at);
 
-// Deterministic per-poll spectrum churn: re-roll external_util/quality (and
-// the measured utilization) on ~`fraction` of APs, keyed by (seed, AP
-// position). Topology and ids are untouched, so partitions are stable and
-// the unchurned majority hits the spectrum-aggregate caches.
-void churn_spectrum(std::vector<ApScan>& scans, double fraction,
-                    std::uint64_t seed);
-
 // One poll's worth of deterministic population churn, applied to the
 // producer's local census in place and described as a DeltaEpoch against
 // it. Three kinds of change, all keyed by (seed, position / ordinal):
@@ -84,7 +77,6 @@ struct FleetScenarioConfig {
   // ScanEpochs. The census trajectory is identical either way (the same
   // evolve_population stream drives both), so the plan digest must match.
   bool use_deltas = false;
-  Time telemetry_max_age{0};     // retention on the fleet AP table (0 = off)
 };
 
 struct FleetScenarioResult {
@@ -99,7 +91,6 @@ struct FleetScenarioResult {
   std::uint64_t plans_committed = 0;     // via PlanFanout
   std::uint64_t ctrl_campuses = 0;       // PlanStores created
   std::uint64_t telemetry_rows = 0;      // AP rows bulk-appended
-  std::uint64_t telemetry_trimmed = 0;   // rows dropped by retention
 };
 
 [[nodiscard]] FleetScenarioResult run_fleet_scenario(

@@ -34,6 +34,17 @@ constexpr std::array<const char*, 6> kFlightMetrics = {
     "telemetry.records_dropped",
     "telemetry.records_written"};
 
+// Extra sim time allowed after the horizon for an in-flight rollout to reach
+// a terminal state (no new rollouts start past the horizon).
+constexpr Time kSettleLimit = time::hours(2);
+// DFS non-occupancy epoch: struck channels re-arm this often.
+constexpr Time kRadarRearm = time::hours(1);
+// AP reboot duration after FaultKind::kApCrash (control link down).
+constexpr Time kCrashReboot = time::seconds(30);
+// Retention on the collector's ap_stats table (exercises trim under the
+// validation reads).
+constexpr Time kTelemetryMaxAge = time::hours(1);
+
 }  // namespace
 
 RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
@@ -57,8 +68,7 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
       cfg.ctrl_seed * 131 + 7);
   ctrl::PlanStore store;
   telemetry::NetworkCollector coll;
-  if (cfg.telemetry_max_age > Time{0})
-    coll.ap_stats().set_retention({cfg.telemetry_max_age, 0});
+  coll.ap_stats().set_retention({kTelemetryMaxAge});
 
   // --- planner service, its plan output redirected into the store --------
   // The service believes it applied a plan; what actually happened is a
@@ -168,11 +178,8 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     hc.slos.push_back(slow);
     health = std::make_unique<obs::HealthEngine>(std::move(hc));
 
-    obs::FlightRecorder::Config fc;
-    fc.ring_capacity = cfg.recorder_capacity;
-    fc.window = cfg.health_window;
-    fc.max_bundles = cfg.max_postmortems;
-    recorder = std::make_unique<obs::FlightRecorder>(fc);
+    recorder =
+        std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::Config{});
     recorder->attach_tracer(&trace);
     recorder->attach_metrics(
         &flight_metrics,
@@ -217,7 +224,7 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
     if (ap < 0 || ap >= cfg.n_aps) return;
     const auto u = static_cast<std::uint32_t>(ap);
     chan.set_online(u, false);
-    sim.schedule_after(cfg.crash_reboot, [&chan, u] {
+    sim.schedule_after(kCrashReboot, [&chan, u] {
       chan.set_online(u, true);
     });
   };
@@ -313,17 +320,13 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   };
   PeriodicTimer poll(sim, cfg.poll, cfg.poll, tick);
 
-  std::unique_ptr<PeriodicTimer> rearm;
-  if (cfg.radar_rearm > Time{0})
-    rearm = std::make_unique<PeriodicTimer>(sim, cfg.radar_rearm,
-                                            cfg.radar_rearm,
-                                            [&] { net->rearm_radar(); });
+  PeriodicTimer rearm(sim, kRadarRearm, [&] { net->rearm_radar(); });
 
   sim.run_until(cfg.horizon);
   accepting = false;
   // Settle: let an in-flight rollout reach a terminal state. The poll timer
   // keeps the queue alive forever, so run in bounded chunks.
-  const Time deadline = cfg.horizon + cfg.settle_limit;
+  const Time deadline = cfg.horizon + kSettleLimit;
   while (coord.active() && sim.now() < deadline)
     sim.run_until(sim.now() + cfg.poll);
   // One more tick's worth so a just-terminal rollout's convergence sample

@@ -38,21 +38,10 @@ struct RolloutScenarioConfig {
   std::uint64_t ctrl_seed = 99;  // control channel + backoff jitter streams
   Time horizon = time::hours(2);
   Time poll = time::minutes(1);  // collector + service + controller tick
-  // Extra sim time allowed after the horizon for an in-flight rollout to
-  // reach a terminal state (no new rollouts start past the horizon).
-  Time settle_limit = time::hours(2);
-  // DFS non-occupancy epoch: struck channels re-arm this often (Time{0} =
-  // never re-arm within the run).
-  Time radar_rearm = time::hours(1);
-  // AP reboot duration after FaultKind::kApCrash (control link down).
-  Time crash_reboot = time::seconds(30);
   fault::FaultPlan faults;
   ctrl::ControlChannel::Config channel;
   ctrl::Backoff backoff;
   ctrl::RolloutCoordinator::Config rollout;
-  // Retention on the collector's ap_stats table (exercises trim under the
-  // validation reads); max_rows 0 / max_age 0 = unbounded.
-  Time telemetry_max_age = time::hours(1);
   exec::TaskPool* pool = nullptr;  // planner scoring pool; nullptr = global
 
   // --- fleet health engine + flight recorder (DESIGN.md §17) ---------------
@@ -64,9 +53,6 @@ struct RolloutScenarioConfig {
   // flight ring's metrics belong to the run, so health runs may execute
   // concurrently on separate threads.
   bool health = false;
-  Time health_window = time::minutes(5);  // postmortem lookback
-  std::size_t recorder_capacity = 256;    // flight-ring entries
-  std::size_t max_postmortems = 4;        // retained bundles (>= 1)
   // Also dump a bundle on every injected radar fault (not just ones that
   // land mid-rollout and pin). Off by default to keep bundle volume at one
   // per anomaly, not one per chaos event.
@@ -101,7 +87,7 @@ struct RolloutScenarioResult {
   std::uint64_t health_recoveries = 0;
   std::uint64_t health_rows = 0;         // fleet_health LittleTable rows
   std::uint64_t recorder_dropped = 0;    // flight-ring overflow evictions
-  std::uint64_t postmortems_dropped = 0; // bundles evicted by max_postmortems
+  std::uint64_t postmortems_dropped = 0; // bundles past the recorder's cap
   ctrl::RolloutCoordinator::Health rollout_health;
 };
 

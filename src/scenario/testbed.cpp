@@ -87,7 +87,6 @@ Testbed::Testbed(TestbedConfig cfg)
     ap_cfg.id = ApId{static_cast<std::uint32_t>(a)};
     ap_cfg.pos = Position{15.0 * a, 0.0};
     ap_cfg.channel = cfg_.channel;
-    ap_cfg.cap = cfg_.ap_cap;
     ap_cfg.prop = cfg_.prop;
     ap_cfg.rate_control = cfg_.rate_control;
     ap_cfg.bad_hint_rate = cfg_.bad_hint_rate;
@@ -144,7 +143,6 @@ Testbed::Testbed(TestbedConfig cfg)
       cc.id = StationId{next_station++};
       cc.pos = Position{ap_cfg.pos.x + dist * std::cos(angle),
                         ap_cfg.pos.y + dist * std::sin(angle)};
-      cc.cap = cfg_.client_cap;
       cc.receiver = cfg_.receiver;
       auto client = std::make_unique<ClientStation>(sim_, *medium_, cc, rng_.fork());
       ap->associate(client.get());

@@ -50,9 +50,6 @@ struct TestbedConfig {
   WiredLink::Config wire;
 
   Channel channel{Band::G5, 42, ChannelWidth::MHz80};
-  ApCapability ap_cap;
-  ClientCapability client_cap{WifiStandard::k80211ac, true, ChannelWidth::MHz80,
-                              2, true, true};
   PropagationModel prop;
   mac::MediumConfig medium;
   RateController::Config rate_control;

@@ -164,32 +164,18 @@ void LittleTable::maybe_compact() {
   // Amortization: act only once the window is exceeded by slack, so the
   // sort + prefix erase is paid once per ~window/kCompactSlack ingested
   // rows instead of on every insert.
-  bool over = false;
-  if (retention_.max_rows > 0 &&
-      rows_.size() > retention_.max_rows + retention_.max_rows / kCompactSlack)
-    over = true;
-  if (!over && retention_.max_age > Time{0} && !rows_.empty()) {
-    const Time budget =
-        retention_.max_age + time::nanos(retention_.max_age.ns() /
-                                         static_cast<std::int64_t>(kCompactSlack));
-    // The incrementally tracked oldest timestamp, not the sort index: a
-    // batch append must not force a sort just to ask "is anything old?".
-    if (newest_ - oldest_ > budget) over = true;
-  }
-  if (over) enforce_retention();
+  if (retention_.max_age <= Time{0} || rows_.empty()) return;
+  const Time budget =
+      retention_.max_age + time::nanos(retention_.max_age.ns() /
+                                       static_cast<std::int64_t>(kCompactSlack));
+  // The incrementally tracked oldest timestamp, not the sort index: a
+  // batch append must not force a sort just to ask "is anything old?".
+  if (newest_ - oldest_ > budget) enforce_retention();
 }
 
 void LittleTable::enforce_retention() {
   if (retention_.max_age > Time{0} && !rows_.empty())
     trim_before(newest_ - retention_.max_age);
-  if (retention_.max_rows > 0 && rows_.size() > retention_.max_rows) {
-    ensure_sorted();
-    const std::size_t drop = rows_.size() - retention_.max_rows;
-    rows_trimmed_ += drop;
-    rows_.erase(rows_.begin(),
-                rows_.begin() + static_cast<std::ptrdiff_t>(drop));
-    if (!rows_.empty()) oldest_ = rows_.front().at;
-  }
 }
 
 }  // namespace w11::telemetry

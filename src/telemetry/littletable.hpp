@@ -70,11 +70,8 @@ class LittleTable {
   void trim_before(Time cutoff);
 
   // Retention window, enforced by amortized compaction at ingest time (the
-  // backend's tables are trimmed by the writer, not by readers):
-  //   * max_age: rows older than this relative to the newest row go;
-  //     Time{0} disables the age bound.
-  //   * max_rows: hard cap on resident rows (oldest evicted first);
-  //     0 disables the cap.
+  // backend's tables are trimmed by the writer, not by readers): rows older
+  // than max_age relative to the newest row go; Time{0} disables it.
   // Compaction runs when the window is exceeded by kCompactSlack — one
   // erase per ~slack ingests, not one per row — so steady-state ingest
   // stays amortized O(1) per row. The age probe reads the incrementally
@@ -85,10 +82,8 @@ class LittleTable {
   // to O(n log n) per poll.
   struct Retention {
     Time max_age{0};
-    std::size_t max_rows = 0;
   };
   void set_retention(Retention r);
-  [[nodiscard]] const Retention& retention() const { return retention_; }
   // Rows dropped by retention so far (trim_before included).
   [[nodiscard]] std::uint64_t rows_trimmed() const { return rows_trimmed_; }
 
@@ -99,7 +94,7 @@ class LittleTable {
   [[nodiscard]] std::size_t column_index(std::string_view column) const;
   void ensure_sorted() const;
   void maybe_compact();
-  // Trim to the retention window now: the age bound, then max_rows.
+  // Trim to the retention window now.
   void enforce_retention();
 
   std::string name_;

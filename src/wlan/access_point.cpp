@@ -7,6 +7,11 @@
 
 namespace w11 {
 
+namespace {
+// Downlink MPDUs queued per client and access category; a full queue drops.
+constexpr std::size_t kPerClientQueueCap = 768;
+}  // namespace
+
 AccessPoint::AccessPoint(Simulator& sim, mac::Medium& medium, Config cfg, Rng rng)
     : sim_(sim), medium_(medium), cfg_(cfg), rng_(std::move(rng)) {
   for (AccessCategory ac : kAllAccessCategories) {
@@ -128,7 +133,7 @@ void AccessPoint::enable_udp_saturation(StationId station, Bytes mpdu_payload) {
 void AccessPoint::refill_udp(ClientCtx& ctx) {
   if (!ctx.udp_saturate) return;
   auto& q = ctx.queues[ac_index(AccessCategory::BE)];
-  while (q.size() < cfg_.per_client_queue_cap) {
+  while (q.size() < kPerClientQueueCap) {
     TcpSegment seg;
     seg.dst_station = ctx.station->id();
     seg.udp = true;
@@ -144,7 +149,7 @@ void AccessPoint::refill_udp(ClientCtx& ctx) {
 void AccessPoint::enqueue(ClientCtx& ctx, AccessCategory ac, QueuedMpdu mpdu,
                           bool priority) {
   auto& q = ctx.queues[ac_index(ac)];
-  if (q.size() >= cfg_.per_client_queue_cap) {
+  if (q.size() >= kPerClientQueueCap) {
     ++stats_.queue_drops;
     ++stats_.queue_drops_by_ac[ac_index(ac)];
     return;

@@ -46,7 +46,6 @@ class AccessPoint {
     ApCapability cap;
     PropagationModel prop;
     RateController::Config rate_control;
-    std::size_t per_client_queue_cap = 768;
     // Fraction of 802.11 ACKs that are "bad hints" (§5.7 fn. 15): the MAC
     // acknowledges but the transport never sees the data.
     double bad_hint_rate = 0.0;

@@ -8,6 +8,15 @@
 
 namespace w11 {
 
+namespace {
+// Uplink ACK queue depth; a full queue tail-drops.
+constexpr std::size_t kUplinkQueueCap = 512;
+// Client devices aggregate uplink ACKs far less aggressively than APs
+// aggregate data (sparse release + conservative drivers); this cap is
+// what makes TCP-ACK medium access expensive (§5.1 / Fig. 10).
+constexpr int kMaxUplinkAmpdu = 8;
+}  // namespace
+
 ClientStation::ClientStation(Simulator& sim, mac::Medium& medium, Config cfg, Rng rng)
     : sim_(sim), medium_(medium), cfg_(cfg), rng_(std::move(rng)) {}
 
@@ -52,7 +61,7 @@ void ClientStation::receive_mpdu(const TcpSegment& seg) {
 }
 
 void ClientStation::enqueue_ack(TcpSegment ack) {
-  if (uplink_.size() >= cfg_.uplink_queue_cap) return;  // tail drop
+  if (uplink_.size() >= kUplinkQueueCap) return;  // tail drop
   ack.dst_station = cfg_.id;
   uplink_.push_back(PendingAck{std::move(ack), 0});
   medium_.set_backlogged(this, true);
@@ -67,7 +76,7 @@ mac::TxDescriptor ClientStation::begin_txop() {
   in_flight_.clear();
   Time airtime = mac::kVhtPreamble;
   const auto ampdu_cap = static_cast<std::size_t>(
-      std::min(cfg_.max_uplink_ampdu, mac::kMaxAmpduMpdus));
+      std::min(kMaxUplinkAmpdu, mac::kMaxAmpduMpdus));
   while (!uplink_.empty() && in_flight_.size() < ampdu_cap) {
     const Bytes sz = uplink_.front().seg.wire_size() + mac::kPerMpduOverhead;
     const Time add = transmit_time(sz, rate);

@@ -37,11 +37,6 @@ class ClientStation : public mac::Contender {
     // the ACK being ready for the uplink queue).
     Time turnaround_min = time::micros(300);
     Time turnaround_max = time::millis(2);
-    std::size_t uplink_queue_cap = 512;
-    // Client devices aggregate uplink ACKs far less aggressively than APs
-    // aggregate data (sparse release + conservative drivers); this cap is
-    // what makes TCP-ACK medium access expensive (§5.1 / Fig. 10).
-    int max_uplink_ampdu = 8;
     TcpReceiver::Config receiver;
   };
 

@@ -9,6 +9,10 @@ namespace w11::workload {
 
 namespace {
 
+// Office floor plan (make_office), in metres.
+constexpr double kFloorWM = 120.0;
+constexpr double kFloorHM = 60.0;
+
 // Clamp a client's capability to the band the network models. 2.4-only
 // clients never appear on a 5 GHz radio's association list.
 bool usable_on_band(const ClientCapability& cap, Band band) {
@@ -101,8 +105,7 @@ std::unique_ptr<flowsim::Network> make_office(const OfficeConfig& cfg) {
   // APs on a regular grid over the floor — dense: every AP hears many
   // others, which is what drives the HQ utilization numbers in Fig. 2.
   const int cols = std::max(1, static_cast<int>(std::ceil(
-                                   std::sqrt(cfg.n_aps * cfg.floor_w_m /
-                                             std::max(cfg.floor_h_m, 1.0)))));
+                                   std::sqrt(cfg.n_aps * kFloorWM / kFloorHM))));
   const int rows = (cfg.n_aps + cols - 1) / cols;
   const Channel initial =
       cfg.band == cfg.initial.band ? cfg.initial : band_default(cfg.band);
@@ -110,8 +113,8 @@ std::unique_ptr<flowsim::Network> make_office(const OfficeConfig& cfg) {
   std::vector<ApId> aps;
   std::vector<Position> ap_pos;
   for (int i = 0; i < cfg.n_aps; ++i) {
-    const Position pos{(i % cols + 0.5) * cfg.floor_w_m / cols,
-                       (i / cols % std::max(rows, 1) + 0.5) * cfg.floor_h_m /
+    const Position pos{(i % cols + 0.5) * kFloorWM / cols,
+                       (i / cols % std::max(rows, 1) + 0.5) * kFloorHM /
                            std::max(rows, 1)};
     aps.push_back(net->add_ap(pos, ChannelWidth::MHz80, initial));
     ap_pos.push_back(pos);
@@ -124,8 +127,8 @@ std::unique_ptr<flowsim::Network> make_office(const OfficeConfig& cfg) {
     ++guard;
     ClientCapability cap = sample_client(cfg.era, rng);
     if (!usable_on_band(cap, cfg.band)) continue;
-    const Position pos{rng.uniform(0.0, cfg.floor_w_m),
-                       rng.uniform(0.0, cfg.floor_h_m)};
+    const Position pos{rng.uniform(0.0, kFloorWM),
+                       rng.uniform(0.0, kFloorHM)};
     std::size_t best = 0;
     double best_d = 1e18;
     for (std::size_t a = 0; a < ap_pos.size(); ++a) {

@@ -36,8 +36,6 @@ struct CampusConfig {
 struct OfficeConfig {
   int n_aps = 33;           // Meraki HQ floor: 31-35 APs
   int n_clients = 350;      // 300-400 clients
-  double floor_w_m = 120.0;
-  double floor_h_m = 60.0;
   double offered_per_client_mbps = 1.2;
   Band band = Band::G5;
   Era era = Era::k2017;

@@ -369,7 +369,6 @@ struct CoordRig {
 TEST(RolloutCoordinator, CanaryThenGrowthWavesThenCommit) {
   ctrl::RolloutCoordinator::Config rc;
   rc.canary = 2;
-  rc.wave_growth = 3;
   rc.validate_window = time::seconds(10);
   CoordRig rig(8, rc);
   const auto v = rig.commit(ch40);
@@ -420,7 +419,6 @@ TEST(RolloutCoordinator, UtilizationRegressionRevertsToLastKnownGood) {
   ctrl::RolloutCoordinator::Config rc;
   rc.canary = 2;
   rc.validate_window = time::seconds(10);
-  rc.util_regression_tol = 0.10;
   CoordRig rig(8, rc);
   const auto v = rig.commit(ch40);
   ASSERT_TRUE(rig.coord.start(v));
@@ -446,7 +444,6 @@ TEST(RolloutCoordinator, CtrlEventsRecordIntoTheSimulatorsTracer) {
   ctrl::RolloutCoordinator::Config rc;
   rc.canary = 2;
   rc.validate_window = time::seconds(10);
-  rc.util_regression_tol = 0.10;
   CoordRig rig(8, rc);
   rig.sim.set_tracer(&rec);
   ASSERT_TRUE(rig.coord.start(rig.commit(ch40)));
@@ -495,7 +492,6 @@ TEST(RolloutCoordinator, NetPRegressionReverts) {
   ctrl::RolloutCoordinator::Config rc;
   rc.canary = 4;
   rc.validate_window = time::seconds(10);
-  rc.netp_regression_tol = 1.0;
   CoordRig rig(4, rc);
   rig.netp = -2.0;
   const auto v = rig.commit(ch40);

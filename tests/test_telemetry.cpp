@@ -264,7 +264,7 @@ TEST(LittleTable, QuantileAfterRetentionTrim) {
 
 TEST(LittleTable, RetentionWindowTrimsByAgeAtIngest) {
   auto t = two_col();
-  t.set_retention({/*max_age=*/time::seconds(10), /*max_rows=*/0});
+  t.set_retention({/*max_age=*/time::seconds(10)});
   for (int i = 0; i <= 60; ++i)
     t.insert(0, time::seconds(i), {static_cast<double>(i), 0.0});
   // Compaction is amortized (slack = max_age/8), so allow the overhang, but
@@ -278,27 +278,17 @@ TEST(LittleTable, RetentionWindowTrimsByAgeAtIngest) {
   EXPECT_GE(rows.front().values[0], 60.0 - 13.0);
 }
 
-TEST(LittleTable, RetentionWindowCapsRowCount) {
-  auto t = two_col();
-  t.set_retention({/*max_age=*/Time{0}, /*max_rows=*/16});
-  for (int i = 0; i < 200; ++i)
-    t.insert(0, time::seconds(i), {static_cast<double>(i), 0.0});
-  EXPECT_LE(t.row_count(), 16u + 2u);  // cap + kCompactSlack/row-slack
-  EXPECT_EQ(t.rows_trimmed() + t.row_count(), 200u);
-  EXPECT_EQ(t.query(Time{0}, time::seconds(1000)).back().values[0], 199.0);
-}
-
 TEST(LittleTable, SetRetentionEnforcesImmediately) {
   auto t = two_col();
   for (int i = 0; i < 100; ++i)
     t.insert(0, time::seconds(i), {static_cast<double>(i), 0.0});
   ASSERT_EQ(t.row_count(), 100u);
-  t.set_retention({time::seconds(20), 10});
-  // Age bound first (rows newer than 99-20=79s), then the row cap.
-  EXPECT_EQ(t.row_count(), 10u);
-  EXPECT_EQ(t.rows_trimmed(), 90u);
+  t.set_retention({time::seconds(20)});
+  // Only rows at or after 99-20=79s survive, with no slack.
+  EXPECT_EQ(t.row_count(), 21u);
+  EXPECT_EQ(t.rows_trimmed(), 79u);
   const auto rows = t.query(Time{0}, time::seconds(1000));
-  EXPECT_EQ(rows.front().values[0], 90.0);
+  EXPECT_EQ(rows.front().values[0], 79.0);
   EXPECT_EQ(rows.back().values[0], 99.0);
 }
 
@@ -308,7 +298,7 @@ TEST(LittleTable, QuantilesOverTrimmedWindowMatchAFreshTable) {
   // built from only those rows — trimming must not disturb the sort index
   // or leave phantom values behind.
   auto t = two_col();
-  t.set_retention({time::seconds(30), 0});
+  t.set_retention({time::seconds(30)});
   Rng rng(7);
   for (int i = 0; i < 500; ++i)
     t.insert(0, time::seconds(i), {rng.uniform(0.0, 100.0), 0.0});
