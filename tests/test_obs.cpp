@@ -523,6 +523,35 @@ TEST(PlanAuditTest, AuditRecordsAreWorkerCountInvariant) {
   EXPECT_EQ(serial, threaded);
 }
 
+// The audit of an 8-round hop-0 firing, byte for byte: most of its rounds
+// come after the plan has settled, and their round and pick records
+// (term breakdowns included) must not change however those rounds run.
+constexpr std::uint64_t kHop0AuditDigest = 0xd140b0a1663020f8ull;
+
+TEST(PlanAuditTest, Hop0FiringAuditIsPinned) {
+  const auto scans = audit_scans(40, 17);
+  ChannelPlan plan;
+  for (const ApScan& s : scans) plan[s.id] = s.current;
+  turboca::Params p;
+  p.runs_min = 8;
+  p.runs_max = 8;
+  const PlanEpoch epoch(scans, plan, p);
+  turboca::TurboCA tca(p, Rng(41));
+  PlanAudit audit;
+  tca.set_audit(&audit);
+  (void)tca.run(epoch.index, turboca::dense_plan(epoch.index, plan), {0});
+  ASSERT_EQ(audit.rounds().size(), 8u);
+  std::size_t quiet_rounds = 0;
+  for (const auto& r : audit.rounds()) quiet_rounds += r.switches == 0 ? 1 : 0;
+  EXPECT_GE(quiet_rounds, 4u);
+
+  std::ostringstream os;
+  audit.write_jsonl(os);
+  std::uint64_t digest = fnv::kOffsetBasis;
+  for (const char c : os.str()) fnv::mix_value(digest, c);
+  EXPECT_EQ(digest, kHop0AuditDigest) << std::hex << digest;
+}
+
 TEST(PlanAuditTest, PickCapDropsDetailButKeepsCounting) {
   PlanAudit audit(/*max_picks=*/2);
   for (std::uint32_t i = 0; i < 5; ++i) {
