@@ -127,6 +127,7 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   const TurboCA::RunResult r =
       engine_.run(index, dense_plan(index, before), levels);
   ++stats_.runs;
+  stats_.settled_rounds += r.settled_rounds;
   stats_.last_netp_log = r.netp_log;
   if (r.improved) {
     // APs outside this firing's census (stale scans) keep their channel.

@@ -53,6 +53,8 @@ class TurboCaService {
     int stale_scan_skips = 0;
     int clock_anomalies = 0;
     int requested_replans = 0;  // request_replan() firings actually run
+    // NBO rounds whose ACC work was skipped (TurboCA::RunResult).
+    int settled_rounds = 0;
   };
 
   TurboCaService(Params params, Schedule schedule, NetworkHooks hooks, Rng rng);

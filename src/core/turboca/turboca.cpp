@@ -120,13 +120,23 @@ void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit) {
   }
 }
 
-void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
+void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit, bool settled) {
   // Algorithm 1, applied to `ctx` in place: fix the drain schedule first
   // (all of the sweep's RNG), then execute the ACC decisions in drain
   // order — bit-for-bit identical to the reference sweep.
   const flowsim::ScanIndex& index = ctx.index();
   if (index.size() == 0) return;
   plan_sweep(index, hop_limit);
+
+  if (settled) {
+    // The plan is a fixed point of every hop-0 ACC (DESIGN.md §14): each
+    // pick would return the AP's own channel, so only its record remains.
+    for (std::size_t t = 0; t < order_.size(); ++t) {
+      const Channel& kept = ctx.channel_of(order_[t]);
+      note_pick(ctx, order_[t], t, kept, kept);
+    }
+    return;
+  }
 
   // ψ (the still-undrained members of the current group) starts as the
   // whole group and shrinks by one settle per pick; every group is fully
@@ -178,7 +188,7 @@ std::vector<Channel> TurboCA::nbo(const flowsim::ScanIndex& index,
                                   std::vector<Channel> current,
                                   int hop_limit) {
   PlanContext ctx(index, params_, std::move(current));
-  nbo_sweep(ctx, hop_limit);
+  nbo_sweep(ctx, hop_limit, false);
   return ctx.plan();
 }
 
@@ -189,18 +199,24 @@ TurboCA::RunResult TurboCA::run(const flowsim::ScanIndex& index,
   RunResult result;
   for (const int level : levels)
     result.improved =
-        run_level(ctx, level, result.netp_log) || result.improved;
+        run_level(ctx, level, result.netp_log, result.settled_rounds) ||
+        result.improved;
   result.plan = ctx.plan();
   return result;
 }
 
-bool TurboCA::run_level(PlanContext& ctx, int hop_limit, double& netp_log) {
+bool TurboCA::run_level(PlanContext& ctx, int hop_limit, double& netp_log,
+                        int& settled_rounds) {
   const int n = static_cast<int>(ctx.index().size());
   const int rounds = std::clamp(n / kRunsDivisor, params_.runs_min,
                                 params_.runs_max);
 
   netp_log = ctx.net_p_log();
   bool improved = false;
+  // At hop 0 every group is one AP and ψ is empty at each ACC, so once a
+  // round switches nothing the plan is a fixed point of every later pick,
+  // whatever the drain order (DESIGN.md §14).
+  bool settled = false;
   for (int r = 0; r < rounds; ++r) {
     // §4.4.4: whenever a round improves NetP, the proposal becomes the
     // baseline for following rounds; otherwise it is rolled back in place
@@ -210,7 +226,9 @@ bool TurboCA::run_level(PlanContext& ctx, int hop_limit, double& netp_log) {
     round_switches_ = 0;
     const double netp_before = netp_log;
     ctx.begin_round();
-    nbo_sweep(ctx, hop_limit);
+    nbo_sweep(ctx, hop_limit, settled);
+    if (settled) ++settled_rounds;
+    settled = hop_limit == 0 && round_switches_ == 0;
     const double netp = ctx.net_p_log();
     const bool accepted = netp > netp_log + 1e-9;
     if (accepted) {

@@ -326,6 +326,21 @@ TEST(TurboCaService, StablePlanIsNotChurned) {
             net->ap_count() / 4);
 }
 
+// Fast-tier firings on a converged network settle after their first quiet
+// hop-0 round; the service sums the rounds that skipped their ACC work.
+TEST(TurboCaService, CountsSettledHop0Rounds) {
+  workload::CampusConfig cc;
+  cc.n_aps = 20;
+  cc.seed = 13;
+  auto net = workload::make_campus(cc);
+  turboca::TurboCaService svc({}, {}, hooks_for(*net), Rng(11));
+  svc.run_now({2, 1, 0});
+  const int settled_after_converge = svc.stats().settled_rounds;
+  svc.run_now({0});
+  svc.run_now({0});
+  EXPECT_GT(svc.stats().settled_rounds, settled_after_converge);
+}
+
 TEST(TurboCaService, StaleScanKeepsItsApChannelInAppliedPlan) {
   // One AP's scan is stale and dropped from the firing's census; the plan
   // the service applies must still carry that AP, on its channel of
