@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <random>
 
+#include "common/check.hpp"
+
 namespace w11 {
 
 namespace rng_detail {
@@ -33,6 +35,46 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 constexpr std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(seed ^ splitmix64(stream ^ 0xa076'1d64'78bd'642fULL));
 }
+
+// The first output of std::mt19937_64 seeded with `seed`, without building
+// its 312-word state. The first twist writes word 0 from words 0, 1 and
+// 156 (shift_size), and seeding derives word i from word i - 1, so 156
+// seeding steps, one twist step and the tempering give the same value.
+constexpr std::uint64_t mt19937_64_first_output(std::uint64_t seed) {
+  using E = std::mt19937_64;
+  std::uint64_t x = seed;
+  std::uint64_t x1 = 0;
+  for (std::uint64_t i = 1; i <= E::shift_size; ++i) {
+    x = E::initialization_multiplier * (x ^ (x >> (E::word_size - 2))) + i;
+    if (i == 1) x1 = x;
+  }
+  const std::uint64_t upper = ~std::uint64_t{0} << E::mask_bits;
+  const std::uint64_t y = (seed & upper) | (x1 & ~upper);
+  std::uint64_t z = x ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
+  z ^= (z >> E::tempering_u) & E::tempering_d;
+  z ^= (z << E::tempering_s) & E::tempering_b;
+  z ^= (z << E::tempering_t) & E::tempering_c;
+  return z ^ (z >> E::tempering_l);
+}
+
+// A URBG with std::mt19937_64's range that yields one given value, so a
+// standard distribution consumes it exactly as it would the engine's draw.
+class OneDraw {
+ public:
+  using result_type = std::mt19937_64::result_type;
+  explicit OneDraw(result_type value) : value_(value) {}
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() {
+    W11_CHECK(!drawn_);
+    drawn_ = true;
+    return value_;
+  }
+
+ private:
+  result_type value_;
+  bool drawn_ = false;
+};
 
 }  // namespace rng_detail
 
@@ -116,6 +158,15 @@ class Rng {
   // reads only seed(), so pool tasks may fork one shared root concurrently.
   [[nodiscard]] Rng fork(std::uint64_t stream_id) const {
     return Rng(rng_detail::mix_seed(seed_, stream_id));
+  }
+
+  // fork(stream_id).bernoulli(p), bit for bit, without seeding the child's
+  // engine: for per-entity coins where most children draw nothing else.
+  [[nodiscard]] bool fork_bernoulli(std::uint64_t stream_id, double p) const {
+    rng_detail::OneDraw first(rng_detail::mt19937_64_first_output(
+        rng_detail::mix_seed(seed_, stream_id)));
+    std::bernoulli_distribution d(p);
+    return d(first);
   }
 
   // The seed this generator was constructed with (stable across draws).

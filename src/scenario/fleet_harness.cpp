@@ -134,12 +134,13 @@ fleet::DeltaEpoch evolve_population(std::vector<ApScan>& scans,
 
   // Removals first (an AP picked for both removal and spectrum churn is
   // simply removed). Per-position coins on independent streams, so the
-  // draw for AP i never shifts with fleet size or other churn.
+  // draw for AP i never shifts with fleet size or other churn. Each coin
+  // is its stream's first draw, taken without seeding the stream.
   std::vector<std::size_t> removed_pos;
   if (member_fraction > 0.0) {
     const Rng mroot = root.fork(0xD00DULL);
     for (std::size_t i = 0; i < scans.size(); ++i)
-      if (mroot.fork(i).bernoulli(member_fraction)) removed_pos.push_back(i);
+      if (mroot.fork_bernoulli(i, member_fraction)) removed_pos.push_back(i);
     // Never empty the census entirely.
     if (removed_pos.size() == scans.size() && !removed_pos.empty())
       removed_pos.pop_back();
@@ -152,8 +153,9 @@ fleet::DeltaEpoch evolve_population(std::vector<ApScan>& scans,
   if (spectrum_fraction > 0.0) {
     for (std::size_t i = 0; i < scans.size(); ++i) {
       if (removed[i]) continue;
+      if (!root.fork_bernoulli(i, spectrum_fraction)) continue;
       Rng arng = root.fork(i);
-      if (!arng.bernoulli(spectrum_fraction)) continue;
+      arng.engine().discard(1);  // the coin above
       roll_spectrum(scans[i], comps, arng);
       scans[i].taken_at = now;
       d.updated.push_back(scans[i]);

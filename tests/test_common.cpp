@@ -435,6 +435,33 @@ TEST(Rng, SeedAccessorIsStableAcrossDraws) {
   EXPECT_EQ(rng.seed(), 123u);
 }
 
+// The closed-form first output equals a seeded engine's first draw, and
+// the one-draw coin equals the forked child's first bernoulli, over 100k
+// seeds and streams.
+static_assert(rng_detail::mt19937_64_first_output(
+                  std::mt19937_64::default_seed) == 14514284786278117030ull);
+
+TEST(Rng, FirstOutputMatchesSeededEngine) {
+  std::uint64_t seed = 0;
+  for (std::uint64_t k = 0; k < 100'000; ++k) {
+    seed = rng_detail::splitmix64(seed + k);
+    std::mt19937_64 engine(k % 2 == 0 ? seed : k);
+    ASSERT_EQ(rng_detail::mt19937_64_first_output(k % 2 == 0 ? seed : k),
+              engine())
+        << "k=" << k;
+  }
+}
+
+TEST(Rng, ForkBernoulliMatchesForkedChild) {
+  const Rng root(0xC0FFEEULL);
+  const double ps[] = {0.0, 1e-6, 0.01, 0.5, 0.99, 1.0};
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    const double p = ps[i % std::size(ps)];
+    ASSERT_EQ(root.fork_bernoulli(i, p), root.fork(i).bernoulli(p))
+        << "p=" << p << " stream=" << i;
+  }
+}
+
 TEST(Rng, BernoulliExtremes) {
   Rng rng(9);
   for (int i = 0; i < 50; ++i) {
