@@ -354,7 +354,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   out.last_known_good = store.last_known_good_version();
   out.radar_duplicates = net->radar_duplicates();
   out.telemetry_rows = coll.ap_stats().row_count();
-  out.telemetry_trimmed = coll.ap_stats().rows_trimmed();
   out.planner_runs = svc.stats().runs;
   out.requested_replans = svc.stats().requested_replans;
   out.rollout_health = coord.health();

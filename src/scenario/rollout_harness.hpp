@@ -76,7 +76,6 @@ struct RolloutScenarioResult {
   std::uint64_t last_known_good = 0;
   int radar_duplicates = 0;
   std::uint64_t telemetry_rows = 0;
-  std::uint64_t telemetry_trimmed = 0;
   int planner_runs = 0;
   int requested_replans = 0;
 
